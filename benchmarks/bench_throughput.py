@@ -708,8 +708,8 @@ def bench_sparse(table_log2_sizes, repeats: int, differential_steps: int,
       2^19-entry tables), a culling-level-sparsity batch, per-engine
       best-of-block timing of the dense Adam step vs the touched-rows-only
       lazy step (and of the dense bincount scatter vs the COO
-      sort+segment-sum) — deliberately *not* interleaved, since neither
-      real mode ever runs the other engine between its own steps (see
+      first-touch + segment-sum) — deliberately *not* interleaved, since
+      neither real mode ever runs the other engine between its own steps (see
       ``_time_blocked``);
     * **BUM side by side** — the *measured* touched-address trace of the
       largest grid replayed through the modeled

@@ -17,7 +17,7 @@ a color grid) with different ``size_scale`` factors; see
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -362,9 +362,10 @@ class MultiResHashGrid:
         emit one compacted ``(unique_addresses, accumulated_grads)`` COO
         pair (:class:`~repro.nn.parameter.SparseGrad`) over the grid's
         backing table instead of expanding to dense zeros — the scatter
-        trace is deduplicated with a sort + segment-sum whose per-row sums
-        are **bit-identical** to the dense ``np.bincount`` scatter — and
-        flags the table for the optimiser's touched-rows-only lazy update.
+        trace is deduplicated with a first-touch address map + segment-sum
+        whose per-row sums are **bit-identical** to the dense
+        ``np.bincount`` scatter — and flags the table for the optimiser's
+        touched-rows-only lazy update.
         ``"oracle"`` keeps the dense gradient representation (this exact
         backward) while still flagging the table for lazy updates: the
         bit-exact dense-representation oracle the COO path is
@@ -492,6 +493,9 @@ class MultiResHashGrid:
         #: ``None`` until a fused backward has run.
         self.last_touched_rows: Optional[int] = None
         self.last_scatter_updates: Optional[int] = None
+        #: COO backward's first-touch map (mark, slot), table-length arrays
+        #: allocated when the grid first enters COO mode.
+        self._first_touch: Optional[Tuple[np.ndarray, np.ndarray]] = None
         self.set_sparse_mode(sparse_mode)
 
     def set_sparse_mode(self, sparse_mode: Optional[str]) -> None:
@@ -506,6 +510,10 @@ class MultiResHashGrid:
             raise ValueError(
                 f"sparse_mode must be None, 'coo' or 'oracle', got {sparse_mode!r}")
         self.sparse_mode = sparse_mode
+        if sparse_mode == "coo" and self._first_touch is None:
+            total = int(self._level_bounds[-1])
+            self._first_touch = (self.backend.zeros(total, bool),
+                                 self.backend.zeros(total, np.int64))
         for param in [self.table] + [level.table for level in self.levels]:
             param.sparse = sparse_mode is not None
             param.coo_grads = sparse_mode == "coo"
@@ -890,8 +898,9 @@ class MultiResHashGrid:
                 np.multiply(corner_weight, feature_grads[j], out=contrib)
                 self.backend.bincount_add(acc[j], flat_addr, contrib.ravel(),
                                           total)
+        touched = self.backend.flatnonzero(
+            self._any_nonzero("bwd", acc))
         acc = acc.T
-        touched = self.backend.flatnonzero(np.any(acc != 0.0, axis=1))
         self.last_touched_rows = int(touched.size)
         self.last_scatter_updates = int(addr_planes.size)
         # Sized at the table bound (not the batch-dependent touched count)
@@ -906,26 +915,25 @@ class MultiResHashGrid:
                         weight_planes: np.ndarray,
                         feature_grads: List[np.ndarray],
                         n: int, f: int) -> None:
-        """Deduplicated COO scatter: sort + segment-sum, no dense tables.
+        """Deduplicated COO scatter: first-touch map + segment-sum, no sort.
 
-        The flat scatter trace (``8 * L * N`` global addresses) is sorted
-        once; a rank pass compacts it to the unique touched addresses and
-        every corner's contributions are segment-summed with ``np.bincount``
-        over the *rank* indices.  Because bincount accumulates duplicate
-        buckets in scan order, each touched row's float64 sum is
-        **bit-identical** to the dense scatter's value for that row, and the
-        float32 cast afterwards matches the dense path's cast — the COO
-        pair is the dense gradient table minus its zeros.  Rows whose
-        float32 gradient rounds to all-zero are dropped so the touched set
-        equals the nonzero-row set the dense-oracle optimiser derives.
+        The flat scatter trace (``8 * L * N`` global addresses) sets its
+        addresses in the grid's ``bool`` mark array; ``flatnonzero`` reads
+        the unique addresses back in ascending order, the marks are cleared
+        (all-False between calls), and the slot array maps each unique
+        address to its rank, so one gather gives every trace entry its
+        unique-id.  Every corner's contributions are segment-summed with
+        ``np.bincount`` over those ids.  Because bincount accumulates in
+        scan order, each touched row's float64 sum — and its float32 cast —
+        is **bit-identical** to the dense scatter's: the COO pair is the
+        dense gradient table minus its zeros (rows whose float32 gradient
+        is all-zero are dropped).
 
-        Cost scales with the trace and touched-row sizes — never with the
-        table size.  All buffers come from the workspace arena (when
-        attached) except ``np.argsort``'s result and the per-corner bincount
-        outputs (both bounded by trace/touched size; NumPy offers no ``out=``
-        for either).  The COO pair handed to the backing table's
-        :meth:`Parameter.add_sparse_grad` holds arena views, valid until the
-        next backward — exactly one optimiser step.
+        Cost is linear in the trace and touched rows plus one pass over the
+        table-length mark array.  Buffers come from the workspace arena
+        (when attached) except the grid-owned map arrays and the
+        touched-size index and bincount outputs.  The emitted COO pair holds
+        arena views, valid until the next backward (one optimiser step).
         """
         n_levels = len(self.levels)
         m = int(addr_planes.size)
@@ -933,21 +941,15 @@ class MultiResHashGrid:
             self.last_touched_rows = 0
             self.last_scatter_updates = 0
             return
+        mark, slot = self._first_touch
         flat_all = addr_planes.reshape(-1)
-        order = self.backend.argsort(flat_all)
-        sorted_addr = self._buf("bwds/sorted", m, np.int64)
-        self.backend.take_out(flat_all, order, sorted_addr)
-        flags = self._buf("bwds/flags", m, bool)
-        flags[0] = True
-        np.not_equal(sorted_addr[1:], sorted_addr[:-1], out=flags[1:])
-        rank = self._buf("bwds/rank", m, np.int64)
-        self.backend.cumsum(flags, out=rank)
-        rank -= 1                                 # unique-id of each sorted slot
-        n_unique = int(rank[-1]) + 1
-        unique_addr = self._buf("bwds/unique", n_unique, np.int64)
-        self.backend.scatter_rows(unique_addr, rank, sorted_addr)
+        self.backend.scatter_rows(mark, flat_all, True)
+        unique_addr = self.backend.flatnonzero(mark)
+        self.backend.scatter_rows(mark, unique_addr, False)
+        n_unique = int(unique_addr.size)
+        self.backend.scatter_rows(slot, unique_addr, np.arange(n_unique))
         inverse = self._buf("bwds/inverse", m, np.int64)
-        self.backend.scatter_rows(inverse, order, rank)
+        self.backend.take_out(slot, flat_all, inverse)
         inv_planes = inverse.reshape(8, n_levels, n)
         acc = self._buf("bwds/acc", (f, n_unique), np.float64)
         acc.fill(0.0)
@@ -961,19 +963,28 @@ class MultiResHashGrid:
                                           n_unique)
         vals32 = self._buf("bwds/vals32", (n_unique, f), np.float32)
         np.copyto(vals32, acc.T, casting="unsafe")
-        nz = self._buf("bwds/nz", (n_unique, f), bool)
-        np.not_equal(vals32, 0.0, out=nz)
-        keep = self._buf("bwds/keep", n_unique, bool)
-        np.any(nz, axis=1, out=keep)
-        kept = self.backend.flatnonzero(keep)
+        kept = self.backend.flatnonzero(
+            self._any_nonzero("bwds", vals32.T))
         rows = self._buf("bwds/rows", kept.size, np.int64)
         self.backend.take_out(unique_addr, kept, rows)
         vals = self._buf("bwds/vals", (kept.size, f), np.float32)
         self.backend.gather(vals32, kept, out=vals)
+        vals += 0.0       # -0.0 -> +0.0, as in the dense path's zeroed table
         self.last_touched_rows = int(kept.size)
         self.last_scatter_updates = m
         if kept.size:
             self.table.add_sparse_grad(rows, vals)
+
+    def _any_nonzero(self, key: str, columns: np.ndarray) -> np.ndarray:
+        """``np.any(columns.T != 0.0, axis=1)`` as one compare + OR per
+        feature of the ``(F, n)`` columns, not a reduction per row."""
+        keep = self._buf(f"{key}/keep", columns.shape[1], bool)
+        nz = self._buf(f"{key}/nz", columns.shape[1], bool)
+        np.not_equal(columns[0], 0.0, out=keep)
+        for column in columns[1:]:
+            np.not_equal(column, 0.0, out=nz)
+            keep |= nz
+        return keep
 
     # -- tracing / bookkeeping ------------------------------------------------
     @property

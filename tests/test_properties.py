@@ -8,10 +8,12 @@ from hypothesis.extra.numpy import arrays
 from repro.accelerator.bum import BackPropUpdateMerger
 from repro.accelerator.sram import SRAMBankArray
 from repro.core.schedule import UpdateSchedule
+from repro.grid.hash_encoding import HashGridConfig, MultiResHashGrid
 from repro.grid.hash_function import spatial_hash
 from repro.grid.interpolation import interpolate, trilinear_weights
 from repro.nerf.losses import mse_loss, mse_to_psnr
 from repro.nerf.volume_rendering import VolumeRenderer
+from repro.utils.seeding import new_rng
 
 
 # ---------------------------------------------------------------------------
@@ -153,3 +155,40 @@ def test_sram_batch_cycles_bounded_by_batch_size(addresses, n_banks):
     sram = SRAMBankArray(n_banks=n_banks, table_entries=1024)
     cycles = sram.cycles_for_batch(addresses)
     assert 1 <= cycles <= addresses.size
+
+
+# ---------------------------------------------------------------------------
+# Sparse (COO) grid backward
+# ---------------------------------------------------------------------------
+_COO_GRID = HashGridConfig(n_levels=4, n_features_per_level=2,
+                           log2_hashmap_size=10, base_resolution=4,
+                           finest_resolution=32)
+
+
+@given(
+    points=arrays(np.float64, st.tuples(st.integers(0, 120), st.just(3)),
+                  elements=st.floats(0.0, 1.0)),
+    max_chunk_points=st.one_of(st.none(), st.integers(1, 64)),
+    grad_seed=st.integers(0, 2**16),
+)
+@settings(max_examples=40, deadline=None)
+def test_coo_backward_is_the_dense_scatter_minus_its_zeros(
+        points, max_chunk_points, grad_seed):
+    grad = new_rng(grad_seed).standard_normal(
+        (len(points), _COO_GRID.n_output_features))
+    dense = MultiResHashGrid(_COO_GRID, rng=new_rng(0))
+    dense.forward(points)
+    dense.zero_grad()
+    dense.backward(grad)
+    coo = MultiResHashGrid(_COO_GRID, rng=new_rng(0), sparse_mode="coo",
+                           max_chunk_points=max_chunk_points)
+    coo.forward(points)
+    coo.zero_grad()
+    coo.backward(grad)
+    rows = np.flatnonzero(np.any(dense.table.grad != 0.0, axis=1))
+    sparse = coo.table.sparse_grad
+    got_rows = np.zeros(0, np.int64) if sparse is None else sparse.rows
+    np.testing.assert_array_equal(got_rows, rows)
+    if sparse is not None:                # bit-equal, sign of zero included
+        np.testing.assert_array_equal(sparse.values.view(np.uint32),
+                                      dense.table.grad[rows].view(np.uint32))

@@ -30,6 +30,7 @@ from repro.nn.parameter import Parameter, SparseGrad
 from repro.training.profiler import PhaseTimer, TrainPhase
 from repro.training.trainer import Trainer, TrainingHistory
 from repro.utils.seeding import new_rng
+from repro.utils.workspace import WorkspaceArena
 
 
 def _sparse_config(base: Instant3DConfig, **overrides) -> Instant3DConfig:
@@ -158,6 +159,80 @@ class TestGridCOOEmission:
         points = rng.uniform(size=(64, 3))
         grad = rng.standard_normal((64, tiny_grid_config.n_output_features))
         self._check_match(dense, coo, points, grad)
+
+    @pytest.mark.parametrize("n_features", [1, 4])
+    def test_coo_matches_dense_scatter_feature_widths(self, tiny_grid_config,
+                                                      rng, n_features):
+        # F != 2 takes the generic (non complex-pair) paths and the
+        # per-feature nonzero-row loop with one and with several features.
+        config = dataclasses.replace(tiny_grid_config,
+                                     n_features_per_level=n_features)
+        dense, coo = self._grids(config)
+        points = rng.uniform(size=(150, 3))
+        grad = rng.standard_normal((150, config.n_output_features))
+        self._check_match(dense, coo, points, grad)
+
+    def test_coo_matches_dense_scatter_trace_much_smaller_than_table(
+            self, rng):
+        # The train-large-sparse regime: 2^19-entry tables, a trace of a
+        # few hundred addresses.
+        config = HashGridConfig(n_levels=8, n_features_per_level=2,
+                                log2_hashmap_size=19, base_resolution=16,
+                                finest_resolution=256)
+        dense, coo = self._grids(config)
+        points = rng.uniform(size=(16, 3))
+        grad = rng.standard_normal((16, config.n_output_features))
+        self._check_match(dense, coo, points, grad)
+
+    def test_coo_underflow_to_zero_keeps_dense_sign(self, tiny_grid_config):
+        # A subnormal z-fraction gives weights of ~1e-46: one feature's
+        # float32 cast is a nonzero denormal, the other's rounds to -0.0,
+        # which the dense table (zeroed grad + cast) holds as +0.0.
+        dense, coo = self._grids(tiny_grid_config)
+        points = np.array([[0.3, 0.3, 1e-46]])
+        grad = np.tile([2.0, -0.3], (1, tiny_grid_config.n_levels))
+        self._check_match(dense, coo, points, grad)
+        rows = coo.table.sparse_grad.rows
+        np.testing.assert_array_equal(
+            coo.table.sparse_grad.values.view(np.uint32),
+            dense.table.grad[rows].view(np.uint32))
+
+    @pytest.mark.parametrize("arena", [False, True])
+    def test_back_to_back_calls_keep_first_touch_map_clean(
+            self, tiny_grid_config, rng, arena):
+        # One grid runs many COO backwards; each must match a fresh dense
+        # reference, and the first-touch mark array must be all-False
+        # afterwards, or a stale mark would leak rows into the next call.
+        coo = MultiResHashGrid(tiny_grid_config, rng=new_rng(0),
+                               sparse_mode="coo",
+                               arena=WorkspaceArena() if arena else None)
+        mark = coo._first_touch[0]
+        assert mark.size == coo.total_table_entries and not mark.any()
+        # Every point in one voxel at every level (8 corner rows per level).
+        one_voxel = 0.5 + rng.uniform(1e-4, 9e-4, size=(40, 3))
+        batches = [rng.uniform(size=(257, 3)), np.zeros((0, 3)), one_voxel,
+                   rng.uniform(size=(16, 3)), rng.uniform(size=(300, 3)),
+                   rng.uniform(size=(1, 3))]
+        for points in batches:
+            grad = rng.standard_normal(
+                (len(points), tiny_grid_config.n_output_features))
+            dense = MultiResHashGrid(tiny_grid_config, rng=new_rng(0))
+            dense.forward(points)
+            dense.zero_grad()
+            dense.backward(grad)
+            rows = np.flatnonzero(np.any(dense.table.grad != 0.0, axis=1))
+            coo.forward(points)
+            coo.zero_grad()
+            coo.backward(grad)
+            sparse = coo.table.sparse_grad
+            if rows.size == 0:
+                assert sparse is None
+            else:
+                np.testing.assert_array_equal(sparse.rows, rows)
+                np.testing.assert_array_equal(sparse.values,
+                                              dense.table.grad[rows])
+            assert coo.last_touched_rows == rows.size
+            assert not mark.any()
 
     def test_oracle_mode_keeps_dense_grads_but_flags_lazy(self,
                                                           tiny_grid_config,
