@@ -1,8 +1,8 @@
 """Throughput benchmark: grid engine, culled pipeline, fleet, checkpoints,
-precision, sparse updates, array backends, ray scheduling.
+precision, sparse updates, ray scheduling.
 
-Eight measurements back the engine, pipeline, io, precision, optimiser,
-backend and scheduling layers:
+Seven measurements back the engine, pipeline, io, precision, optimiser
+and scheduling layers:
 
 1. **Grid engine** — forward + backward points/sec of the fused stacked-kernel
    engine versus the original per-level loop on a 65k-point batch, with a
@@ -36,14 +36,7 @@ backend and scheduling layers:
    replayed through the modeled
    :class:`~repro.accelerator.bum.BackPropUpdateMerger` so the software
    sparsity statistics and the hardware unit's merge rate sit side by side.
-7. **Array backends** — end-to-end train-step time and points/sec for every
-   registered :class:`~repro.backend.ArrayBackend` (numpy reference, the
-   in-repo fused backend, numba when installed), with differential pins:
-   the numpy backend must reproduce the frozen reference trainer exactly
-   and each alternate backend's loss trajectory is compared bit-exactly to
-   numpy's.  Unavailable optional backends report ``"skipped": true``
-   (never missing keys).
-8. **Ray scheduling** — the locality-aware pixel schedulers
+7. **Ray scheduling** — the locality-aware pixel schedulers
    (:mod:`repro.nerf.scheduling`) against the uniform random draw: a
    differential check that ``ray_schedule="uniform"`` (the default) still
    reproduces the frozen pre-scheduler trainer exactly, then one culled +
@@ -74,7 +67,6 @@ from pathlib import Path
 import numpy as np
 
 from repro.accelerator.bum import BackPropUpdateMerger, replay_trace
-from repro.backend import available_backends
 from repro.core.model import DecoupledRadianceField
 from repro.core.schedule import BranchSchedules
 from repro.datasets import nerf_synthetic_like
@@ -801,83 +793,6 @@ def bench_sparse(table_log2_sizes, repeats: int, differential_steps: int,
     }
 
 
-#: Backends the benchmark always reports on.  Optional backends that are not
-#: registered in this environment (e.g. ``numba`` without numba installed)
-#: appear as ``{"skipped": true, "reason": ...}`` rows instead of being
-#: omitted — CI asserts on these keys, so missing-key failures would
-#: otherwise mask a merely-uninstalled dependency as a benchmark bug.
-BACKEND_SECTION_NAMES = ("numpy", "numpy_fused", "numba")
-
-
-def bench_backends(image_size: int, reference_steps: int,
-                   timing_iters: int) -> dict:
-    """Per-backend training throughput with bit-identity differential pins.
-
-    Every registered :class:`~repro.backend.ArrayBackend` trains the same
-    scene under the same RNG streams.  Two pins anchor the section:
-
-    * ``numpy_reference_matches_seed`` — the ``numpy`` backend's losses must
-      equal the frozen pre-pipeline reference loop's (the same oracle the
-      culling and precision sections use), proving the backend seam changed
-      nothing on the default path;
-    * per-backend ``losses_match_numpy`` — each alternate backend's loss
-      trajectory compared bit-exactly against the ``numpy`` backend's (the
-      in-repo ``numpy_fused`` backend is *required* to match; see
-      ``docs/backend.md`` for the construction that makes it exact).
-    """
-    dataset = nerf_synthetic_like(["lego"], n_train_views=6, n_test_views=1,
-                                  image_size=image_size)[0]
-    base = bench_config(0.25, 0.5)
-    points_per_iter = base.batch_pixels * base.n_samples_per_ray
-
-    # The frozen oracle: losses of the pre-pipeline six-step loop (which
-    # itself runs under the numpy reference backend by construction).
-    numpy_config = dataclasses.replace(base, backend="numpy")
-    reference = _reference_dense_losses(dataset, numpy_config, 0,
-                                        reference_steps)
-
-    registered = available_backends()
-    results: dict = {}
-    numpy_losses = None
-    for name in BACKEND_SECTION_NAMES:
-        if name not in registered:
-            results[name] = {
-                "skipped": True,
-                "reason": f"backend {name!r} is not registered in this "
-                          f"environment (optional dependency not installed)",
-            }
-            continue
-        config = dataclasses.replace(base, backend=name)
-        probe = Trainer(DecoupledRadianceField(config, seed=0), dataset,
-                        config=config, seed=0)
-        losses = [probe.train_step()["loss"] for _ in range(reference_steps)]
-        if name == "numpy":
-            numpy_losses = losses
-        timed = Trainer(DecoupledRadianceField(config, seed=0), dataset,
-                        config=config, seed=0)
-        for _ in range(3):
-            timed.train_step()                            # shape warm-up
-        best = min(_timed(timed.train_step) for _ in range(timing_iters))
-        results[name] = {
-            "skipped": False,
-            "train_ms_per_iter": best * 1e3,
-            "points_per_s": points_per_iter / max(best, 1e-12),
-            "losses_match_numpy": (losses == numpy_losses
-                                   if numpy_losses is not None else None),
-        }
-    extra = [n for n in registered if n not in BACKEND_SECTION_NAMES]
-    if extra:
-        print(f"note: registered backends not benchmarked: {extra}")
-    return {
-        "image_size": image_size,
-        "reference_steps": reference_steps,
-        "points_per_iter": points_per_iter,
-        "available": list(registered),
-        "numpy_reference_matches_seed": bool(numpy_losses == reference),
-        "backends": results,
-    }
-
-
 def bench_scheduling(reference_steps: int, n_steps: int, trace_steps: int,
                      bum_trace_cap: int) -> dict:
     """Locality-aware ray scheduling vs the uniform random pixel draw.
@@ -1416,7 +1331,6 @@ def main() -> None:
         # sparsity, which small tables cannot exhibit.
         sparse_sizes, sparse_repeats = (14, 19), 3
         sparse_diff_steps, sparse_phase_iters, bum_cap = 20, 20, 40000
-        backend_image, backend_steps, backend_timing = 20, 10, 6
         # The schedule comparison keeps full-size steps even in smoke: the
         # merge-rate floor CI asserts is pinned to this exact deterministic
         # workload (seed, steps, trace cap), so shrinking it would change
@@ -1434,7 +1348,6 @@ def main() -> None:
         precision_batch, precision_samples, precision_timing = 2048, 48, 10
         sparse_sizes, sparse_repeats = (14, 16, 19), 7
         sparse_diff_steps, sparse_phase_iters, bum_cap = 20, 60, 120000
-        backend_image, backend_steps, backend_timing = 28, 20, 10
         sched_ref_steps, sched_steps, sched_trace_steps, sched_cap = 20, 48, 4, 40000
         serve_clients, serve_requests, serve_image = 4, 12, 14
         chaos_rounds, chaos_steps, chaos_image = 6, 3, 14
@@ -1581,30 +1494,6 @@ def main() -> None:
                   for name in (TrainPhase.BACKWARD_SCATTER,
                                TrainPhase.OPTIMIZER_STEP)))
 
-    backends = run_section(bench_backends, backend_image, backend_steps,
-                           backend_timing)
-    if not _announce_skip("Array backends", backends):
-        backend_rows = []
-        for name in BACKEND_SECTION_NAMES:
-            row = backends["backends"][name]
-            if row["skipped"]:
-                backend_rows.append([name, "skipped", "", ""])
-            else:
-                match = row["losses_match_numpy"]
-                backend_rows.append([
-                    name, f"{row['train_ms_per_iter']:.1f}",
-                    f"{row['points_per_s'] / 1e3:.0f}k",
-                    "n/a (reference)" if match is None
-                    else ("bit-identical" if match else "DIVERGED"),
-                ])
-        print_report(
-            f"Array backends ({backends['points_per_iter']} points/iter)",
-            ["backend", "ms/iter", "points/s", "vs numpy"],
-            backend_rows,
-        )
-        print(f"numpy backend matches reference trainer: "
-              f"{backends['numpy_reference_matches_seed']}")
-
     scheduling = run_section(bench_scheduling, sched_ref_steps, sched_steps,
                              sched_trace_steps, sched_cap)
     if not _announce_skip("Ray scheduling", scheduling):
@@ -1719,7 +1608,7 @@ def main() -> None:
 
     payload = {"engine": engine, "culling": culling, "fleet": fleet,
                "checkpoint": checkpoint, "precision": precision,
-               "sparse": sparse, "backends": backends,
+               "sparse": sparse,
                "scheduling": scheduling, "serving": serving, "chaos": chaos,
                "divergence": divergence,
                "smoke": bool(args.smoke)}

@@ -6,8 +6,6 @@ import math
 from dataclasses import dataclass, field, replace
 from typing import Optional, Tuple
 
-from repro.backend import (ArrayBackend, available_backends,
-                           default_backend_name, get_backend)
 from repro.grid.hash_encoding import HashGridConfig
 from repro.reliability.health import HealthPolicy
 from repro.utils.precision import PRECISION_NAMES, PrecisionPolicy, resolve_policy
@@ -136,8 +134,8 @@ class Instant3DConfig:
     #: scatter trace arrives near-sorted (maximal address locality for the
     #: update merger, cheaper COO dedupe).  Reordering the batch rows changes
     #: the reduction order of the MLP weight-gradient matmuls, so this knob
-    #: is *not* bit-identical to the unsorted path (same-ulp-class results,
-    #: like a backend change); it is therefore opt-in and excluded from the
+    #: is *not* bit-identical to the unsorted path (same-ulp-class
+    #: results); it is therefore opt-in and excluded from the
     #: frozen-oracle differential tests.  Only affects the culled/compacted
     #: path — the dense default ignores it.
     address_sort: bool = False
@@ -178,15 +176,6 @@ class Instant3DConfig:
     #: the identical lazy arithmetic.  Bit-identical to the COO path at
     #: dense cost; exists for differential testing.
     sparse_oracle: bool = False
-    #: Name of the registered :class:`~repro.backend.ArrayBackend` executing
-    #: every hot-path array primitive — grid gathers/scatters, MLP matmuls,
-    #: renderer reductions, optimiser updates.  Defaults to the process
-    #: default (the ``REPRO_BACKEND`` environment variable, else
-    #: ``"numpy"``, the bit-exact float64-capable reference).  The in-repo
-    #: ``"numpy_fused"`` backend batches the gather/scatter primitives and
-    #: is bit-identical to the reference; ``"numba"`` registers only when
-    #: numba is importable.
-    backend: str = field(default_factory=default_backend_name)
     #: Numerical-health guardrails (see
     #: :class:`~repro.reliability.health.HealthPolicy`): divergence
     #: detection wired into every train step plus snapshot-and-rollback
@@ -200,10 +189,6 @@ class Instant3DConfig:
             raise ValueError(
                 f"compute_dtype must be one of {PRECISION_NAMES}, "
                 f"got {self.compute_dtype!r}")
-        if self.backend not in available_backends():
-            raise ValueError(
-                f"backend must be one of {available_backends()}, "
-                f"got {self.backend!r}")
         if self.max_chunk_points is not None and self.max_chunk_points < 1:
             raise ValueError("max_chunk_points must be >= 1 or None")
         if self.sparse_oracle and not self.sparse_updates:
@@ -348,12 +333,6 @@ class Instant3DConfig:
     def precision_policy(self) -> PrecisionPolicy:
         """The :class:`~repro.utils.precision.PrecisionPolicy` of this config."""
         return resolve_policy(self.compute_dtype)
-
-    # -- backend -----------------------------------------------------------------
-    @property
-    def array_backend(self) -> ArrayBackend:
-        """The resolved :class:`~repro.backend.ArrayBackend` instance."""
-        return get_backend(self.backend)
 
     # -- sparsity ----------------------------------------------------------------
     @property

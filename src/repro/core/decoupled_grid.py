@@ -35,8 +35,6 @@ class DecoupledGridEncoder:
         self.config = config
         policy = config.precision_policy
         sparse_mode = config.grid_sparse_mode
-        backend = config.array_backend
-        self.backend = backend
         self.density_grid = MultiResHashGrid(
             config.density_grid_config,
             rng=derive_rng(seed, "density_grid"),
@@ -44,7 +42,6 @@ class DecoupledGridEncoder:
             max_chunk_points=config.max_chunk_points,
             policy=policy,
             sparse_mode=sparse_mode,
-            backend=backend,
         )
         self.color_grid = MultiResHashGrid(
             config.color_grid_config,
@@ -53,7 +50,6 @@ class DecoupledGridEncoder:
             max_chunk_points=config.max_chunk_points,
             policy=policy,
             sparse_mode=sparse_mode,
-            backend=backend,
         )
 
     def set_arena(self, arena: Optional[WorkspaceArena]) -> None:

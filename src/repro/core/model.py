@@ -46,7 +46,6 @@ class DecoupledRadianceField:
 
     def __init__(self, config: Instant3DConfig, seed: int = 0):
         self.config = config
-        self.backend = config.array_backend
         self.encoder = DecoupledGridEncoder(config, seed=seed)
         mlp_rng = derive_rng(seed, "mlp_heads")
         hidden = [config.mlp_hidden_width] * config.mlp_hidden_layers
@@ -56,7 +55,6 @@ class DecoupledRadianceField:
             out_features=1,
             rng=mlp_rng,
             name="density_mlp",
-            backend=self.backend,
         )
         self._sh_dim = spherical_harmonics_dim(config.sh_degree)
         self.color_mlp = MLP(
@@ -65,12 +63,9 @@ class DecoupledRadianceField:
             out_features=3,
             rng=mlp_rng,
             name="color_mlp",
-            backend=self.backend,
         )
         self.density_activation = TruncatedExp()
         self.color_activation = Sigmoid()
-        self.density_activation.set_backend(self.backend)
-        self.color_activation.set_backend(self.backend)
         self._last_cache: Optional[QueryCache] = None
         # Compute-precision policy from the config: the grids got it at
         # construction; MLP activations pick it up here (Linear compute is
@@ -113,8 +108,8 @@ class DecoupledRadianceField:
         interpolations, Step ❸-② the two small MLPs.
         """
         dtype = self.policy.dtype
-        points_unit = self.backend.asarray(points_unit, dtype=dtype)
-        dirs = self.backend.asarray(dirs, dtype=dtype)
+        points_unit = np.asarray(points_unit, dtype=dtype)
+        dirs = np.asarray(dirs, dtype=dtype)
         if points_unit.shape != dirs.shape or points_unit.shape[-1] != 3:
             raise ValueError("points_unit and dirs must both have shape (N, 3)")
 
@@ -128,7 +123,7 @@ class DecoupledRadianceField:
         color_in = arena_buffer(self.arena, "model/color_in",
                                 (color_emb.shape[0],
                                  color_emb.shape[1] + dir_enc.shape[1]),
-                                np.float32, backend=self.backend)
+                                np.float32)
         color_in[:, :color_emb.shape[1]] = color_emb
         color_in[:, color_emb.shape[1]:] = dir_enc
         raw_rgb = self.color_mlp.forward(color_in)
@@ -149,7 +144,7 @@ class DecoupledRadianceField:
         :meth:`query`.  It reuses the density branch's forward buffers, so it
         must not be called between a :meth:`query` and its :meth:`backward`.
         """
-        points_unit = self.backend.asarray(points_unit, dtype=self.policy.dtype)
+        points_unit = np.asarray(points_unit, dtype=self.policy.dtype)
         if points_unit.ndim != 2 or points_unit.shape[-1] != 3:
             raise ValueError("points_unit must have shape (N, 3)")
         density_emb = self.encoder.encode_density(points_unit)

@@ -21,7 +21,6 @@ from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.backend.registry import BackendLike, resolve_backend
 from repro.grid.hash_function import _MASK32, PI1, PI2, PI3, dense_index, spatial_hash
 from repro.grid.interpolation import (
     CORNER_OFFSETS,
@@ -29,7 +28,7 @@ from repro.grid.interpolation import (
     interpolate_backward,
     trilinear_weights,
 )
-from repro.nn.parameter import Parameter
+from repro.nn.parameter import Parameter, flat_pair_view
 from repro.utils.morton import morton_encode_3d
 from repro.utils.precision import PrecisionPolicy, resolve_policy
 from repro.utils.workspace import WorkspaceArena, arena_buffer, arena_zeros
@@ -234,21 +233,18 @@ class HashGridLevel:
     """A single resolution level of the multiresolution hash grid."""
 
     def __init__(self, resolution: int, max_entries: int, n_features: int,
-                 rng: np.random.Generator, name: str = "level",
-                 backend: BackendLike = None):
+                 rng: np.random.Generator, name: str = "level"):
         if resolution < 1:
             raise ValueError("resolution must be >= 1")
         self.resolution = int(resolution)
         self.n_features = int(n_features)
-        self.backend = resolve_backend(backend)
         n_vertices = (self.resolution + 1) ** 3
         # Coarse levels that fit in the table are stored densely
         # (collision-free); finer levels fall back to the spatial hash.
         self.is_dense = n_vertices <= max_entries
         self.table_size = n_vertices if self.is_dense else int(max_entries)
         init = rng.uniform(-1e-4, 1e-4, size=(self.table_size, self.n_features))
-        self.table = Parameter(init, name=f"{name}.table",
-                               backend=self.backend)
+        self.table = Parameter(init, name=f"{name}.table")
 
     # -- indexing -----------------------------------------------------------
     def vertex_addresses(self, vertex_coords: np.ndarray) -> np.ndarray:
@@ -277,22 +273,22 @@ class HashGridLevel:
         corners = base[:, None, :] + CORNER_OFFSETS[None, :, :]   # (N, 8, 3)
         addresses = self.vertex_addresses(corners)                # (N, 8)
         weights = trilinear_weights(frac, dtype=dtype)            # (N, 8)
-        corner_values = self.backend.gather(self.table.data,
-                                            addresses)            # (N, 8, F)
-        embeddings = interpolate(corner_values, weights, dtype=dtype,
-                                 backend=self.backend)
+        # mode="clip" skips numpy's per-element bounds check; hash and
+        # dense addresses are in range by construction.
+        corner_values = np.take(self.table.data, addresses, axis=0,
+                                mode="clip")                      # (N, 8, F)
+        embeddings = interpolate(corner_values, weights, dtype=dtype)
         return embeddings.astype(np.float32), addresses, weights
 
     def backward(self, grad_embeddings: np.ndarray, addresses: np.ndarray,
                  weights: np.ndarray, dtype=np.float64) -> None:
         """Scatter-add the embedding gradient into the table gradient."""
         corner_grads = interpolate_backward(grad_embeddings, weights,
-                                            dtype=dtype,
-                                            backend=self.backend)  # (N, 8, F)
+                                            dtype=dtype)          # (N, 8, F)
         flat_addr = addresses.reshape(-1)
         flat_grads = corner_grads.reshape(-1, self.n_features)
-        grad_table = self.backend.zeros(self.table.grad.shape, np.float64)
-        self.backend.scatter_add(grad_table, flat_addr, flat_grads)
+        grad_table = np.zeros(self.table.grad.shape, dtype=np.float64)
+        np.add.at(grad_table, flat_addr, flat_grads)
         self.table.accumulate_grad(grad_table.astype(np.float32))
 
     # -- bookkeeping ---------------------------------------------------------
@@ -372,12 +368,6 @@ class MultiResHashGrid:
         differentially tested against.  In ``"coo"`` mode the emitted
         arrays live in the arena (valid for one optimiser step) and the
         dense ``grad`` table is never written nor cleared.
-    backend:
-        :class:`~repro.backend.base.ArrayBackend` (or registered name)
-        executing every gather/scatter/segment-sum/compaction primitive of
-        both engines.  ``None`` resolves to the process default (the
-        bit-exact numpy reference unless ``REPRO_BACKEND`` selects
-        another).
     """
 
     def __init__(self, config: HashGridConfig, rng: np.random.Generator,
@@ -385,8 +375,7 @@ class MultiResHashGrid:
                  max_chunk_points: Optional[int] = None,
                  policy: Optional[PrecisionPolicy] = None,
                  arena: Optional[WorkspaceArena] = None,
-                 sparse_mode: Optional[str] = None,
-                 backend: BackendLike = None):
+                 sparse_mode: Optional[str] = None):
         if max_chunk_points is not None and max_chunk_points < 1:
             raise ValueError("max_chunk_points must be >= 1 or None")
         # sparse_mode is validated by set_sparse_mode (called below).
@@ -396,7 +385,6 @@ class MultiResHashGrid:
         self.max_chunk_points = max_chunk_points
         self.policy = resolve_policy(policy)
         self.arena = arena
-        self.backend = resolve_backend(backend)
         self.levels: List[HashGridLevel] = []
         for level_idx in range(config.n_levels):
             self.levels.append(
@@ -406,7 +394,6 @@ class MultiResHashGrid:
                     n_features=config.n_features_per_level,
                     rng=rng,
                     name=f"{name}.level{level_idx}",
-                    backend=self.backend,
                 )
             )
         # Per-level constants of the fused engine, precomputed as arrays so a
@@ -445,8 +432,7 @@ class MultiResHashGrid:
         # working through the views.
         backing = np.concatenate([level.table.data for level in self.levels],
                                  axis=0)
-        self.table = Parameter(backing, name=f"{name}.tables",
-                               backend=self.backend)
+        self.table = Parameter(backing, name=f"{name}.tables")
         offset = 0
         for level in self.levels:
             level.table.data = self.table.data[offset:offset + level.table_size]
@@ -512,8 +498,8 @@ class MultiResHashGrid:
         self.sparse_mode = sparse_mode
         if sparse_mode == "coo" and self._first_touch is None:
             total = int(self._level_bounds[-1])
-            self._first_touch = (self.backend.zeros(total, bool),
-                                 self.backend.zeros(total, np.int64))
+            self._first_touch = (np.zeros(total, dtype=bool),
+                                 np.zeros(total, dtype=np.int64))
         for param in [self.table] + [level.table for level in self.levels]:
             param.sparse = sparse_mode is not None
             param.coo_grads = sparse_mode == "coo"
@@ -528,16 +514,9 @@ class MultiResHashGrid:
         """Attach (or detach) a workspace arena for query-plane reuse."""
         self.arena = arena
 
-    def set_backend(self, backend: BackendLike) -> None:
-        """Re-point both engines (and every level) at another backend."""
-        self.backend = resolve_backend(backend)
-        for level in self.levels:
-            level.backend = self.backend
-
     def _buf(self, key: str, shape, dtype) -> np.ndarray:
         """Engine scratch buffer, namespaced by this grid's name."""
-        return arena_buffer(self.arena, f"{self.name}/{key}", shape, dtype,
-                            backend=self.backend)
+        return arena_buffer(self.arena, f"{self.name}/{key}", shape, dtype)
 
     # -- fused engine internals ---------------------------------------------
     #
@@ -702,14 +681,13 @@ class MultiResHashGrid:
         for corner, (xy_idx, z_idx) in enumerate(self._CORNER_XY_Z):
             np.multiply(wxy[xy_idx], wzs[z_idx], out=weight_planes[corner])
 
-        # F == 2 fast path: each table row is one complex64 (the backend's
-        # flat_pair_view capability), so a corner gather is a single flat
-        # take and the weighted accumulation runs on complex planes whose
-        # (real, imag) parts are the two features — complex128 under the
-        # float64 reference policy, complex64 under float32.  Multiplying
-        # by a real weight scales both features with the same compute-dtype
-        # products as the generic path.
-        flat = (self.backend.flat_pair_view(table)
+        # F == 2 fast path: each table row is one complex64 (the flat pair
+        # view), so a corner gather is a single flat take and the weighted
+        # accumulation runs on complex planes whose (real, imag) parts are
+        # the two features — complex128 under the float64 reference policy,
+        # complex64 under float32.  Multiplying by a real weight scales both
+        # features with the same compute-dtype products as the generic path.
+        flat = (flat_pair_view(table)
                 if self.config.n_features_per_level == 2 else None)
         if flat is not None:
             cdt = self.policy.complex_dtype
@@ -719,7 +697,7 @@ class MultiResHashGrid:
             for corner in range(8):
                 # Addresses are in range by construction (hash mod / dense
                 # index + offset), so the gather skips bounds checks.
-                self.backend.take_out(flat, addr_planes[corner], gathered)
+                np.take(flat, addr_planes[corner], out=gathered, mode="clip")
                 if corner == 0:
                     np.multiply(weight_planes[corner], gathered, out=acc)
                 else:
@@ -735,8 +713,8 @@ class MultiResHashGrid:
             corner_values = self._buf("q/cv", (n_levels, n, f), np.float32)
             tmp = self._buf("q/cvw", (n_levels, n, f), dt)
             for corner in range(8):
-                self.backend.gather(table, addr_planes[corner],
-                                    out=corner_values)
+                np.take(table, addr_planes[corner], axis=0,
+                        out=corner_values, mode="clip")
                 np.multiply(weight_planes[corner][:, :, None], corner_values,
                             out=tmp)
                 acc += tmp
@@ -774,7 +752,7 @@ class MultiResHashGrid:
     # -- forward / backward -------------------------------------------------
     def forward(self, points: np.ndarray) -> np.ndarray:
         """Encode ``(N, 3)`` points in ``[0, 1]^3`` into ``(N, L*F)`` features."""
-        points = self.backend.asarray(points, dtype=self.policy.dtype)
+        points = np.asarray(points, dtype=self.policy.dtype)
         if points.ndim != 2 or points.shape[1] != 3:
             raise ValueError(f"points must have shape (N, 3), got {points.shape}")
         if not self.fused:
@@ -896,10 +874,11 @@ class MultiResHashGrid:
             corner_weight = weight_planes[corner]
             for j in range(f):
                 np.multiply(corner_weight, feature_grads[j], out=contrib)
-                self.backend.bincount_add(acc[j], flat_addr, contrib.ravel(),
-                                          total)
-        touched = self.backend.flatnonzero(
-            self._any_nonzero("bwd", acc))
+                # Adds the completed per-row sums; np.add.at into acc
+                # would change the float association.
+                acc[j] += np.bincount(flat_addr, weights=contrib.ravel(),
+                                      minlength=total)
+        touched = np.flatnonzero(self._any_nonzero("bwd", acc))
         acc = acc.T
         self.last_touched_rows = int(touched.size)
         self.last_scatter_updates = int(addr_planes.size)
@@ -907,9 +886,9 @@ class MultiResHashGrid:
         # so the steady-state arena never regrows it.
         acc_touched = self._buf("bwd/acc_touched", (total, f),
                                 np.float64)[:touched.size]
-        self.backend.gather(acc, touched, out=acc_touched)
-        self.backend.scatter_add(self.table.grad, touched,
-                                 acc_touched.astype(np.float32), unique=True)
+        np.take(acc, touched, axis=0, out=acc_touched, mode="clip")
+        # touched is unique, so a plain indexed add needs no np.add.at.
+        self.table.grad[touched] += acc_touched.astype(np.float32)
 
     def _scatter_sparse(self, addr_planes: np.ndarray,
                         weight_planes: np.ndarray,
@@ -943,13 +922,13 @@ class MultiResHashGrid:
             return
         mark, slot = self._first_touch
         flat_all = addr_planes.reshape(-1)
-        self.backend.scatter_rows(mark, flat_all, True)
-        unique_addr = self.backend.flatnonzero(mark)
-        self.backend.scatter_rows(mark, unique_addr, False)
+        mark[flat_all] = True
+        unique_addr = np.flatnonzero(mark)
+        mark[unique_addr] = False
         n_unique = int(unique_addr.size)
-        self.backend.scatter_rows(slot, unique_addr, np.arange(n_unique))
+        slot[unique_addr] = np.arange(n_unique)
         inverse = self._buf("bwds/inverse", m, np.int64)
-        self.backend.take_out(slot, flat_all, inverse)
+        np.take(slot, flat_all, out=inverse, mode="clip")
         inv_planes = inverse.reshape(8, n_levels, n)
         acc = self._buf("bwds/acc", (f, n_unique), np.float64)
         acc.fill(0.0)
@@ -959,16 +938,15 @@ class MultiResHashGrid:
             corner_weight = weight_planes[corner]
             for j in range(f):
                 np.multiply(corner_weight, feature_grads[j], out=contrib)
-                self.backend.bincount_add(acc[j], inv_flat, contrib.ravel(),
-                                          n_unique)
+                acc[j] += np.bincount(inv_flat, weights=contrib.ravel(),
+                                      minlength=n_unique)
         vals32 = self._buf("bwds/vals32", (n_unique, f), np.float32)
         np.copyto(vals32, acc.T, casting="unsafe")
-        kept = self.backend.flatnonzero(
-            self._any_nonzero("bwds", vals32.T))
+        kept = np.flatnonzero(self._any_nonzero("bwds", vals32.T))
         rows = self._buf("bwds/rows", kept.size, np.int64)
-        self.backend.take_out(unique_addr, kept, rows)
+        np.take(unique_addr, kept, out=rows, mode="clip")
         vals = self._buf("bwds/vals", (kept.size, f), np.float32)
-        self.backend.gather(vals32, kept, out=vals)
+        np.take(vals32, kept, axis=0, out=vals, mode="clip")
         vals += 0.0       # -0.0 -> +0.0, as in the dense path's zeroed table
         self.last_touched_rows = int(kept.size)
         self.last_scatter_updates = m

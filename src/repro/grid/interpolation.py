@@ -12,8 +12,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.backend.registry import resolve_backend
-
 # (8, 3) integer offsets of the cube corners, ordered so that consecutive
 # pairs differ only in x (dx is the least-significant bit of the corner id).
 CORNER_OFFSETS = np.array(
@@ -62,30 +60,26 @@ def trilinear_weights(frac: np.ndarray, dtype=np.float64) -> np.ndarray:
 
 
 def interpolate(corner_values: np.ndarray, weights: np.ndarray,
-                dtype=np.float64, backend=None) -> np.ndarray:
+                dtype=np.float64) -> np.ndarray:
     """Blend per-corner embeddings with trilinear weights.
 
     ``corner_values`` has shape ``(N, 8, F)`` and ``weights`` has shape
     ``(N, 8)``; the result has shape ``(N, F)``.  ``dtype`` selects the
-    accumulation precision (float64 is the bit-exact reference);
-    ``backend`` the :class:`~repro.backend.base.ArrayBackend` running the
-    contraction (``None`` resolves to the process default).
+    accumulation precision (float64 is the bit-exact reference).
     """
-    backend = resolve_backend(backend)
-    corner_values = backend.asarray(corner_values, dtype=dtype)
-    weights = backend.asarray(weights, dtype=dtype)
-    return backend.einsum("ncf,nc->nf", corner_values, weights)
+    corner_values = np.asarray(corner_values, dtype=dtype)
+    weights = np.asarray(weights, dtype=dtype)
+    return np.einsum("ncf,nc->nf", corner_values, weights)
 
 
 def interpolate_backward(grad_out: np.ndarray, weights: np.ndarray,
-                         dtype=np.float64, backend=None) -> np.ndarray:
+                         dtype=np.float64) -> np.ndarray:
     """Gradient of :func:`interpolate` with respect to the corner embeddings.
 
     Returns an ``(N, 8, F)`` array: the output gradient broadcast to each
     corner scaled by its interpolation weight.  (Positions are not trained,
     so no gradient with respect to the weights is needed.)
     """
-    backend = resolve_backend(backend)
-    grad_out = backend.asarray(grad_out, dtype=dtype)
-    weights = backend.asarray(weights, dtype=dtype)
-    return backend.einsum("nf,nc->ncf", grad_out, weights)
+    grad_out = np.asarray(grad_out, dtype=dtype)
+    weights = np.asarray(weights, dtype=dtype)
+    return np.einsum("nf,nc->ncf", grad_out, weights)

@@ -60,7 +60,6 @@ from typing import TYPE_CHECKING, Any, Dict, List, Optional, Union
 
 import numpy as np
 
-from repro.backend import materialize
 from repro.reliability.faults import fault_point
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (avoids an import cycle)
@@ -216,14 +215,10 @@ def _flatten(node: Any, arrays: Dict[str, np.ndarray], path: str,
              allow_non_finite: bool = True) -> Any:
     """Split a state tree into a JSON-able skeleton and an array table.
 
-    Leaves are materialised to host numpy first, so state trees holding a
-    non-numpy backend's native arrays checkpoint to the same
-    backend-agnostic npz format (restore works under any backend).  With
-    ``allow_non_finite=False``, floating leaves (arrays and scalars) are
-    additionally screened for NaN/inf and refused with
+    With ``allow_non_finite=False``, floating leaves (arrays and scalars)
+    are additionally screened for NaN/inf and refused with
     :class:`NonFiniteCheckpointError`.
     """
-    node = materialize(node)
     if isinstance(node, np.ndarray):
         if node.dtype == object:
             # np.savez would silently pickle these, and allow_pickle=False
@@ -491,8 +486,7 @@ def save_trainer_checkpoint(path: PathLike, trainer: "Trainer",
     :meth:`Trainer.load_state_dict` checks against the restoring config.
     """
     meta = {"scene": trainer.dataset.name, "iteration": int(trainer.iteration),
-            "sparse_updates": bool(trainer.config.sparse_updates),
-            "backend": str(trainer.config.backend)}
+            "sparse_updates": bool(trainer.config.sparse_updates)}
     if metadata:
         meta.update(metadata)
     return save_checkpoint(path, {"trainer": trainer.state_dict(history=history)},

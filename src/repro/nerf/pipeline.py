@@ -40,7 +40,6 @@ from typing import TYPE_CHECKING, Optional, Tuple
 
 import numpy as np
 
-from repro.backend.registry import BackendLike, resolve_backend
 from repro.nerf.cameras import RayBundle
 from repro.nerf.occupancy import OccupancyGrid
 from repro.nerf.sampling import normalize_points_to_unit_cube, ray_points, stratified_samples
@@ -152,10 +151,6 @@ class RenderPipeline:
         Optional workspace arena supplying the dense sigma/rgb planes,
         compacted query blocks and renderer buffers — with it attached,
         steady-state passes perform no large allocations.
-    backend:
-        Array backend executing the sampling draws, compaction
-        gathers/scatters and renderer reductions (``None`` resolves to the
-        process default; the ``numpy`` backend is the bit-exact reference).
     address_sort:
         Reorder each compacted batch's kept samples by the Morton code of
         their finest-level grid voxel before the field query (requires the
@@ -177,7 +172,6 @@ class RenderPipeline:
                  termination_segment: int = 8,
                  policy: Optional[PrecisionPolicy] = None,
                  arena: Optional[WorkspaceArena] = None,
-                 backend: BackendLike = None,
                  address_sort: bool = False):
         if n_samples < 1:
             raise ValueError("n_samples must be >= 1")
@@ -190,10 +184,8 @@ class RenderPipeline:
         self.n_samples = int(n_samples)
         self.policy = resolve_policy(policy)
         self.arena = arena
-        self.backend = resolve_backend(backend)
         self.renderer = VolumeRenderer(white_background=white_background,
-                                       policy=self.policy, arena=arena,
-                                       backend=self.backend)
+                                       policy=self.policy, arena=arena)
         self.occupancy = occupancy
         self.culling_enabled = bool(culling_enabled)
         self.address_sort = bool(address_sort)
@@ -237,14 +229,12 @@ class RenderPipeline:
         """Stage ❶: stratified distances and unit-cube sample positions."""
         dtype = self.policy.dtype
         t_vals, deltas = stratified_samples(bundle, self.n_samples, rng=rng,
-                                            dtype=dtype, arena=self.arena,
-                                            backend=self.backend)
+                                            dtype=dtype, arena=self.arena)
         points, dirs = ray_points(bundle, t_vals, dtype=dtype,
-                                  arena=self.arena, backend=self.backend)
+                                  arena=self.arena)
         points_unit = normalize_points_to_unit_cube(points, self.scene_bound,
                                                     dtype=dtype,
-                                                    arena=self.arena,
-                                                    backend=self.backend)
+                                                    arena=self.arena)
         return SampleStage(t_vals=t_vals, deltas=deltas,
                            points_unit=points_unit, dirs=dirs,
                            n_rays=bundle.n_rays, n_samples=self.n_samples)
@@ -260,7 +250,7 @@ class RenderPipeline:
             # dense plan so no compaction copies are paid.
             return CullStage(sample=sample, keep_flat=None, idx=None,
                              n_queried=int(keep.size))
-        idx = self.backend.flatnonzero(keep)
+        idx = np.flatnonzero(keep)
         n_queried = int(idx.size)
         if self.address_sort and n_queried:
             idx = self._address_sorted(sample.points_unit, idx, n_queried)
@@ -281,13 +271,14 @@ class RenderPipeline:
             return None, None
         kept_points = arena_buffer(self.arena, "pipe/kept_points",
                                    (plan.n_queried, 3),
-                                   sample.points_unit.dtype,
-                                   backend=self.backend)
-        self.backend.gather(sample.points_unit, plan.idx, out=kept_points)
+                                   sample.points_unit.dtype)
+        # mode="clip" skips numpy's per-element bounds check; the kept
+        # indices come from flatnonzero, so they are in range.
+        np.take(sample.points_unit, plan.idx, axis=0, out=kept_points,
+                mode="clip")
         kept_dirs = arena_buffer(self.arena, "pipe/kept_dirs",
-                                 (plan.n_queried, 3), sample.dirs.dtype,
-                                 backend=self.backend)
-        self.backend.gather(sample.dirs, plan.idx, out=kept_dirs)
+                                 (plan.n_queried, 3), sample.dirs.dtype)
+        np.take(sample.dirs, plan.idx, axis=0, out=kept_dirs, mode="clip")
         return kept_points, kept_dirs
 
     def stage_query(self, points: Optional[np.ndarray],
@@ -315,14 +306,12 @@ class RenderPipeline:
                                          sample.deltas, sample.t_vals)
         dtype = self.policy.dtype
         sigma_plane = arena_zeros(self.arena, "pipe/sigma_plane",
-                                  n_rays * n_samples, dtype,
-                                  backend=self.backend)
+                                  n_rays * n_samples, dtype)
         rgb_plane = arena_zeros(self.arena, "pipe/rgb_plane",
-                                (n_rays * n_samples, 3), dtype,
-                                backend=self.backend)
+                                (n_rays * n_samples, 3), dtype)
         if plan.n_queried:
-            self.backend.scatter_rows(sigma_plane, plan.idx, sigma)
-            self.backend.scatter_rows(rgb_plane, plan.idx, rgb)
+            sigma_plane[plan.idx] = sigma
+            rgb_plane[plan.idx] = rgb
         return self.renderer.forward(
             sigma_plane.reshape(n_rays, n_samples),
             rgb_plane.reshape(n_rays, n_samples, 3),
@@ -380,15 +369,15 @@ class RenderPipeline:
         the grid sees a near-sorted address stream.
         """
         sort_points = arena_buffer(self.arena, "pipe/sort_points",
-                                   (n_queried, 3), points_unit.dtype,
-                                   backend=self.backend)
-        self.backend.gather(points_unit, idx, out=sort_points)
+                                   (n_queried, 3), points_unit.dtype)
+        np.take(points_unit, idx, axis=0, out=sort_points, mode="clip")
         keys = self.model.encoder.density_grid.point_sort_keys(sort_points)
-        perm = self.backend.argsort(keys)
+        # Stable sort: same-voxel samples share a key and must keep their
+        # draw order, so the permutation is deterministic.
+        perm = np.argsort(keys, kind="stable")
         sorted_idx = arena_buffer(self.arena, "pipe/sorted_idx",
-                                  n_queried, idx.dtype,
-                                  backend=self.backend)
-        self.backend.take_out(idx, perm, sorted_idx)
+                                  n_queried, idx.dtype)
+        np.take(idx, perm, out=sorted_idx, mode="clip")
         return sorted_idx
 
     def _march_terminated(self, points_unit, dirs, t_vals, deltas,
@@ -455,11 +444,10 @@ class RenderPipeline:
             return grad_sigmas.reshape(-1), grad_rgbs.reshape(-1, 3)
         idx = self._keep_idx
         kept_sigmas = arena_buffer(self.arena, "pipe/kept_grad_sigmas",
-                                   idx.size, grad_sigmas.dtype,
-                                   backend=self.backend)
-        self.backend.take_out(grad_sigmas.reshape(-1), idx, kept_sigmas)
+                                   idx.size, grad_sigmas.dtype)
+        np.take(grad_sigmas.reshape(-1), idx, out=kept_sigmas, mode="clip")
         kept_rgbs = arena_buffer(self.arena, "pipe/kept_grad_rgbs",
-                                 (idx.size, 3), grad_rgbs.dtype,
-                                 backend=self.backend)
-        self.backend.gather(grad_rgbs.reshape(-1, 3), idx, out=kept_rgbs)
+                                 (idx.size, 3), grad_rgbs.dtype)
+        np.take(grad_rgbs.reshape(-1, 3), idx, axis=0, out=kept_rgbs,
+                mode="clip")
         return kept_sigmas, kept_rgbs

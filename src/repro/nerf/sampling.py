@@ -15,7 +15,6 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.backend.registry import resolve_backend
 from repro.nerf.cameras import RayBundle
 from repro.utils.workspace import WorkspaceArena, arena_buffer
 
@@ -23,8 +22,8 @@ from repro.utils.workspace import WorkspaceArena, arena_buffer
 def stratified_samples(ray_bundle: RayBundle, n_samples: int,
                        rng: Optional[np.random.Generator] = None,
                        dtype=np.float64,
-                       arena: Optional[WorkspaceArena] = None,
-                       backend=None) -> Tuple[np.ndarray, np.ndarray]:
+                       arena: Optional[WorkspaceArena] = None
+                       ) -> Tuple[np.ndarray, np.ndarray]:
     """Draw ``n_samples`` distances per ray between ``near`` and ``far``.
 
     The ``[near, far]`` interval is split into ``n_samples`` equal bins; with
@@ -43,7 +42,6 @@ def stratified_samples(ray_bundle: RayBundle, n_samples: int,
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    backend = resolve_backend(backend)
     n_rays = ray_bundle.n_rays
     near, far = ray_bundle.near, ray_bundle.far
     edges = np.linspace(near, far, n_samples + 1, dtype=dtype)
@@ -52,29 +50,24 @@ def stratified_samples(ray_bundle: RayBundle, n_samples: int,
     shape = (n_rays, n_samples)
     if rng is not None:
         # Drawn as float64 under both policies (the reference draws), then
-        # cast — identical streams across precision policies.  The backend's
-        # RNG-stream hook consumes the generator exactly as
+        # cast — identical streams across precision policies.  Filling in
+        # place consumes the generator exactly as
         # ``Generator.uniform(0, 1, size)`` would, so runs differ across
-        # backends/policies only by arithmetic, never by stream divergence.
-        draws = arena_buffer(arena, "samples/jitter64", shape, np.float64,
-                             backend=backend)
-        backend.draw_uniform(rng, draws)
+        # policies only by arithmetic, never by stream divergence.
+        draws = arena_buffer(arena, "samples/jitter64", shape, np.float64)
+        rng.random(out=draws)
         if np.dtype(dtype) == np.float64:
             jitter = draws
         else:
-            jitter = arena_buffer(arena, "samples/jitter", shape, dtype,
-                                  backend=backend)
+            jitter = arena_buffer(arena, "samples/jitter", shape, dtype)
             np.copyto(jitter, draws, casting="same_kind")
     else:
-        jitter = arena_buffer(arena, "samples/jitter_mid", shape, dtype,
-                              backend=backend)
+        jitter = arena_buffer(arena, "samples/jitter_mid", shape, dtype)
         jitter.fill(0.5)
-    t_vals = arena_buffer(arena, "samples/t_vals", shape, dtype,
-                          backend=backend)
+    t_vals = arena_buffer(arena, "samples/t_vals", shape, dtype)
     np.multiply(jitter, width, out=t_vals)
     t_vals += lower
-    deltas = arena_buffer(arena, "samples/deltas", shape, dtype,
-                          backend=backend)
+    deltas = arena_buffer(arena, "samples/deltas", shape, dtype)
     if n_samples > 1:
         np.subtract(t_vals[:, 1:], t_vals[:, :-1], out=deltas[:, :-1])
     np.subtract(far, t_vals[:, -1], out=deltas[:, -1])
@@ -84,37 +77,32 @@ def stratified_samples(ray_bundle: RayBundle, n_samples: int,
 
 def ray_points(ray_bundle: RayBundle, t_vals: np.ndarray,
                dtype=np.float64,
-               arena: Optional[WorkspaceArena] = None,
-               backend=None) -> Tuple[np.ndarray, np.ndarray]:
+               arena: Optional[WorkspaceArena] = None
+               ) -> Tuple[np.ndarray, np.ndarray]:
     """Evaluate ``o + t * d`` for every sample of every ray.
 
     Returns ``(points, dirs)`` where ``points`` is ``(n_rays * n_samples, 3)``
     flattened in ray-major order and ``dirs`` repeats each ray direction for
     each of its samples (the per-point view direction fed to the color head).
     """
-    backend = resolve_backend(backend)
-    t_vals = backend.asarray(t_vals, dtype=dtype)
+    t_vals = np.asarray(t_vals, dtype=dtype)
     if t_vals.shape[0] != ray_bundle.n_rays:
         raise ValueError("t_vals row count must equal the number of rays")
     n_rays, n_samples = t_vals.shape
     origins = ray_bundle.origins
     directions = ray_bundle.directions
     if origins.dtype != np.dtype(dtype):
-        cast = arena_buffer(arena, "rays/origins", origins.shape, dtype,
-                            backend=backend)
+        cast = arena_buffer(arena, "rays/origins", origins.shape, dtype)
         np.copyto(cast, origins, casting="same_kind")
         origins = cast
     if directions.dtype != np.dtype(dtype):
-        cast = arena_buffer(arena, "rays/directions", directions.shape, dtype,
-                            backend=backend)
+        cast = arena_buffer(arena, "rays/directions", directions.shape, dtype)
         np.copyto(cast, directions, casting="same_kind")
         directions = cast
-    points = arena_buffer(arena, "rays/points", (n_rays, n_samples, 3), dtype,
-                          backend=backend)
+    points = arena_buffer(arena, "rays/points", (n_rays, n_samples, 3), dtype)
     np.multiply(t_vals[:, :, None], directions[:, None, :], out=points)
     points += origins[:, None, :]
-    dirs = arena_buffer(arena, "rays/dirs", (n_rays, n_samples, 3), dtype,
-                        backend=backend)
+    dirs = arena_buffer(arena, "rays/dirs", (n_rays, n_samples, 3), dtype)
     dirs[...] = directions[:, None, :]
     return points.reshape(-1, 3), dirs.reshape(-1, 3)
 
@@ -141,8 +129,8 @@ def ray_probe_points(ray_bundle: RayBundle, n_probes: int) -> np.ndarray:
 
 def normalize_points_to_unit_cube(points: np.ndarray, scene_bound: float,
                                   dtype=np.float64,
-                                  arena: Optional[WorkspaceArena] = None,
-                                  backend=None) -> np.ndarray:
+                                  arena: Optional[WorkspaceArena] = None
+                                  ) -> np.ndarray:
     """Map world-space points in ``[-scene_bound, scene_bound]^3`` to ``[0, 1]^3``.
 
     The hash grid is defined over the unit cube; points outside the scene
@@ -150,10 +138,8 @@ def normalize_points_to_unit_cube(points: np.ndarray, scene_bound: float,
     """
     if scene_bound <= 0:
         raise ValueError("scene_bound must be positive")
-    backend = resolve_backend(backend)
-    points = backend.asarray(points, dtype=dtype)
-    unit = arena_buffer(arena, "rays/unit", points.shape, dtype,
-                        backend=backend)
+    points = np.asarray(points, dtype=dtype)
+    unit = arena_buffer(arena, "rays/unit", points.shape, dtype)
     np.add(points, scene_bound, out=unit)
     unit /= 2.0 * scene_bound
     np.clip(unit, 0.0, 1.0, out=unit)

@@ -22,7 +22,6 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.backend.registry import BackendLike, resolve_backend
 from repro.utils.precision import PrecisionPolicy, resolve_policy
 from repro.utils.workspace import WorkspaceArena, arena_buffer
 
@@ -52,17 +51,14 @@ class VolumeRenderer:
 
     def __init__(self, white_background: bool = True,
                  policy: Optional[PrecisionPolicy] = None,
-                 arena: Optional[WorkspaceArena] = None,
-                 backend: BackendLike = None):
+                 arena: Optional[WorkspaceArena] = None):
         self.white_background = bool(white_background)
         self.policy = resolve_policy(policy)
         self.arena = arena
-        self.backend = resolve_backend(backend)
         self._cache: Optional[dict] = None
 
     def _buf(self, key: str, shape) -> np.ndarray:
-        return arena_buffer(self.arena, f"vr/{key}", shape, self.policy.dtype,
-                            backend=self.backend)
+        return arena_buffer(self.arena, f"vr/{key}", shape, self.policy.dtype)
 
     # -- forward ----------------------------------------------------------------
     def forward(self, sigmas: np.ndarray, rgbs: np.ndarray, deltas: np.ndarray,
@@ -77,10 +73,10 @@ class VolumeRenderer:
         t_vals: ``(n_rays, n_samples)`` sample distances (for depth output).
         """
         dt = self.policy.dtype
-        sigmas = self.backend.asarray(sigmas, dtype=dt)
-        rgbs = self.backend.asarray(rgbs, dtype=dt)
-        deltas = self.backend.asarray(deltas, dtype=dt)
-        t_vals = self.backend.asarray(t_vals, dtype=dt)
+        sigmas = np.asarray(sigmas, dtype=dt)
+        rgbs = np.asarray(rgbs, dtype=dt)
+        deltas = np.asarray(deltas, dtype=dt)
+        t_vals = np.asarray(t_vals, dtype=dt)
         if sigmas.shape != deltas.shape or sigmas.shape != t_vals.shape:
             raise ValueError("sigmas, deltas and t_vals must share shape (n_rays, n_samples)")
         if rgbs.shape != sigmas.shape + (3,):
@@ -96,16 +92,16 @@ class VolumeRenderer:
         np.subtract(1.0, alphas, out=alphas)
         # T_k = exp(-sum_{j<k} sigma_j delta_j): exclusive cumulative sum.
         transmittance = self._buf("transmittance", shape)
-        self.backend.cumsum(optical_depth, axis=1, out=transmittance)
+        np.cumsum(optical_depth, axis=1, out=transmittance)
         np.subtract(transmittance, optical_depth, out=transmittance)
         np.negative(transmittance, out=transmittance)
         np.exp(transmittance, out=transmittance)
         weights = self._buf("weights", shape)
         np.multiply(transmittance, alphas, out=weights)
         colors = self._buf("colors", (n_rays, 3))
-        self.backend.einsum("ns,nsc->nc", weights, rgbs, out=colors)
+        np.einsum("ns,nsc->nc", weights, rgbs, out=colors)
         depth = self._buf("depth", (n_rays,))
-        self.backend.einsum("ns,ns->n", weights, t_vals, out=depth)
+        np.einsum("ns,ns->n", weights, t_vals, out=depth)
         accumulation = self._buf("accumulation", (n_rays,))
         np.sum(weights, axis=1, out=accumulation)
         if self.white_background:
@@ -140,7 +136,7 @@ class VolumeRenderer:
         if self._cache is None:
             raise RuntimeError("backward called before forward")
         cache = self._cache
-        grad_colors = self.backend.asarray(grad_colors, dtype=self.policy.dtype)
+        grad_colors = np.asarray(grad_colors, dtype=self.policy.dtype)
         rgbs = cache["rgbs"]
         weights = cache["weights"]
         transmittance = cache["transmittance"]
@@ -154,7 +150,7 @@ class VolumeRenderer:
         # g_k = dL/dw_k = <dL/dC, c_k>  (minus the white-background term,
         # because C += (1 - sum_k w_k) * 1 when compositing onto white).
         g = self._buf("g", shape)
-        self.backend.einsum("nc,nsc->ns", grad_colors, rgbs, out=g)
+        np.einsum("nc,nsc->ns", grad_colors, rgbs, out=g)
         if self.white_background:
             channel_sum = self._buf("channel_sum", (shape[0],))
             np.sum(grad_colors, axis=1, out=channel_sum)
@@ -164,7 +160,7 @@ class VolumeRenderer:
         np.multiply(g, weights, out=gw)
         # suffix_k = sum_{j>k} g_j w_j  (exclusive reverse cumulative sum)
         suffix = self._buf("suffix", shape)
-        self.backend.cumsum(gw[:, ::-1], axis=1, out=suffix)
+        np.cumsum(gw[:, ::-1], axis=1, out=suffix)
         grad_sigmas = self._buf("grad_sigmas", shape)
         np.subtract(suffix[:, ::-1], gw, out=grad_sigmas)     # suffix sums
         np.subtract(transmittance, weights, out=suffix)       # reuse as T - w

@@ -19,20 +19,13 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.backend.registry import BackendLike, resolve_backend
 from repro.nn.parameter import Parameter
 from repro.utils.precision import PrecisionPolicy, resolve_policy
 from repro.utils.workspace import WorkspaceArena, arena_buffer
 
 
 class _Activation:
-    """Base class: parameter-free module with cached forward state.
-
-    Activation arithmetic is pointwise and runs through the numpy ufunc
-    protocol on whatever arrays the backend hands in; the backend seam here
-    covers buffer *allocation* (``_buf``) so outputs/masks live on the
-    owning backend when no arena is attached.
-    """
+    """Base class: parameter-free module with cached forward state."""
 
     #: Arena used for per-batch buffers (None = allocate fresh arrays).
     arena: Optional[WorkspaceArena] = None
@@ -40,9 +33,6 @@ class _Activation:
     name: Optional[str] = None
     #: Compute-precision policy (float64 reference by default).
     policy: PrecisionPolicy = resolve_policy(None)
-    #: Array backend owning this activation's buffers (None = process default,
-    #: resolved lazily in ``_buf`` / ``set_backend``).
-    backend = None
 
     def set_arena(self, arena: Optional[WorkspaceArena],
                   name: Optional[str] = None) -> None:
@@ -54,13 +44,9 @@ class _Activation:
     def set_policy(self, policy) -> None:
         self.policy = resolve_policy(policy)
 
-    def set_backend(self, backend: BackendLike) -> None:
-        self.backend = resolve_backend(backend)
-
     def _buf(self, key: str, shape, dtype) -> np.ndarray:
         prefix = self.name if self.name is not None else f"act@{id(self):x}"
-        return arena_buffer(self.arena, f"{prefix}/{key}", shape, dtype,
-                            backend=self.backend)
+        return arena_buffer(self.arena, f"{prefix}/{key}", shape, dtype)
 
     def forward(self, x: np.ndarray) -> np.ndarray:  # pragma: no cover - interface
         raise NotImplementedError

@@ -17,7 +17,6 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.backend.registry import BackendLike, resolve_backend
 from repro.nn.parameter import Parameter
 from repro.utils.workspace import WorkspaceArena, arena_buffer
 
@@ -32,21 +31,18 @@ class Linear:
 
     def __init__(self, in_features: int, out_features: int,
                  rng: np.random.Generator, bias: bool = True,
-                 name: str = "linear", backend: BackendLike = None):
+                 name: str = "linear"):
         if in_features <= 0 or out_features <= 0:
             raise ValueError("Linear layer dimensions must be positive")
         self.in_features = in_features
         self.out_features = out_features
         self.name = name
-        self.backend = resolve_backend(backend)
         bound = np.sqrt(6.0 / in_features)
         weight = rng.uniform(-bound, bound, size=(in_features, out_features))
-        self.weight = Parameter(weight, name=f"{name}.weight",
-                                backend=self.backend)
+        self.weight = Parameter(weight, name=f"{name}.weight")
         self.bias: Optional[Parameter] = None
         if bias:
-            self.bias = Parameter(np.zeros(out_features), name=f"{name}.bias",
-                                  backend=self.backend)
+            self.bias = Parameter(np.zeros(out_features), name=f"{name}.bias")
         self._cached_input: Optional[np.ndarray] = None
         self.arena: Optional[WorkspaceArena] = None
         #: Silent dtype conversions (full-batch copies) performed on inputs
@@ -56,26 +52,19 @@ class Linear:
     def set_arena(self, arena: Optional[WorkspaceArena]) -> None:
         self.arena = arena
 
-    def set_backend(self, backend: BackendLike) -> None:
-        self.backend = resolve_backend(backend)
-
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Compute the affine map and cache the input for backward."""
-        # Backend capability query (not an isinstance-ndarray check): a
-        # non-numpy backend's native arrays must not silently round-trip
-        # through a dense host conversion.
-        if not self.backend.is_native_f32(x):
+        if not (isinstance(x, np.ndarray) and x.dtype == np.float32):
             self.conversions += 1
-            x = self.backend.asarray(x, np.float32)
+            x = np.asarray(x, dtype=np.float32)
         if x.ndim != 2 or x.shape[1] != self.in_features:
             raise ValueError(
                 f"expected input of shape (N, {self.in_features}), got {x.shape}"
             )
         self._cached_input = x
         out = arena_buffer(self.arena, f"{self.name}/out",
-                           (x.shape[0], self.out_features), np.float32,
-                           backend=self.backend)
-        self.backend.matmul(x, self.weight.data, out=out)
+                           (x.shape[0], self.out_features), np.float32)
+        np.matmul(x, self.weight.data, out=out)
         if self.bias is not None:
             out += self.bias.data
         return out
@@ -84,17 +73,18 @@ class Linear:
         """Accumulate parameter gradients and return the input gradient."""
         if self._cached_input is None:
             raise RuntimeError("backward called before forward")
-        if not self.backend.is_native_f32(grad_out):
+        if not (isinstance(grad_out, np.ndarray)
+                and grad_out.dtype == np.float32):
             self.conversions += 1
-            grad_out = self.backend.asarray(grad_out, np.float32)
+            grad_out = np.asarray(grad_out, dtype=np.float32)
         x = self._cached_input
-        self.weight.accumulate_grad(self.backend.matmul(x.T, grad_out))
+        self.weight.accumulate_grad(np.matmul(x.T, grad_out))
         if self.bias is not None:
             self.bias.accumulate_grad(grad_out.sum(axis=0))
         grad_in = arena_buffer(self.arena, f"{self.name}/grad_in",
                                (grad_out.shape[0], self.in_features),
-                               np.float32, backend=self.backend)
-        self.backend.matmul(grad_out, self.weight.data.T, out=grad_in)
+                               np.float32)
+        np.matmul(grad_out, self.weight.data.T, out=grad_in)
         return grad_in
 
     def parameters(self) -> List[Parameter]:

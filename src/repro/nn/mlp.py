@@ -6,7 +6,6 @@ from typing import Any, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.backend.registry import BackendLike, resolve_backend
 from repro.nn.activations import Identity, ReLU, _Activation
 from repro.nn.layers import Linear
 from repro.nn.parameter import Parameter
@@ -27,24 +26,21 @@ class MLP:
     def __init__(self, in_features: int, hidden_features: Sequence[int],
                  out_features: int, rng: np.random.Generator,
                  hidden_activation=ReLU, output_activation=Identity,
-                 name: str = "mlp", backend: BackendLike = None):
+                 name: str = "mlp"):
         self.in_features = in_features
         self.out_features = out_features
         self.name = name
-        self.backend = resolve_backend(backend)
         self.layers: List = []
         widths = [in_features, *hidden_features, out_features]
         for i, (w_in, w_out) in enumerate(zip(widths[:-1], widths[1:])):
             self.layers.append(
-                Linear(w_in, w_out, rng=rng, name=f"{name}.linear{i}",
-                       backend=self.backend)
+                Linear(w_in, w_out, rng=rng, name=f"{name}.linear{i}")
             )
             is_last = i == len(widths) - 2
             activation = output_activation() if is_last else hidden_activation()
             if not isinstance(activation, _Activation):
                 raise TypeError("activations must derive from _Activation")
             activation.name = f"{name}.act{i}"
-            activation.set_backend(self.backend)
             self.layers.append(activation)
         # The layer stack is fixed after construction, so the parameter list
         # is built once instead of re-concatenated per zero_grad/step.
@@ -57,12 +53,6 @@ class MLP:
         """Thread a workspace arena through every layer and activation."""
         for layer in self.layers:
             layer.set_arena(arena)
-
-    def set_backend(self, backend: BackendLike) -> None:
-        """Re-point every layer and activation at another array backend."""
-        self.backend = resolve_backend(backend)
-        for layer in self.layers:
-            layer.set_backend(self.backend)
 
     def set_policy(self, policy: PolicyLike) -> None:
         """Set the compute-precision policy of the activations.

@@ -47,8 +47,7 @@ from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from repro.backend.registry import BackendLike, resolve_backend
-from repro.nn.parameter import Parameter
+from repro.nn.parameter import Parameter, flat_pair_view
 from repro.utils.workspace import WorkspaceArena, arena_buffer
 
 
@@ -77,30 +76,22 @@ def _dump_indexed_state(slots: Dict[int, np.ndarray]) -> Dict[str, np.ndarray]:
 
 
 def _state_slot(slots: Dict[int, np.ndarray], index: int,
-                template: np.ndarray, dtype=None,
-                backend=None) -> np.ndarray:
+                template: np.ndarray, dtype=None) -> np.ndarray:
     """The per-parameter state array, created zeroed on first use.
 
     (``dict.setdefault`` would evaluate — allocate and zero — the default
     table-sized array on *every* call; this helper only pays on the miss.)
-    Allocation goes through ``backend`` when given so moments live on the
-    owner's backend.
     """
     slot = slots.get(index)
     if slot is None:
-        if backend is not None:
-            slot = (backend.zeros(template.shape, template.dtype)
-                    if dtype is None
-                    else backend.zeros((template.shape[0],), dtype))
-        else:
-            slot = (np.zeros_like(template) if dtype is None
-                    else np.zeros(template.shape[0], dtype=dtype))
+        slot = (np.zeros(template.shape, dtype=template.dtype)
+                if dtype is None
+                else np.zeros(template.shape[0], dtype=dtype))
         slots[index] = slot
     return slot
 
 
-def _touched_rows(param: Parameter,
-                  backend=None) -> Tuple[np.ndarray, np.ndarray]:
+def _touched_rows(param: Parameter) -> Tuple[np.ndarray, np.ndarray]:
     """The ``(rows, values)`` gradient of a sparse parameter, either
     representation.
 
@@ -116,12 +107,11 @@ def _touched_rows(param: Parameter,
         # missing sparse_grad means nothing was touched this step — skip
         # the O(table) non-zero scan the sparse mode exists to eliminate.
         return np.empty(0, dtype=np.int64), param.grad[:0]
-    backend = resolve_backend(backend)
     grad = param.grad
     if grad.ndim == 1:
-        rows = backend.flatnonzero(grad != 0.0)
+        rows = np.flatnonzero(grad != 0.0)
     else:
-        rows = backend.flatnonzero(
+        rows = np.flatnonzero(
             np.any(grad != 0.0, axis=tuple(range(1, grad.ndim))))
     return rows, grad[rows]
 
@@ -174,24 +164,19 @@ class SGD:
 
     def __init__(self, parameters: Iterable[Parameter], lr: float = 1e-2,
                  momentum: float = 0.0,
-                 arena: Optional[WorkspaceArena] = None,
-                 backend: BackendLike = None):
+                 arena: Optional[WorkspaceArena] = None):
         if lr <= 0:
             raise ValueError("learning rate must be positive")
         self.parameters: List[Parameter] = list(parameters)
         self.lr = float(lr)
         self.momentum = float(momentum)
         self.arena = arena
-        self.backend = resolve_backend(backend)
         self._step_count = 0
         self._velocity: Dict[int, np.ndarray] = {}
         self._last_step: Dict[int, np.ndarray] = {}
 
     def set_arena(self, arena: Optional[WorkspaceArena]) -> None:
         self.arena = arena
-
-    def set_backend(self, backend: BackendLike) -> None:
-        self.backend = resolve_backend(backend)
 
     def step(self) -> None:
         """Apply one update using the gradients currently accumulated."""
@@ -202,28 +187,26 @@ class SGD:
                 continue
             update = param.grad
             if self.momentum > 0.0:
-                vel = _state_slot(self._velocity, index, param.data,
-                                  backend=self.backend)
+                vel = _state_slot(self._velocity, index, param.data)
                 vel *= self.momentum
                 vel += update
                 update = vel
             # param.data -= lr * update, without the lr * update temporary.
             scratch = arena_buffer(self.arena, "sgd/scratch", update.shape,
-                                   update.dtype, backend=self.backend)
+                                   update.dtype)
             np.multiply(self.lr, update, out=scratch)
             param.data -= scratch
 
     def _step_sparse(self, index: int, param: Parameter) -> None:
         """Touched-rows-only update with lazy momentum catch-up."""
-        rows, vals = _touched_rows(param, self.backend)
+        rows, vals = _touched_rows(param)
         if rows.size == 0:
             return
         vals64 = vals.astype(np.float64)
         if self.momentum > 0.0:
-            vel = _state_slot(self._velocity, index, param.data,
-                              backend=self.backend)
+            vel = _state_slot(self._velocity, index, param.data)
             last = _state_slot(self._last_step, index, param.data,
-                               dtype=np.int32, backend=self.backend)
+                               dtype=np.int32)
             k = self._step_count - last[rows]
             last[rows] = self._step_count
             vel64 = vel[rows].astype(np.float64)
@@ -287,8 +270,7 @@ class Adam:
     def __init__(self, parameters: Iterable[Parameter], lr: float = 1e-2,
                  betas=(0.9, 0.99), eps: float = 1e-10,
                  weight_decay: float = 0.0,
-                 arena: Optional[WorkspaceArena] = None,
-                 backend: BackendLike = None):
+                 arena: Optional[WorkspaceArena] = None):
         if lr <= 0:
             raise ValueError("learning rate must be positive")
         self.parameters: List[Parameter] = list(parameters)
@@ -297,7 +279,6 @@ class Adam:
         self.eps = float(eps)
         self.weight_decay = float(weight_decay)
         self.arena = arena
-        self.backend = resolve_backend(backend)
         self._step_count = 0
         self._m: Dict[int, np.ndarray] = {}
         self._v: Dict[int, np.ndarray] = {}
@@ -307,9 +288,6 @@ class Adam:
     def set_arena(self, arena: Optional[WorkspaceArena]) -> None:
         """Attach a workspace arena supplying the per-update scratch buffers."""
         self.arena = arena
-
-    def set_backend(self, backend: BackendLike) -> None:
-        self.backend = resolve_backend(backend)
 
     def step(self) -> None:
         """Apply one Adam update using the accumulated gradients.
@@ -331,12 +309,10 @@ class Adam:
             grad = param.grad
             if self.weight_decay > 0.0:
                 grad = grad + self.weight_decay * param.data
-            m = _state_slot(self._m, index, param.data, backend=self.backend)
-            v = _state_slot(self._v, index, param.data, backend=self.backend)
-            t1 = arena_buffer(self.arena, "adam/t1", grad.shape, grad.dtype,
-                              backend=self.backend)
-            t2 = arena_buffer(self.arena, "adam/t2", grad.shape, grad.dtype,
-                              backend=self.backend)
+            m = _state_slot(self._m, index, param.data)
+            v = _state_slot(self._v, index, param.data)
+            t1 = arena_buffer(self.arena, "adam/t1", grad.shape, grad.dtype)
+            t2 = arena_buffer(self.arena, "adam/t2", grad.shape, grad.dtype)
             m *= self.beta1
             np.multiply(1.0 - self.beta1, grad, out=t1)
             m += t1
@@ -365,71 +341,62 @@ class Adam:
         The COO and dense-oracle gradient representations share this code,
         so they are bit-identical by construction.
         """
-        rows, vals = _touched_rows(param, self.backend)
+        rows, vals = _touched_rows(param)
         n_rows = int(rows.size)
         if n_rows == 0:
             return            # nothing touched: every row's decay stays deferred
-        backend = self.backend
-        m = _state_slot(self._m, index, param.data, backend=backend)
-        v = _state_slot(self._v, index, param.data, backend=backend)
+        m = _state_slot(self._m, index, param.data)
+        v = _state_slot(self._v, index, param.data)
         last = _state_slot(self._last_step, index, param.data,
-                           dtype=np.int32, backend=backend)
+                           dtype=np.int32)
         arena = self.arena
-        k = arena_buffer(arena, "adam/sp_k", n_rows, np.int32,
-                         backend=backend)
-        backend.take_out(last, rows, k)
+        # mode="clip" skips numpy's per-element bounds check on the gathers
+        # below: the touched rows are in range by construction.
+        k = arena_buffer(arena, "adam/sp_k", n_rows, np.int32)
+        np.take(last, rows, out=k, mode="clip")
         np.subtract(np.int32(self._step_count), k, out=k)        # k >= 1
-        backend.scatter_rows(last, rows, self._step_count)
+        last[rows] = self._step_count
         c1 = _pow_by_exponent(self.beta1, k,
                               arena_buffer(arena, "adam/sp_c1", n_rows,
-                                           np.float32, backend=backend))
+                                           np.float32))
         c2 = _pow_by_exponent(self.beta2, k,
                               arena_buffer(arena, "adam/sp_c2", n_rows,
-                                           np.float32, backend=backend))
+                                           np.float32))
         # Gather the touched rows of the moments and the parameter into
         # contiguous scratch.  The hash-table layout ((T, 2) float32,
-        # contiguous) goes through the backend's flat pair view (complex64
-        # on numpy-family backends) — one flat take per array instead of
-        # 2-D fancy indexing — and all arithmetic below then runs on
-        # contiguous float32 blocks.
-        mflat = backend.flat_pair_view(m)
-        vflat = backend.flat_pair_view(v)
-        dflat = backend.flat_pair_view(param.data)
+        # contiguous) goes through the complex64 flat pair view — one flat
+        # take per array instead of 2-D fancy indexing — and all arithmetic
+        # below then runs on contiguous float32 blocks.
+        mflat = flat_pair_view(m)
+        vflat = flat_pair_view(v)
+        dflat = flat_pair_view(param.data)
         if mflat is not None and vflat is not None and dflat is not None:
-            mg = arena_buffer(arena, "adam/sp_mg", n_rows, np.complex64,
-                              backend=backend)
-            vg = arena_buffer(arena, "adam/sp_vg", n_rows, np.complex64,
-                              backend=backend)
-            dg = arena_buffer(arena, "adam/sp_dg", n_rows, np.complex64,
-                              backend=backend)
-            backend.take_out(mflat, rows, mg)
-            backend.take_out(vflat, rows, vg)
-            backend.take_out(dflat, rows, dg)
+            mg = arena_buffer(arena, "adam/sp_mg", n_rows, np.complex64)
+            vg = arena_buffer(arena, "adam/sp_vg", n_rows, np.complex64)
+            dg = arena_buffer(arena, "adam/sp_dg", n_rows, np.complex64)
+            np.take(mflat, rows, out=mg, mode="clip")
+            np.take(vflat, rows, out=vg, mode="clip")
+            np.take(dflat, rows, out=dg, mode="clip")
             m32 = mg.view(np.float32).reshape(vals.shape)
             v32 = vg.view(np.float32).reshape(vals.shape)
             d32 = dg.view(np.float32).reshape(vals.shape)
         else:
             mg = vg = dg = None
-            m32 = arena_buffer(arena, "adam/sp_m32", vals.shape, np.float32,
-                               backend=backend)
-            v32 = arena_buffer(arena, "adam/sp_v32", vals.shape, np.float32,
-                               backend=backend)
-            d32 = arena_buffer(arena, "adam/sp_d32", vals.shape, np.float32,
-                               backend=backend)
-            backend.gather(m, rows, out=m32)
-            backend.gather(v, rows, out=v32)
-            backend.gather(param.data, rows, out=d32)
+            m32 = arena_buffer(arena, "adam/sp_m32", vals.shape, np.float32)
+            v32 = arena_buffer(arena, "adam/sp_v32", vals.shape, np.float32)
+            d32 = arena_buffer(arena, "adam/sp_d32", vals.shape, np.float32)
+            np.take(m, rows, axis=0, out=m32, mode="clip")
+            np.take(v, rows, axis=0, out=v32, mode="clip")
+            np.take(param.data, rows, axis=0, out=d32, mode="clip")
         if self.weight_decay > 0.0:
             vals = vals + self.weight_decay * d32
         # Moments, float32 in place on the gathered rows:
         #   m <- beta1**k * m + (1 - beta1) * g
         #   v <- beta2**k * v + (1 - beta2) * g^2
         tail = vals.ndim
-        g1 = arena_buffer(arena, "adam/sp_g1", vals.shape, np.float32,
-                          backend=backend)
+        g1 = arena_buffer(arena, "adam/sp_g1", vals.shape, np.float32)
         np.multiply(1.0 - self.beta1, vals, out=g1)
-        g2 = arena_buffer(arena, "adam/sp_g2", vals.shape, np.float32,
-                          backend=backend)
+        g2 = arena_buffer(arena, "adam/sp_g2", vals.shape, np.float32)
         np.multiply(vals, vals, out=g2)
         g2 *= 1.0 - self.beta2
         if mg is not None:
@@ -456,13 +423,13 @@ class Adam:
         d32 -= g1
         # Scatter moments and parameter back (touched rows only).
         if mg is not None:
-            backend.scatter_rows(mflat, rows, mg)
-            backend.scatter_rows(vflat, rows, vg)
-            backend.scatter_rows(dflat, rows, dg)
+            mflat[rows] = mg
+            vflat[rows] = vg
+            dflat[rows] = dg
         else:
-            backend.scatter_rows(m, rows, m32)
-            backend.scatter_rows(v, rows, v32)
-            backend.scatter_rows(param.data, rows, d32)
+            m[rows] = m32
+            v[rows] = v32
+            param.data[rows] = d32
 
     def _flush_lazy(self) -> None:
         """Apply all deferred moment decay (every row up to the current step)."""

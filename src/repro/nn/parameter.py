@@ -7,7 +7,21 @@ from typing import Any, Dict, Optional
 
 import numpy as np
 
-from repro.backend.registry import BackendLike, resolve_backend
+
+
+def flat_pair_view(arr: np.ndarray) -> Optional[np.ndarray]:
+    """One-element-per-row flat view of a contiguous ``(T, 2)`` float32 array.
+
+    Each ``(f0, f1)`` row becomes one complex64 element, so row gathers and
+    scatters through the view move both features in a single flat take —
+    the fast path of the fused grid gather and of the lazy optimiser.
+    Returns ``None`` for any other layout; callers fall back to row indexing.
+    """
+    if (isinstance(arr, np.ndarray) and arr.ndim == 2
+            and arr.shape[1] == 2 and arr.dtype == np.float32
+            and arr.flags.c_contiguous):
+        return arr.view(np.complex64).reshape(-1)
+    return None
 
 
 @dataclass
@@ -62,14 +76,9 @@ class Parameter:
         non-zero rows (bit-identical semantics, dense cost).
     """
 
-    def __init__(self, data: np.ndarray, name: str = "param",
-                 backend: BackendLike = None):
-        # Storage lives on the owning backend (capability-queried, never
-        # isinstance-assumed numpy), so a non-numpy backend's parameters
-        # stay native end-to-end.
-        self.backend = resolve_backend(backend)
-        self.data = self.backend.asarray(data, np.float32)
-        self.grad = self.backend.zeros(self.data.shape, np.float32)
+    def __init__(self, data: np.ndarray, name: str = "param"):
+        self.data = np.asarray(data, dtype=np.float32)
+        self.grad = np.zeros(self.data.shape, dtype=np.float32)
         self.name = name
         #: Optimiser applies row-sparse lazy updates (see class docstring).
         self.sparse = False
@@ -104,8 +113,8 @@ class Parameter:
             raise RuntimeError(
                 f"parameter {self.name} receives COO gradients; dense "
                 f"accumulation would break the all-zero dense-grad invariant")
-        if not self.backend.is_native_f32(grad):
-            grad = self.backend.asarray(grad, np.float32)
+        if not (isinstance(grad, np.ndarray) and grad.dtype == np.float32):
+            grad = np.asarray(grad, dtype=np.float32)
         if grad.shape != self.data.shape:
             raise ValueError(
                 f"gradient shape {grad.shape} does not match parameter "
@@ -162,7 +171,7 @@ class Parameter:
         if name is not None and name != self.name:
             raise ValueError(
                 f"checkpoint parameter name {name!r} does not match {self.name!r}")
-        data = self.backend.asarray(state["data"], np.float32)
+        data = np.asarray(state["data"], dtype=np.float32)
         if data.shape != self.data.shape:
             raise ValueError(
                 f"checkpoint shape {data.shape} does not match parameter "

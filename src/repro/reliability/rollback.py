@@ -31,9 +31,8 @@ __all__ = ["SnapshotRing", "copy_state_tree"]
 def copy_state_tree(node: Any) -> Any:
     """Deep-copy a ``state_dict`` tree, materialising array leaves on host.
 
-    Backend arrays (numpy today, device buffers behind ``ArrayBackend``
-    tomorrow) come back as fresh ``np.ndarray`` copies; containers are
-    rebuilt; scalars/strings/None pass through (immutable).
+    Arrays and array-likes come back as fresh ``np.ndarray`` copies;
+    containers are rebuilt; scalars/strings/None pass through (immutable).
     """
     if isinstance(node, dict):
         return {key: copy_state_tree(value) for key, value in node.items()}

@@ -60,10 +60,10 @@ class CoalescedView:
     n_total: int                # dense rays x samples product
 
 
-def _retain(arena: Optional[WorkspaceArena], name: str, source: np.ndarray,
-            backend=None) -> np.ndarray:
+def _retain(arena: Optional[WorkspaceArena], name: str,
+            source: np.ndarray) -> np.ndarray:
     """Copy ``source`` into an arena buffer that survives later stage calls."""
-    out = arena_buffer(arena, name, source.shape, source.dtype, backend=backend)
+    out = arena_buffer(arena, name, source.shape, source.dtype)
     out[...] = source
     return out
 
@@ -88,7 +88,6 @@ def render_coalesced(pipeline: RenderPipeline, bundles: Sequence[RayBundle],
     """
     if not bundles:
         return []
-    backend = pipeline.backend
     dtype = pipeline.policy.dtype
     # Capacity is the dense upper bound, known before any stage runs — so
     # every request's stage-❸a compaction gathers straight into its slice
@@ -96,9 +95,8 @@ def render_coalesced(pipeline: RenderPipeline, bundles: Sequence[RayBundle],
     # concatenating (a second full copy) afterwards.
     capacity = sum(bundle.n_rays for bundle in bundles) * pipeline.n_samples
     points_all = arena_buffer(arena, "serve/points_all", (capacity, 3),
-                              dtype, backend=backend)
-    dirs_all = arena_buffer(arena, "serve/dirs_all", (capacity, 3),
-                            dtype, backend=backend)
+                              dtype)
+    dirs_all = arena_buffer(arena, "serve/dirs_all", (capacity, 3), dtype)
     plans: List[CullStage] = []
     offsets = [0]
     for i, bundle in enumerate(bundles):
@@ -106,8 +104,8 @@ def render_coalesced(pipeline: RenderPipeline, bundles: Sequence[RayBundle],
         plan = pipeline.stage_cull(sample)
         # Everything the composite needs outlives the next request's stages
         # only if copied out of the pipeline's per-call buffers.
-        t_vals = _retain(arena, f"serve/{i}/t_vals", sample.t_vals, backend)
-        deltas = _retain(arena, f"serve/{i}/deltas", sample.deltas, backend)
+        t_vals = _retain(arena, f"serve/{i}/t_vals", sample.t_vals)
+        deltas = _retain(arena, f"serve/{i}/deltas", sample.deltas)
         start = offsets[-1]
         stop = start + plan.n_queried
         idx = plan.idx
@@ -115,10 +113,11 @@ def render_coalesced(pipeline: RenderPipeline, bundles: Sequence[RayBundle],
             points_all[start:stop] = sample.points_unit
             dirs_all[start:stop] = sample.dirs
         elif plan.n_queried:
-            idx = _retain(arena, f"serve/{i}/idx", idx, backend)
-            backend.gather(sample.points_unit, idx,
-                           out=points_all[start:stop])
-            backend.gather(sample.dirs, idx, out=dirs_all[start:stop])
+            idx = _retain(arena, f"serve/{i}/idx", idx)
+            np.take(sample.points_unit, idx, axis=0,
+                    out=points_all[start:stop], mode="clip")
+            np.take(sample.dirs, idx, axis=0, out=dirs_all[start:stop],
+                    mode="clip")
         retained_sample = SampleStage(
             t_vals=t_vals, deltas=deltas,
             # The composite never reads the sample positions — they live
@@ -147,11 +146,9 @@ def render_coalesced(pipeline: RenderPipeline, bundles: Sequence[RayBundle],
                                                   dirs_all[start:stop])
                 if sigma_all is None:
                     sigma_all = arena_buffer(arena, "serve/sigma_all",
-                                             total, sigma.dtype,
-                                             backend=backend)
+                                             total, sigma.dtype)
                     rgb_all = arena_buffer(arena, "serve/rgb_all",
-                                           (total, 3), rgb.dtype,
-                                           backend=backend)
+                                           (total, 3), rgb.dtype)
                 sigma_all[start:stop] = sigma
                 rgb_all[start:stop] = rgb
 

@@ -75,6 +75,7 @@ from repro.serving.jobs import (
     TrainResult,
 )
 from repro.serving.residency import ResidencyManager
+from repro.utils.workspace import WorkspaceArena
 
 __all__ = ["SceneService"]
 
@@ -383,8 +384,7 @@ class SceneService:
             self._supervise_crash(index, exc)
 
     def _worker_loop(self, index: int) -> None:
-        backend = self.config.array_backend
-        arena = backend.make_arena() if self.config.reuse_workspace else None
+        arena = WorkspaceArena() if self.config.reuse_workspace else None
         while True:
             with self._cv:
                 batch = None
@@ -551,7 +551,7 @@ class SceneService:
             white_background=self.config.white_background,
             occupancy=trainer.occupancy,
             culling_enabled=trainer.occupancy is not None,
-            policy=trainer.policy, arena=arena, backend=trainer.backend,
+            policy=trainer.policy, arena=arena,
         )
         bundles = [handle.camera.all_rays() for handle in batch]
         views = render_coalesced(

@@ -46,6 +46,7 @@ from repro.reliability.rollback import SnapshotRing
 from repro.training.metrics import EvaluationResult, evaluate_model
 from repro.training.profiler import PhaseTimer, TrainPhase
 from repro.utils.seeding import derive_rng, derive_seed, get_rng_state, set_rng_state
+from repro.utils.workspace import WorkspaceArena
 
 #: Shared reusable no-op context for the detached-profiler fast path.
 _NULL_PHASE = nullcontext()
@@ -212,12 +213,7 @@ class Trainer:
         # scratch — comes from named reusable buffers, so steady-state steps
         # perform no large allocations (misses only while shapes grow).
         # ``reuse_workspace=False`` restores fresh-allocation semantics.
-        # The arena is backend-owned: its backing buffers come from the
-        # config's array backend, so non-numpy backends keep arena-served
-        # temporaries native.
-        self.backend = self.config.array_backend
-        self.arena = (self.backend.make_arena() if self.config.reuse_workspace
-                      else None)
+        self.arena = WorkspaceArena() if self.config.reuse_workspace else None
         self.policy = self.config.precision_policy
         model.set_arena(self.arena)
         self.pipeline = RenderPipeline(
@@ -229,7 +225,6 @@ class Trainer:
             early_termination_tau=self.config.early_termination_tau,
             policy=self.policy,
             arena=self.arena,
-            backend=self.backend,
             address_sort=self.config.address_sort,
         )
         # Pixel-batch scheduler (Step ❶).  The default "uniform" schedule
@@ -247,12 +242,10 @@ class Trainer:
         )
         self.density_optimizer = Adam(model.density_parameters(),
                                       lr=self.config.learning_rate,
-                                      arena=self.arena,
-                                      backend=self.backend)
+                                      arena=self.arena)
         self.color_optimizer = Adam(model.color_parameters(),
                                     lr=self.config.learning_rate,
-                                    arena=self.arena,
-                                    backend=self.backend)
+                                    arena=self.arena)
         self._pixel_rng = derive_rng(seed, f"{dataset.name}:pixels")
         self._sample_rng = derive_rng(seed, f"{dataset.name}:samples")
         self.iteration = 0

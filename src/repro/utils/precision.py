@@ -78,18 +78,6 @@ class PrecisionPolicy:
     def itemsize(self) -> int:
         return self.dtype.itemsize
 
-    def asarray(self, x, backend=None) -> np.ndarray:
-        """``asarray`` at the compute dtype (no copy when already there).
-
-        With a ``backend`` (duck-typed — precision stays import-free of
-        :mod:`repro.backend` to avoid cycles) the conversion runs on that
-        backend, so non-numpy arrays stay native instead of round-tripping
-        through the host.
-        """
-        if backend is not None:
-            return backend.asarray(x, self.dtype)
-        return np.asarray(x, dtype=self.dtype)
-
 
 #: The two singleton policies.
 FLOAT32 = PrecisionPolicy("float32")

@@ -40,18 +40,10 @@ __all__ = ["WorkspaceArena", "arena_buffer", "arena_zeros"]
 
 
 class WorkspaceArena:
-    """Shape-keyed pool of reusable scratch buffers (one per call-site name).
+    """Shape-keyed pool of reusable scratch buffers (one per call-site name)."""
 
-    ``allocator`` is any object with ``empty(shape, dtype)`` — in practice
-    an :class:`~repro.backend.base.ArrayBackend` (see ``make_arena``), so
-    backing buffers live on the owning backend's device/dtype domain.  The
-    parameter is duck-typed rather than imported to keep this module free
-    of backend dependencies; ``None`` keeps plain host allocation.
-    """
-
-    def __init__(self, allocator=None) -> None:
+    def __init__(self) -> None:
         self._backing: Dict[Tuple[str, str], np.ndarray] = {}
-        self.allocator = allocator
         self.hits = 0
         self.misses = 0
 
@@ -73,10 +65,7 @@ class WorkspaceArena:
         backing = self._backing.get(key)
         if backing is None or backing.size < size:
             grown = size if backing is None else max(size, 2 * backing.size)
-            if self.allocator is not None:
-                backing = self.allocator.empty((grown,), dt)
-            else:
-                backing = np.empty(grown, dtype=dt)
+            backing = np.empty(grown, dtype=dt)
             self._backing[key] = backing
             self.misses += 1
         else:
@@ -117,25 +106,16 @@ class WorkspaceArena:
 
 
 def arena_buffer(arena: Optional[WorkspaceArena], name: str, shape,
-                 dtype, backend=None) -> np.ndarray:
-    """Arena buffer when an arena is attached, fresh allocation otherwise.
-
-    ``backend`` (duck-typed ``empty(shape, dtype)`` provider) supplies the
-    arena-less allocation so direct component use stays on the caller's
-    backend; ``None`` falls back to host ``np.empty``.
-    """
+                 dtype) -> np.ndarray:
+    """Arena buffer when an arena is attached, fresh allocation otherwise."""
     if arena is None:
-        if backend is not None:
-            return backend.empty(shape, dtype)
         return np.empty(shape, dtype=dtype)
     return arena.buffer(name, shape, dtype)
 
 
 def arena_zeros(arena: Optional[WorkspaceArena], name: str, shape,
-                dtype, backend=None) -> np.ndarray:
+                dtype) -> np.ndarray:
     """Arena zeros when an arena is attached, fresh allocation otherwise."""
     if arena is None:
-        if backend is not None:
-            return backend.zeros(shape, dtype)
         return np.zeros(shape, dtype=dtype)
     return arena.zeros(name, shape, dtype)

@@ -358,6 +358,44 @@ class TestTrainerCheckpoint:
         with pytest.raises(CheckpointError):
             load_trainer_checkpoint(path, dense)
 
+    def test_payload_leaves_are_host_arrays(self, tmp_path, ckpt_config,
+                                            ckpt_datasets):
+        trainer = Trainer(DecoupledRadianceField(ckpt_config, seed=0),
+                          ckpt_datasets[0], config=ckpt_config, seed=0)
+        trainer.run_steps(2, TrainingHistory())
+        path = save_trainer_checkpoint(tmp_path / "host.ckpt.npz", trainer)
+        checkpoint = load_checkpoint(path, expected_kind="trainer")
+
+        def assert_host(node):
+            if isinstance(node, dict):
+                for value in node.values():
+                    assert_host(value)
+            elif isinstance(node, list):
+                for value in node:
+                    assert_host(value)
+            elif node is not None and not isinstance(node, (bool, int, float, str)):
+                assert isinstance(node, np.ndarray)
+        assert_host(checkpoint.payload)
+
+    def test_legacy_backend_metadata_still_loads(self, tmp_path, ckpt_config,
+                                                 ckpt_datasets):
+        """Files written while trainers recorded an array-backend name in
+        the manifest metadata restore like any other checkpoint."""
+        dataset = ckpt_datasets[0]
+        source = Trainer(DecoupledRadianceField(ckpt_config, seed=0), dataset,
+                         config=ckpt_config, seed=0)
+        source.run_steps(3, TrainingHistory())
+        path = save_trainer_checkpoint(tmp_path / "legacy.ckpt.npz", source,
+                                       metadata={"backend": "numpy"})
+        restored = Trainer(DecoupledRadianceField(ckpt_config, seed=0),
+                           dataset, config=ckpt_config, seed=0)
+        metadata = load_trainer_checkpoint(path, restored)
+        assert metadata["backend"] == "numpy"
+        assert restored.iteration == source.iteration
+        for src_param, res_param in zip(source.model.parameters(),
+                                        restored.model.parameters()):
+            np.testing.assert_array_equal(src_param.data, res_param.data)
+
     def test_history_requested_but_not_saved_raises(self, tmp_path,
                                                     ckpt_config, ckpt_datasets):
         trainer = Trainer(DecoupledRadianceField(ckpt_config, seed=0),

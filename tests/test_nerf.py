@@ -127,10 +127,10 @@ class TestStratifiedSamples:
         zero-width interior deltas (only the last delta was floored)."""
 
         class _EdgeJitter:
-            def uniform(self, low, high, size):
-                jitter = np.zeros(size)
-                jitter[:, 0::2] = 1.0     # bin k at its upper edge,
-                return jitter             # bin k+1 at its lower edge
+            def random(self, out):
+                out.fill(0.0)
+                out[:, 0::2] = 1.0        # bin k at its upper edge,
+                return out                # bin k+1 at its lower edge
 
         bundle = _camera().all_rays()
         t_vals, deltas = stratified_samples(bundle, 6, rng=_EdgeJitter())
@@ -142,8 +142,9 @@ class TestStratifiedSamples:
         bundle = _camera().all_rays()
 
         class _FarEdgeJitter:
-            def uniform(self, low, high, size):
-                return np.ones(size)      # sample lands exactly on ``far``
+            def random(self, out):
+                out.fill(1.0)             # sample lands exactly on ``far``
+                return out
 
         t_vals, deltas = stratified_samples(bundle, 1, rng=_FarEdgeJitter())
         assert t_vals.shape == (bundle.n_rays, 1)

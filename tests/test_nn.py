@@ -15,6 +15,7 @@ from repro.nn import (
     TruncatedExp,
     numerical_gradient,
 )
+from repro.nn.parameter import flat_pair_view
 from repro.utils.seeding import new_rng
 
 
@@ -35,6 +36,20 @@ class TestParameter:
         p = Parameter(np.zeros((2, 2)))
         with pytest.raises(ValueError):
             p.accumulate_grad(np.zeros(3))
+
+    def test_flat_pair_view_contract(self):
+        pairs = np.arange(8, dtype=np.float32).reshape(4, 2)
+        view = flat_pair_view(pairs)
+        assert view.shape == (4,)
+        # Writing through the view must alias the original rows.
+        view[1] = view[0]
+        np.testing.assert_array_equal(pairs[1], pairs[0])
+        # Shapes/dtypes/layouts outside the contract are declined, not mangled.
+        assert flat_pair_view(np.zeros((4, 3), dtype=np.float32)) is None
+        assert flat_pair_view(np.zeros((4, 2), dtype=np.float64)) is None
+        strided = np.zeros((8, 2), dtype=np.float32)[::2]
+        assert strided.shape == (4, 2) and not strided.flags.c_contiguous
+        assert flat_pair_view(strided) is None
 
 
 class TestLinear:
@@ -158,6 +173,19 @@ class TestMLP:
         mlp.backward(2.0 * out)
         numeric = numerical_gradient(loss_for, first_weight.data.astype(np.float64))
         np.testing.assert_allclose(first_weight.grad, numeric, rtol=2e-2, atol=2e-2)
+
+    def test_mlp_input_gradient(self):
+        rng = new_rng(6)
+        mlp = MLP(in_features=3, hidden_features=[8], out_features=2, rng=rng)
+        x = rng.normal(size=(4, 3)).astype(np.float32)
+
+        def loss(xi):
+            return float(np.sum(mlp.forward(xi) ** 2))
+
+        out = mlp.forward(x)
+        grad_in = mlp.backward(2.0 * out)
+        numeric = numerical_gradient(loss, x.astype(np.float64).copy())
+        np.testing.assert_allclose(grad_in, numeric, rtol=1e-2, atol=1e-2)
 
 
 class TestOptimizers:

@@ -60,17 +60,16 @@ from repro.training.trainer import Trainer, TrainingHistory, train_scene
 def _monolithic_forward(pipeline, bundle, rng=None):
     """The pre-stage-split forward; returns (render, n_queried, keep_idx,
     renderer) so the matching backward can be replayed."""
-    backend = pipeline.backend
     dtype = pipeline.policy.dtype
     n_rays, n_samples = bundle.n_rays, pipeline.n_samples
     t_vals, deltas = stratified_samples(bundle, n_samples, rng=rng,
-                                        dtype=dtype, backend=backend)
-    points, dirs = ray_points(bundle, t_vals, dtype=dtype, backend=backend)
+                                        dtype=dtype)
+    points, dirs = ray_points(bundle, t_vals, dtype=dtype)
     points_unit = normalize_points_to_unit_cube(points, pipeline.scene_bound,
-                                                dtype=dtype, backend=backend)
+                                                dtype=dtype)
     renderer = VolumeRenderer(
         white_background=pipeline.renderer.white_background,
-        policy=pipeline.policy, backend=backend)
+        policy=pipeline.policy)
     keep_idx = None
     if pipeline.culling_active:
         keep = pipeline.occupancy.filter_samples(points_unit)
@@ -80,9 +79,9 @@ def _monolithic_forward(pipeline, bundle, rng=None):
                                       rgb.reshape(n_rays, n_samples, 3),
                                       deltas, t_vals)
             return render, int(keep.size), None, renderer
-        sigma_plane = backend.zeros(n_rays * n_samples, dtype)
-        rgb_plane = backend.zeros((n_rays * n_samples, 3), dtype)
-        idx = backend.flatnonzero(keep)
+        sigma_plane = np.zeros(n_rays * n_samples, dtype=dtype)
+        rgb_plane = np.zeros((n_rays * n_samples, 3), dtype=dtype)
+        idx = np.flatnonzero(keep)
         n_queried = int(idx.size)
         if pipeline.address_sort and n_queried:
             idx = np.array(
@@ -90,13 +89,11 @@ def _monolithic_forward(pipeline, bundle, rng=None):
                 copy=True)
         keep_idx = idx
         if n_queried:
-            kept_points = backend.empty((n_queried, 3), points_unit.dtype)
-            backend.gather(points_unit, idx, out=kept_points)
-            kept_dirs = backend.empty((n_queried, 3), dirs.dtype)
-            backend.gather(dirs, idx, out=kept_dirs)
+            kept_points = points_unit[idx]
+            kept_dirs = dirs[idx]
             sigma, rgb = pipeline.model.query(kept_points, kept_dirs)
-            backend.scatter_rows(sigma_plane, idx, sigma)
-            backend.scatter_rows(rgb_plane, idx, rgb)
+            sigma_plane[idx] = sigma
+            rgb_plane[idx] = rgb
         render = renderer.forward(sigma_plane.reshape(n_rays, n_samples),
                                   rgb_plane.reshape(n_rays, n_samples, 3),
                                   deltas, t_vals)
@@ -108,15 +105,11 @@ def _monolithic_forward(pipeline, bundle, rng=None):
     return render, n_rays * n_samples, None, renderer
 
 
-def _monolithic_backward(renderer, grad_colors, keep_idx, backend):
+def _monolithic_backward(renderer, grad_colors, keep_idx):
     grad_sigmas, grad_rgbs = renderer.backward(grad_colors)
     if keep_idx is None:
         return grad_sigmas.reshape(-1), grad_rgbs.reshape(-1, 3)
-    kept_sigmas = backend.empty(keep_idx.size, grad_sigmas.dtype)
-    backend.take_out(grad_sigmas.reshape(-1), keep_idx, kept_sigmas)
-    kept_rgbs = backend.empty((keep_idx.size, 3), grad_rgbs.dtype)
-    backend.gather(grad_rgbs.reshape(-1, 3), keep_idx, out=kept_rgbs)
-    return kept_sigmas, kept_rgbs
+    return grad_sigmas.reshape(-1)[keep_idx], grad_rgbs.reshape(-1, 3)[keep_idx]
 
 
 def _make_dataset(name, image_size=10, n_train=3, n_test=1, seed=0):
@@ -165,8 +158,7 @@ class TestStagedPipelineDifferential:
             n_samples=trainer.config.n_samples_per_ray,
             occupancy=trainer.occupancy if culled else None,
             culling_enabled=culled, policy=trainer.policy,
-            arena=trainer.arena, backend=trainer.backend,
-            address_sort=address_sort)
+            arena=trainer.arena, address_sort=address_sort)
         bundle = tiny_dataset.test_views[0].camera.all_rays()
         grad_colors = np.random.default_rng(7).standard_normal(
             (bundle.n_rays, 3))
@@ -181,7 +173,7 @@ class TestStagedPipelineDifferential:
         render, n_queried, keep_idx, renderer = _monolithic_forward(
             pipeline, bundle, rng=np.random.default_rng(5))
         mono_gs, mono_gr = _monolithic_backward(renderer, grad_colors,
-                                                keep_idx, pipeline.backend)
+                                                keep_idx)
 
         assert out.n_queried == n_queried
         if culled:
@@ -209,8 +201,7 @@ class TestCoalescedRendering:
             trainer.model, dataset.scene_bound,
             n_samples=trainer.config.n_samples_per_ray,
             occupancy=trainer.occupancy, culling_enabled=True,
-            policy=trainer.policy, arena=trainer.arena,
-            backend=trainer.backend)
+            policy=trainer.policy, arena=trainer.arena)
 
     def test_matches_per_request(self, trained, tiny_dataset):
         pipeline = self._pipeline(trained, tiny_dataset)
