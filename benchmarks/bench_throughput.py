@@ -1,42 +1,38 @@
-"""Throughput benchmark: grid engine, culled pipeline, fleet, checkpoints,
-precision, sparse updates, ray scheduling.
+"""Throughput benchmark: culled pipeline, fleet, checkpoints, precision,
+sparse updates, ray scheduling.
 
-Seven measurements back the engine, pipeline, io, precision, optimiser
-and scheduling layers:
+Six measurements back the pipeline, io, precision, optimiser and
+scheduling layers (the grid engine's differential against its frozen
+per-level loop oracle is a tier-1 test, ``tests/test_grid.py``):
 
-1. **Grid engine** — forward + backward points/sec of the fused stacked-kernel
-   engine versus the original per-level loop on a 65k-point batch, with a
-   differential check that the two engines produce identical outputs
-   (<= 1e-10), identical access traces and matching table gradients.
-2. **Dense vs culled training** — the occupancy-culled
+1. **Dense vs culled training** — the occupancy-culled
    :class:`~repro.nerf.pipeline.RenderPipeline` against the dense path on a
    synthetic scene: embedding/MLP queries per iteration (after occupancy
    warm-up), end-to-end points/sec, wall-clock speedup and PSNR parity, plus
    a differential check that ``culling_enabled=False`` still reproduces the
    pre-pipeline trainer's losses exactly.
-3. **Fleet** — scenes/hour of :class:`repro.training.SceneFleet` on a small
+2. **Fleet** — scenes/hour of :class:`repro.training.SceneFleet` on a small
    suite of procedural scenes (train + eval, end to end).
-4. **Checkpointing** — save/load seconds per scene and bytes on disk for the
+3. **Checkpointing** — save/load seconds per scene and bytes on disk for the
    single-file trainer checkpoint, a round-trip exactness check, and one
    fleet interrupt → resume cycle (with ``max_resident_scenes=1`` eviction)
    asserted to finish bit-identically to an uninterrupted run.
-5. **Precision policy** — the ``compute_dtype="float32"`` fast path against
+4. **Precision policy** — the ``compute_dtype="float32"`` fast path against
    the bit-exact float64 reference: end-to-end train throughput at a
    paper-shaped batch (interleaved best-of timing), PSNR parity at the
    standard learning scale, a differential check that the float64 policy
    still reproduces the frozen pre-policy trainer exactly, and the
    workspace-arena allocation ledger (steady-state arena hit rate, peak
    per-iteration temporary bytes via tracemalloc).
-6. **Sparse updates** — the ``sparse_updates=True`` path (COO gradient
+5. **Sparse updates** — the ``sparse_updates=True`` path (COO gradient
    emission + touched-rows-only lazy Adam) against the dense gradient/dense
    Adam path: optimiser-step and backward-scatter wall time versus hash-table
    size (up to a paper-representative 2^19-entry table at culling-level
-   batch sparsity), a 20-step differential that the COO path is bit-identical
-   to its dense-representation oracle, and the measured touched-address trace
+   batch sparsity), and the measured touched-address trace
    replayed through the modeled
    :class:`~repro.accelerator.bum.BackPropUpdateMerger` so the software
    sparsity statistics and the hardware unit's merge rate sit side by side.
-7. **Ray scheduling** — the locality-aware pixel schedulers
+6. **Ray scheduling** — the locality-aware pixel schedulers
    (:mod:`repro.nerf.scheduling`) against the uniform random draw: a
    differential check that ``ray_schedule="uniform"`` (the default) still
    reproduces the frozen pre-scheduler trainer exactly, then one culled +
@@ -102,26 +98,12 @@ try:
 except ImportError:                      # run as a script from benchmarks/
     from common import bench_config, print_report, synthetic_datasets
 
-#: Grid used for the engine measurement (reduced-scale Instant-NGP shape).
-ENGINE_GRID = HashGridConfig(
-    n_levels=8,
-    n_features_per_level=2,
-    log2_hashmap_size=14,
-    base_resolution=16,
-    finest_resolution=256,
-)
-ENGINE_BATCH = 65536
-#: Fused-engine streaming chunk: keeps every intermediate plane inside the
-#: cache hierarchy (and bounds memory for arbitrarily large batches).
-ENGINE_CHUNK = 4096
-
-
 def _time_interleaved(fns: dict, repeats: int) -> dict:
     """Best-of-``repeats`` wall time per labelled callable.
 
     The callables are cycled within each round (A, B, A, B, ...) rather than
     timed in separate blocks, so machine-state drift (turbo, cache, noisy
-    neighbours) hits every engine equally instead of biasing one block.
+    neighbours) hits every callable equally instead of biasing one block.
     """
     best = {name: float("inf") for name in fns}
     for _ in range(repeats):
@@ -132,79 +114,11 @@ def _time_interleaved(fns: dict, repeats: int) -> dict:
     return best
 
 
-def bench_grid_engine(n_points: int, repeats: int) -> dict:
-    """Measure fused vs per-level-loop forward+backward throughput."""
-    rng = new_rng(0)
-    points = new_rng(1).uniform(size=(n_points, 3))
-    grad = np.ones((n_points, ENGINE_GRID.n_output_features))
-
-    legacy = MultiResHashGrid(ENGINE_GRID, rng=rng, fused=False)
-    fused = MultiResHashGrid(ENGINE_GRID, rng=new_rng(0), fused=True,
-                             max_chunk_points=ENGINE_CHUNK)
-
-    # Differential check before timing: outputs, traces, gradients.
-    out_legacy = legacy.forward(points)
-    out_fused = fused.forward(points)
-    max_diff = float(np.abs(out_fused.astype(np.float64)
-                            - out_legacy.astype(np.float64)).max())
-    traces_equal = bool(np.array_equal(legacy.last_access.flat_addresses(),
-                                       fused.last_access.flat_addresses()))
-    legacy.zero_grad(); legacy.backward(grad)
-    fused.zero_grad(); fused.backward(grad)
-    grad_diff = float(max(
-        np.abs(l.table.grad.astype(np.float64)
-               - f.table.grad.astype(np.float64)).max()
-        for l, f in zip(legacy.levels, fused.levels)
-    ))
-    if max_diff > 1e-10:
-        raise AssertionError(f"fused forward deviates from legacy: {max_diff:g}")
-    if not traces_equal:
-        raise AssertionError("fused access trace differs from legacy trace")
-    if grad_diff > 1e-6:
-        raise AssertionError(f"fused backward deviates from legacy: {grad_diff:g}")
-
-    def backward_step(grid):
-        grid.zero_grad()
-        grid.backward(grad)
-
-    engines = {"per_level_loop": legacy, "fused": fused}
-    for grid in engines.values():          # warm up both engines
-        grid.forward(points)
-        backward_step(grid)
-    fwd_times = _time_interleaved(
-        {name: (lambda g=g: g.forward(points)) for name, g in engines.items()},
-        repeats)
-    bwd_times = _time_interleaved(
-        {name: (lambda g=g: backward_step(g)) for name, g in engines.items()},
-        repeats)
-    timings = {}
-    for name in engines:
-        fwd, bwd = fwd_times[name], bwd_times[name]
-        timings[name] = {
-            "forward_s": fwd,
-            "backward_s": bwd,
-            "total_s": fwd + bwd,
-            "points_per_s": n_points / (fwd + bwd),
-        }
-    speedup = timings["per_level_loop"]["total_s"] / timings["fused"]["total_s"]
-    return {
-        "n_points": n_points,
-        "n_levels": ENGINE_GRID.n_levels,
-        "max_chunk_points": ENGINE_CHUNK,
-        "timings": timings,
-        "speedup": speedup,
-        "forward_max_abs_diff": max_diff,
-        "grad_max_abs_diff": grad_diff,
-        "traces_identical": traces_equal,
-    }
-
-
 def _reference_dense_losses(dataset, config, seed: int, n_steps: int) -> list:
     """Losses of the pre-pipeline six-step loop (verbatim reference).
 
     Kept as the differential baseline for the ``culling_enabled=False``
-    path, the same way the grid engine keeps its per-level loop.  A frozen
-    twin of this oracle lives in ``tests/test_pipeline.py``
+    path.  A frozen twin of this oracle lives in ``tests/test_pipeline.py``
     (``_reference_dense_run``); neither copy should ever change.
     """
     model = DecoupledRadianceField(config, seed=seed)
@@ -626,9 +540,8 @@ def _sparse_size_measurement(log2_size: int, n_points: int,
     # One arena per engine, as the trainer runs them: steady-state timing
     # then measures the algorithms, not allocator/page-fault traffic.
     dense_arena, coo_arena = WorkspaceArena(), WorkspaceArena()
-    dense = MultiResHashGrid(grid_config, rng=new_rng(0), sparse_mode=None,
-                             arena=dense_arena)
-    coo = MultiResHashGrid(grid_config, rng=new_rng(0), sparse_mode="coo",
+    dense = MultiResHashGrid(grid_config, rng=new_rng(0), arena=dense_arena)
+    coo = MultiResHashGrid(grid_config, rng=new_rng(0), sparse=True,
                            arena=coo_arena)
     dense_opt = Adam(dense.parameters(), lr=1e-2, arena=dense_arena)
     coo_opt = Adam(coo.parameters(), lr=1e-2, arena=coo_arena)
@@ -685,16 +598,13 @@ def _sparse_size_measurement(log2_size: int, n_points: int,
     }
 
 
-def bench_sparse(table_log2_sizes, repeats: int, differential_steps: int,
-                 phase_iterations: int, bum_trace_cap: int) -> dict:
+def bench_sparse(table_log2_sizes, repeats: int, phase_iterations: int,
+                 bum_trace_cap: int) -> dict:
     """Sparse-gradient backward + lazy optimiser vs the dense path.
 
-    Four sub-measurements:
+    Three sub-measurements (the COO-vs-dense-oracle trainer differential is
+    a tier-1 test, ``tests/test_sparse.py``):
 
-    * **differential** — ``differential_steps`` culled training steps under
-      ``sparse_updates=True``: the COO representation against its
-      dense-representation oracle (``sparse_oracle=True``), asserted
-      loss- and parameter-bit-identical;
     * **optimiser-step speedup vs table size** — standalone grids at
       increasing ``log2_hashmap_size`` (up to the paper-representative
       2^19-entry tables), a culling-level-sparsity batch, per-engine
@@ -717,25 +627,6 @@ def bench_sparse(table_log2_sizes, repeats: int, differential_steps: int,
                                   image_size=20)[0]
     base = dataclasses.replace(bench_config(0.25, 0.5), culling_enabled=True)
     coo_config = dataclasses.replace(base, sparse_updates=True)
-    oracle_config = dataclasses.replace(coo_config, sparse_oracle=True)
-
-    # Differential: COO vs dense-representation oracle, bit-identical.
-    def _probe(config):
-        trainer = Trainer(DecoupledRadianceField(config, seed=0), dataset,
-                          config=config, seed=0)
-        losses = [trainer.train_step()["loss"]
-                  for _ in range(differential_steps)]
-        return trainer, losses
-
-    coo_trainer, coo_losses = _probe(coo_config)
-    oracle_trainer, oracle_losses = _probe(oracle_config)
-    sparse_matches_dense = coo_losses == oracle_losses and all(
-        np.array_equal(a.data, b.data)
-        for a, b in zip(coo_trainer.model.parameters(),
-                        oracle_trainer.model.parameters()))
-    if not sparse_matches_dense:
-        raise AssertionError(
-            "COO sparse path deviates from its dense-representation oracle")
 
     n_points = int(round(SPARSE_KEEP_FRACTION * SPARSE_PAPER_BATCH))
     sizes = [_sparse_size_measurement(s, n_points, repeats)
@@ -779,8 +670,6 @@ def bench_sparse(table_log2_sizes, repeats: int, differential_steps: int,
     phases = {"dense": _phases(base), "sparse": _phases(coo_config)}
 
     return {
-        "differential_steps": differential_steps,
-        "sparse_matches_dense": bool(sparse_matches_dense),
         "keep_fraction": SPARSE_KEEP_FRACTION,
         "sizes": sizes,
         "sparse_optimizer_speedup": largest["optimizer_speedup"],
@@ -1320,7 +1209,6 @@ def main() -> None:
     args = parser.parse_args()
 
     if args.smoke:
-        engine_points, repeats = 16384, 2
         fleet_scenes, fleet_iterations, fleet_image = 2, 20, 20
         culling_iterations, culling_image = 120, 20
         ckpt_iterations, ckpt_image = 24, 20
@@ -1330,7 +1218,7 @@ def main() -> None:
         # the sparse-optimiser speedup must see paper-representative
         # sparsity, which small tables cannot exhibit.
         sparse_sizes, sparse_repeats = (14, 19), 3
-        sparse_diff_steps, sparse_phase_iters, bum_cap = 20, 20, 40000
+        sparse_phase_iters, bum_cap = 20, 40000
         # The schedule comparison keeps full-size steps even in smoke: the
         # merge-rate floor CI asserts is pinned to this exact deterministic
         # workload (seed, steps, trace cap), so shrinking it would change
@@ -1340,37 +1228,17 @@ def main() -> None:
         chaos_rounds, chaos_steps, chaos_image = 4, 2, 10
         div_steps, div_image, div_timing = 40, 12, 5
     else:
-        engine_points, repeats = ENGINE_BATCH, 9
         fleet_scenes, fleet_iterations, fleet_image = 3, 80, 28
         culling_iterations, culling_image = 150, 28
         ckpt_iterations, ckpt_image = 60, 28
         precision_iterations, precision_image = 150, 28
         precision_batch, precision_samples, precision_timing = 2048, 48, 10
         sparse_sizes, sparse_repeats = (14, 16, 19), 7
-        sparse_diff_steps, sparse_phase_iters, bum_cap = 20, 60, 120000
+        sparse_phase_iters, bum_cap = 60, 120000
         sched_ref_steps, sched_steps, sched_trace_steps, sched_cap = 20, 48, 4, 40000
         serve_clients, serve_requests, serve_image = 4, 12, 14
         chaos_rounds, chaos_steps, chaos_image = 6, 3, 14
         div_steps, div_image, div_timing = 80, 16, 9
-
-    engine = run_section(bench_grid_engine, engine_points, repeats)
-    if not _announce_skip("Grid-query engine", engine):
-        rows = []
-        for name, t in engine["timings"].items():
-            rows.append([name, f"{t['forward_s'] * 1e3:.1f}",
-                         f"{t['backward_s'] * 1e3:.1f}",
-                         f"{t['points_per_s'] / 1e3:.0f}k"])
-        rows.append(["speedup (fused vs loop)", "", "",
-                     f"{engine['speedup']:.2f}x"])
-        print_report(
-            f"Grid-query engine throughput ({engine_points} points, "
-            f"L={ENGINE_GRID.n_levels})",
-            ["engine", "forward (ms)", "backward (ms)", "points/s"],
-            rows,
-        )
-        print(f"forward max |diff|: {engine['forward_max_abs_diff']:.2e}   "
-              f"grad max |diff|: {engine['grad_max_abs_diff']:.2e}   "
-              f"traces identical: {engine['traces_identical']}")
 
     culling = run_section(bench_dense_vs_culled, culling_iterations,
                           culling_image)
@@ -1461,7 +1329,7 @@ def main() -> None:
               f"{alloc['large_allocs_per_iter_steady']}")
 
     sparse = run_section(bench_sparse, sparse_sizes, sparse_repeats,
-                         sparse_diff_steps, sparse_phase_iters, bum_cap)
+                         sparse_phase_iters, bum_cap)
     if not _announce_skip("Sparse updates", sparse):
         print_report(
             f"Sparse updates: dense Adam vs COO + lazy step "
@@ -1481,10 +1349,7 @@ def main() -> None:
         )
         bum = sparse["bum"]
         phase = sparse["phase_ms_per_iter"]
-        print(f"sparse matches dense oracle over "
-              f"{sparse['differential_steps']} "
-              f"steps: {sparse['sparse_matches_dense']}   "
-              f"BUM merge rate {bum['bum_merge_rate']:.3f} / write reduction "
+        print(f"BUM merge rate {bum['bum_merge_rate']:.3f} / write reduction "
               f"{bum['bum_write_reduction']:.3f} vs software perfect-merge "
               f"{bum['software_write_reduction']:.3f}")
         print("phase ms/iter (dense -> sparse): "
@@ -1606,7 +1471,7 @@ def main() -> None:
             f"{divergence['fault_seeds']})",
             ["metric", "value"], rows)
 
-    payload = {"engine": engine, "culling": culling, "fleet": fleet,
+    payload = {"culling": culling, "fleet": fleet,
                "checkpoint": checkpoint, "precision": precision,
                "sparse": sparse,
                "scheduling": scheduling, "serving": serving, "chaos": chaos,

@@ -96,7 +96,7 @@ class Instant3DConfig:
     batch_pixels: int = 256
     learning_rate: float = 1e-2
     white_background: bool = True
-    #: Upper bound on points per fused grid-query chunk (None = unchunked);
+    #: Upper bound on points per grid-query chunk (None = unchunked);
     #: bounds the grid engine's transient working set for evaluation renders
     #: and large batches (the per-query access trace still scales with N).
     max_chunk_points: Optional[int] = None
@@ -156,11 +156,11 @@ class Instant3DConfig:
     #: compares against).
     reuse_workspace: bool = True
     #: Make gradient sparsity first-class from backward scatter to optimiser
-    #: step: the hash-grid backward emits compacted per-level
-    #: ``(unique_addresses, accumulated_grads)`` COO pairs instead of dense
-    #: gradient tables, and Adam applies touched-rows-only lazy updates to
-    #: the tables (untouched rows' moment decay deferred via closed-form
-    #: ``beta**k`` catch-up).  This mirrors the paper's backward-update
+    #: step: the hash-grid backward emits one compacted
+    #: ``(unique_addresses, accumulated_grads)`` COO pair per grid instead of
+    #: a dense gradient table, and Adam applies touched-rows-only lazy
+    #: updates to the tables (untouched rows' moment decay deferred via
+    #: closed-form ``beta**k`` catch-up).  This mirrors the paper's backward-update
     #: -merging hardware, which only writes touched entries back to SRAM;
     #: per-step optimiser cost then scales with the touched rows (~8% of a
     #: culled batch's candidate set) instead of the table size.  Untouched
@@ -170,12 +170,6 @@ class Instant3DConfig:
     #: (the default) keeps the dense path, bit-identical to previous
     #: releases.
     sparse_updates: bool = False
-    #: With ``sparse_updates=True``: keep the *dense-representation oracle*
-    #: instead of the COO pairs — dense gradient tables, with the optimiser
-    #: deriving the touched rows from their non-zero entries and applying
-    #: the identical lazy arithmetic.  Bit-identical to the COO path at
-    #: dense cost; exists for differential testing.
-    sparse_oracle: bool = False
     #: Numerical-health guardrails (see
     #: :class:`~repro.reliability.health.HealthPolicy`): divergence
     #: detection wired into every train step plus snapshot-and-rollback
@@ -191,10 +185,6 @@ class Instant3DConfig:
                 f"got {self.compute_dtype!r}")
         if self.max_chunk_points is not None and self.max_chunk_points < 1:
             raise ValueError("max_chunk_points must be >= 1 or None")
-        if self.sparse_oracle and not self.sparse_updates:
-            raise ValueError(
-                "sparse_oracle=True requires sparse_updates=True (it selects "
-                "the dense-representation oracle of the sparse-update mode)")
         if self.occupancy_resolution < 2:
             raise ValueError("occupancy_resolution must be >= 2")
         if self.occupancy_update_every < 1:
@@ -333,15 +323,6 @@ class Instant3DConfig:
     def precision_policy(self) -> PrecisionPolicy:
         """The :class:`~repro.utils.precision.PrecisionPolicy` of this config."""
         return resolve_policy(self.compute_dtype)
-
-    # -- sparsity ----------------------------------------------------------------
-    @property
-    def grid_sparse_mode(self) -> Optional[str]:
-        """The hash grids' backward representation: None, ``"coo"`` or
-        ``"oracle"`` (see :attr:`sparse_updates` / :attr:`sparse_oracle`)."""
-        if not self.sparse_updates:
-            return None
-        return "oracle" if self.sparse_oracle else "coo"
 
     # -- derived grid configs ------------------------------------------------------
     @property

@@ -34,14 +34,13 @@ class DecoupledGridEncoder:
     def __init__(self, config: Instant3DConfig, seed: int = 0):
         self.config = config
         policy = config.precision_policy
-        sparse_mode = config.grid_sparse_mode
         self.density_grid = MultiResHashGrid(
             config.density_grid_config,
             rng=derive_rng(seed, "density_grid"),
             name="density_grid",
             max_chunk_points=config.max_chunk_points,
             policy=policy,
-            sparse_mode=sparse_mode,
+            sparse=config.sparse_updates,
         )
         self.color_grid = MultiResHashGrid(
             config.color_grid_config,
@@ -49,7 +48,7 @@ class DecoupledGridEncoder:
             name="color_grid",
             max_chunk_points=config.max_chunk_points,
             policy=policy,
-            sparse_mode=sparse_mode,
+            sparse=config.sparse_updates,
         )
 
     def set_arena(self, arena: Optional[WorkspaceArena]) -> None:
@@ -94,7 +93,7 @@ class DecoupledGridEncoder:
 
     def last_touched_rows(self) -> Dict[str, Optional[int]]:
         """Unique table rows touched by each branch's most recent backward
-        (``None`` for a branch whose fused backward has not run)."""
+        (``None`` for a branch whose backward has not run)."""
         return {
             "density": self.density_grid.last_touched_rows,
             "color": self.color_grid.last_touched_rows,

@@ -9,10 +9,11 @@ stored in compact 1-D hash tables and queried by trilinear interpolation
   ``pi1 = 1``, ``pi2 = 2654435761`` and ``pi3 = 805459861``.
 * :mod:`repro.grid.interpolation` — corner enumeration and trilinear weights
   with their backward pass.
-* :mod:`repro.grid.hash_encoding` — per-level tables,
-  :class:`~repro.grid.hash_encoding.MultiResHashGrid`, and the access-trace
-  export consumed by the accelerator simulator and by the memory-access
-  analyses of Figs. 8-10.
+* :mod:`repro.grid.hash_encoding` —
+  :class:`~repro.grid.hash_encoding.MultiResHashGrid`, the one grid-query
+  engine (all levels in a single stacked pass over one backing table), and
+  the access-trace export consumed by the accelerator simulator and by the
+  memory-access analyses of Figs. 8-10.
 """
 
 from repro.grid.hash_function import PI1, PI2, PI3, spatial_hash, dense_index

@@ -1,6 +1,6 @@
 """Multiresolution hash-grid embedding (Instant-NGP's "3D embedding grid").
 
-A :class:`MultiResHashGrid` is a stack of :class:`HashGridLevel` objects of
+A :class:`MultiResHashGrid` stacks ``L`` levels (:class:`HashGridLevel`) of
 geometrically increasing resolution.  Each level stores ``F`` features per
 vertex in a 1-D table (dense for coarse levels, hashed for fine levels).
 Querying a batch of 3-D points returns the concatenation of every level's
@@ -16,22 +16,16 @@ a color grid) with different ``size_scale`` factors; see
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.grid.hash_function import _MASK32, PI1, PI2, PI3, dense_index, spatial_hash
-from repro.grid.interpolation import (
-    CORNER_OFFSETS,
-    interpolate,
-    interpolate_backward,
-    trilinear_weights,
-)
+from repro.grid.hash_function import _MASK32, PI1, PI2, PI3
 from repro.nn.parameter import Parameter, flat_pair_view
 from repro.utils.morton import morton_encode_3d
 from repro.utils.precision import PrecisionPolicy, resolve_policy
-from repro.utils.workspace import WorkspaceArena, arena_buffer, arena_zeros
+from repro.utils.workspace import WorkspaceArena, arena_buffer
 
 #: Bytes per stored feature (FP16 in the accelerator and in Instant-NGP).
 FEATURE_BYTES = 2
@@ -118,27 +112,54 @@ class HashGridConfig:
         )
 
 
-@dataclass
 class GridAccessRecord:
     """Addresses and weights touched by one grid query (one batch of points).
 
-    ``addresses`` and ``weights`` are lists with one ``(N, 8)`` array per
-    level; ``level_offsets`` gives each level's base offset inside the
+    Backed by the engine's level-major ``(8, L, N)`` corner planes (one
+    contiguous ``(N,)`` row per corner and level, so every engine pass
+    streams full cache lines): ``address_planes`` holds *global*
+    (level-offset) table addresses and ``weight_planes`` the trilinear
+    weights.  ``level_offsets`` gives each level's base offset inside the
     concatenated 1-D storage so traces can use globally unique addresses.
+    The per-level local ``(N, 8)`` views :attr:`addresses` and
+    :attr:`weights` are materialised lazily on first access, keeping trace
+    bookkeeping off the query hot path.
     """
 
-    addresses: List[np.ndarray] = field(default_factory=list)
-    weights: List[np.ndarray] = field(default_factory=list)
-    level_offsets: List[int] = field(default_factory=list)
-    table_sizes: List[int] = field(default_factory=list)
+    def __init__(self, address_planes: np.ndarray, weight_planes: np.ndarray,
+                 level_offsets: List[int], table_sizes: List[int]):
+        self.address_planes = address_planes
+        self.weight_planes = weight_planes
+        self.level_offsets = list(level_offsets)
+        self.table_sizes = list(table_sizes)
+        self._addresses: Optional[List[np.ndarray]] = None
+        self._weights: Optional[List[np.ndarray]] = None
+
+    @property
+    def addresses(self) -> List[np.ndarray]:
+        """Per-level local ``(N, 8)`` table addresses."""
+        if self._addresses is None:
+            self._addresses = [
+                self.address_planes[:, level, :].T - offset
+                for level, offset in enumerate(self.level_offsets)
+            ]
+        return self._addresses
+
+    @property
+    def weights(self) -> List[np.ndarray]:
+        """Per-level ``(N, 8)`` trilinear weights."""
+        if self._weights is None:
+            self._weights = [self.weight_planes[:, level, :].T
+                             for level in range(self.n_levels)]
+        return self._weights
 
     @property
     def n_points(self) -> int:
-        return 0 if not self.addresses else int(self.addresses[0].shape[0])
+        return int(self.address_planes.shape[2])
 
     @property
     def n_levels(self) -> int:
-        return len(self.addresses)
+        return len(self.table_sizes)
 
     def flat_addresses(self, level: Optional[int] = None) -> np.ndarray:
         """Global (level-offset) addresses, flattened in access order.
@@ -148,89 +169,23 @@ class GridAccessRecord:
         pipeline of the accelerator.
         """
         if level is not None:
-            return (self.addresses[level] + self.level_offsets[level]).reshape(-1)
-        parts = [
-            (addr + offset).reshape(-1)
-            for addr, offset in zip(self.addresses, self.level_offsets)
-        ]
-        return np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
-
-    def total_accesses(self) -> int:
-        """Total number of individual vertex-embedding reads."""
-        return int(sum(a.size for a in self.addresses))
-
-
-class _PlanesAccessRecord(GridAccessRecord):
-    """Access record backed by the fused engine's corner planes.
-
-    The fused engine stores *global* (level-offset) addresses in contiguous
-    level-major ``(8, L, N)`` corner planes (one contiguous ``(N,)`` row per
-    corner and level, so every engine pass streams full cache lines); the
-    per-level local ``(N, 8)`` address arrays of the
-    :class:`GridAccessRecord` interface are materialised lazily on first
-    access, keeping trace bookkeeping off the query hot path.  All derived
-    views are value-identical to the per-level engine's record.
-    """
-
-    def __init__(self, global_planes: np.ndarray, weight_planes: np.ndarray,
-                 level_offsets: List[int], table_sizes: List[int]):
-        # Deliberately does not call the dataclass __init__: the address and
-        # weight lists are exposed through lazy properties instead of fields.
-        self._global_planes = global_planes
-        self._weight_planes = weight_planes
-        self._level_offsets = list(level_offsets)
-        self._table_sizes = list(table_sizes)
-        self._local_addresses: Optional[List[np.ndarray]] = None
-        self._local_weights: Optional[List[np.ndarray]] = None
-
-    @property
-    def addresses(self) -> List[np.ndarray]:
-        if self._local_addresses is None:
-            self._local_addresses = [
-                self._global_planes[:, level, :].T - offset
-                for level, offset in enumerate(self._level_offsets)
-            ]
-        return self._local_addresses
-
-    @property
-    def weights(self) -> List[np.ndarray]:
-        if self._local_weights is None:
-            self._local_weights = [
-                self._weight_planes[:, level, :].T
-                for level in range(len(self._table_sizes))
-            ]
-        return self._local_weights
-
-    @property
-    def level_offsets(self) -> List[int]:
-        return self._level_offsets
-
-    @property
-    def table_sizes(self) -> List[int]:
-        return self._table_sizes
-
-    @property
-    def n_points(self) -> int:
-        return int(self._global_planes.shape[2])
-
-    @property
-    def n_levels(self) -> int:
-        return len(self._table_sizes)
-
-    def flat_addresses(self, level: Optional[int] = None) -> np.ndarray:
-        if level is not None:
             return np.ascontiguousarray(
-                self._global_planes[:, level, :].T).reshape(-1).astype(
+                self.address_planes[:, level, :].T).reshape(-1).astype(
                     np.int64, copy=False)
         parts = [self.flat_addresses(level) for level in range(self.n_levels)]
         return np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
 
     def total_accesses(self) -> int:
-        return int(self._global_planes.size)
+        """Total number of individual vertex-embedding reads."""
+        return int(self.address_planes.size)
 
 
 class HashGridLevel:
-    """A single resolution level of the multiresolution hash grid."""
+    """Metadata and table view of one resolution level of the grid.
+
+    The level's ``table`` is a view into the owning grid's single backing
+    table; it is what checkpoints serialise (``<grid>.level<i>.table``).
+    """
 
     def __init__(self, resolution: int, max_entries: int, n_features: int,
                  rng: np.random.Generator, name: str = "level"):
@@ -246,77 +201,25 @@ class HashGridLevel:
         init = rng.uniform(-1e-4, 1e-4, size=(self.table_size, self.n_features))
         self.table = Parameter(init, name=f"{name}.table")
 
-    # -- indexing -----------------------------------------------------------
-    def vertex_addresses(self, vertex_coords: np.ndarray) -> np.ndarray:
-        """Map integer vertex coordinates of shape (..., 3) to table indices."""
-        if self.is_dense:
-            return dense_index(vertex_coords, self.resolution)
-        # Corners derive from points clipped to [0, 1]^3, so they are
-        # structurally non-negative; skip the hash's validation scan.
-        return spatial_hash(vertex_coords, self.table_size, validate=False)
-
-    # -- forward / backward -------------------------------------------------
-    def forward(self, points: np.ndarray, dtype=np.float64):
-        """Interpolate embeddings for ``points`` in ``[0, 1]^3``.
-
-        Returns ``(embeddings, addresses, weights)`` where ``embeddings`` is
-        ``(N, F)`` and the other two are ``(N, 8)`` caches reused by
-        :meth:`backward` and exported for access tracing.  ``dtype`` is the
-        compute precision of the weights and accumulation (float64 is the
-        bit-exact reference path).
-        """
-        points = np.clip(np.asarray(points, dtype=dtype), 0.0, 1.0)
-        scaled = points * np.asarray(self.resolution, dtype=dtype)
-        base = np.floor(scaled).astype(np.int64)
-        base = np.minimum(base, self.resolution - 1)
-        frac = (scaled - base).astype(dtype)
-        corners = base[:, None, :] + CORNER_OFFSETS[None, :, :]   # (N, 8, 3)
-        addresses = self.vertex_addresses(corners)                # (N, 8)
-        weights = trilinear_weights(frac, dtype=dtype)            # (N, 8)
-        # mode="clip" skips numpy's per-element bounds check; hash and
-        # dense addresses are in range by construction.
-        corner_values = np.take(self.table.data, addresses, axis=0,
-                                mode="clip")                      # (N, 8, F)
-        embeddings = interpolate(corner_values, weights, dtype=dtype)
-        return embeddings.astype(np.float32), addresses, weights
-
-    def backward(self, grad_embeddings: np.ndarray, addresses: np.ndarray,
-                 weights: np.ndarray, dtype=np.float64) -> None:
-        """Scatter-add the embedding gradient into the table gradient."""
-        corner_grads = interpolate_backward(grad_embeddings, weights,
-                                            dtype=dtype)          # (N, 8, F)
-        flat_addr = addresses.reshape(-1)
-        flat_grads = corner_grads.reshape(-1, self.n_features)
-        grad_table = np.zeros(self.table.grad.shape, dtype=np.float64)
-        np.add.at(grad_table, flat_addr, flat_grads)
-        self.table.accumulate_grad(grad_table.astype(np.float32))
-
-    # -- bookkeeping ---------------------------------------------------------
     @property
     def storage_bytes(self) -> int:
         """Bytes of FP16 storage this level occupies in the hash table."""
         return self.table_size * self.n_features * FEATURE_BYTES
 
-    def parameters(self) -> List[Parameter]:
-        return [self.table]
-
 
 class MultiResHashGrid:
     """Multiresolution hash-grid encoder with access tracing.
 
-    Two query engines share one set of per-level tables:
-
-    * the **fused engine** (default) computes corner addresses and trilinear
-      weights for all ``L`` levels in one stacked ``(N, L, 8)`` pass, gathers
-      from a single concatenated feature table, and back-propagates with a
-      ``np.bincount``-based scatter over the touched addresses;
-    * the **per-level loop** walks :class:`HashGridLevel` objects one at a
-      time — the original reference path, kept switchable (``fused=False``)
-      for differential testing and the throughput benchmark.
-
-    Both engines produce the same embeddings and bit-identical
-    :class:`GridAccessRecord` traces, so the accelerator simulator and the
-    Figs. 8-10 analyses are unaffected by which engine ran.
+    One engine serves every query: it computes corner addresses and
+    trilinear weights for all ``L`` levels in one stacked ``(N, L, 8)`` pass,
+    gathers from the grid's single backing feature table, and
+    back-propagates with a ``np.bincount``-based scatter over the touched
+    addresses.  Its :class:`GridAccessRecord` traces feed the accelerator
+    simulator and the Figs. 8-10 analyses.  The test suite holds a frozen
+    per-level loop built from the scalar Eq. 3 helpers
+    (:mod:`repro.grid.hash_function`, :mod:`repro.grid.interpolation`) that
+    this engine is checked against: equal embeddings and gradients, and
+    bit-identical traces.
 
     Parameters
     ----------
@@ -327,17 +230,13 @@ class MultiResHashGrid:
     name:
         Prefix for parameter names (useful when two grids coexist, e.g. the
         Instant-3D density and color grids).
-    fused:
-        Select the fused stacked-kernel engine (default) or the per-level
-        loop.  May be toggled at runtime via the ``fused`` attribute.
     max_chunk_points:
         When set, queries larger than this many points are processed in
         chunks of at most ``max_chunk_points``, bounding the engine's
         transient working set (per-axis lattices, hash products, gather and
         accumulation buffers) and keeping each chunk's planes inside the
         cache hierarchy.  The access-trace planes themselves (addresses and
-        weights, the same footprint the per-level engine's record has)
-        necessarily still scale with the batch size.  The concatenated
+        weights) necessarily still scale with the batch size.  The concatenated
         outputs and access record are identical to the unchunked query.
     policy:
         Compute-precision policy (``None`` resolves to the float64
@@ -352,36 +251,33 @@ class MultiResHashGrid:
         ``None`` allocates fresh arrays per call (the original semantics).
         With an arena attached, the returned embeddings and the access
         record of a query are only valid until the next ``forward`` call.
-    sparse_mode:
-        Gradient representation of the backward pass.  ``None`` (default)
-        keeps the dense gradient table.  ``"coo"`` makes :meth:`backward`
-        emit one compacted ``(unique_addresses, accumulated_grads)`` COO
-        pair (:class:`~repro.nn.parameter.SparseGrad`) over the grid's
-        backing table instead of expanding to dense zeros — the scatter
-        trace is deduplicated with a first-touch address map + segment-sum
-        whose per-row sums are **bit-identical** to the dense
-        ``np.bincount`` scatter — and flags the table for the optimiser's
-        touched-rows-only lazy update.
-        ``"oracle"`` keeps the dense gradient representation (this exact
-        backward) while still flagging the table for lazy updates: the
-        bit-exact dense-representation oracle the COO path is
-        differentially tested against.  In ``"coo"`` mode the emitted
-        arrays live in the arena (valid for one optimiser step) and the
-        dense ``grad`` table is never written nor cleared.
+    sparse:
+        Gradient representation of the backward pass.  ``False`` (default)
+        scatters into the dense gradient table.  ``True`` makes
+        :meth:`backward` emit one compacted ``(unique_addresses,
+        accumulated_grads)`` COO pair
+        (:class:`~repro.nn.parameter.SparseGrad`) over the grid's backing
+        table instead of expanding to dense zeros — the scatter trace is
+        deduplicated with a first-touch address map + segment-sum whose
+        per-row sums are **bit-identical** to the dense ``np.bincount``
+        scatter — and flags the table for the optimiser's touched-rows-only
+        lazy update.  The emitted arrays live in the arena (valid for one
+        optimiser step) and the dense ``grad`` table is never written nor
+        cleared.
     """
 
     def __init__(self, config: HashGridConfig, rng: np.random.Generator,
-                 name: str = "grid", fused: bool = True,
+                 name: str = "grid",
                  max_chunk_points: Optional[int] = None,
                  policy: Optional[PrecisionPolicy] = None,
                  arena: Optional[WorkspaceArena] = None,
-                 sparse_mode: Optional[str] = None):
+                 sparse: bool = False):
         if max_chunk_points is not None and max_chunk_points < 1:
             raise ValueError("max_chunk_points must be >= 1 or None")
-        # sparse_mode is validated by set_sparse_mode (called below).
+        if sparse not in (False, True):
+            raise ValueError(f"sparse must be a bool, got {sparse!r}")
         self.config = config
         self.name = name
-        self.fused = bool(fused)
         self.max_chunk_points = max_chunk_points
         self.policy = resolve_policy(policy)
         self.arena = arena
@@ -396,7 +292,7 @@ class MultiResHashGrid:
                     name=f"{name}.level{level_idx}",
                 )
             )
-        # Per-level constants of the fused engine, precomputed as arrays so a
+        # Per-level constants of the engine, precomputed as arrays so a
         # query touches no Python-level per-level loop.  Resolutions live in
         # the compute dtype so the scale multiply stays in-policy; the planes
         # are level-major, so per-level constants are kept as (L, 1) columns.
@@ -405,15 +301,14 @@ class MultiResHashGrid:
         self._max_base = np.array([l.resolution - 1 for l in self.levels],
                                   dtype=np.int64)
         sizes = np.array([l.table_size for l in self.levels], dtype=np.int64)
-        self._table_sizes_arr = sizes
         self._offsets_arr = np.concatenate(([0], np.cumsum(sizes)[:-1])).astype(np.int64)
         self._level_bounds = np.concatenate(([0], np.cumsum(sizes))).astype(np.int64)
         dense_mask = np.array([l.is_dense for l in self.levels], dtype=bool)
         self._dense_idx = np.flatnonzero(dense_mask)
         self._hash_idx = np.flatnonzero(~dense_mask)
         # Dense levels always form a prefix (level resolutions are
-        # nondecreasing while the table budget is constant); the fused
-        # engine's grouped level slices rely on that.
+        # nondecreasing while the table budget is constant); the engine's
+        # grouped level slices rely on that.
         if self._dense_idx.size and int(self._dense_idx[-1]) != self._dense_idx.size - 1:
             raise RuntimeError("dense levels must form a prefix of the level stack")
         self._dense_strides = np.array(
@@ -424,12 +319,11 @@ class MultiResHashGrid:
             ((hash_sizes & (hash_sizes - 1)) == 0).all()) if hash_sizes.size else True
         # One backing Parameter holds every level's rows contiguously — "the
         # hash table" of this grid.  The per-level Parameters are rebound to
-        # views into it, so the fused engine gathers from the backing
-        # directly (no per-forward concatenation copy) and the optimiser
-        # sees the whole grid as a single table: one gather/scatter set per
-        # (sparse) update instead of one per level.  Level-local reads and
-        # in-place writes (per-level loop engine, checkpoints, tests) keep
-        # working through the views.
+        # views into it, so the engine gathers from the backing directly (no
+        # per-forward concatenation copy) and the optimiser sees the whole
+        # grid as a single table: one gather/scatter set per (sparse) update
+        # instead of one per level.  Level-local reads and in-place writes
+        # (checkpoints, tests) keep working through the views.
         backing = np.concatenate([level.table.data for level in self.levels],
                                  axis=0)
         self.table = Parameter(backing, name=f"{name}.tables")
@@ -466,49 +360,27 @@ class MultiResHashGrid:
                                 for pi in (PI1, PI2, PI3))
         self._hash_sizes_col = self._hash_sizes_u64.astype(
             self._hash_dtype)[:, None]
+        self._record_layout = ([int(offset) for offset in self._offsets_arr],
+                               [int(size) for size in sizes])
         self._last_access: Optional[GridAccessRecord] = None
-        self._last_points: Optional[np.ndarray] = None
-        self._last_addr_planes: Optional[np.ndarray] = None
-        self._last_weight_planes: Optional[np.ndarray] = None
         # The trainable surface is the single backing table.
         self._params: List[Parameter] = [self.table]
-        self.sparse_mode: Optional[str] = None
-        #: Sparsity statistics of the most recent fused backward: touched
-        #: (unique, non-zero) table rows across all levels, and the raw
-        #: scatter-update count (8 corner updates per (level, point) pair).
-        #: ``None`` until a fused backward has run.
+        #: Sparsity statistics of the most recent backward: touched (unique,
+        #: non-zero) table rows across all levels, and the raw scatter-update
+        #: count (8 corner updates per (level, point) pair).  ``None`` until
+        #: a backward has run.
         self.last_touched_rows: Optional[int] = None
         self.last_scatter_updates: Optional[int] = None
-        #: COO backward's first-touch map (mark, slot), table-length arrays
-        #: allocated when the grid first enters COO mode.
+        self.sparse = bool(sparse)
+        #: COO backward's first-touch map (mark, slot): table-length arrays,
+        #: allocated for sparse grids only.
         self._first_touch: Optional[Tuple[np.ndarray, np.ndarray]] = None
-        self.set_sparse_mode(sparse_mode)
-
-    def set_sparse_mode(self, sparse_mode: Optional[str]) -> None:
-        """Select the backward gradient representation (see class docs).
-
-        Flags every level table for the optimiser: both sparse modes mark
-        the tables for touched-rows-only lazy updates; ``"coo"``
-        additionally routes gradients through the COO slot so the dense
-        tables are never written (nor cleared per step).
-        """
-        if sparse_mode not in (None, "coo", "oracle"):
-            raise ValueError(
-                f"sparse_mode must be None, 'coo' or 'oracle', got {sparse_mode!r}")
-        self.sparse_mode = sparse_mode
-        if sparse_mode == "coo" and self._first_touch is None:
+        if self.sparse:
             total = int(self._level_bounds[-1])
             self._first_touch = (np.zeros(total, dtype=bool),
                                  np.zeros(total, dtype=np.int64))
-        for param in [self.table] + [level.table for level in self.levels]:
-            param.sparse = sparse_mode is not None
-            param.coo_grads = sparse_mode == "coo"
-            param.sparse_grad = None
-        # Clear unconditionally: entering COO mode with a stale dense
-        # gradient would otherwise violate the all-zero dense-grad
-        # invariant permanently (zero_grad skips the dense clear in COO
-        # mode), and the oracle/dense modes expect a clean accumulator.
-        self.table.grad.fill(0.0)
+            for param in [self.table] + [level.table for level in self.levels]:
+                param.sparse = True
 
     def set_arena(self, arena: Optional[WorkspaceArena]) -> None:
         """Attach (or detach) a workspace arena for query-plane reuse."""
@@ -518,9 +390,9 @@ class MultiResHashGrid:
         """Engine scratch buffer, namespaced by this grid's name."""
         return arena_buffer(self.arena, f"{self.name}/{key}", shape, dtype)
 
-    # -- fused engine internals ---------------------------------------------
+    # -- engine internals ---------------------------------------------------
     #
-    # The fused engine works in a corner-major, level-major "plane" layout:
+    # The engine works in a corner-major, level-major "plane" layout:
     # addresses and weights live in contiguous ``(8, L, N)`` arrays, one
     # plane per cube corner with one contiguous row per level.  Every
     # arithmetic pass then streams over a flat ``(L, N)`` block — no
@@ -535,15 +407,7 @@ class MultiResHashGrid:
     #: dy = bit 1, dz = bit 2).
     _CORNER_XY_Z = ((0, 0), (1, 0), (2, 0), (3, 0), (0, 1), (1, 1), (2, 1), (3, 1))
 
-    def _concat_table(self) -> np.ndarray:
-        """The concatenated ``(T, F)`` feature table of all levels.
-
-        Since the per-level tables are views into the single backing
-        Parameter, this is the backing's data itself — no per-query copy.
-        """
-        return self.table.data
-
-    def _fused_query_into(self, points: np.ndarray, table: np.ndarray,
+    def _query_into(self, points: np.ndarray, table: np.ndarray,
                           addr_planes: np.ndarray, weight_planes: np.ndarray,
                           out: np.ndarray) -> None:
         """One stacked-kernel query: all levels of one point chunk at once.
@@ -552,8 +416,8 @@ class MultiResHashGrid:
         embeddings and the planes are level-major ``(8, L, N)`` arrays
         holding, per cube corner, the *global* (level-offset) table address
         (int64) and trilinear weight (compute-dtype) of every
-        (level, point) pair.  ``table`` is the concatenated feature table
-        from :meth:`_concat_table`.  Every temporary comes from the
+        (level, point) pair.  ``table`` is the backing ``(T, F)`` feature
+        table of all levels.  Every temporary comes from the
         workspace arena when one is attached, so steady-state queries
         allocate nothing.
         """
@@ -720,15 +584,6 @@ class MultiResHashGrid:
                 acc += tmp
             out.reshape(n, n_levels, f)[...] = acc.transpose(1, 0, 2)
 
-    def _record_from_planes(self, addr_planes: np.ndarray,
-                            weight_planes: np.ndarray) -> GridAccessRecord:
-        """Lazy access record over the global-address corner planes."""
-        return _PlanesAccessRecord(
-            addr_planes, weight_planes,
-            [int(offset) for offset in self._offsets_arr],
-            [int(size) for size in self._table_sizes_arr],
-        )
-
     def point_sort_keys(self, points_unit: np.ndarray) -> np.ndarray:
         """Morton code of each point's finest-level voxel (locality sort key).
 
@@ -755,97 +610,45 @@ class MultiResHashGrid:
         points = np.asarray(points, dtype=self.policy.dtype)
         if points.ndim != 2 or points.shape[1] != 3:
             raise ValueError(f"points must have shape (N, 3), got {points.shape}")
-        if not self.fused:
-            return self._forward_loop(points)
         n = points.shape[0]
         n_levels = len(self.levels)
         out = self._buf("out", (n, self.config.n_output_features), np.float32)
         addr_planes = self._buf("addr_planes", (8, n_levels, n), np.int64)
         weight_planes = self._buf("weight_planes", (8, n_levels, n),
                                   self.policy.dtype)
-        table = self._concat_table()
         chunk = self.max_chunk_points if self.max_chunk_points is not None else max(n, 1)
         for start in range(0, n, chunk):
             stop = min(start + chunk, n)
-            self._fused_query_into(points[start:stop], table,
-                                   addr_planes[:, :, start:stop],
-                                   weight_planes[:, :, start:stop],
-                                   out[start:stop])
-        self._last_addr_planes = addr_planes
-        self._last_weight_planes = weight_planes
-        self._last_access = self._record_from_planes(addr_planes, weight_planes)
-        self._last_points = points
+            self._query_into(points[start:stop], self.table.data,
+                             addr_planes[:, :, start:stop],
+                             weight_planes[:, :, start:stop],
+                             out[start:stop])
+        self._last_access = GridAccessRecord(addr_planes, weight_planes,
+                                             *self._record_layout)
         return out
-
-    def _forward_loop(self, points: np.ndarray) -> np.ndarray:
-        """Reference per-level query loop (the pre-fusion engine)."""
-        record = GridAccessRecord()
-        outputs = []
-        offset = 0
-        for level in self.levels:
-            emb, addresses, weights = level.forward(points,
-                                                    dtype=self.policy.dtype)
-            outputs.append(emb)
-            record.addresses.append(addresses)
-            record.weights.append(weights)
-            record.level_offsets.append(offset)
-            record.table_sizes.append(level.table_size)
-            offset += level.table_size
-        self._last_addr_planes = None
-        self._last_weight_planes = None
-        self._last_access = record
-        self._last_points = points
-        return np.concatenate(outputs, axis=1)
 
     def backward(self, grad_embeddings: np.ndarray) -> None:
         """Back-propagate the concatenated embedding gradient into the tables.
 
-        Must be called after :meth:`forward`; uses the cached addresses and
-        weights from the most recent query.
+        Must be called after :meth:`forward`; uses the corner planes of the
+        most recent query.  Per-corner gradients of all levels are
+        accumulated with ``np.bincount`` over global (level-offset)
+        addresses, and only the touched table rows receive float32 updates
+        (dense) or are emitted as one COO pair (``sparse``, see
+        :meth:`_scatter_sparse`).  Chunked queries fill one set of planes,
+        so chunked and unchunked backward passes agree.
         """
-        if self._last_access is None:
+        record = self._last_access
+        if record is None:
             raise RuntimeError("backward called before forward")
         grad_embeddings = np.asarray(grad_embeddings, dtype=self.policy.dtype)
-        expected = (self._last_access.n_points, self.config.n_output_features)
+        expected = (record.n_points, self.config.n_output_features)
         if grad_embeddings.shape != expected:
             raise ValueError(
                 f"grad_embeddings shape {grad_embeddings.shape} does not match {expected}"
             )
-        if self.fused or self.sparse_mode == "coo":
-            # COO emission always runs through the fused scatter (it can
-            # rebuild the corner planes from a per-level-engine record).
-            self._backward_fused(grad_embeddings)
-            return
-        f = self.config.n_features_per_level
-        for idx, level in enumerate(self.levels):
-            grad_slice = grad_embeddings[:, idx * f:(idx + 1) * f]
-            level.backward(
-                grad_slice,
-                self._last_access.addresses[idx],
-                self._last_access.weights[idx],
-                dtype=self.policy.dtype,
-            )
-
-    def _backward_fused(self, grad_embeddings: np.ndarray) -> None:
-        """Fused scatter of embedding gradients into every level's table.
-
-        Per-corner gradients of all levels are accumulated with
-        ``np.bincount`` over global (level-offset) addresses — replacing the
-        per-level dense-zeros + ``np.add.at`` scatter — and only the touched
-        table rows receive float32 updates.  Chunks accumulate into one
-        float64 buffer, so chunked and unchunked backward passes agree.
-        """
-        addr_planes = self._last_addr_planes
-        weight_planes = self._last_weight_planes
-        if addr_planes is None or weight_planes is None:
-            # Forward ran on the per-level engine; rebuild the (global-
-            # address, level-major) corner planes from its record.
-            local = np.stack(self._last_access.addresses, axis=1)   # (N, L, 8)
-            addr_planes = np.ascontiguousarray(np.transpose(
-                local + np.asarray(self._last_access.level_offsets
-                                   )[None, :, None], (2, 1, 0)))
-            weight_planes = np.ascontiguousarray(np.transpose(
-                np.stack(self._last_access.weights, axis=1), (2, 1, 0)))
+        addr_planes = record.address_planes
+        weight_planes = record.weight_planes
         n = grad_embeddings.shape[0]
         n_levels = len(self.levels)
         f = self.config.n_features_per_level
@@ -862,7 +665,7 @@ class MultiResHashGrid:
             fg = self._buf(f"bwd/fg{j}", (n_levels, n), grad_embeddings.dtype)
             fg[...] = grad3[:, :, j].T
             feature_grads.append(fg)
-        if self.sparse_mode == "coo":
+        if self.sparse:
             self._scatter_sparse(addr_planes, weight_planes, feature_grads,
                                  n, f)
             return

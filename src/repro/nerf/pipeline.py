@@ -29,8 +29,8 @@ never uses it, so gradients are unaffected.
 
 With ``culling_enabled=False`` (and no early termination) the pipeline
 executes exactly the dense sequence the pre-culling trainer ran —
-bit-identical outputs, preserved for differential testing the same way the
-grid engine keeps its ``fused=False`` reference path.
+bit-identical outputs, checked against the frozen reference trainer in the
+test suite.
 """
 
 from __future__ import annotations
@@ -288,7 +288,7 @@ class RenderPipeline:
 
         The block need not belong to a single request — the serving layer
         passes the concatenation of several requests' gathered samples, and
-        the fused grid engine streams it in ``max_chunk_points`` chunks
+        the grid engine streams it in ``max_chunk_points`` chunks
         regardless of where request boundaries fall.
         """
         if points is None:

@@ -28,12 +28,10 @@ only ever writes touched hash-table entries back to SRAM:
   steps after its last gradient — exactly the per-entry work (and SRAM
   traffic) the paper's hardware never performs.
 
-Gradients arrive either as a compacted COO pair
-(:attr:`Parameter.sparse_grad`, produced by the grid backward) or — the
-dense-representation *oracle* used for differential testing — as an ordinary
-dense ``grad`` array whose non-zero rows define the touched set.  Both
-representations run the identical row-update arithmetic, so they are
-bit-identical.
+Gradients arrive as a compacted COO pair (:attr:`Parameter.sparse_grad`,
+produced by the grid backward) whose rows are exactly the non-zero rows of
+the equivalent dense gradient table; a sparse parameter with no pair this
+step was not touched.
 
 ``state_dict()`` **flushes** the deferred decay first (every row's moments
 are brought up to the current step), so serialised moments are canonical
@@ -92,28 +90,14 @@ def _state_slot(slots: Dict[int, np.ndarray], index: int,
 
 
 def _touched_rows(param: Parameter) -> Tuple[np.ndarray, np.ndarray]:
-    """The ``(rows, values)`` gradient of a sparse parameter, either
-    representation.
+    """The ``(rows, values)`` COO gradient of a sparse parameter.
 
-    COO gradients are returned as-is; the dense-oracle representation
-    derives the touched set from the non-zero rows of ``param.grad`` (which
-    matches the COO emitter's filter exactly — it drops rows whose float32
-    accumulated gradient is entirely zero).
+    The dense grad of a sparse parameter is all-zero by construction, so a
+    missing ``sparse_grad`` means nothing was touched this step.
     """
     if param.sparse_grad is not None:
         return param.sparse_grad.rows, param.sparse_grad.values
-    if param.coo_grads:
-        # COO invariant: the dense grad is all-zero by construction, so a
-        # missing sparse_grad means nothing was touched this step — skip
-        # the O(table) non-zero scan the sparse mode exists to eliminate.
-        return np.empty(0, dtype=np.int64), param.grad[:0]
-    grad = param.grad
-    if grad.ndim == 1:
-        rows = np.flatnonzero(grad != 0.0)
-    else:
-        rows = np.flatnonzero(
-            np.any(grad != 0.0, axis=tuple(range(1, grad.ndim))))
-    return rows, grad[rows]
+    return np.empty(0, dtype=np.int64), param.grad[:0]
 
 
 def _broadcast_tail(factors: np.ndarray, ndim: int) -> np.ndarray:
@@ -338,8 +322,6 @@ class Adam:
         ``O(touched)`` rows, never ``O(table)``.  Like the dense path, the
         arithmetic runs in single precision (moments are float32 storage);
         the decay factors are float32 roundings of exact float64 powers.
-        The COO and dense-oracle gradient representations share this code,
-        so they are bit-identical by construction.
         """
         rows, vals = _touched_rows(param)
         n_rows = int(rows.size)

@@ -57,34 +57,27 @@ class Parameter:
     numerics stable.
 
     Sparse-update support (the hash-grid tables under
-    ``Instant3DConfig(sparse_updates=True)``) adds two attributes:
+    ``Instant3DConfig(sparse_updates=True)``) adds the ``sparse`` flag:
 
-    ``sparse``
-        The optimiser applies **touched-rows-only lazy updates** to this
-        parameter: rows with a gradient receive the full moment +
-        bias-correction update, untouched rows' moment decay is deferred
-        (closed-form ``beta**k`` catch-up on next touch).  This mirrors the
-        accelerator's backward-update-merging unit, which only ever writes
-        touched hash-table entries back to SRAM.
-    ``coo_grads``
-        Gradients arrive exclusively through :meth:`add_sparse_grad`; the
-        dense ``grad`` array is never written and must stay all-zero.
-        :meth:`zero_grad` then skips the dense O(table) clear — part of what
-        makes the sparse path fast.  A ``sparse`` parameter with
-        ``coo_grads=False`` is the *dense-representation oracle*: gradients
-        live in ``grad`` and the optimiser derives the touched rows from its
-        non-zero rows (bit-identical semantics, dense cost).
+    * the optimiser applies **touched-rows-only lazy updates** to this
+      parameter: rows with a gradient receive the full moment +
+      bias-correction update, untouched rows' moment decay is deferred
+      (closed-form ``beta**k`` catch-up on next touch).  This mirrors the
+      accelerator's backward-update-merging unit, which only ever writes
+      touched hash-table entries back to SRAM;
+    * gradients arrive exclusively as COO pairs through
+      :meth:`add_sparse_grad`; the dense ``grad`` array is never written and
+      stays all-zero, so :meth:`zero_grad` skips the dense O(table) clear —
+      part of what makes the sparse path fast.
     """
 
     def __init__(self, data: np.ndarray, name: str = "param"):
         self.data = np.asarray(data, dtype=np.float32)
         self.grad = np.zeros(self.data.shape, dtype=np.float32)
         self.name = name
-        #: Optimiser applies row-sparse lazy updates (see class docstring).
+        #: Optimiser applies row-sparse lazy updates; gradients arrive only
+        #: via :meth:`add_sparse_grad` (see class docstring).
         self.sparse = False
-        #: Gradients arrive only via :meth:`add_sparse_grad` (dense ``grad``
-        #: stays zero and is not cleared per step).
-        self.coo_grads = False
         #: The current row-sparse gradient, or ``None`` (cleared per step).
         self.sparse_grad: Optional[SparseGrad] = None
 
@@ -99,17 +92,17 @@ class Parameter:
     def zero_grad(self) -> None:
         """Reset the accumulated gradient (dense and sparse) in place.
 
-        In COO mode the dense array is known to be all-zero (nothing ever
-        writes it), so only the sparse slot is dropped — O(1) instead of an
-        O(table) memset per step.
+        For a ``sparse`` parameter the dense array is known to be all-zero
+        (nothing ever writes it), so only the sparse slot is dropped — O(1)
+        instead of an O(table) memset per step.
         """
         self.sparse_grad = None
-        if not self.coo_grads:
+        if not self.sparse:
             self.grad.fill(0.0)
 
     def accumulate_grad(self, grad: np.ndarray) -> None:
         """Add ``grad`` into the dense accumulator (shape-checked)."""
-        if self.coo_grads:
+        if self.sparse:
             raise RuntimeError(
                 f"parameter {self.name} receives COO gradients; dense "
                 f"accumulation would break the all-zero dense-grad invariant")
@@ -178,7 +171,7 @@ class Parameter:
                 f"{self.name} shape {self.data.shape}")
         self.data[...] = data
         self.sparse_grad = None
-        if not self.coo_grads:
+        if not self.sparse:
             self.grad.fill(0.0)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -26,7 +26,7 @@ set of scenes under one shared configuration:
   models, optimiser moments, occupancy grids, RNG streams and histories —
   and the finished run is **bit-identical** to one that was never
   interrupted (enforced by differential tests, the same discipline as the
-  fused-engine and culled-pipeline reference paths).
+  grid-engine and culled-pipeline reference oracles in the test suite).
 * **scene eviction**: ``max_resident_scenes`` bounds how many trainers are
   resident in memory at once; idle scenes are checkpointed to disk and
   transparently reloaded when the round-robin scheduler returns to them.

@@ -252,8 +252,8 @@ class Trainer:
         self.density_updates = 0
         self.color_updates = 0
         self.occupancy_refresh_points = 0
-        # Numerical-health watchdog (config.health=None disables it: the
-        # loop below then runs the exact pre-health code path).
+        # Numerical-health watchdog (config.health=None disables it: no
+        # guard checks, snapshots or rollbacks run).
         self.health: Optional[HealthMonitor] = None
         self._snapshots: Optional[SnapshotRing] = None
         self._last_snapshot_iteration = -1
@@ -517,39 +517,18 @@ class Trainer:
         scenes while keeping each scene's trajectory identical to a solo run.
 
         With a :class:`~repro.reliability.health.HealthPolicy` configured,
-        a tripped guard rolls the trainer back to the last good snapshot
+        the loop seeds a baseline snapshot, snapshots on schedule, and a
+        tripped guard rolls the trainer back to the last good snapshot
         and replays with seeded remediation (LR backoff / batch skip); the
         loop then keeps going until the *target* iteration is reached, so a
         recovered run delivers the same number of net steps.  Exhausting
         ``max_rollbacks`` raises
         :class:`~repro.reliability.health.NumericalFault`.
         """
-        if self.health is None:
-            # Guards off: the exact pre-health loop, kept verbatim so the
-            # disabled path cannot drift from the frozen-oracle trainers.
-            for _ in range(n_steps):
-                metrics = self.train_step()
-                history.record_step(
-                    self.iteration, metrics["loss"], metrics["batch_psnr"],
-                    queries_kept=int(metrics["queries_kept"]),
-                    queries_total=int(metrics["queries_total"]),
-                    occupancy_fraction=metrics["occupancy_fraction"],
-                )
-                if eval_every and self.iteration % eval_every == 0:
-                    result = evaluate_model(
-                        self.model, self.dataset, n_views=eval_views,
-                        n_samples=eval_samples,
-                        white_background=self.config.white_background,
-                        occupancy=self.occupancy,
-                        early_termination_tau=self.config.early_termination_tau,
-                        policy=self.policy,
-                    )
-                    history.record_eval(self.iteration, result)
-            return
-
         target = self.iteration + n_steps
         try:
-            self._ensure_baseline_snapshot(history)
+            if self.health is not None:
+                self._ensure_baseline_snapshot(history)
             while self.iteration < target:
                 metrics = self.train_step()
                 if self.last_guard_trip is not None:
@@ -565,15 +544,9 @@ class Trainer:
                     occupancy_fraction=metrics["occupancy_fraction"],
                 )
                 if eval_every and self.iteration % eval_every == 0:
-                    result = evaluate_model(
-                        self.model, self.dataset, n_views=eval_views,
-                        n_samples=eval_samples,
-                        white_background=self.config.white_background,
-                        occupancy=self.occupancy,
-                        early_termination_tau=self.config.early_termination_tau,
-                        policy=self.policy,
-                    )
-                    history.record_eval(self.iteration, result)
+                    history.record_eval(self.iteration,
+                                        self._evaluate(eval_views, eval_samples))
+                # guard_checked is only ever set with health guards on.
                 if metrics["guard_checked"] > 0.0 and (
                         self.iteration - self._last_snapshot_iteration
                         >= self.health.policy.snapshot_every):
@@ -585,6 +558,17 @@ class Trainer:
             # aborts the run: the serving stats report poisoned scenes'
             # trips from here.
             self._sync_health_counters(history)
+
+    def _evaluate(self, eval_views: int, eval_samples: int) -> EvaluationResult:
+        """Test-split evaluation of the current model under this config."""
+        return evaluate_model(
+            self.model, self.dataset, n_views=eval_views,
+            n_samples=eval_samples,
+            white_background=self.config.white_background,
+            occupancy=self.occupancy,
+            early_termination_tau=self.config.early_termination_tau,
+            policy=self.policy,
+        )
 
     # -- divergence recovery -----------------------------------------------
     def _sync_health_counters(self, history: TrainingHistory) -> None:
@@ -673,13 +657,7 @@ class Trainer:
     def finalize(self, history: TrainingHistory, eval_views: int = 1,
                  eval_samples: int = 48) -> TrainingResult:
         """Run the final test-split evaluation and package the result."""
-        final_eval = evaluate_model(
-            self.model, self.dataset, n_views=eval_views, n_samples=eval_samples,
-            white_background=self.config.white_background,
-            occupancy=self.occupancy,
-            early_termination_tau=self.config.early_termination_tau,
-            policy=self.policy,
-        )
+        final_eval = self._evaluate(eval_views, eval_samples)
         self._sync_health_counters(history)
         return TrainingResult(
             history=history,

@@ -4,7 +4,7 @@ The accelerator the paper builds wins much of its speed from narrow
 datapaths: FP16 embedding storage and reduced-precision arithmetic on the
 grid-interpolation and MLP cores.  The Python reproduction mirrors that with
 a single :class:`PrecisionPolicy` that every hot layer consults for its
-*compute* dtype — the trilinear weight planes of the fused grid engine, the
+*compute* dtype — the trilinear weight planes of the grid engine, the
 volume renderer's compositing maths, ray sampling, the loss, and the
 optimiser updates.
 
@@ -65,7 +65,7 @@ class PrecisionPolicy:
 
     @property
     def complex_dtype(self) -> np.dtype:
-        """Complex dtype whose components match :attr:`dtype` (the fused grid
+        """Complex dtype whose components match :attr:`dtype` (the grid
         engine's F == 2 fast path accumulates feature pairs as one complex)."""
         return np.dtype(np.complex64 if self.name == "float32" else np.complex128)
 

@@ -5,8 +5,8 @@ every step — corner address/weight planes of the grid engine, MLP
 activations, dense sigma/rgb compositing planes, renderer gradients,
 optimiser scratch.  Allocating them fresh each iteration costs tens of
 megabytes of allocator traffic per step and evicts the cache-resident
-working set.  :class:`WorkspaceArena` extends the ``_concat_table`` reuse
-trick of the fused grid engine to the whole loop: each call site *names* its
+working set.  :class:`WorkspaceArena` extends the backing-table reuse
+trick of the grid engine to the whole loop: each call site *names* its
 buffer, the arena keeps one growable flat backing allocation per
 ``(name, dtype)`` and hands back a correctly shaped view.
 

@@ -1,0 +1,143 @@
+"""Frozen reference oracles for the grid engine's differential tests.
+
+Production ships one grid engine and one gradient representation; the
+reference forms they replaced live here, frozen, so tests can keep checking
+the engine against them.
+
+* :func:`per_level_loop` — the per-level query loop, verbatim: one level at
+  a time, built from the scalar Eq. 3 helpers (``spatial_hash`` /
+  ``dense_index``, ``trilinear_weights``, ``interpolate``,
+  ``interpolate_backward``).  It reads a
+  :class:`~repro.grid.hash_encoding.MultiResHashGrid`'s level tables and
+  returns the embeddings, a per-level address/weight record and the dense
+  gradient table — what the engine must equal (traces bit-identically).
+* :func:`coo_from_dense` and :func:`use_dense_scatter` — the
+  dense-representation oracle of the sparse (COO) backward: scatter into a
+  full-table ``np.bincount`` accumulator, then keep the non-zero rows.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+from typing import List, Optional, Tuple
+
+import numpy as np
+
+from repro.grid.hash_function import dense_index, spatial_hash
+from repro.grid.interpolation import (
+    CORNER_OFFSETS,
+    interpolate,
+    interpolate_backward,
+    trilinear_weights,
+)
+
+
+@dataclass
+class LoopRecord:
+    """The per-level loop's access record: one ``(N, 8)`` array per level."""
+
+    addresses: List[np.ndarray] = field(default_factory=list)
+    weights: List[np.ndarray] = field(default_factory=list)
+    level_offsets: List[int] = field(default_factory=list)
+    table_sizes: List[int] = field(default_factory=list)
+
+    def flat_addresses(self, level: Optional[int] = None) -> np.ndarray:
+        """Global (level-offset) addresses, point-major within a level."""
+        if level is not None:
+            return (self.addresses[level] + self.level_offsets[level]).reshape(-1)
+        parts = [(addr + offset).reshape(-1)
+                 for addr, offset in zip(self.addresses, self.level_offsets)]
+        return np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
+
+
+def per_level_loop(grid, points: np.ndarray,
+                   grad_embeddings: Optional[np.ndarray] = None
+                   ) -> Tuple[np.ndarray, LoopRecord, Optional[np.ndarray]]:
+    """Query ``grid`` one level at a time (the pre-fusion engine).
+
+    Returns ``(embeddings, record, grad_table)``: ``(N, L*F)`` float32
+    embeddings, the per-level :class:`LoopRecord`, and — when
+    ``grad_embeddings`` is given — the ``(T, F)`` float32 gradient table of
+    all levels, scattered per level with ``np.add.at`` into float64 zeros.
+    Computes in the grid's policy dtype and never touches grid state.
+    """
+    dtype = grid.policy.dtype
+    points = np.clip(np.asarray(points, dtype=dtype), 0.0, 1.0)
+    record = LoopRecord()
+    outputs = []
+    offset = 0
+    for level in grid.levels:
+        scaled = points * np.asarray(level.resolution, dtype=dtype)
+        base = np.floor(scaled).astype(np.int64)
+        base = np.minimum(base, level.resolution - 1)
+        frac = (scaled - base).astype(dtype)
+        corners = base[:, None, :] + CORNER_OFFSETS[None, :, :]   # (N, 8, 3)
+        if level.is_dense:
+            addresses = dense_index(corners, level.resolution)
+        else:
+            addresses = spatial_hash(corners, level.table_size, validate=False)
+        weights = trilinear_weights(frac, dtype=dtype)            # (N, 8)
+        corner_values = np.take(level.table.data, addresses, axis=0)
+        outputs.append(
+            interpolate(corner_values, weights, dtype=dtype).astype(np.float32))
+        record.addresses.append(addresses)
+        record.weights.append(weights)
+        record.level_offsets.append(offset)
+        record.table_sizes.append(level.table_size)
+        offset += level.table_size
+    embeddings = np.concatenate(outputs, axis=1)
+    if grad_embeddings is None:
+        return embeddings, record, None
+    grad_embeddings = np.asarray(grad_embeddings, dtype=dtype)
+    f = grid.config.n_features_per_level
+    tables = []
+    for idx, level in enumerate(grid.levels):
+        corner_grads = interpolate_backward(
+            grad_embeddings[:, idx * f:(idx + 1) * f], record.weights[idx],
+            dtype=dtype)                                          # (N, 8, F)
+        grad_table = np.zeros((level.table_size, f), dtype=np.float64)
+        np.add.at(grad_table, record.addresses[idx].reshape(-1),
+                  corner_grads.reshape(-1, f))
+        tables.append(grad_table.astype(np.float32))
+    return embeddings, record, np.concatenate(tables, axis=0)
+
+
+def coo_from_dense(grad: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The COO pair of a dense gradient table.
+
+    Rows are ``flatnonzero(any(grad != 0))`` (sorted, unique); values are
+    those rows with ``+ 0.0`` applied, so a ``-0.0`` entry reads as the
+    ``+0.0`` a zeroed dense accumulator would hold.
+    """
+    grad = np.asarray(grad, dtype=np.float32)
+    rows = np.flatnonzero(np.any(grad != 0.0, axis=tuple(range(1, grad.ndim))))
+    values = grad[rows]
+    values += 0.0
+    return rows, values
+
+
+def use_dense_scatter(grid) -> None:
+    """Swap a sparse grid's COO scatter for the dense-representation oracle.
+
+    The replacement accumulates every corner's contributions over the whole
+    table with ``np.bincount`` (the dense backward's arithmetic), casts to
+    float32 and emits :func:`coo_from_dense` of the result — bit-identical
+    to the first-touch COO scatter it stands in for, at dense cost.
+    """
+    def scatter(addr_planes, weight_planes, feature_grads, n, f):
+        total = grid.total_table_entries
+        acc = np.zeros((f, total), dtype=np.float64)
+        contrib = np.empty(weight_planes.shape[1:], dtype=np.float64)
+        for corner in range(8):
+            flat_addr = addr_planes[corner].ravel()
+            for j in range(f):
+                np.multiply(weight_planes[corner], feature_grads[j], out=contrib)
+                acc[j] += np.bincount(flat_addr, weights=contrib.ravel(),
+                                      minlength=total)
+        rows, values = coo_from_dense(acc.T.astype(np.float32))
+        grid.last_touched_rows = int(rows.size)
+        grid.last_scatter_updates = int(addr_planes.size)
+        if rows.size:
+            grid.table.add_sparse_grad(rows, values)
+
+    grid._scatter_sparse = scatter

@@ -17,6 +17,8 @@ from repro.grid.interpolation import interpolate, interpolate_backward
 from repro.nn.gradcheck import numerical_gradient
 from repro.utils.seeding import new_rng
 
+from oracles import per_level_loop
+
 
 class TestSpatialHash:
     def test_range(self):
@@ -220,7 +222,7 @@ def _boundary_points(rng, n_random=40):
 
 
 class TestFusedEngine:
-    """The fused stacked-kernel engine vs the reference per-level loop."""
+    """The grid engine vs the frozen per-level loop oracle (``oracles.py``)."""
 
     CONFIGS = {
         "tiny": HashGridConfig(n_levels=4, n_features_per_level=2,
@@ -236,29 +238,23 @@ class TestFusedEngine:
                              finest_resolution=16),
     }
 
-    def _pair(self, config):
-        fused = MultiResHashGrid(config, rng=new_rng(7), fused=True)
-        loop = MultiResHashGrid(config, rng=new_rng(7), fused=False)
-        return fused, loop
-
     @pytest.mark.parametrize("key", sorted(CONFIGS))
     def test_forward_matches_loop(self, key):
-        config = self.CONFIGS[key]
-        fused, loop = self._pair(config)
+        grid = MultiResHashGrid(self.CONFIGS[key], rng=new_rng(7))
         points = _boundary_points(new_rng(8))
-        out_fused = fused.forward(points)
-        out_loop = loop.forward(points)
-        np.testing.assert_allclose(out_fused.astype(np.float64),
+        out = grid.forward(points)
+        out_loop, _, _ = per_level_loop(grid, points)
+        np.testing.assert_allclose(out.astype(np.float64),
                                    out_loop.astype(np.float64), atol=1e-10)
 
     @pytest.mark.parametrize("key", sorted(CONFIGS))
     def test_access_traces_bit_identical(self, key):
         config = self.CONFIGS[key]
-        fused, loop = self._pair(config)
+        grid = MultiResHashGrid(config, rng=new_rng(7))
         points = _boundary_points(new_rng(9))
-        fused.forward(points)
-        loop.forward(points)
-        rec_f, rec_l = fused.last_access, loop.last_access
+        grid.forward(points)
+        _, rec_l, _ = per_level_loop(grid, points)
+        rec_f = grid.last_access
         assert rec_f.level_offsets == rec_l.level_offsets
         assert rec_f.table_sizes == rec_l.table_sizes
         np.testing.assert_array_equal(rec_f.flat_addresses(), rec_l.flat_addresses())
@@ -272,21 +268,18 @@ class TestFusedEngine:
 
     @pytest.mark.parametrize("key", sorted(CONFIGS))
     def test_backward_matches_loop(self, key):
-        config = self.CONFIGS[key]
-        fused, loop = self._pair(config)
+        grid = MultiResHashGrid(self.CONFIGS[key], rng=new_rng(7))
         points = _boundary_points(new_rng(10))
-        out = fused.forward(points)
-        loop.forward(points)
+        out = grid.forward(points)
         grad = new_rng(11).normal(size=out.shape)
-        fused.backward(grad)
-        loop.backward(grad)
-        for lf, ll in zip(fused.levels, loop.levels):
-            np.testing.assert_allclose(lf.table.grad, ll.table.grad,
-                                       rtol=1e-5, atol=1e-7)
+        _, _, grad_loop = per_level_loop(grid, points, grad)
+        grid.backward(grad)
+        np.testing.assert_allclose(grid.table.grad, grad_loop,
+                                   rtol=1e-5, atol=1e-7)
 
     def test_chunked_query_identical_to_unchunked(self, tiny_grid_config):
-        whole = MultiResHashGrid(tiny_grid_config, rng=new_rng(3), fused=True)
-        chunked = MultiResHashGrid(tiny_grid_config, rng=new_rng(3), fused=True,
+        whole = MultiResHashGrid(tiny_grid_config, rng=new_rng(3))
+        chunked = MultiResHashGrid(tiny_grid_config, rng=new_rng(3),
                                    max_chunk_points=13)
         points = _boundary_points(new_rng(12), n_random=60)
         out_whole = whole.forward(points)
@@ -300,27 +293,12 @@ class TestFusedEngine:
         for lw, lc in zip(whole.levels, chunked.levels):
             np.testing.assert_array_equal(lw.table.grad, lc.table.grad)
 
-    def test_backward_after_loop_forward_uses_record(self, tiny_grid_config):
-        """Toggling engines mid-flight: fused backward after a loop forward."""
-        grid = MultiResHashGrid(tiny_grid_config, rng=new_rng(4), fused=False)
-        reference = MultiResHashGrid(tiny_grid_config, rng=new_rng(4), fused=False)
-        points = new_rng(14).uniform(size=(9, 3))
-        out = grid.forward(points)
-        reference.forward(points)
-        grid.fused = True            # backward falls back to the cached record
-        grad = np.ones_like(out)
-        grid.backward(grad)
-        reference.backward(grad)
-        for lg, lr in zip(grid.levels, reference.levels):
-            np.testing.assert_allclose(lg.table.grad, lr.table.grad,
-                                       rtol=1e-5, atol=1e-7)
-
     def test_gradcheck_at_cube_boundaries(self):
         """Finite-difference gradcheck with points exactly at 0.0 and 1.0."""
         config = HashGridConfig(n_levels=1, n_features_per_level=2,
                                 log2_hashmap_size=8, base_resolution=4,
                                 finest_resolution=4)
-        grid = MultiResHashGrid(config, rng=new_rng(5), fused=True)
+        grid = MultiResHashGrid(config, rng=new_rng(5))
         points = np.array([
             [0.0, 0.0, 0.0],
             [1.0, 1.0, 1.0],

@@ -7,8 +7,8 @@ Four contracts anchor the tentpole:
     losses and parameters, dense and culled — so every existing experiment
     and checkpoint is unaffected;
 (b) the ``float32`` fast path consumes the **same RNG draws** and tracks the
-    float64 trajectory within float-precision tolerance (and its fused
-    engine still matches the per-level reference engine);
+    float64 trajectory within float-precision tolerance (and its grid
+    engine still matches the frozen per-level loop oracle);
 (c) the workspace arena is allocation-bookkeeping only: steady-state train
     steps serve every buffer from the arena (zero misses) and results are
     bit-identical with the arena disabled;
@@ -21,6 +21,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from oracles import per_level_loop
 from test_pipeline import _force_fully_occupied, _params_equal, _reference_dense_run
 
 from repro.core.config import Instant3DConfig
@@ -174,21 +175,17 @@ class TestFloat32FastPath:
     def test_fused_engine_matches_per_level_loop(self, tiny_grid_config):
         grid32 = MultiResHashGrid(tiny_grid_config, rng=new_rng(0),
                                   policy=FLOAT32)
-        loop32 = MultiResHashGrid(tiny_grid_config, rng=new_rng(0),
-                                  policy=FLOAT32, fused=False)
         points = new_rng(3).uniform(size=(512, 3)).astype(np.float32)
+        grad = np.ones((512, tiny_grid_config.n_output_features),
+                       dtype=np.float32)
         out_fused = grid32.forward(points)
-        out_loop = loop32.forward(points)
+        out_loop, record_loop, grad_loop = per_level_loop(grid32, points, grad)
         assert out_fused.dtype == np.float32
         np.testing.assert_allclose(out_fused, out_loop, atol=1e-5)
         assert np.array_equal(grid32.last_access.flat_addresses(),
-                              loop32.last_access.flat_addresses())
-        grad = np.ones((512, tiny_grid_config.n_output_features),
-                       dtype=np.float32)
+                              record_loop.flat_addresses())
         grid32.zero_grad(); grid32.backward(grad)
-        loop32.zero_grad(); loop32.backward(grad)
-        for a, b in zip(grid32.levels, loop32.levels):
-            np.testing.assert_allclose(a.table.grad, b.table.grad, atol=1e-4)
+        np.testing.assert_allclose(grid32.table.grad, grad_loop, atol=1e-4)
 
     def test_chunked_query_bit_identical(self, tiny_grid_config):
         whole = MultiResHashGrid(tiny_grid_config, rng=new_rng(0),
@@ -229,7 +226,7 @@ class TestDtypeDiscipline:
         renderer = trainer.pipeline.renderer
         assert renderer._cache["sigmas"].dtype == np.float32
         assert renderer._cache["weights"].dtype == np.float32
-        assert model.encoder.density_grid._last_weight_planes.dtype == np.float32
+        assert model.encoder.density_grid.last_access.weight_planes.dtype == np.float32
 
 
 class TestArenaSteadyState:

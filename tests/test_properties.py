@@ -13,7 +13,11 @@ from repro.grid.hash_function import spatial_hash
 from repro.grid.interpolation import interpolate, trilinear_weights
 from repro.nerf.losses import mse_loss, mse_to_psnr
 from repro.nerf.volume_rendering import VolumeRenderer
+from repro.utils.precision import FLOAT32, FLOAT64
 from repro.utils.seeding import new_rng
+from repro.utils.workspace import WorkspaceArena
+
+from oracles import per_level_loop
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +184,7 @@ def test_coo_backward_is_the_dense_scatter_minus_its_zeros(
     dense.forward(points)
     dense.zero_grad()
     dense.backward(grad)
-    coo = MultiResHashGrid(_COO_GRID, rng=new_rng(0), sparse_mode="coo",
+    coo = MultiResHashGrid(_COO_GRID, rng=new_rng(0), sparse=True,
                            max_chunk_points=max_chunk_points)
     coo.forward(points)
     coo.zero_grad()
@@ -192,3 +196,70 @@ def test_coo_backward_is_the_dense_scatter_minus_its_zeros(
     if sparse is not None:                # bit-equal, sign of zero included
         np.testing.assert_array_equal(sparse.values.view(np.uint32),
                                       dense.table.grad[rows].view(np.uint32))
+
+
+# ---------------------------------------------------------------------------
+# Grid engine vs the frozen per-level loop oracle
+# ---------------------------------------------------------------------------
+@st.composite
+def _grid_configs(draw):
+    """Random grids: dense/hashed level mixes, power-of-two and scaled
+    (non-power-of-two) tables, F in {1, 2, 3}."""
+    base = draw(st.integers(2, 8))
+    return HashGridConfig(
+        n_levels=draw(st.integers(1, 5)),
+        n_features_per_level=draw(st.integers(1, 3)),
+        log2_hashmap_size=draw(st.integers(6, 11)),
+        base_resolution=base,
+        finest_resolution=draw(st.integers(base, 64)),
+        size_scale=draw(st.sampled_from([1.0, 0.5, 0.3, 0.77])),
+    )
+
+
+_UNIT_OR_EDGE = st.one_of(st.floats(0.0, 1.0),
+                          st.sampled_from([0.0, 1.0, -0.25, 1.5]))
+
+
+@given(
+    config=_grid_configs(),
+    points=arrays(np.float64, st.tuples(st.integers(0, 40), st.just(3)),
+                  elements=_UNIT_OR_EDGE),
+    max_chunk_points=st.one_of(st.none(), st.integers(1, 16)),
+    arena=st.booleans(),
+    policy=st.sampled_from([FLOAT64, FLOAT32]),
+    seed=st.integers(0, 2**16),
+)
+@settings(max_examples=60, deadline=None)
+def test_grid_engine_equals_per_level_loop(config, points, max_chunk_points,
+                                           arena, policy, seed):
+    grid = MultiResHashGrid(config, rng=new_rng(seed), policy=policy,
+                            max_chunk_points=max_chunk_points,
+                            arena=WorkspaceArena() if arena else None)
+    grad = new_rng(seed + 1).standard_normal(
+        (len(points), config.n_output_features))
+    out = grid.forward(points).copy()
+    out_loop, record, grad_loop = per_level_loop(grid, points, grad)
+    trace = grid.last_access
+    assert trace.level_offsets == record.level_offsets
+    assert trace.table_sizes == record.table_sizes
+    np.testing.assert_array_equal(trace.flat_addresses(),
+                                  record.flat_addresses())
+    for level in range(config.n_levels):
+        np.testing.assert_array_equal(trace.addresses[level],
+                                      record.addresses[level])
+        np.testing.assert_array_equal(trace.weights[level],
+                                      record.weights[level])
+    atol = 1e-10 if policy is FLOAT64 else 1e-5
+    np.testing.assert_allclose(out.astype(np.float64),
+                               out_loop.astype(np.float64), atol=atol)
+    grid.backward(grad)
+    if policy is FLOAT64:
+        np.testing.assert_allclose(grid.table.grad, grad_loop,
+                                   rtol=1e-5, atol=1e-7)
+    else:
+        np.testing.assert_allclose(grid.table.grad, grad_loop, atol=1e-4)
+    # Chunking and the arena are bookkeeping only: bit-identical results.
+    plain = MultiResHashGrid(config, rng=new_rng(seed), policy=policy)
+    np.testing.assert_array_equal(plain.forward(points), out)
+    plain.backward(grad)
+    np.testing.assert_array_equal(plain.table.grad, grid.table.grad)

@@ -8,8 +8,8 @@ Covers the ``Instant3DConfig(sparse_updates=True)`` path end to end:
   every row each step but only updates touched rows (exact for power-of-two
   betas, where ``beta ** k`` catch-up is lossless);
 * 20-step trainer differentials: the COO representation against its
-  dense-representation oracle, across dense/culled pipelines and both
-  precision policies;
+  dense-representation oracle (``oracles.use_dense_scatter``), across
+  dense/culled pipelines and both precision policies;
 * checkpointing: the ``state_dict`` moment flush, save-continue vs
   load-continue bit-identity, and cross-mode rejection.
 """
@@ -22,6 +22,7 @@ import numpy as np
 import pytest
 
 from repro.core.config import Instant3DConfig
+from repro.core.decoupled_grid import DecoupledGridEncoder
 from repro.core.model import DecoupledRadianceField
 from repro.grid.hash_encoding import HashGridConfig, MultiResHashGrid
 from repro.io import load_trainer_checkpoint, save_trainer_checkpoint
@@ -32,14 +33,28 @@ from repro.training.trainer import Trainer, TrainingHistory
 from repro.utils.seeding import new_rng
 from repro.utils.workspace import WorkspaceArena
 
+from oracles import coo_from_dense, use_dense_scatter
+
 
 def _sparse_config(base: Instant3DConfig, **overrides) -> Instant3DConfig:
     return dataclasses.replace(base, sparse_updates=True, **overrides)
 
 
-def _run_trainer(config, dataset, n_steps: int, seed: int = 0):
+def _trainer(config, dataset, seed: int = 0, dense_scatter: bool = False):
+    """A trainer; ``dense_scatter`` swaps both grids' COO scatter for the
+    dense-representation oracle."""
     trainer = Trainer(DecoupledRadianceField(config, seed=seed), dataset,
                       config=config, seed=seed)
+    if dense_scatter:
+        encoder = trainer.model.encoder
+        use_dense_scatter(encoder.density_grid)
+        use_dense_scatter(encoder.color_grid)
+    return trainer
+
+
+def _run_trainer(config, dataset, n_steps: int, seed: int = 0,
+                 dense_scatter: bool = False):
+    trainer = _trainer(config, dataset, seed, dense_scatter)
     losses = [trainer.train_step()["loss"] for _ in range(n_steps)]
     return trainer, losses
 
@@ -56,22 +71,22 @@ def _params_equal(model_a, model_b) -> bool:
 class TestConfig:
     def test_defaults_off(self, tiny_config):
         assert tiny_config.sparse_updates is False
-        assert tiny_config.sparse_oracle is False
-        assert tiny_config.grid_sparse_mode is None
-
-    def test_oracle_requires_sparse_updates(self, tiny_config):
-        with pytest.raises(ValueError):
-            dataclasses.replace(tiny_config, sparse_oracle=True)
+        encoder = DecoupledGridEncoder(tiny_config)
+        assert not encoder.density_grid.sparse
+        assert not encoder.color_grid.sparse
 
     def test_mode_mapping(self, tiny_config):
-        assert _sparse_config(tiny_config).grid_sparse_mode == "coo"
-        assert _sparse_config(tiny_config,
-                              sparse_oracle=True).grid_sparse_mode == "oracle"
+        encoder = DecoupledGridEncoder(_sparse_config(tiny_config))
+        for grid in (encoder.density_grid, encoder.color_grid):
+            assert grid.sparse and grid.table.sparse
+            assert all(level.table.sparse for level in grid.levels)
 
     def test_grid_rejects_unknown_mode(self, tiny_grid_config):
-        with pytest.raises(ValueError):
-            MultiResHashGrid(tiny_grid_config, rng=new_rng(0),
-                             sparse_mode="bogus")
+        # A string (e.g. a former mode name) must not pass as truthy.
+        for bogus in ("bogus", "coo", "oracle", None):
+            with pytest.raises(ValueError):
+                MultiResHashGrid(tiny_grid_config, rng=new_rng(0),
+                                 sparse=bogus)
 
 
 # ---------------------------------------------------------------------------
@@ -88,7 +103,7 @@ class TestParameter:
 
     def test_coo_mode_skips_dense_clear_and_rejects_dense_accumulate(self):
         p = Parameter(np.zeros((4, 2)))
-        p.coo_grads = True
+        p.sparse = True
         p.zero_grad()                       # must not touch the dense array
         with pytest.raises(RuntimeError):
             p.accumulate_grad(np.ones((4, 2)))
@@ -117,10 +132,8 @@ class TestParameter:
 
 class TestGridCOOEmission:
     def _grids(self, config, **kwargs):
-        dense = MultiResHashGrid(config, rng=new_rng(0), sparse_mode=None,
-                                 **kwargs)
-        coo = MultiResHashGrid(config, rng=new_rng(0), sparse_mode="coo",
-                               **kwargs)
+        dense = MultiResHashGrid(config, rng=new_rng(0), **kwargs)
+        coo = MultiResHashGrid(config, rng=new_rng(0), sparse=True, **kwargs)
         return dense, coo
 
     def _check_match(self, dense, coo, points, grad):
@@ -151,13 +164,6 @@ class TestGridCOOEmission:
         points = rng.uniform(size=(200, 3))
         grad = rng.standard_normal(
             (200, tiny_grid_config.n_output_features))
-        self._check_match(dense, coo, points, grad)
-
-    def test_coo_emission_from_per_level_engine(self, tiny_grid_config, rng):
-        dense, coo = self._grids(tiny_grid_config)
-        coo.fused = False                    # routed through the fused scatter
-        points = rng.uniform(size=(64, 3))
-        grad = rng.standard_normal((64, tiny_grid_config.n_output_features))
         self._check_match(dense, coo, points, grad)
 
     @pytest.mark.parametrize("n_features", [1, 4])
@@ -204,7 +210,7 @@ class TestGridCOOEmission:
         # reference, and the first-touch mark array must be all-False
         # afterwards, or a stale mark would leak rows into the next call.
         coo = MultiResHashGrid(tiny_grid_config, rng=new_rng(0),
-                               sparse_mode="coo",
+                               sparse=True,
                                arena=WorkspaceArena() if arena else None)
         mark = coo._first_touch[0]
         assert mark.size == coo.total_table_entries and not mark.any()
@@ -234,33 +240,17 @@ class TestGridCOOEmission:
             assert coo.last_touched_rows == rows.size
             assert not mark.any()
 
-    def test_oracle_mode_keeps_dense_grads_but_flags_lazy(self,
-                                                          tiny_grid_config,
-                                                          rng):
-        oracle = MultiResHashGrid(tiny_grid_config, rng=new_rng(0),
-                                  sparse_mode="oracle")
-        assert oracle.table.sparse and not oracle.table.coo_grads
-        points = rng.uniform(size=(32, 3))
-        oracle.forward(points)
-        oracle.zero_grad()
-        oracle.backward(np.ones((32, tiny_grid_config.n_output_features)))
-        assert oracle.table.sparse_grad is None
-        assert np.any(oracle.table.grad != 0.0)
-
-    def test_entering_coo_mode_clears_stale_dense_grads(self,
-                                                        tiny_grid_config,
-                                                        rng):
-        grid = MultiResHashGrid(tiny_grid_config, rng=new_rng(0))
+    def test_sparse_grid_step_without_gradient_moves_nothing(
+            self, tiny_grid_config, rng):
+        grid = MultiResHashGrid(tiny_grid_config, rng=new_rng(0), sparse=True)
         points = rng.uniform(size=(32, 3))
         grid.forward(points)
         grid.zero_grad()
         grid.backward(np.ones((32, tiny_grid_config.n_output_features)))
-        assert np.any(grid.table.grad != 0.0)
-        grid.set_sparse_mode("coo")
-        # The all-zero dense-grad invariant of COO mode must hold from the
-        # moment the mode is entered, or the optimiser's oracle fallback
-        # would apply the stale gradient as a phantom update.
+        # The COO invariant: the dense grad is never written, so a step
+        # whose gradient slot is empty must not apply a phantom update.
         assert np.all(grid.table.grad == 0.0)
+        grid.zero_grad()
         assert grid.table.sparse_grad is None
         param = grid.table
         opt = Adam([param], lr=1e-1)
@@ -335,9 +325,7 @@ class TestLazyAdam:
         opt = Adam([param], lr=1e-2, betas=self.BETAS, eps=1e-10)
         for grad in grads:
             param.zero_grad()
-            rows = np.flatnonzero(np.any(grad != 0.0, axis=1))
-            if rows.size:
-                param.add_sparse_grad(rows, grad[rows])
+            param.add_sparse_grad(*coo_from_dense(grad))
             opt.step()
         opt._flush_lazy()
         ref_data, ref_m, ref_v = _dense_lazy_adam_reference(
@@ -366,10 +354,10 @@ class TestLazyAdam:
         rng = new_rng(17)
         init = rng.standard_normal((16, 2)).astype(np.float32)
         grads = self._grads(rng, 12, n_rows=16)
+        grads[3][5] = -0.0                     # a signed zero is untouched
 
         coo_param = Parameter(init.copy())
         coo_param.sparse = True
-        coo_param.coo_grads = True
         coo_opt = Adam([coo_param], lr=1e-2)
         oracle_param = Parameter(init.copy())
         oracle_param.sparse = True
@@ -381,7 +369,7 @@ class TestLazyAdam:
                 coo_param.add_sparse_grad(rows, grad[rows])
             coo_opt.step()
             oracle_param.zero_grad()
-            oracle_param.accumulate_grad(grad)
+            oracle_param.add_sparse_grad(*coo_from_dense(grad))
             oracle_opt.step()
         np.testing.assert_array_equal(coo_param.data, oracle_param.data)
 
@@ -393,14 +381,11 @@ class TestLazyAdam:
         def build():
             param = Parameter(init.copy())
             param.sparse = True
-            param.coo_grads = True
             return param, Adam([param], lr=1e-2)
 
         def apply(param, opt, grad):
             param.zero_grad()
-            rows = np.flatnonzero(np.any(grad != 0.0, axis=1))
-            if rows.size:
-                param.add_sparse_grad(rows, grad[rows])
+            param.add_sparse_grad(*coo_from_dense(grad))
             opt.step()
 
         param_a, opt_a = build()
@@ -437,9 +422,7 @@ class TestLazySGD:
         opt = SGD([param], lr=1e-2, momentum=0.5)   # power of two: exact
         for grad in grads:
             param.zero_grad()
-            rows = np.flatnonzero(np.any(grad != 0.0, axis=1))
-            if rows.size:
-                param.add_sparse_grad(rows, grad[rows])
+            param.add_sparse_grad(*coo_from_dense(grad))
             opt.step()
         opt._flush_lazy()
 
@@ -512,12 +495,12 @@ class TestTrainerDifferential:
     @pytest.mark.parametrize("dtype", ["float64", "float32"])
     def test_coo_bit_identical_to_oracle(self, tiny_config, tiny_dataset,
                                          culled, dtype):
-        coo = _sparse_config(tiny_config, culling_enabled=culled,
-                             compute_dtype=dtype)
-        oracle = dataclasses.replace(coo, sparse_oracle=True)
-        trainer_coo, losses_coo = _run_trainer(coo, tiny_dataset, self.N_STEPS)
-        trainer_oracle, losses_oracle = _run_trainer(oracle, tiny_dataset,
-                                                     self.N_STEPS)
+        config = _sparse_config(tiny_config, culling_enabled=culled,
+                                compute_dtype=dtype)
+        trainer_coo, losses_coo = _run_trainer(config, tiny_dataset,
+                                               self.N_STEPS)
+        trainer_oracle, losses_oracle = _run_trainer(
+            config, tiny_dataset, self.N_STEPS, dense_scatter=True)
         assert losses_coo == losses_oracle
         assert _params_equal(trainer_coo.model, trainer_oracle.model)
         # Flushed optimiser moments agree too.
@@ -598,19 +581,15 @@ class TestPhaseTimer:
 # ---------------------------------------------------------------------------
 
 class TestSparseCheckpoint:
-    def _trainer(self, config, dataset, seed=0):
-        return Trainer(DecoupledRadianceField(config, seed=seed), dataset,
-                       config=config, seed=seed)
-
     def test_save_continue_equals_load_continue(self, tiny_config,
                                                 tiny_dataset, tmp_path):
         config = _sparse_config(tiny_config, culling_enabled=True)
-        source = self._trainer(config, tiny_dataset)
+        source = _trainer(config, tiny_dataset)
         history = TrainingHistory()
         source.run_steps(12, history)
         path = tmp_path / "sparse.ckpt.npz"
         save_trainer_checkpoint(path, source, history=history)
-        restored = self._trainer(config, tiny_dataset)
+        restored = _trainer(config, tiny_dataset)
         restored_history = TrainingHistory()
         load_trainer_checkpoint(path, restored, history=restored_history)
         assert restored_history.losses == history.losses
@@ -623,12 +602,12 @@ class TestSparseCheckpoint:
                                                         tiny_dataset,
                                                         tmp_path):
         config = _sparse_config(tiny_config)
-        source = self._trainer(config, tiny_dataset)
+        source = _trainer(config, tiny_dataset)
         for _ in range(9):
             source.train_step()
         path = tmp_path / "a.ckpt.npz"
         save_trainer_checkpoint(path, source)
-        restored = self._trainer(config, tiny_dataset)
+        restored = _trainer(config, tiny_dataset)
         load_trainer_checkpoint(path, restored)
 
         def flatten(node, prefix=""):
@@ -655,20 +634,20 @@ class TestSparseCheckpoint:
     def test_manifest_records_sparse_mode(self, tiny_config, tiny_dataset,
                                           tmp_path):
         config = _sparse_config(tiny_config)
-        trainer = self._trainer(config, tiny_dataset)
+        trainer = _trainer(config, tiny_dataset)
         trainer.train_step()
         path = tmp_path / "m.ckpt.npz"
         save_trainer_checkpoint(path, trainer)
-        restored = self._trainer(config, tiny_dataset)
+        restored = _trainer(config, tiny_dataset)
         metadata = load_trainer_checkpoint(path, restored)
         assert metadata["sparse_updates"] is True
 
     def test_cross_mode_resume_rejected(self, tiny_config, tiny_dataset,
                                         tmp_path):
         sparse_config = _sparse_config(tiny_config)
-        sparse_trainer = self._trainer(sparse_config, tiny_dataset)
+        sparse_trainer = _trainer(sparse_config, tiny_dataset)
         sparse_trainer.train_step()
-        dense_trainer = self._trainer(tiny_config, tiny_dataset)
+        dense_trainer = _trainer(tiny_config, tiny_dataset)
         dense_trainer.train_step()
 
         with pytest.raises(ValueError, match="sparse_updates"):
@@ -681,14 +660,13 @@ class TestSparseCheckpoint:
                                                             tmp_path):
         # The two representations share semantics, so a checkpoint taken
         # under one restores (and continues bit-identically) under the other.
-        coo_config = _sparse_config(tiny_config)
-        oracle_config = dataclasses.replace(coo_config, sparse_oracle=True)
-        source = self._trainer(coo_config, tiny_dataset)
+        config = _sparse_config(tiny_config)
+        source = _trainer(config, tiny_dataset)
         for _ in range(8):
             source.train_step()
         path = tmp_path / "x.ckpt.npz"
         save_trainer_checkpoint(path, source)
-        restored = self._trainer(oracle_config, tiny_dataset)
+        restored = _trainer(config, tiny_dataset, dense_scatter=True)
         load_trainer_checkpoint(path, restored)
         continued = [source.train_step()["loss"] for _ in range(6)]
         resumed = [restored.train_step()["loss"] for _ in range(6)]
