@@ -13,12 +13,21 @@ the Instant-NGP baseline configuration that the paper's Tables 1/2 label
 "1:1 [24]".  ``backward`` takes per-branch update flags so the trainer can
 realise the ``F_D : F_C`` update-frequency schedule by skipping the color
 branch's back-propagation on non-update iterations.
+
+The two branches share no mutable state (own tables, MLP, optimiser and
+arena-name prefix), so :meth:`DecoupledRadianceField.run_branches` runs the
+color branch on a worker thread beside the density branch when both tables
+are too large for the caches — the software form of the accelerator giving
+each branch its own grid cores.  Results are bit-identical either way.
 """
 
 from __future__ import annotations
 
+import contextvars
+import weakref
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -30,6 +39,12 @@ from repro.nn.mlp import MLP
 from repro.nn.parameter import Parameter
 from repro.utils.seeding import derive_rng
 from repro.utils.workspace import WorkspaceArena, arena_buffer
+
+#: Run the two branches concurrently only when the *smaller* branch table
+#: holds at least this many rows.  The overlap is bounded by the shorter
+#: branch, and below this size every numpy call lasts microseconds, so the
+#: interpreter-lock hand-offs cost more than the overlap saves.
+BRANCH_THREAD_MIN_ROWS = 1 << 18
 
 
 @dataclass
@@ -85,6 +100,11 @@ class DecoupledRadianceField:
         self._params: List[Parameter] = (
             self._density_params + self._color_params)
         self._n_parameters = sum(p.size for p in self._params)
+        self._min_branch_rows = min(
+            self.encoder.density_grid.table.data.shape[0],
+            self.encoder.color_grid.table.data.shape[0])
+        # The color-branch worker, started on the first concurrent call.
+        self._worker: Optional[ThreadPoolExecutor] = None
 
     def set_arena(self, arena: Optional[WorkspaceArena]) -> None:
         """Thread a workspace arena through grids, MLP heads and activations.
@@ -98,6 +118,41 @@ class DecoupledRadianceField:
         self.color_mlp.set_arena(arena)
         self.density_activation.set_arena(arena, "density_act")
         self.color_activation.set_arena(arena, "color_act")
+
+    # -- branch concurrency -------------------------------------------------------
+    @property
+    def branches_concurrent(self) -> bool:
+        """Whether :meth:`run_branches` uses the color-branch worker thread."""
+        return self._min_branch_rows >= BRANCH_THREAD_MIN_ROWS
+
+    def run_branches(self, density_fn: Optional[Callable[[], Any]],
+                     color_fn: Optional[Callable[[], Any]]) -> Tuple[Any, Any]:
+        """Run ``density_fn()`` and ``color_fn()`` and return both results.
+
+        A ``None`` function is skipped (its result is ``None``).  When both
+        are given and :attr:`branches_concurrent` holds, ``color_fn`` runs on
+        the model's worker thread while ``density_fn`` runs on the caller's;
+        otherwise both run inline, density first.  The color task runs in a
+        copy of the caller's context, so ``np.errstate`` (a context variable)
+        applies to it too.  Both branches are joined before this returns or
+        raises; a density-branch exception wins over a color-branch one.
+        """
+        if (density_fn is None or color_fn is None
+                or not self.branches_concurrent):
+            return (density_fn() if density_fn is not None else None,
+                    color_fn() if color_fn is not None else None)
+        if self._worker is None:
+            self._worker = ThreadPoolExecutor(
+                max_workers=1, thread_name_prefix="repro-color-branch")
+            # The worker may drop the last reference itself, so do not join.
+            weakref.finalize(self, self._worker.shutdown, wait=False)
+        color = self._worker.submit(contextvars.copy_context().run, color_fn)
+        try:
+            density = density_fn()
+        except BaseException:
+            color.exception()           # join (and retrieve) before raising
+            raise
+        return density, color.result()
 
     # -- forward ------------------------------------------------------------------
     def query(self, points_unit: np.ndarray, dirs: np.ndarray
@@ -113,26 +168,32 @@ class DecoupledRadianceField:
         if points_unit.shape != dirs.shape or points_unit.shape[-1] != 3:
             raise ValueError("points_unit and dirs must both have shape (N, 3)")
 
-        density_emb = self.encoder.encode_density(points_unit)
-        raw_sigma = self.density_mlp.forward(density_emb)
-        sigma = self.density_activation.forward(raw_sigma)[:, 0]
+        def density_branch() -> Tuple[np.ndarray, int]:
+            density_emb = self.encoder.encode_density(points_unit)
+            raw_sigma = self.density_mlp.forward(density_emb)
+            return (self.density_activation.forward(raw_sigma)[:, 0],
+                    density_emb.shape[1])
 
-        color_emb = self.encoder.encode_color(points_unit)
-        dir_enc = spherical_harmonics_encoding(dirs, degree=self.config.sh_degree,
-                                               dtype=dtype, arena=self.arena)
-        color_in = arena_buffer(self.arena, "model/color_in",
-                                (color_emb.shape[0],
-                                 color_emb.shape[1] + dir_enc.shape[1]),
-                                np.float32)
-        color_in[:, :color_emb.shape[1]] = color_emb
-        color_in[:, color_emb.shape[1]:] = dir_enc
-        raw_rgb = self.color_mlp.forward(color_in)
-        rgb = self.color_activation.forward(raw_rgb)
+        def color_branch() -> Tuple[np.ndarray, int]:
+            color_emb = self.encoder.encode_color(points_unit)
+            dir_enc = spherical_harmonics_encoding(
+                dirs, degree=self.config.sh_degree, dtype=dtype,
+                arena=self.arena)
+            color_in = arena_buffer(self.arena, "model/color_in",
+                                    (color_emb.shape[0],
+                                     color_emb.shape[1] + dir_enc.shape[1]),
+                                    np.float32)
+            color_in[:, :color_emb.shape[1]] = color_emb
+            color_in[:, color_emb.shape[1]:] = dir_enc
+            raw_rgb = self.color_mlp.forward(color_in)
+            return self.color_activation.forward(raw_rgb), color_emb.shape[1]
 
+        (sigma, density_dim), (rgb, color_dim) = self.run_branches(
+            density_branch, color_branch)
         self._last_cache = QueryCache(
             n_points=points_unit.shape[0],
-            density_embedding_dim=density_emb.shape[1],
-            color_embedding_dim=color_emb.shape[1],
+            density_embedding_dim=density_dim,
+            color_embedding_dim=color_dim,
         )
         return sigma, rgb
 
@@ -161,21 +222,27 @@ class DecoupledRadianceField:
         entire back-propagation (MLP and embedding grid), which is exactly the
         work the accelerator skips on non-update iterations.
         """
-        if self._last_cache is None:
+        cache = self._last_cache
+        if cache is None:
             raise RuntimeError("backward called before query")
-        if update_color:
-            grad_raw_rgb = self.color_activation.backward(
-                np.asarray(grad_rgb, dtype=np.float32)
-            )
-            grad_color_in = self.color_mlp.backward(grad_raw_rgb)
-            grad_color_emb = grad_color_in[:, : self._last_cache.color_embedding_dim]
-            self.encoder.backward_color(grad_color_emb)
-        if update_density:
+
+        def density_branch() -> None:
             grad_raw_sigma = self.density_activation.backward(
                 np.asarray(grad_sigma, dtype=np.float32)[:, None]
             )
             grad_density_emb = self.density_mlp.backward(grad_raw_sigma)
             self.encoder.backward_density(grad_density_emb)
+
+        def color_branch() -> None:
+            grad_raw_rgb = self.color_activation.backward(
+                np.asarray(grad_rgb, dtype=np.float32)
+            )
+            grad_color_in = self.color_mlp.backward(grad_raw_rgb)
+            self.encoder.backward_color(
+                grad_color_in[:, : cache.color_embedding_dim])
+
+        self.run_branches(density_branch if update_density else None,
+                          color_branch if update_color else None)
 
     # -- parameters ---------------------------------------------------------------
     def density_parameters(self) -> List[Parameter]:

@@ -39,19 +39,13 @@ class UpdateSchedule:
         Closed form: the per-iteration rule updates exactly when
         ``floor((i + 1) * F)`` increases, so the count over ``[0, n)``
         telescopes to ``floor(n * F)`` — O(1) instead of the O(n) loop
-        (kept as :meth:`_updates_in_loop`, the property-test oracle).
+        (kept in the tests as the property-test oracle).
         """
         if n_iterations < 0:
             raise ValueError("n_iterations must be non-negative")
         if self.frequency >= 1.0:
             return n_iterations
         return floor(n_iterations * self.frequency)
-
-    def _updates_in_loop(self, n_iterations: int) -> int:
-        """O(n) reference implementation of :meth:`updates_in` (test oracle)."""
-        if n_iterations < 0:
-            raise ValueError("n_iterations must be non-negative")
-        return sum(self.should_update(i) for i in range(n_iterations))
 
     def update_fraction(self, n_iterations: int) -> float:
         """Empirical update fraction over ``n_iterations`` (→ ``frequency``)."""

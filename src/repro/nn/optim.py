@@ -263,15 +263,22 @@ class Adam:
         self.eps = float(eps)
         self.weight_decay = float(weight_decay)
         self.arena = arena
+        #: Arena-name prefix of this instance's scratch buffers.
+        self.arena_prefix = "adam"
         self._step_count = 0
         self._m: Dict[int, np.ndarray] = {}
         self._v: Dict[int, np.ndarray] = {}
         #: Per sparse parameter: the step each row's moments are decayed to.
         self._last_step: Dict[int, np.ndarray] = {}
 
-    def set_arena(self, arena: Optional[WorkspaceArena]) -> None:
-        """Attach a workspace arena supplying the per-update scratch buffers."""
+    def set_arena(self, arena: Optional[WorkspaceArena],
+                  prefix: Optional[str] = None) -> None:
+        """Attach a workspace arena supplying the per-update scratch buffers,
+        optionally with this instance's own buffer-name prefix (needed when
+        two optimisers share one arena and may step concurrently)."""
         self.arena = arena
+        if prefix is not None:
+            self.arena_prefix = prefix
 
     def step(self) -> None:
         """Apply one Adam update using the accumulated gradients.
@@ -295,8 +302,10 @@ class Adam:
                 grad = grad + self.weight_decay * param.data
             m = _state_slot(self._m, index, param.data)
             v = _state_slot(self._v, index, param.data)
-            t1 = arena_buffer(self.arena, "adam/t1", grad.shape, grad.dtype)
-            t2 = arena_buffer(self.arena, "adam/t2", grad.shape, grad.dtype)
+            t1 = arena_buffer(self.arena, f"{self.arena_prefix}/t1",
+                              grad.shape, grad.dtype)
+            t2 = arena_buffer(self.arena, f"{self.arena_prefix}/t2",
+                              grad.shape, grad.dtype)
             m *= self.beta1
             np.multiply(1.0 - self.beta1, grad, out=t1)
             m += t1
@@ -332,17 +341,18 @@ class Adam:
         last = _state_slot(self._last_step, index, param.data,
                            dtype=np.int32)
         arena = self.arena
+        pre = self.arena_prefix
         # mode="clip" skips numpy's per-element bounds check on the gathers
         # below: the touched rows are in range by construction.
-        k = arena_buffer(arena, "adam/sp_k", n_rows, np.int32)
+        k = arena_buffer(arena, f"{pre}/sp_k", n_rows, np.int32)
         np.take(last, rows, out=k, mode="clip")
         np.subtract(np.int32(self._step_count), k, out=k)        # k >= 1
         last[rows] = self._step_count
         c1 = _pow_by_exponent(self.beta1, k,
-                              arena_buffer(arena, "adam/sp_c1", n_rows,
+                              arena_buffer(arena, f"{pre}/sp_c1", n_rows,
                                            np.float32))
         c2 = _pow_by_exponent(self.beta2, k,
-                              arena_buffer(arena, "adam/sp_c2", n_rows,
+                              arena_buffer(arena, f"{pre}/sp_c2", n_rows,
                                            np.float32))
         # Gather the touched rows of the moments and the parameter into
         # contiguous scratch.  The hash-table layout ((T, 2) float32,
@@ -353,9 +363,9 @@ class Adam:
         vflat = flat_pair_view(v)
         dflat = flat_pair_view(param.data)
         if mflat is not None and vflat is not None and dflat is not None:
-            mg = arena_buffer(arena, "adam/sp_mg", n_rows, np.complex64)
-            vg = arena_buffer(arena, "adam/sp_vg", n_rows, np.complex64)
-            dg = arena_buffer(arena, "adam/sp_dg", n_rows, np.complex64)
+            mg = arena_buffer(arena, f"{pre}/sp_mg", n_rows, np.complex64)
+            vg = arena_buffer(arena, f"{pre}/sp_vg", n_rows, np.complex64)
+            dg = arena_buffer(arena, f"{pre}/sp_dg", n_rows, np.complex64)
             np.take(mflat, rows, out=mg, mode="clip")
             np.take(vflat, rows, out=vg, mode="clip")
             np.take(dflat, rows, out=dg, mode="clip")
@@ -364,9 +374,9 @@ class Adam:
             d32 = dg.view(np.float32).reshape(vals.shape)
         else:
             mg = vg = dg = None
-            m32 = arena_buffer(arena, "adam/sp_m32", vals.shape, np.float32)
-            v32 = arena_buffer(arena, "adam/sp_v32", vals.shape, np.float32)
-            d32 = arena_buffer(arena, "adam/sp_d32", vals.shape, np.float32)
+            m32 = arena_buffer(arena, f"{pre}/sp_m32", vals.shape, np.float32)
+            v32 = arena_buffer(arena, f"{pre}/sp_v32", vals.shape, np.float32)
+            d32 = arena_buffer(arena, f"{pre}/sp_d32", vals.shape, np.float32)
             np.take(m, rows, axis=0, out=m32, mode="clip")
             np.take(v, rows, axis=0, out=v32, mode="clip")
             np.take(param.data, rows, axis=0, out=d32, mode="clip")
@@ -376,9 +386,9 @@ class Adam:
         #   m <- beta1**k * m + (1 - beta1) * g
         #   v <- beta2**k * v + (1 - beta2) * g^2
         tail = vals.ndim
-        g1 = arena_buffer(arena, "adam/sp_g1", vals.shape, np.float32)
+        g1 = arena_buffer(arena, f"{pre}/sp_g1", vals.shape, np.float32)
         np.multiply(1.0 - self.beta1, vals, out=g1)
-        g2 = arena_buffer(arena, "adam/sp_g2", vals.shape, np.float32)
+        g2 = arena_buffer(arena, f"{pre}/sp_g2", vals.shape, np.float32)
         np.multiply(vals, vals, out=g2)
         g2 *= 1.0 - self.beta2
         if mg is not None:

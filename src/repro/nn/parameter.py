@@ -123,6 +123,8 @@ class Parameter:
         gradients.  A second call before :meth:`zero_grad` merges by
         summation (the sparse analogue of ``grad +=``); the common
         one-backward-per-step path stores the arrays as-is, without copying.
+        Rows whose merged gradient cancels to all-zero are dropped, so the
+        merged pair keeps the :class:`SparseGrad` row-set invariant.
         """
         if rows.ndim != 1 or values.ndim != self.data.ndim:
             raise ValueError(
@@ -146,7 +148,13 @@ class Parameter:
         merged_vals[old_pos] += self.sparse_grad.values
         new_pos = np.searchsorted(merged_rows, rows)
         merged_vals[new_pos] += values
-        self.sparse_grad = SparseGrad(rows=merged_rows, values=merged_vals)
+        # Keep the SparseGrad invariant: rows that cancelled to all-zero
+        # leave the pair, and zeros are +0.0 as at emission.
+        merged_vals += np.float32(0.0)
+        nonzero = np.any(merged_vals != 0,
+                         axis=tuple(range(1, merged_vals.ndim)))
+        self.sparse_grad = SparseGrad(rows=merged_rows[nonzero],
+                                      values=merged_vals[nonzero])
 
     # -- serialisation ------------------------------------------------------
     def state_dict(self) -> Dict[str, Any]:

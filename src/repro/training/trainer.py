@@ -240,12 +240,14 @@ class Trainer:
             occupancy=self.occupancy,
             scene_bound=dataset.scene_bound,
         )
+        # Per-branch arena prefixes: the two optimisers may step
+        # concurrently (see DecoupledRadianceField.run_branches).
         self.density_optimizer = Adam(model.density_parameters(),
-                                      lr=self.config.learning_rate,
-                                      arena=self.arena)
+                                      lr=self.config.learning_rate)
+        self.density_optimizer.set_arena(self.arena, "density_adam")
         self.color_optimizer = Adam(model.color_parameters(),
-                                    lr=self.config.learning_rate,
-                                    arena=self.arena)
+                                    lr=self.config.learning_rate)
+        self.color_optimizer.set_arena(self.arena, "color_adam")
         self._pixel_rng = derive_rng(seed, f"{dataset.name}:pixels")
         self._sample_rng = derive_rng(seed, f"{dataset.name}:samples")
         self.iteration = 0
@@ -451,12 +453,11 @@ class Trainer:
             if update_color and encoder.color_grid.last_touched_rows is not None:
                 rows_touched += encoder.color_grid.last_touched_rows
             with self._phase(TrainPhase.OPTIMIZER_STEP):
-                if update_density:
-                    self.density_optimizer.step()
-                    self.density_updates += 1
-                if update_color:
-                    self.color_optimizer.step()
-                    self.color_updates += 1
+                self.model.run_branches(
+                    self.density_optimizer.step if update_density else None,
+                    self.color_optimizer.step if update_color else None)
+                self.density_updates += int(update_density)
+                self.color_updates += int(update_color)
             if get_injector() is not None:      # chaos hook: poison params
                 fault_point("optimizer.step",
                             arrays=[param.data

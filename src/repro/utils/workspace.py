@@ -17,6 +17,11 @@ Semantics
   is the prefix) and a buffer is only assumed valid until that site runs
   again.  This matches the natural lifetime of per-iteration temporaries
   (forward caches live exactly until the matching backward).
+* One arena may serve several threads at once (the model's density and
+  color branches run concurrently on large tables): the name lookup and
+  the hit/miss counters are locked, but the buffers themselves are not, so
+  a name must be used by **one thread at a time** — each branch, and each
+  optimiser, prefixes its names with its own.
 * Backing allocations only grow (geometrically), so after warm-up — once
   the largest batch shape has been seen — every request is a **hit**:
   zero allocations on the steady-state hot loop.  :attr:`hits` /
@@ -31,6 +36,7 @@ Semantics
 
 from __future__ import annotations
 
+import threading
 from math import prod
 from typing import Dict, Optional, Tuple
 
@@ -46,6 +52,7 @@ class WorkspaceArena:
         self._backing: Dict[Tuple[str, str], np.ndarray] = {}
         self.hits = 0
         self.misses = 0
+        self._lock = threading.Lock()
 
     # -- allocation ---------------------------------------------------------
     def buffer(self, name: str, shape, dtype) -> np.ndarray:
@@ -62,14 +69,16 @@ class WorkspaceArena:
             shape = tuple(int(s) for s in shape)
         size = prod(shape) if shape else 1
         key = (name, dt.str)
-        backing = self._backing.get(key)
-        if backing is None or backing.size < size:
-            grown = size if backing is None else max(size, 2 * backing.size)
-            backing = np.empty(grown, dtype=dt)
-            self._backing[key] = backing
-            self.misses += 1
-        else:
-            self.hits += 1
+        with self._lock:
+            backing = self._backing.get(key)
+            if backing is None or backing.size < size:
+                grown = (size if backing is None
+                         else max(size, 2 * backing.size))
+                backing = np.empty(grown, dtype=dt)
+                self._backing[key] = backing
+                self.misses += 1
+            else:
+                self.hits += 1
         return backing[:size].reshape(shape)
 
     def zeros(self, name: str, shape, dtype) -> np.ndarray:

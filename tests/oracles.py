@@ -1,4 +1,4 @@
-"""Frozen reference oracles for the grid engine's differential tests.
+"""Frozen reference oracles for the differential tests.
 
 Production ships one grid engine and one gradient representation; the
 reference forms they replaced live here, frozen, so tests can keep checking
@@ -14,6 +14,9 @@ the engine against them.
 * :func:`coo_from_dense` and :func:`use_dense_scatter` — the
   dense-representation oracle of the sparse (COO) backward: scatter into a
   full-table ``np.bincount`` accumulator, then keep the non-zero rows.
+* :func:`updates_in_loop` — the O(n) per-iteration count that
+  :meth:`~repro.core.schedule.UpdateSchedule.updates_in` replaced with a
+  closed form.
 """
 
 from __future__ import annotations
@@ -141,3 +144,11 @@ def use_dense_scatter(grid) -> None:
             grid.table.add_sparse_grad(rows, values)
 
     grid._scatter_sparse = scatter
+
+
+def updates_in_loop(schedule, n_iterations: int) -> int:
+    """O(n) reference for ``UpdateSchedule.updates_in``: count the updating
+    iterations one by one."""
+    if n_iterations < 0:
+        raise ValueError("n_iterations must be non-negative")
+    return sum(schedule.should_update(i) for i in range(n_iterations))

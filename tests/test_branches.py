@@ -1,0 +1,308 @@
+"""Concurrent density/color branches and the shared workspace arena.
+
+Above ``repro.core.model.BRANCH_THREAD_MIN_ROWS`` rows in the smaller branch
+table, :meth:`DecoupledRadianceField.run_branches` runs the color branch on
+a worker thread beside the density branch (query, backward and the
+trainer's optimiser steps).  These tests lower the gate to 0 so the
+concurrent path runs on tiny models, and check that:
+
+* a concurrent 20-step training run is bit-identical to the sequential one
+  (losses, parameters, flushed Adam moments), dense and sparse updates,
+  both precision policies, culled pipeline;
+* the gate starts no thread below it and one worker at it;
+* color-branch exceptions (including ``np.errstate`` floating-point errors,
+  which live in a context variable) reach the caller after both branches
+  joined, and the model keeps working;
+* dropping a model stops its worker;
+* the arena's name lookup and counters survive many threads, and two
+  optimisers sharing one arena under their own prefixes step concurrently
+  exactly as on separate arenas.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import gc
+import sys
+import threading
+import time
+
+import numpy as np
+import pytest
+
+import repro.core.model as model_module
+from repro.core.config import Instant3DConfig
+from repro.core.model import DecoupledRadianceField
+from repro.grid.hash_encoding import HashGridConfig
+from repro.nn.optim import Adam
+from repro.nn.parameter import Parameter
+from repro.training.trainer import Trainer
+from repro.utils.seeding import new_rng
+from repro.utils.workspace import WorkspaceArena
+
+JOIN_TIMEOUT_S = 30.0
+WORKER_PREFIX = "repro-color-branch"
+
+
+@pytest.fixture
+def concurrent_branches(monkeypatch):
+    """Lower the gate so every model runs its branches on two threads."""
+    monkeypatch.setattr(model_module, "BRANCH_THREAD_MIN_ROWS", 0)
+
+
+@pytest.fixture
+def model(tiny_config, concurrent_branches):
+    """A fresh tiny model on the concurrent path."""
+    return DecoupledRadianceField(tiny_config, seed=0)
+
+
+def _workers() -> set:
+    return {thread for thread in threading.enumerate()
+            if thread.name.startswith(WORKER_PREFIX)}
+
+
+def _run(config, dataset, n_steps: int):
+    trainer = Trainer(DecoupledRadianceField(config, seed=0), dataset,
+                      config=config, seed=0)
+    losses = [trainer.train_step()["loss"] for _ in range(n_steps)]
+    return trainer, losses
+
+
+class TestBitIdentity:
+    N_STEPS = 20
+
+    @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_concurrent_run_matches_sequential(self, tiny_config, tiny_dataset,
+                                               monkeypatch, sparse, dtype):
+        config = dataclasses.replace(tiny_config, sparse_updates=sparse,
+                                     compute_dtype=dtype, culling_enabled=True)
+        sequential, seq_losses = _run(config, tiny_dataset, self.N_STEPS)
+        assert not sequential.model.branches_concurrent
+        monkeypatch.setattr(model_module, "BRANCH_THREAD_MIN_ROWS", 0)
+        concurrent, conc_losses = _run(config, tiny_dataset, self.N_STEPS)
+        assert concurrent.model._worker is not None   # the threaded path ran
+
+        assert conc_losses == seq_losses
+        for a, b in zip(sequential.model.parameters(),
+                        concurrent.model.parameters()):
+            np.testing.assert_array_equal(a.data, b.data)
+        for name in ("density_optimizer", "color_optimizer"):
+            state_a = getattr(sequential, name).state_dict()
+            state_b = getattr(concurrent, name).state_dict()
+            assert state_a["step_count"] == state_b["step_count"]
+            for key in ("m", "v"):
+                assert state_a[key].keys() == state_b[key].keys()
+                for index in state_a[key]:
+                    np.testing.assert_array_equal(state_a[key][index],
+                                                  state_b[key][index])
+
+
+class TestGate:
+    def test_small_model_starts_no_thread(self, tiny_config, tiny_dataset):
+        # Let workers of models dropped by earlier tests exit first.
+        gc.collect()
+        for thread in _workers():
+            thread.join(timeout=JOIN_TIMEOUT_S)
+        before = threading.active_count()
+        trainer, _ = _run(tiny_config, tiny_dataset, 3)
+        assert not trainer.model.branches_concurrent
+        assert trainer.model._worker is None
+        assert threading.active_count() == before
+
+    def test_model_at_gate_starts_one_worker(self):
+        # One hashed level of exactly 2^18 rows in both branches.
+        grid = HashGridConfig(n_levels=1, n_features_per_level=2,
+                              log2_hashmap_size=18, base_resolution=128,
+                              finest_resolution=128)
+        config = Instant3DConfig.instant_ngp_baseline(
+            grid=grid, mlp_hidden_width=16, mlp_hidden_layers=1)
+        before = _workers()
+        model = DecoupledRadianceField(config, seed=0)
+        assert min(model.encoder.density_grid.table.data.shape[0],
+                   model.encoder.color_grid.table.data.shape[0]) \
+            == model_module.BRANCH_THREAD_MIN_ROWS
+        assert model.branches_concurrent
+        assert _workers() == before            # none at construction
+        points = new_rng(0).random((64, 3))
+        dirs = np.tile([0.0, 0.0, 1.0], (64, 1))
+        model.query(points, dirs)
+        model.query(points, dirs)
+        assert len(_workers() - before) == 1   # one, reused
+
+
+class TestErrors:
+    def test_color_error_raises_after_density_finishes(self, model):
+        density_done = threading.Event()
+
+        def density():
+            time.sleep(0.05)
+            density_done.set()
+            return "density"
+
+        def color():
+            raise ValueError("color branch failed")
+
+        with pytest.raises(ValueError, match="color branch failed"):
+            model.run_branches(density, color)
+        assert density_done.is_set()
+        # The worker survives the failure.
+        assert model.run_branches(lambda: 1, lambda: 2) == (1, 2)
+
+    def test_density_error_raises_after_color_finishes(self, model):
+        color_done = threading.Event()
+
+        def density():
+            raise KeyError("density branch failed")
+
+        def color():
+            time.sleep(0.05)
+            color_done.set()
+
+        with pytest.raises(KeyError):
+            model.run_branches(density, color)
+        assert color_done.is_set()
+
+    def test_model_keeps_working_after_a_failure(self, model):
+        points = new_rng(0).random((32, 3))
+        dirs = np.tile([0.0, 1.0, 0.0], (32, 1))
+        sigma, rgb = model.query(points, dirs)
+        with pytest.raises(ValueError):
+            model.run_branches(lambda: None, lambda: int("x"))
+        sigma_again, rgb_again = model.query(points, dirs)
+        np.testing.assert_array_equal(sigma, sigma_again)
+        np.testing.assert_array_equal(rgb, rgb_again)
+
+    def test_errstate_reaches_color_branch(self, model):
+        ran_on = []
+
+        def color():
+            ran_on.append(threading.current_thread())
+            return np.ones(1) / np.zeros(1)
+
+        with np.errstate(divide="raise"):
+            with pytest.raises(FloatingPointError):
+                model.run_branches(lambda: None, color)
+        assert ran_on and ran_on[0] is not threading.current_thread()
+
+
+class TestLifetime:
+    def test_dropped_model_leaves_no_worker(self, tiny_config,
+                                            concurrent_branches):
+        before = _workers()
+        model = DecoupledRadianceField(tiny_config, seed=0)
+        model.run_branches(lambda: None, lambda: None)
+        started = _workers() - before
+        assert len(started) == 1
+        del model
+        gc.collect()
+        for thread in started:
+            thread.join(timeout=JOIN_TIMEOUT_S)
+            assert not thread.is_alive()
+
+
+class TestSharedArena:
+    N_THREADS = 8              # more threads than the host has cores
+    N_REQUESTS = 2000
+    N_NAMES = 4
+
+    def test_stress_counters_and_names(self):
+        arena = WorkspaceArena()
+        failures = []
+
+        def work(tid: int) -> None:
+            for j in range(self.N_REQUESTS):
+                name = f"t{tid}/b{j % self.N_NAMES}"
+                buf = arena.buffer(name, (j % 7 + 1,), np.float64)
+                value = tid * 100 + j % self.N_NAMES
+                buf.fill(value)
+                if not np.all(buf == value):
+                    failures.append((tid, name))
+
+        old_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(tid,))
+                       for tid in range(self.N_THREADS)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=JOIN_TIMEOUT_S)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(old_interval)
+
+        assert not failures, f"names aliased: {failures[:5]}"
+        assert arena.hits + arena.misses == self.N_THREADS * self.N_REQUESTS
+        assert arena.n_buffers == self.N_THREADS * self.N_NAMES
+        buffers = [arena.buffer(f"t{tid}/b{k}", 7, np.float64)
+                   for tid in range(self.N_THREADS)
+                   for k in range(self.N_NAMES)]
+        for i, a in enumerate(buffers):
+            for b in buffers[i + 1:]:
+                assert not np.shares_memory(a, b)
+
+    def test_trainer_optimizers_use_own_prefixes(self, tiny_config,
+                                                 tiny_dataset):
+        trainer = Trainer(DecoupledRadianceField(tiny_config, seed=0),
+                          tiny_dataset, config=tiny_config, seed=0)
+        prefixes = {trainer.density_optimizer.arena_prefix,
+                    trainer.color_optimizer.arena_prefix}
+        assert len(prefixes) == 2
+
+    def test_concurrent_optimizers_on_one_arena(self):
+        n_steps, n_rows = 12, 4096
+
+        def build(arena_a, arena_b):
+            optimizers = []
+            for tag, arena in (("a", arena_a), ("b", arena_b)):
+                rng = new_rng(7 if tag == "a" else 8)
+                table = Parameter(rng.standard_normal((n_rows, 2)), f"{tag}_t")
+                table.sparse = True
+                weight = Parameter(rng.standard_normal((64, 32)), f"{tag}_w")
+                optimizer = Adam([table, weight], lr=1e-2)
+                optimizer.set_arena(arena, f"{tag}_adam")
+                optimizers.append(optimizer)
+            return optimizers
+
+        def set_grads(optimizers, step):
+            for k, optimizer in enumerate(optimizers):
+                rng = new_rng(1000 * step + k)
+                table, weight = optimizer.parameters
+                table.zero_grad()
+                rows = np.unique(rng.integers(0, n_rows, n_rows // 4))
+                table.add_sparse_grad(
+                    rows, rng.standard_normal((rows.size, 2)).astype(np.float32))
+                weight.zero_grad()
+                weight.accumulate_grad(rng.standard_normal(weight.shape))
+
+        shared = WorkspaceArena()
+        together = build(shared, shared)
+        apart = build(WorkspaceArena(), WorkspaceArena())
+        old_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for step in range(n_steps):
+                set_grads(together, step)
+                threads = [threading.Thread(target=optimizer.step)
+                           for optimizer in together]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=JOIN_TIMEOUT_S)
+                    assert not thread.is_alive()
+                set_grads(apart, step)
+                for optimizer in apart:
+                    optimizer.step()
+        finally:
+            sys.setswitchinterval(old_interval)
+
+        for opt_shared, opt_apart in zip(together, apart):
+            for p, q in zip(opt_shared.parameters, opt_apart.parameters):
+                np.testing.assert_array_equal(p.data, q.data)
+            state_shared = opt_shared.state_dict()
+            state_apart = opt_apart.state_dict()
+            for key in ("m", "v"):
+                for index in state_apart[key]:
+                    np.testing.assert_array_equal(state_shared[key][index],
+                                                  state_apart[key][index])

@@ -21,7 +21,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from oracles import per_level_loop
+from oracles import per_level_loop, updates_in_loop
 from test_pipeline import _force_fully_occupied, _params_equal, _reference_dense_run
 
 from repro.core.config import Instant3DConfig
@@ -309,7 +309,7 @@ class TestScheduleClosedForm:
     @pytest.mark.parametrize("n", [0, 1, 7, 64, 257])
     def test_matches_loop_oracle(self, frequency, n):
         schedule = UpdateSchedule(frequency)
-        assert schedule.updates_in(n) == schedule._updates_in_loop(n)
+        assert schedule.updates_in(n) == updates_in_loop(schedule, n)
 
     def test_property_random_frequencies(self):
         rng = new_rng(7)
@@ -317,4 +317,4 @@ class TestScheduleClosedForm:
             frequency = float(rng.uniform(0.01, 1.0))
             n = int(rng.integers(0, 200))
             schedule = UpdateSchedule(frequency)
-            assert schedule.updates_in(n) == schedule._updates_in_loop(n)
+            assert schedule.updates_in(n) == updates_in_loop(schedule, n)

@@ -125,6 +125,42 @@ class TestParameter:
         np.testing.assert_array_equal(
             merged.values, [[1, 1], [3, 3], [2, 2]])
 
+    def test_add_sparse_grad_merge_drops_cancelled_rows(self):
+        # Rows that sum to all-zero leave the pair, as at emission.
+        p = Parameter(np.zeros((5, 2)))
+        p.add_sparse_grad(np.array([1, 3]),
+                          np.array([[1, 0], [3, 4]], np.float32))
+        p.add_sparse_grad(np.array([1, 3]),
+                          np.array([[-1, 2], [-3, -4]], np.float32))
+        merged = p.sparse_grad
+        np.testing.assert_array_equal(merged.rows, [1])
+        np.testing.assert_array_equal(merged.values, [[0, 2]])
+        assert not np.signbit(merged.values).any()
+
+    def test_add_sparse_grad_merges_empty_pairs(self):
+        # Two empty pairs (an all-zero gradient) merge into an empty pair.
+        p = Parameter(np.zeros((5, 2)))
+        for _ in range(2):
+            p.add_sparse_grad(np.zeros(0, np.int64),
+                              np.zeros((0, 2), np.float32))
+        assert p.sparse_grad.rows.shape == (0,)
+        assert p.sparse_grad.values.shape == (0, 2)
+
+    def test_lazy_adam_ignores_cancelled_merge(self):
+        # Row 3 carries momentum from step 1; a step-2 gradient that cancels
+        # to zero must leave it untouched (lazy Adam skips untouched rows).
+        param = Parameter(np.ones((5, 2)))
+        param.sparse = True
+        opt = Adam([param], lr=1e-1)
+        param.add_sparse_grad(np.array([3]), np.array([[1, 2]], np.float32))
+        opt.step()
+        after_first = param.data.copy()
+        param.zero_grad()
+        param.add_sparse_grad(np.array([3]), np.array([[3, 4]], np.float32))
+        param.add_sparse_grad(np.array([3]), np.array([[-3, -4]], np.float32))
+        opt.step()
+        np.testing.assert_array_equal(param.data, after_first)
+
 
 # ---------------------------------------------------------------------------
 # COO emission from the grid backward
