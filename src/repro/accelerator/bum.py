@@ -96,7 +96,7 @@ def replay_trace(addresses: np.ndarray, n_entries: int = 16,
                  timeout_cycles: int = 16, cap: int = None) -> dict:
     """Replay a touched-address trace through the BUM and summarise it.
 
-    The hook the scheduling benchmark (and any notebook) uses to score a
+    The hook the scheduling tests (and any notebook) use to score a
     live training batch: feed it a grid's recorded address stream — e.g.
     ``grid.last_access.flat_addresses()`` straight after a train step — and
     read off the merge rate the modeled hardware would achieve on it, next

@@ -123,8 +123,8 @@ class Instant3DConfig:
     #: 3-D Morton code of the first occupied cell each ray enters, grouping
     #: rays whose kept samples scatter into the same grid rows.  The tiled
     #: schedules raise the address locality seen by the accelerator's
-    #: backward-update merger (the ``scheduling`` section of
-    #: ``BENCH_throughput.json`` quantifies the merge-rate gain).
+    #: backward-update merger (``tests/test_scheduling.py`` pins the
+    #: merge-rate gain on a fixed training trace).
     ray_schedule: str = "uniform"
     #: Edge length of the square pixel tiles drawn by the ``"morton"`` and
     #: ``"occupancy"`` schedules (clamped to the smallest view dimension).
@@ -142,19 +142,11 @@ class Instant3DConfig:
     #: Compute dtype of every batch-proportional hot-path array (grid weight
     #: planes, renderer compositing, sampling, loss, optimiser scratch).
     #: ``"float64"`` is the bit-exact reference path every differential test
-    #: anchors to; ``"float32"`` is the fast path (~half the memory traffic,
-    #: see the ``precision`` section of ``BENCH_throughput.json``).  Random
+    #: anchors to; ``"float32"`` is the fast path (~half the memory traffic;
+    #: perfbench's ``train-large-sparse`` workload times it).  Random
     #: draws are shared between the two, so runs differ only by arithmetic
     #: precision.  Parameter storage is float32 under both.
     compute_dtype: str = "float64"
-    #: Reuse one workspace arena of preallocated buffers for all
-    #: per-iteration temporaries (query planes, MLP activations, compositing
-    #: planes, optimiser scratch): steady-state train steps then perform
-    #: zero large allocations.  Value-neutral — results are bit-identical
-    #: with it on or off; ``False`` restores the pre-arena allocation
-    #: behaviour (the reference execution profile the precision benchmark
-    #: compares against).
-    reuse_workspace: bool = True
     #: Make gradient sparsity first-class from backward scatter to optimiser
     #: step: the hash-grid backward emits one compacted
     #: ``(unique_addresses, accumulated_grads)`` COO pair per grid instead of

@@ -103,7 +103,7 @@ class SceneService:
         cap the bound stretches to the number of busy scenes.
     coalesce:
         Merge pending same-scene render jobs into one engine stream
-        (``False`` = per-request dispatch, the benchmark baseline).
+        (``False`` = per-request dispatch).
     max_coalesced_rays:
         Ray budget of one coalesced batch (the lead job always runs, even
         if it alone exceeds the budget).
@@ -384,7 +384,7 @@ class SceneService:
             self._supervise_crash(index, exc)
 
     def _worker_loop(self, index: int) -> None:
-        arena = WorkspaceArena() if self.config.reuse_workspace else None
+        arena = WorkspaceArena()
         while True:
             with self._cv:
                 batch = None

@@ -14,8 +14,6 @@
 
 from repro.training.profiler import (
     PipelineStep,
-    PhaseTimer,
-    TrainPhase,
     StepWorkload,
     IterationWorkload,
     WorkloadScale,
@@ -28,8 +26,6 @@ from repro.training.fleet import FleetResult, SceneFleet, train_fleet
 
 __all__ = [
     "PipelineStep",
-    "PhaseTimer",
-    "TrainPhase",
     "StepWorkload",
     "IterationWorkload",
     "WorkloadScale",

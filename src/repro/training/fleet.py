@@ -34,7 +34,7 @@ set of scenes under one shared configuration:
   the scene whose next slice is farthest away.
 
 Results are aggregated into a :class:`FleetResult` with mean PSNRs and a
-scenes-per-hour throughput figure used by ``benchmarks/bench_throughput.py``.
+scenes-per-hour throughput figure.
 """
 
 from __future__ import annotations

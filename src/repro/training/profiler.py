@@ -25,146 +25,14 @@ Pipeline steps follow the paper's numbering:
 
 from __future__ import annotations
 
-import threading
-import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.core.config import Instant3DConfig
 from repro.grid.hash_encoding import FEATURE_BYTES, HashGridConfig
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.nerf.occupancy import OccupancyGrid
-
-
-# ---------------------------------------------------------------------------
-# Measured per-phase wall time (complements the static counts below).
-# ---------------------------------------------------------------------------
-
-class TrainPhase:
-    """Symbolic names of the measured training-step phases.
-
-    ``SAMPLING`` is the pixel-batch draw (Step ❶, whatever the configured
-    ray schedule), kept separate from ``FORWARD`` so scheduler overhead —
-    tile draws, occupancy probing, batch reordering — is attributed instead
-    of hiding inside the forward pass.  ``BACKWARD_SCATTER`` covers the
-    gradient path from the renderer's per-sample gradients down to the
-    parameter gradients (the hash-table scatter included);
-    ``OPTIMIZER_STEP`` the Adam/SGD updates.  Splitting the two is what lets
-    the throughput benchmark attribute the sparse-update win to the phase it
-    lands in.
-    """
-
-    SAMPLING = "sampling"
-    FORWARD = "forward"
-    LOSS = "loss"
-    BACKWARD_SCATTER = "backward_scatter"
-    OPTIMIZER_STEP = "optimizer_step"
-    ORDER = (SAMPLING, FORWARD, LOSS, BACKWARD_SCATTER, OPTIMIZER_STEP)
-
-
-class PhaseTimer:
-    """Accumulating wall-clock timer for the training-step phases.
-
-    Attach one to a :class:`~repro.training.trainer.Trainer` via its
-    ``profiler`` attribute and every ``train_step`` splits its wall time
-    into the :class:`TrainPhase` buckets; ``seconds``/``calls`` accumulate
-    until :meth:`reset`.  Overhead is two ``perf_counter`` calls per phase,
-    and a detached trainer (``profiler=None``) pays a single attribute
-    check, so the hot loop is unaffected by default.
-
-    The timer is **thread-safe**: each thread accumulates into its own
-    buckets (no locking on the hot path beyond first-use registration), and
-    the read-side APIs — :attr:`seconds`, :attr:`calls`, :meth:`summary`,
-    :meth:`mean_ms`, :meth:`total_seconds` — merge across threads.  One
-    timer can therefore be shared by the serving layer's worker threads
-    without losing or corrupting counts.
-    """
-
-    def __init__(self) -> None:
-        self._local = threading.local()
-        self._register_lock = threading.Lock()
-        #: One ``(seconds, calls)`` dict pair per thread that ever recorded.
-        self._buckets: List[Tuple[Dict[str, float], Dict[str, int]]] = []
-
-    def _thread_buckets(self) -> Tuple[Dict[str, float], Dict[str, int]]:
-        buckets = getattr(self._local, "buckets", None)
-        if buckets is None:
-            buckets = ({}, {})
-            with self._register_lock:
-                self._buckets.append(buckets)
-            self._local.buckets = buckets
-        return buckets
-
-    @property
-    def seconds(self) -> Dict[str, float]:
-        """Per-phase accumulated seconds, merged across threads."""
-        with self._register_lock:
-            buckets = list(self._buckets)
-        merged: Dict[str, float] = {}
-        for seconds, _ in buckets:
-            for name, value in seconds.items():
-                merged[name] = merged.get(name, 0.0) + value
-        return merged
-
-    @property
-    def calls(self) -> Dict[str, int]:
-        """Per-phase call counts, merged across threads."""
-        with self._register_lock:
-            buckets = list(self._buckets)
-        merged: Dict[str, int] = {}
-        for _, calls in buckets:
-            for name, value in calls.items():
-                merged[name] = merged.get(name, 0) + value
-        return merged
-
-    @contextmanager
-    def phase(self, name: str):
-        """Context manager accumulating the enclosed block's wall time."""
-        seconds, calls = self._thread_buckets()
-        start = time.perf_counter()
-        try:
-            yield
-        finally:
-            elapsed = time.perf_counter() - start
-            seconds[name] = seconds.get(name, 0.0) + elapsed
-            calls[name] = calls.get(name, 0) + 1
-
-    def mean_ms(self, name: str) -> float:
-        """Mean milliseconds per call of ``name`` (0.0 if never recorded)."""
-        seconds = self.seconds
-        calls = self.calls.get(name, 0)
-        if not calls:
-            return 0.0
-        return 1e3 * seconds[name] / calls
-
-    def total_seconds(self) -> float:
-        return float(sum(self.seconds.values()))
-
-    def reset(self) -> None:
-        """Clear every thread's accumulators (registrations are kept)."""
-        with self._register_lock:
-            for seconds, calls in self._buckets:
-                seconds.clear()
-                calls.clear()
-
-    def summary(self) -> Dict[str, Dict[str, float]]:
-        """Per-phase ``{seconds, calls, mean_ms}`` (JSON-able, in phase order),
-        merged across every thread that recorded into this timer."""
-        seconds = self.seconds
-        calls = self.calls
-        names = [p for p in TrainPhase.ORDER if p in seconds]
-        names += [p for p in seconds if p not in names]
-        return {
-            name: {
-                "seconds": seconds[name],
-                "calls": calls[name],
-                "mean_ms": (1e3 * seconds[name] / calls[name]
-                            if calls[name] else 0.0),
-            }
-            for name in names
-        }
 
 
 class PipelineStep:

@@ -20,7 +20,6 @@ to the pre-pipeline trainer for differential testing.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
@@ -44,12 +43,8 @@ from repro.reliability.health import (
 )
 from repro.reliability.rollback import SnapshotRing
 from repro.training.metrics import EvaluationResult, evaluate_model
-from repro.training.profiler import PhaseTimer, TrainPhase
 from repro.utils.seeding import derive_rng, derive_seed, get_rng_state, set_rng_state
 from repro.utils.workspace import WorkspaceArena
-
-#: Shared reusable no-op context for the detached-profiler fast path.
-_NULL_PHASE = nullcontext()
 
 
 @dataclass
@@ -212,8 +207,7 @@ class Trainer:
         # query planes, MLP activations, renderer planes/gradients, optimiser
         # scratch — comes from named reusable buffers, so steady-state steps
         # perform no large allocations (misses only while shapes grow).
-        # ``reuse_workspace=False`` restores fresh-allocation semantics.
-        self.arena = WorkspaceArena() if self.config.reuse_workspace else None
+        self.arena = WorkspaceArena()
         self.policy = self.config.precision_policy
         model.set_arena(self.arena)
         self.pipeline = RenderPipeline(
@@ -263,11 +257,6 @@ class Trainer:
         if self.config.health is not None:
             self.health = HealthMonitor(self.config.health)
             self._snapshots = SnapshotRing(self.config.health.snapshot_ring)
-        #: Optional :class:`~repro.training.profiler.PhaseTimer` splitting
-        #: every step's wall time into sampling / forward / loss /
-        #: backward-scatter / optimiser-step phases (``None`` = no timing
-        #: overhead).
-        self.profiler: Optional[PhaseTimer] = None
 
     # -- occupancy maintenance -------------------------------------------------
     def _refresh_occupancy(self) -> None:
@@ -398,30 +387,19 @@ class Trainer:
             history.load_state_dict(state["history"])
 
     # -- one iteration ---------------------------------------------------------
-    def _phase(self, name: str):
-        """Profiler section for ``name`` (a shared no-op when detached)."""
-        if self.profiler is None:
-            return _NULL_PHASE
-        return self.profiler.phase(name)
-
     def train_step(self) -> Dict[str, float]:
         """Run one full training iteration and return its scalar metrics."""
         update_density, update_color = self.schedules.updates_at(self.iteration)
         if self.occupancy is not None:
             self._refresh_occupancy()
 
-        with self._phase(TrainPhase.SAMPLING):
-            # ❶ — pixel batch, drawn by the configured ray schedule.
-            bundle, targets = self.scheduler.sample_batch(self._pixel_rng)
-
-        with self._phase(TrainPhase.FORWARD):
-            # ❷ / ❸ / ❹ — sampling, (culled) field query and volume rendering.
-            out = self.pipeline.render_rays(bundle, rng=self._sample_rng)
-
-        with self._phase(TrainPhase.LOSS):
-            # ❺ — loss.
-            loss, grad_colors = mse_loss(out.render.colors, targets,
-                                         dtype=self.policy.dtype)
+        # ❶ — pixel batch, drawn by the configured ray schedule.
+        bundle, targets = self.scheduler.sample_batch(self._pixel_rng)
+        # ❷ / ❸ / ❹ — sampling, (culled) field query and volume rendering.
+        out = self.pipeline.render_rays(bundle, rng=self._sample_rng)
+        # ❺ — loss.
+        loss, grad_colors = mse_loss(out.render.colors, targets,
+                                     dtype=self.policy.dtype)
 
         # ❻ — back-propagation with per-branch update schedule, touching only
         # the samples that were queried.  A batch whose samples were all
@@ -431,15 +409,14 @@ class Trainer:
         update_color = update_color and out.n_queried > 0
         rows_touched = 0
         if out.n_queried > 0:
-            with self._phase(TrainPhase.BACKWARD_SCATTER):
-                grad_sigmas, grad_rgbs = self.pipeline.backward_to_points(
-                    grad_colors)
-                self.model.backward(
-                    grad_sigmas,
-                    grad_rgbs,
-                    update_density=update_density,
-                    update_color=update_color,
-                )
+            grad_sigmas, grad_rgbs = self.pipeline.backward_to_points(
+                grad_colors)
+            self.model.backward(
+                grad_sigmas,
+                grad_rgbs,
+                update_density=update_density,
+                update_color=update_color,
+            )
             if get_injector() is not None:      # chaos hook: poison grads
                 fault_point("train.backward",
                             arrays=self._gradient_arrays(
@@ -452,12 +429,11 @@ class Trainer:
                 rows_touched += encoder.density_grid.last_touched_rows
             if update_color and encoder.color_grid.last_touched_rows is not None:
                 rows_touched += encoder.color_grid.last_touched_rows
-            with self._phase(TrainPhase.OPTIMIZER_STEP):
-                self.model.run_branches(
-                    self.density_optimizer.step if update_density else None,
-                    self.color_optimizer.step if update_color else None)
-                self.density_updates += int(update_density)
-                self.color_updates += int(update_color)
+            self.model.run_branches(
+                self.density_optimizer.step if update_density else None,
+                self.color_optimizer.step if update_color else None)
+            self.density_updates += int(update_density)
+            self.color_updates += int(update_color)
             if get_injector() is not None:      # chaos hook: poison params
                 fault_point("optimizer.step",
                             arrays=[param.data

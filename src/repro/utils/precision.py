@@ -14,8 +14,8 @@ Two policies exist:
   reproduces the pre-policy numerics exactly (every differential test and
   frozen trace is anchored to it).
 * ``float32`` — the **fast path**.  All batch-proportional arithmetic runs
-  in single precision, roughly halving memory traffic on the hot loop; the
-  throughput benchmark documents the measured speedup and PSNR tolerance.
+  in single precision, roughly halving memory traffic on the hot loop;
+  ``tests/test_precision.py`` bounds its PSNR gap to the reference.
 
 Parameter *storage* is float32 under both policies (mirroring the FP16/FP32
 mixed precision of the reference CUDA implementation), as is the

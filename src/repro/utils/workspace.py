@@ -25,8 +25,8 @@ Semantics
 * Backing allocations only grow (geometrically), so after warm-up — once
   the largest batch shape has been seen — every request is a **hit**:
   zero allocations on the steady-state hot loop.  :attr:`hits` /
-  :attr:`misses` make that measurable; the throughput benchmark asserts a
-  zero steady-state miss rate and reports the hit rate.
+  :attr:`misses` make that measurable; the tier-1 tests assert a zero
+  steady-state miss rate.
 * Components accept ``arena=None`` and then allocate fresh arrays exactly
   as before — direct (non-trainer) use keeps allocation semantics
   unchanged.  The :class:`~repro.training.trainer.Trainer` owns one arena

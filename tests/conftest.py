@@ -14,7 +14,7 @@ import pytest
 
 from repro.core.config import Instant3DConfig
 from repro.core.model import DecoupledRadianceField
-from repro.datasets import make_synthetic_scene
+from repro.datasets import make_synthetic_scene, nerf_synthetic_like
 from repro.datasets.dataset import build_dataset
 from repro.grid.hash_encoding import HashGridConfig
 from repro.utils.seeding import new_rng
@@ -82,6 +82,37 @@ def baseline_tiny_config(tiny_grid_config) -> Instant3DConfig:
         mlp_hidden_width=16,
         mlp_hidden_layers=1,
     )
+
+
+@pytest.fixture(scope="session")
+def bench_scale_config() -> Instant3DConfig:
+    """The benchmarks' reduced-scale learning configuration.
+
+    Equal to ``benchmarks.common.bench_config(0.25, 0.5)``: a 6-level
+    2^12-entry density grid, a color grid a quarter that size updated on
+    every other iteration, 192-pixel batches of 24 samples.  Tests that pin
+    a figure measured at benchmark scale (merge rates, query reductions,
+    allocation ledgers) start from it.
+    """
+    return Instant3DConfig(
+        grid=HashGridConfig(n_levels=6, n_features_per_level=2,
+                            log2_hashmap_size=12, base_resolution=8,
+                            finest_resolution=96),
+        color_size_ratio=0.25,
+        color_update_freq=0.5,
+        mlp_hidden_width=32,
+        mlp_hidden_layers=2,
+        batch_pixels=192,
+        n_samples_per_ray=24,
+        learning_rate=1e-2,
+    )
+
+
+@pytest.fixture(scope="session")
+def bench_lego_20px():
+    """The benchmark-scale lego scene: 6 train views, 1 test view, 20 px."""
+    return nerf_synthetic_like(["lego"], n_train_views=6, n_test_views=1,
+                               image_size=20)[0]
 
 
 @pytest.fixture(scope="session")

@@ -24,7 +24,7 @@ import pytest
 
 from repro.core.config import Instant3DConfig
 from repro.core.model import DecoupledRadianceField
-from repro.datasets import make_synthetic_scene
+from repro.datasets import make_synthetic_scene, nerf_synthetic_like
 from repro.datasets.dataset import build_dataset
 from repro.io import CheckpointError, NonFiniteCheckpointError, save_checkpoint
 from repro.io.checkpoint import load_trainer_checkpoint, save_trainer_checkpoint
@@ -441,6 +441,33 @@ class TestDeterministicRecovery:
         assert result.rollbacks == 1
         assert result.lr_backoffs == 1
         assert result.batch_skips == 1
+
+    @pytest.mark.parametrize("fault_seed", [0, 1])
+    def test_recovered_psnr_close_to_fault_free(self, bench_scale_config,
+                                                fault_seed):
+        """At benchmark scale (lego 12 px, 40 steps, one corrupt gradient at
+        step 31), tight snapshots and a mild LR backoff land the recovered
+        run within 0.5 dB of the fault-free, unguarded run."""
+        dataset = nerf_synthetic_like(["lego"], n_train_views=3,
+                                      n_test_views=1, image_size=12)[0]
+        guarded = dataclasses.replace(
+            bench_scale_config,
+            health=HealthPolicy(snapshot_every=2, snapshot_ring=2,
+                                lr_backoff=0.75))
+
+        clean = _trainer(bench_scale_config, dataset)
+        clean_history = TrainingHistory()
+        clean.run_steps(40, clean_history)
+        recovered = _trainer(guarded, dataset)
+        history = TrainingHistory()
+        injector = FaultInjector(seed=fault_seed)
+        injector.add("train.backward", "corrupt-grad", after=30, times=1)
+        with fault_injection(injector):
+            recovered.run_steps(40, history)
+        assert recovered.health.rollbacks == 1
+        gap = (clean.finalize(clean_history, eval_samples=24).rgb_psnr
+               - recovered.finalize(history, eval_samples=24).rgb_psnr)
+        assert gap < 0.5
 
 
 # ---------------------------------------------------------------------------

@@ -35,8 +35,8 @@ from repro.utils.seeding import derive_rng, new_rng
 def _reference_dense_run(dataset, config, seed, n_steps):
     """The pre-pipeline six-step training loop, kept verbatim as the oracle.
 
-    A frozen twin lives in ``benchmarks/bench_throughput.py``
-    (``_reference_dense_losses``); neither copy should ever change.
+    The precision, scheduling and serving differentials reuse it; it should
+    never change.
     """
     model = DecoupledRadianceField(config, seed=seed)
     schedules = BranchSchedules.from_frequencies(
@@ -249,6 +249,24 @@ class TestCulledTrainingRun:
         assert result.occupancy_refresh_points == (
             config.occupancy_refresh_samples * trainer.occupancy.n_updates)
         assert np.isfinite(result.rgb_psnr)
+
+    def test_net_query_reduction_at_bench_scale(self, bench_scale_config,
+                                                bench_lego_20px):
+        """Over the last quarter of a 120-step run, culling cuts field
+        queries per iteration even after charging every occupancy refresh's
+        density probes to the iterations they serve."""
+        config = dataclasses.replace(bench_scale_config, culling_enabled=True,
+                                     early_termination_tau=1e-3)
+        n_steps, tail = 120, 30
+        trainer = Trainer(DecoupledRadianceField(config, seed=0),
+                          bench_lego_20px, config=config, seed=0)
+        history = TrainingHistory()
+        trainer.run_steps(n_steps, history)
+        dense_per_iter = config.batch_pixels * config.n_samples_per_ray
+        assert history.queries_total[-tail:] == [dense_per_iter] * tail
+        culled_per_iter = (np.mean(history.queries_kept[-tail:])
+                           + trainer.occupancy_refresh_points / n_steps)
+        assert dense_per_iter / culled_per_iter > 1.0
 
     def test_all_empty_grid_never_freezes_training(self, tiny_dataset):
         """An all-empty grid keeps every sample instead of deadlocking."""

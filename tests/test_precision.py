@@ -10,13 +10,15 @@ Four contracts anchor the tentpole:
     float64 trajectory within float-precision tolerance (and its grid
     engine still matches the frozen per-level loop oracle);
 (c) the workspace arena is allocation-bookkeeping only: steady-state train
-    steps serve every buffer from the arena (zero misses) and results are
-    bit-identical with the arena disabled;
+    steps serve every buffer from the arena (zero misses, no transient
+    allocation of 1 MiB or more) and no step reads a buffer it did not
+    write, so results match the arena-free reference loop bit for bit;
 (d) checkpoints record the policy dtype, refuse to resume across policies,
     and resume bit-identically within one.
 """
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,11 +32,16 @@ from repro.core.schedule import UpdateSchedule
 from repro.grid.hash_encoding import HashGridConfig, MultiResHashGrid
 from repro.io import CheckpointError, load_trainer_checkpoint, save_trainer_checkpoint
 from repro.nn.layers import Linear
+from repro.training import trainer as trainer_module
 from repro.training.trainer import Trainer, TrainingHistory
 from repro.utils.precision import FLOAT32, FLOAT64, PrecisionPolicy, resolve_policy
 from repro.utils.seeding import new_rng
 from repro.utils.workspace import WorkspaceArena
 from repro.nn.activations import _Activation
+
+#: A "large" transient allocation: several times the dense float64 sample
+#: plane of a benchmark-scale step.
+LARGE_ALLOC_THRESHOLD = 1 << 20
 
 
 class TestPrecisionPolicy:
@@ -98,6 +105,20 @@ class TestWorkspaceArena:
         assert not np.shares_memory(a, c)
 
 
+class _PoisonedArena(WorkspaceArena):
+    """Arena that overwrites every buffer it hands out with garbage."""
+
+    def buffer(self, name, shape, dtype):
+        out = super().buffer(name, shape, dtype)
+        if out.dtype.kind in "fc":
+            out.fill(np.nan)
+        elif out.dtype.kind in "iu":
+            out.fill(np.iinfo(out.dtype).max)
+        else:
+            out.fill(1)
+        return out
+
+
 class TestFloat64ReferenceBitIdentity:
     def test_explicit_float64_matches_frozen_reference(self, tiny_config,
                                                        tiny_dataset):
@@ -111,19 +132,21 @@ class TestFloat64ReferenceBitIdentity:
         assert losses == ref_losses
         assert _params_equal(model, ref_model)
 
-    def test_arena_is_value_neutral(self, tiny_config, tiny_dataset):
-        """(c) reuse_workspace=False produces bit-identical trajectories."""
-        with_arena = dataclasses.replace(tiny_config, reuse_workspace=True)
-        without = dataclasses.replace(tiny_config, reuse_workspace=False)
-        m1 = DecoupledRadianceField(with_arena, seed=0)
-        m2 = DecoupledRadianceField(without, seed=0)
-        t1 = Trainer(m1, tiny_dataset, config=with_arena, seed=0)
-        t2 = Trainer(m2, tiny_dataset, config=without, seed=0)
-        assert t1.arena is not None and t2.arena is None
-        l1 = [t1.train_step()["loss"] for _ in range(12)]
-        l2 = [t2.train_step()["loss"] for _ in range(12)]
-        assert l1 == l2
-        assert _params_equal(m1, m2)
+    def test_arena_is_value_neutral(self, tiny_config, tiny_dataset,
+                                    monkeypatch):
+        """(c) A trainer whose arena poisons every buffer it hands out still
+        reproduces the arena-free reference loop: no site reads scratch it
+        did not write in the same step."""
+        monkeypatch.setattr(trainer_module, "WorkspaceArena", _PoisonedArena)
+        ref_model, ref_losses = _reference_dense_run(tiny_dataset, tiny_config,
+                                                     seed=0, n_steps=12)
+        model = DecoupledRadianceField(tiny_config, seed=0)
+        trainer = Trainer(model, tiny_dataset, config=tiny_config, seed=0)
+        assert isinstance(trainer.arena, _PoisonedArena)
+        losses = [trainer.train_step()["loss"] for _ in range(12)]
+        assert trainer.arena.hits > 0
+        assert losses == ref_losses
+        assert _params_equal(model, ref_model)
 
     def test_culled_float64_fully_occupied_matches_dense(self, tiny_config,
                                                          tiny_dataset):
@@ -155,9 +178,13 @@ class TestFloat32FastPath:
         """(b) same RNG draws, float-precision-only divergence."""
         f64 = dataclasses.replace(tiny_config, compute_dtype="float64")
         f32 = dataclasses.replace(tiny_config, compute_dtype="float32")
-        l64, _ = self._losses(f64, tiny_dataset, 20)
-        l32, _ = self._losses(f32, tiny_dataset, 20)
+        l64, t64 = self._losses(f64, tiny_dataset, 20)
+        l32, t32 = self._losses(f32, tiny_dataset, 20)
         np.testing.assert_allclose(l32, l64, rtol=1e-3)
+        # Equal-step quality: float32 loses less than 0.5 dB of test PSNR.
+        psnr64 = t64.finalize(TrainingHistory(), eval_samples=24).rgb_psnr
+        psnr32 = t32.finalize(TrainingHistory(), eval_samples=24).rgb_psnr
+        assert psnr64 - psnr32 < 0.5
 
     def test_culled_float32_trains(self, tiny_config, tiny_dataset):
         config = dataclasses.replace(
@@ -244,6 +271,33 @@ class TestArenaSteadyState:
         assert trainer.arena.misses == 0
         assert trainer.arena.hits > 0
         assert trainer.arena.hit_rate == 1.0
+
+    def test_no_large_transient_allocations(self, bench_scale_config,
+                                            bench_lego_20px):
+        """At a paper-shaped batch (512 rays x 32 samples), no steady-state
+        float32 step allocates a transient of 1 MiB or more: tracemalloc's
+        per-step peak above the step's starting footprint stays below it."""
+        config = dataclasses.replace(bench_scale_config, batch_pixels=512,
+                                     n_samples_per_ray=32,
+                                     compute_dtype="float32")
+        trainer = Trainer(DecoupledRadianceField(config, seed=0),
+                          bench_lego_20px, config=config, seed=0)
+        for _ in range(3):
+            trainer.train_step()
+        trainer.arena.reset_stats()
+        peaks = []
+        tracemalloc.start()
+        try:
+            trainer.train_step()                        # tracer warm-up
+            for _ in range(5):
+                tracemalloc.reset_peak()
+                before = tracemalloc.get_traced_memory()[0]
+                trainer.train_step()
+                peaks.append(tracemalloc.get_traced_memory()[1] - before)
+        finally:
+            tracemalloc.stop()
+        assert trainer.arena.misses == 0
+        assert max(peaks) < LARGE_ALLOC_THRESHOLD
 
     def test_components_propagate_arena(self, tiny_config, tiny_dataset):
         model = DecoupledRadianceField(tiny_config, seed=0)

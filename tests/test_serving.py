@@ -14,19 +14,17 @@ The load-bearing guarantees:
 * the :class:`~repro.serving.service.SceneService` preserves solo training
   trajectories under interleaved render+train jobs across more scenes than
   the residency cap, coalesces same-scene renders, honours priorities and
-  propagates worker errors;
-* :class:`~repro.training.profiler.PhaseTimer` merges concurrent
-  per-thread sections without losing counts.
+  propagates worker errors.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import threading
-import time
 
 import numpy as np
 import pytest
+
+from test_pipeline import _reference_dense_run
 
 from repro.core.model import DecoupledRadianceField
 from repro.datasets import make_synthetic_scene
@@ -47,7 +45,6 @@ from repro.serving import (
     render_coalesced,
 )
 from repro.training.fleet import SceneFleet
-from repro.training.profiler import PhaseTimer
 from repro.training.trainer import Trainer, TrainingHistory, train_scene
 
 
@@ -352,6 +349,21 @@ class TestSceneService:
                                     eval_views=1, eval_samples=8)
             assert losses[dataset.name] == reference.history.losses
 
+    def test_single_client_train_matches_frozen_reference(
+            self, serving_datasets, tiny_config):
+        """Training through the job queue (submit -> worker thread ->
+        residency checkout), split across two jobs, reproduces the frozen
+        pre-pipeline loop bit for bit."""
+        lego = serving_datasets[0]
+        _, ref_losses = _reference_dense_run(lego, tiny_config,
+                                             seed=0, n_steps=10)
+        with SceneService([lego], tiny_config, seed=0, n_workers=1,
+                          coalesce=False) as service:
+            first = service.train(lego.name, n_steps=5)
+            second = service.train(lego.name, n_steps=5)
+            losses = first.result(60).losses + second.result(60).losses
+        assert losses == ref_losses
+
     def test_coalesces_same_scene_renders(self, serving_datasets,
                                           serving_config):
         lego, chair = serving_datasets[0], serving_datasets[1]
@@ -439,54 +451,6 @@ class TestSceneService:
             # The service survives the failed job.
             ok = service.render(serving_datasets[0].name)
             assert ok.result(60).n_rays == 100
-
-
-class TestThreadSafePhaseTimer:
-    def test_concurrent_sections_merge(self):
-        timer = PhaseTimer()
-        barrier = threading.Barrier(2)
-
-        def record(name, calls):
-            barrier.wait()
-            for _ in range(calls):
-                with timer.phase(name):
-                    time.sleep(0.002)
-
-        workers = [threading.Thread(target=record, args=("forward", 3)),
-                   threading.Thread(target=record, args=("forward", 4))]
-        for worker in workers:
-            worker.start()
-        with timer.phase("loss"):
-            time.sleep(0.002)
-        for worker in workers:
-            worker.join()
-
-        summary = timer.summary()
-        assert summary["forward"]["calls"] == 7
-        assert summary["loss"]["calls"] == 1
-        assert summary["forward"]["seconds"] >= 7 * 0.002
-        assert timer.total_seconds() == pytest.approx(
-            sum(entry["seconds"] for entry in summary.values()))
-        assert timer.mean_ms("forward") == pytest.approx(
-            1e3 * summary["forward"]["seconds"] / 7)
-
-    def test_reset_clears_every_thread(self):
-        timer = PhaseTimer()
-
-        def record():
-            with timer.phase("forward"):
-                pass
-
-        worker = threading.Thread(target=record)
-        worker.start()
-        worker.join()
-        with timer.phase("loss"):
-            pass
-        assert timer.summary()
-        timer.reset()
-        assert timer.summary() == {}
-        assert timer.mean_ms("forward") == 0.0
-        assert timer.total_seconds() == 0.0
 
 
 class TestFleetResidencyStats:

@@ -28,7 +28,6 @@ from repro.grid.hash_encoding import HashGridConfig, MultiResHashGrid
 from repro.io import load_trainer_checkpoint, save_trainer_checkpoint
 from repro.nn.optim import SGD, Adam, _pow_by_exponent
 from repro.nn.parameter import Parameter, SparseGrad
-from repro.training.profiler import PhaseTimer, TrainPhase
 from repro.training.trainer import Trainer, TrainingHistory
 from repro.utils.seeding import new_rng
 from repro.utils.workspace import WorkspaceArena
@@ -573,43 +572,6 @@ class TestTrainerDifferential:
         total = (trainer.model.encoder.density_grid.total_table_entries
                  + trainer.model.encoder.color_grid.total_table_entries)
         assert metrics["grid_rows_touched"] <= total
-
-
-# ---------------------------------------------------------------------------
-# Profiler phases
-# ---------------------------------------------------------------------------
-
-class TestPhaseTimer:
-    def test_phases_recorded(self, tiny_config, tiny_dataset):
-        trainer = Trainer(DecoupledRadianceField(tiny_config, seed=0),
-                          tiny_dataset, config=tiny_config, seed=0)
-        trainer.profiler = PhaseTimer()
-        for _ in range(3):
-            trainer.train_step()
-        summary = trainer.profiler.summary()
-        for phase in TrainPhase.ORDER:
-            assert phase in summary
-            assert summary[phase]["calls"] == 3
-            assert summary[phase]["seconds"] >= 0.0
-            assert summary[phase]["mean_ms"] == pytest.approx(
-                1e3 * summary[phase]["seconds"] / 3)
-        assert trainer.profiler.total_seconds() == pytest.approx(
-            sum(s["seconds"] for s in summary.values()))
-
-    def test_detached_profiler_is_free_of_side_effects(self, tiny_config,
-                                                       tiny_dataset):
-        trainer = Trainer(DecoupledRadianceField(tiny_config, seed=0),
-                          tiny_dataset, config=tiny_config, seed=0)
-        assert trainer.profiler is None
-        trainer.train_step()                 # must not raise
-
-    def test_reset(self):
-        timer = PhaseTimer()
-        with timer.phase("x"):
-            pass
-        timer.reset()
-        assert timer.summary() == {}
-        assert timer.mean_ms("x") == 0.0
 
 
 # ---------------------------------------------------------------------------
