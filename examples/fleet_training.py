@@ -4,8 +4,7 @@ Demonstrates the engine, pipeline and io layers:
 
 1. build several procedural scene datasets;
 2. train them all under one shared Instant-3D configuration with
-   :class:`repro.training.SceneFleet` — round-robin in-process scheduling,
-   or a ``multiprocessing`` pool with ``--workers N``;
+   :class:`repro.training.SceneFleet`'s round-robin scheduler;
 3. train the same fleet again through the occupancy-culled
    :class:`~repro.nerf.pipeline.RenderPipeline` (``culling_enabled=True``)
    and compare scenes/hour, per-scene occupancy fraction and PSNR parity;
@@ -14,13 +13,17 @@ Demonstrates the engine, pipeline and io layers:
    disk), then ``resume()`` a brand-new fleet from the checkpoint files and
    verify the finished run is bit-identical to the uninterrupted one.
 
-Run with:  PYTHONPATH=src python examples/fleet_training.py [--workers N]
+Exits non-zero when the resumed run is not bit-identical, so it doubles as
+an end-to-end check.
+
+Run with:  PYTHONPATH=src python examples/fleet_training.py [--iterations N]
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import sys
 import tempfile
 from pathlib import Path
 
@@ -29,12 +32,12 @@ from repro.datasets import nerf_synthetic_like
 from repro.grid.hash_encoding import HashGridConfig
 
 
-def run_fleet(datasets, config, label: str, n_iterations: int, n_workers: int):
-    fleet = SceneFleet(datasets, config, seed=0, n_workers=n_workers)
+def run_fleet(datasets, config, label: str, n_iterations: int):
+    fleet = SceneFleet(datasets, config, seed=0)
     print(f"Training {len(datasets)} scenes x {n_iterations} iterations "
-          f"[{label}] ({'process pool' if n_workers > 1 else 'round-robin'})...")
+          f"[{label}] (round-robin)...")
     result = fleet.train(n_iterations, eval_views=1)
-    print(f"  schedule: {result.schedule}   wall-clock: {result.wall_clock_s:.1f}s   "
+    print(f"  wall-clock: {result.wall_clock_s:.1f}s   "
           f"throughput: {result.scenes_per_hour:.1f} scenes/hour")
     for name, scene_result in zip(result.scene_names, result.results):
         occupancy = scene_result.final_occupancy_fraction
@@ -47,8 +50,9 @@ def run_fleet(datasets, config, label: str, n_iterations: int, n_workers: int):
     return result
 
 
-def demo_preemption(datasets, config, baseline, n_iterations: int) -> None:
-    """Interrupt a checkpointed fleet halfway, resume it, compare to solo."""
+def demo_preemption(datasets, config, baseline, n_iterations: int) -> bool:
+    """Interrupt a checkpointed fleet halfway and resume it; return whether
+    the resumed run is bit-identical to the uninterrupted ``baseline``."""
     interrupt_at = max(1, n_iterations // 2)
     with tempfile.TemporaryDirectory() as tmp:
         ckpt_dir = Path(tmp) / "fleet-ckpts"
@@ -74,12 +78,11 @@ def demo_preemption(datasets, config, baseline, n_iterations: int) -> None:
         )
         print(f"  resumed mean RGB PSNR: {resumed.mean_rgb_psnr:.2f} dB   "
               f"bit-identical to uninterrupted run: {identical}")
+    return identical
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--workers", type=int, default=0,
-                        help="process-pool size (0 = in-process round-robin)")
     parser.add_argument("--iterations", type=int, default=120)
     parser.add_argument("--dense-only", action="store_true",
                         help="skip the occupancy-culled comparison run")
@@ -101,10 +104,11 @@ def main() -> None:
         max_chunk_points=16384,        # bounded-memory fused grid queries
     )
 
-    dense = run_fleet(datasets, dense_config, "dense", args.iterations, args.workers)
+    dense = run_fleet(datasets, dense_config, "dense", args.iterations)
     print(f"  fleet mean RGB PSNR: {dense.mean_rgb_psnr:.2f} dB")
-    if not args.skip_preemption:
-        demo_preemption(datasets, dense_config, dense, args.iterations)
+    if not args.skip_preemption and not demo_preemption(
+            datasets, dense_config, dense, args.iterations):
+        sys.exit("resumed fleet diverged from the uninterrupted run")
     if args.dense_only:
         return
 
@@ -113,8 +117,7 @@ def main() -> None:
         culling_enabled=True,          # occupancy-culled sample compaction
         early_termination_tau=1e-3,    # early ray termination in eval renders
     )
-    culled = run_fleet(datasets, culled_config, "culled", args.iterations,
-                       args.workers)
+    culled = run_fleet(datasets, culled_config, "culled", args.iterations)
     print(f"  fleet mean RGB PSNR: {culled.mean_rgb_psnr:.2f} dB")
 
     speedup = culled.scenes_per_hour / max(dense.scenes_per_hour, 1e-9)

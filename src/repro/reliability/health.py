@@ -71,8 +71,7 @@ class GuardTrip:
 class HealthPolicy:
     """Knobs for the divergence watchdog and its recovery ladder.
 
-    Frozen and containing only scalars so it pickles cleanly into
-    ``_SceneJob`` for process fleets and hashes into config identity.
+    Frozen and containing only scalars so it hashes into config identity.
 
     Detection knobs
     ---------------

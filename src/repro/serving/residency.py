@@ -12,8 +12,8 @@ trainer, staleness-aware checkpoint saves, eviction accounting, and a
 make-room pass that evicts before acquiring so peak residency never exceeds
 the cap even transiently.  The *victim policy* is pluggable: the default is
 LRU over :attr:`SceneSlot.last_used` (right for a service where request
-recency is the only signal), while the fleet passes its cyclic
-distance-to-next-turn key, the cyclic-access analogue of LRU.
+recency is the only signal), while the fleet passes a key that evicts the
+scene whose next round-robin turn is farthest away.
 
 Restores are validated (scene name and seed must match the checkpoint's
 metadata) and bit-exact: a trainer evicted and re-acquired continues the
@@ -26,13 +26,14 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Union
+from typing import Callable, Dict, Iterable, List, Optional, Union
 
 from repro.core.config import Instant3DConfig
 from repro.core.model import DecoupledRadianceField
 from repro.datasets.dataset import SceneDataset
 from repro.io import (CheckpointError, io_stats, load_trainer_checkpoint,
                       save_trainer_checkpoint)
+from repro.io.checkpoint import _MAX_GENERATIONS
 from repro.reliability.faults import fault_point
 from repro.training.trainer import Trainer, TrainingHistory
 
@@ -99,7 +100,8 @@ class ResidencyManager:
     keep_generations:
         Checkpoint generations retained per scene (``N > 1`` rotates the
         previous file to ``<scene>.ckpt.npz.g1`` etc. on save, enabling
-        :func:`~repro.io.load_checkpoint`'s corruption fallback).
+        :func:`~repro.io.load_checkpoint`'s corruption fallback).  Must be
+        in ``[1, 64]``.
 
     The manager is not thread-safe by itself — the service serialises all
     calls behind one lock, and the fleet is single-threaded.
@@ -113,6 +115,9 @@ class ResidencyManager:
             raise ValueError("max_resident_scenes must be >= 1 or None")
         if max_resident_scenes is not None and checkpoint_dir is None:
             raise ValueError("max_resident_scenes requires a checkpoint_dir")
+        if not 1 <= keep_generations <= _MAX_GENERATIONS:
+            raise ValueError(f"keep_generations must be in "
+                             f"[1, {_MAX_GENERATIONS}], got {keep_generations}")
         self.config = config
         self.seed = int(seed)
         self.checkpoint_dir = (Path(checkpoint_dir)
@@ -134,15 +139,16 @@ class ResidencyManager:
         #: checkpoint failed verification (see ``docs/reliability.md``).
         self.fallback_loads = 0
 
-    # -- scene registry (service path) ---------------------------------------
+    # -- scene registry -------------------------------------------------------
     def add_scene(self, dataset: SceneDataset) -> SceneSlot:
         """Register a scene and return its slot (names must be unique)."""
         validate_scene_name(dataset.name)
         if dataset.name in self._slots:
             raise ValueError(
-                f"duplicate scene name {dataset.name!r} — per-scene RNG "
-                "streams are derived from the scene name, so duplicates "
-                "would train on identical pixel/sample streams")
+                f"duplicate scene names: {dataset.name!r} is registered "
+                "twice — per-scene RNG streams are derived from the scene "
+                "name, so duplicates would train on identical pixel/sample "
+                "streams")
         slot = SceneSlot(dataset=dataset)
         if self.checkpoint_dir is not None:
             slot.on_disk = self.checkpoint_path(dataset.name).exists()
@@ -245,24 +251,16 @@ class ResidencyManager:
             self._resident -= 1
         slot.trainer = None
 
-    def evict(self, slot: SceneSlot,
-              release: Optional[Callable[[SceneSlot], None]] = None) -> None:
-        """Checkpoint a resident trainer to disk and drop it from memory.
-
-        ``release`` substitutes the drop step (the fleet routes it through
-        its own ``_release`` so residency spies observe both transitions).
-        """
+    def evict(self, slot: SceneSlot) -> None:
+        """Checkpoint a resident trainer to disk and drop it from memory."""
         if slot.trainer is None:
             return
         self.save_if_stale(slot)
-        (release if release is not None else self.release)(slot)
+        self.release(slot)
         self.evictions += 1
 
-    def make_room(self, incoming: SceneSlot,
-                  candidates: Optional[Sequence[SceneSlot]] = None,
-                  pinned: Iterable[str] = (),
-                  victim_key: Optional[Callable[[SceneSlot], object]] = None,
-                  evict: Optional[Callable[[SceneSlot], None]] = None) -> None:
+    def make_room(self, incoming: SceneSlot, pinned: Iterable[str] = (),
+                  victim_key: Optional[Callable[[SceneSlot], object]] = None) -> None:
         """Evict residents so acquiring ``incoming`` stays within the cap.
 
         Runs *before* the incoming trainer is built, so peak residency never
@@ -276,19 +274,16 @@ class ResidencyManager:
         cap = self.max_resident_scenes
         if cap is None or incoming.resident:
             return
-        pool = list(self._slots.values()) if candidates is None else list(candidates)
-        pinned = set(pinned)
-        n_resident = sum(1 for slot in pool if slot.resident)
-        excess = n_resident - (cap - 1)
+        excess = self._resident - (cap - 1)
         if excess <= 0:
             return
-        evictable = [slot for slot in pool
+        pinned = set(pinned)
+        evictable = [slot for slot in self._slots.values()
                      if slot.resident and slot is not incoming
                      and slot.name not in pinned]
         key = victim_key if victim_key is not None else (lambda s: s.last_used)
-        victims = sorted(evictable, key=key)[:excess]
-        for victim in victims:
-            (evict if evict is not None else self.evict)(victim)
+        for victim in sorted(evictable, key=key)[:excess]:
+            self.evict(victim)
 
     def checkout(self, name: str, pinned: Iterable[str] = ()) -> SceneSlot:
         """Make a registered scene resident, evicting LRU scenes as needed."""
@@ -315,15 +310,6 @@ class ResidencyManager:
             self.release(slot)
 
     # -- accounting -----------------------------------------------------------
-    def reset_window(self) -> None:
-        """Start a fresh peak-residency window (no slots counted resident).
-
-        The fleet builds a fresh slot list per run and discards the previous
-        one, so its manager's residency count restarts from zero each run.
-        """
-        self._resident = 0
-        self.peak_resident = 0
-
     def stats(self) -> Dict[str, float]:
         """JSON-able residency/eviction counters."""
         return {

@@ -193,7 +193,8 @@ class SceneService:
 
     def submit(self, job) -> JobHandle:
         """Enqueue a job and return its handle (raises if the service is
-        closed, the scene unknown, or the queue full)."""
+        closed, the scene unknown, a train job's ``n_steps`` below 1, or the
+        queue full)."""
         with self._cv:
             if job.scene in self._poisoned_scenes:
                 raise JobPoisoned(
@@ -215,7 +216,10 @@ class SceneService:
                         "explicit camera on the RenderJob")
                 camera = slot.dataset.test_views[0].camera
             n_rays = camera.n_pixels
-        elif job.kind != "train":
+        elif job.kind == "train":
+            if job.n_steps < 1:
+                raise ValueError("n_steps must be >= 1")
+        else:
             raise TypeError(f"unknown job kind {getattr(job, 'kind', None)!r}")
         with self._cv:
             if self._closed:
@@ -257,8 +261,6 @@ class SceneService:
     def train(self, scene: str, n_steps: int = 1, priority: int = 0,
               deadline_s: Optional[float] = None) -> JobHandle:
         """Convenience wrapper: submit a :class:`TrainJob`."""
-        if n_steps < 1:
-            raise ValueError("n_steps must be >= 1")
         return self.submit(TrainJob(scene=scene, n_steps=n_steps,
                                     priority=priority, deadline_s=deadline_s))
 

@@ -8,8 +8,9 @@
 * :mod:`repro.training.trainer` — the actual optimisation loop used for the
   PSNR experiments (Tables 1, 2, 4 and Fig. 5).
 * :mod:`repro.training.metrics` — test-view evaluation of RGB and depth PSNR.
-* :mod:`repro.training.fleet` — multi-scene orchestration: round-robin or
-  process-pool training of many scenes under one shared configuration.
+* :mod:`repro.training.fleet` — multi-scene orchestration: round-robin
+  training of many scenes under one shared configuration, with
+  checkpoint-backed eviction and resume.
 """
 
 from repro.training.profiler import (

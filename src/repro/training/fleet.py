@@ -5,20 +5,16 @@ service that keeps many scenes in flight at once (think one reconstruction
 job per connected AR/VR user).  :class:`SceneFleet` trains and evaluates a
 set of scenes under one shared configuration:
 
-* **round-robin scheduling** (in-process): every scene owns an independent
-  trainer and the fleet interleaves fixed-size slices of iterations across
-  scenes, so progress is balanced and any scene's intermediate state can be
-  inspected mid-run;
-* **optional multiprocessing workers**: with ``n_workers > 1`` whole scenes
-  are dispatched to a process pool instead.  Both schedules produce
-  bit-identical :class:`~repro.training.trainer.TrainingResult`s to running
+* **round-robin scheduling**: every scene owns an independent trainer and
+  the fleet interleaves fixed-size slices of iterations across scenes, so
+  progress is balanced and any scene's intermediate state can be inspected
+  mid-run.  Results are bit-identical to
   :func:`~repro.training.trainer.train_scene` per scene with the same seed:
   the trainer's pixel/sample streams are derived from the scene name (so
   distinctly named scenes never share them — duplicate names are rejected),
   while model *initialisation* depends on the seed alone and is therefore
   common to all scenes of a fleet — exactly as it would be across solo
-  ``train_scene(seed=s)`` calls.  If a pool cannot be spawned the fleet
-  falls back to in-process execution.
+  ``train_scene(seed=s)`` calls.
 * **preemption and resume**: with ``checkpoint_dir`` set, every scene's
   trainer is checkpointed to one ``.npz`` file (every ``checkpoint_every``
   iterations, on eviction, and at the end of the run).  A *new* fleet built
@@ -30,8 +26,11 @@ set of scenes under one shared configuration:
 * **scene eviction**: ``max_resident_scenes`` bounds how many trainers are
   resident in memory at once; idle scenes are checkpointed to disk and
   transparently reloaded when the round-robin scheduler returns to them.
-  Eviction is most-recently-run-first, which for a cyclic schedule evicts
-  the scene whose next slice is farthest away.
+  Each run registers its scenes with a fresh
+  :class:`~repro.serving.residency.ResidencyManager`, which owns the
+  mechanics; the fleet only supplies the victim policy: evict the scene
+  whose next turn is farthest away (finished scenes first), which on a
+  cyclic schedule beats the manager's default LRU.
 
 Results are aggregated into a :class:`FleetResult` with mean PSNRs and a
 scenes-per-hour throughput figure.
@@ -40,16 +39,15 @@ scenes-per-hour throughput figure.
 from __future__ import annotations
 
 import time
-from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Union
+from typing import List, Optional, Sequence, Union
 
 from repro.core.config import Instant3DConfig
 from repro.datasets.dataset import SceneDataset
 from repro.io import CheckpointError
-from repro.serving.residency import ResidencyManager, SceneSlot, validate_scene_name
-from repro.training.trainer import TrainingResult, train_scene
+from repro.serving.residency import ResidencyManager
+from repro.training.trainer import TrainingResult
 
 
 @dataclass
@@ -59,14 +57,11 @@ class FleetResult:
     scene_names: List[str]
     results: List[TrainingResult]
     wall_clock_s: float
-    n_workers: int
     n_iterations: int
-    schedule: str = "round_robin"           # "round_robin" or "process_pool"
     #: Trainers checkpointed to disk and dropped from memory during the run
     #: (0 unless ``max_resident_scenes`` forced evictions).
     evictions: int = 0
-    #: High-water mark of simultaneously resident trainers during the run
-    #: (0 for the process-pool schedule, which holds no in-process trainers).
+    #: High-water mark of simultaneously resident trainers during the run.
     peak_resident_scenes: int = 0
     #: Wall time spent writing / reading scene checkpoints during the run.
     checkpoint_save_ms: float = 0.0
@@ -79,10 +74,6 @@ class FleetResult:
     @property
     def mean_rgb_psnr(self) -> float:
         return sum(r.rgb_psnr for r in self.results) / max(self.n_scenes, 1)
-
-    @property
-    def mean_depth_psnr(self) -> float:
-        return sum(r.depth_psnr for r in self.results) / max(self.n_scenes, 1)
 
     @property
     def scenes_per_hour(self) -> float:
@@ -109,75 +100,6 @@ class FleetResult:
     def result_for(self, scene_name: str) -> TrainingResult:
         return self.results[self.scene_names.index(scene_name)]
 
-    # -- numerical-health ledger (zeros when guards were disabled) ---------
-    @property
-    def guard_trips(self) -> int:
-        """Divergence-guard trips summed over every scene's run."""
-        return int(sum(r.guard_trips for r in self.results))
-
-    @property
-    def rollbacks(self) -> int:
-        """Snapshot rollbacks performed fleet-wide."""
-        return int(sum(r.rollbacks for r in self.results))
-
-    @property
-    def lr_backoffs(self) -> int:
-        """LR backoffs applied while recovering, fleet-wide."""
-        return int(sum(r.lr_backoffs for r in self.results))
-
-    def summary(self) -> Dict[str, float]:
-        """Scalar summary used by benchmark reports."""
-        return {
-            "n_scenes": float(self.n_scenes),
-            "n_iterations": float(self.n_iterations),
-            "mean_rgb_psnr": self.mean_rgb_psnr,
-            "mean_depth_psnr": self.mean_depth_psnr,
-            "wall_clock_s": self.wall_clock_s,
-            "scenes_per_hour": self.scenes_per_hour,
-            "mean_occupancy_fraction": self.mean_occupancy_fraction,
-            "mean_keep_fraction": self.mean_keep_fraction,
-            "evictions": float(self.evictions),
-            "peak_resident_scenes": float(self.peak_resident_scenes),
-            "checkpoint_save_ms": self.checkpoint_save_ms,
-            "checkpoint_load_ms": self.checkpoint_load_ms,
-            "guard_trips": float(self.guard_trips),
-            "rollbacks": float(self.rollbacks),
-            "lr_backoffs": float(self.lr_backoffs),
-        }
-
-
-@dataclass
-class _SceneJob:
-    """Picklable description of one scene's training run."""
-
-    dataset: SceneDataset
-    config: Instant3DConfig
-    n_iterations: int
-    seed: int
-    eval_every: Optional[int]
-    eval_views: int
-    eval_samples: int
-
-
-def _run_scene_job(job: _SceneJob) -> TrainingResult:
-    """Train one scene to completion (used by the process-pool path)."""
-    return train_scene(job.dataset, job.config, job.n_iterations, seed=job.seed,
-                       eval_every=job.eval_every, eval_views=job.eval_views,
-                       eval_samples=job.eval_samples)
-
-
-@dataclass(eq=False)
-class _SceneSlot(SceneSlot):
-    """Round-robin bookkeeping for one scene.
-
-    Extends the shared :class:`~repro.serving.residency.SceneSlot` (which
-    carries the residency state — trainer, history, checkpoint bookkeeping)
-    with the fleet scheduler's per-run progress fields.
-    """
-
-    remaining: Optional[int] = None
-    done: bool = False
-
 
 class SceneFleet:
     """Trains and evaluates many scenes under one shared configuration.
@@ -197,11 +119,6 @@ class SceneFleet:
         initialisation is seed-only, shared across scenes), so results match
         :func:`~repro.training.trainer.train_scene` run per scene with this
         seed.
-    n_workers:
-        0 or 1 trains in-process with round-robin scheduling; larger values
-        dispatch whole scenes to a ``multiprocessing`` pool of that size.
-        Checkpointing and eviction are round-robin features: when
-        ``checkpoint_dir`` is set the fleet always schedules in-process.
     slice_iterations:
         Round-robin slice width: how many consecutive iterations one scene
         runs before the scheduler moves to the next scene.
@@ -227,7 +144,7 @@ class SceneFleet:
     """
 
     def __init__(self, datasets: Sequence[SceneDataset], config: Instant3DConfig,
-                 seed: int = 0, n_workers: int = 0, slice_iterations: int = 25,
+                 seed: int = 0, slice_iterations: int = 25,
                  checkpoint_every: Optional[int] = None,
                  checkpoint_dir: Optional[Union[str, Path]] = None,
                  max_resident_scenes: Optional[int] = None,
@@ -236,229 +153,133 @@ class SceneFleet:
             raise ValueError("SceneFleet needs at least one dataset")
         if slice_iterations < 1:
             raise ValueError("slice_iterations must be >= 1")
-        if n_workers < 0:
-            raise ValueError("n_workers must be >= 0")
-        names = [dataset.name for dataset in datasets]
-        duplicates = sorted(name for name, count in Counter(names).items()
-                            if count > 1)
-        if duplicates:
-            raise ValueError(
-                f"duplicate scene names in fleet: {duplicates} — per-scene "
-                "RNG streams are derived from the scene name, so duplicates "
-                "would train on identical pixel/sample streams")
-        for name in names:
-            validate_scene_name(name)
         if checkpoint_every is not None and checkpoint_every < 1:
             raise ValueError("checkpoint_every must be >= 1 or None")
-        if max_resident_scenes is not None and max_resident_scenes < 1:
-            raise ValueError("max_resident_scenes must be >= 1 or None")
-        if checkpoint_dir is None and (checkpoint_every is not None
-                                       or max_resident_scenes is not None):
-            raise ValueError(
-                "checkpoint_every/max_resident_scenes require a checkpoint_dir")
+        if checkpoint_dir is None and checkpoint_every is not None:
+            raise ValueError("checkpoint_every requires a checkpoint_dir")
         self.datasets = list(datasets)
         self.config = config
         self.seed = seed
-        self.n_workers = n_workers
         self.slice_iterations = slice_iterations
         self.checkpoint_every = checkpoint_every
         self.checkpoint_dir = (Path(checkpoint_dir)
                                if checkpoint_dir is not None else None)
         self.max_resident_scenes = max_resident_scenes
-        # The residency mechanics (trainer build/restore, staleness-aware
-        # checkpoint saves, eviction accounting) are shared with the serving
-        # layer; the fleet keeps only its cyclic victim policy on top.
-        self._residency = ResidencyManager(
-            config, seed=seed, checkpoint_dir=self.checkpoint_dir,
-            max_resident_scenes=max_resident_scenes,
-            keep_generations=keep_generations)
-
-    @property
-    def evictions(self) -> int:
-        """Cumulative trainer evictions across this fleet's runs."""
-        return self._residency.evictions
+        self.keep_generations = keep_generations
+        #: Cumulative trainer evictions across this fleet's runs.
+        self.evictions = 0
+        # Fail at construction, not mid-run: the manager validates the
+        # residency knobs and the scene names (unique, usable as file names).
+        self._new_residency()
 
     @property
     def scene_names(self) -> List[str]:
         return [dataset.name for dataset in self.datasets]
 
-    # -- checkpoint plumbing -------------------------------------------------
     def checkpoint_path(self, scene_name: str) -> Path:
         """Checkpoint file for one scene (requires ``checkpoint_dir``)."""
         if self.checkpoint_dir is None:
             raise ValueError("this fleet has no checkpoint_dir")
         return self.checkpoint_dir / f"{scene_name}.ckpt.npz"
 
-    def _save_scene(self, slot: _SceneSlot) -> None:
-        self._residency.save(slot)
+    def _new_residency(self) -> ResidencyManager:
+        residency = ResidencyManager(
+            self.config, seed=self.seed, checkpoint_dir=self.checkpoint_dir,
+            max_resident_scenes=self.max_resident_scenes,
+            keep_generations=self.keep_generations)
+        for dataset in self.datasets:
+            residency.add_scene(dataset)
+        return residency
 
-    def _acquire(self, slot: _SceneSlot) -> None:
-        """Make the slot's trainer resident (build fresh or restore)."""
-        self._residency.acquire(slot)
-
-    def _release(self, slot: _SceneSlot) -> None:
-        """Drop a resident trainer whose state is already safe (or final)."""
-        self._residency.release(slot)
-
-    def _evict(self, slot: _SceneSlot) -> None:
-        """Checkpoint a resident trainer to disk and drop it from memory.
-
-        Routed through ``self._release`` so residency instrumentation that
-        wraps acquire/release observes eviction drops too.
-        """
-        self._residency.evict(slot, release=self._release)
-
-    def _make_room(self, slots: List[_SceneSlot], incoming: int) -> None:
-        """Evict residents so acquiring ``incoming`` stays within the cap.
-
-        Runs *before* the incoming trainer is built, so peak residency never
-        exceeds ``max_resident_scenes`` — not even transiently during a
-        slice.  Victims are chosen by distance to their next round-robin
-        turn, farthest first (finished scenes count as farthest of all) —
-        the cyclic-access analogue of the manager's default LRU policy.
-        """
-        n = len(slots)
-        order = {id(slot): index for index, slot in enumerate(slots)}
-
-        def turns_until_needed(slot: _SceneSlot) -> int:
-            if slot.done:
-                return n + 1
-            return (order[id(slot)] - incoming) % n
-
-        self._residency.make_room(
-            slots[incoming], candidates=slots,
-            victim_key=lambda slot: -turns_until_needed(slot),
-            evict=self._evict)
-
-    # -- scheduling strategies ----------------------------------------------
-    def _jobs(self, n_iterations: int, eval_every: Optional[int],
-              eval_views: int, eval_samples: int) -> List[_SceneJob]:
-        return [
-            _SceneJob(dataset=dataset, config=self.config,
-                      n_iterations=n_iterations, seed=self.seed,
-                      eval_every=eval_every, eval_views=eval_views,
-                      eval_samples=eval_samples)
-            for dataset in self.datasets
-        ]
-
-    def _train_round_robin(self, n_iterations: int, eval_every: Optional[int],
-                           eval_views: int, eval_samples: int,
-                           resume: bool = False) -> List[TrainingResult]:
+    def _run(self, n_iterations: int, eval_every: Optional[int],
+             eval_views: int, eval_samples: int, resume: bool) -> FleetResult:
         """Interleave slices of iterations across all scenes' trainers.
 
         With ``resume=True`` every scene whose checkpoint file exists is
         restored from it and trains only its remaining
         ``n_iterations - iteration`` iterations; the rest start fresh.
         """
-        slots = [_SceneSlot(dataset=dataset) for dataset in self.datasets]
-        if resume:
+        if n_iterations < 1:
+            raise ValueError("n_iterations must be >= 1")
+        start = time.perf_counter()
+        residency = self._new_residency()
+        slots = [residency.slot(name) for name in self.scene_names]
+        if not resume:
             for slot in slots:
-                slot.on_disk = self.checkpoint_path(slot.dataset.name).exists()
-        while not all(slot.done for slot in slots):
-            for idx, slot in enumerate(slots):
-                if slot.done:
+                slot.on_disk = False      # train() ignores existing files
+        n = len(slots)
+        order = {slot.name: index for index, slot in enumerate(slots)}
+        remaining: List[Optional[int]] = [None] * n   # None: not started
+
+        def checkout(index: int):
+            """Make ``slots[index]`` resident, evicting residents whose next
+            turn is farthest away first (finished scenes farthest of all)."""
+            def turns_until_needed(slot) -> int:
+                if remaining[order[slot.name]] == 0:
+                    return n + 1
+                return (order[slot.name] - index) % n
+
+            residency.make_room(slots[index],
+                                victim_key=lambda slot: -turns_until_needed(slot))
+            residency.acquire(slots[index])
+            return slots[index]
+
+        while any(left != 0 for left in remaining):
+            for index in range(n):
+                if remaining[index] == 0:
                     continue
-                self._make_room(slots, idx)
-                self._acquire(slot)
-                if slot.remaining is None:
+                slot = checkout(index)
+                if remaining[index] is None:
                     completed = slot.trainer.iteration
                     if completed > n_iterations:
                         raise CheckpointError(
-                            f"scene {slot.dataset.name!r} was checkpointed at "
+                            f"scene {slot.name!r} was checkpointed at "
                             f"iteration {completed}, beyond the requested "
                             f"{n_iterations}")
-                    slot.remaining = n_iterations - completed
-                if slot.remaining > 0:
-                    steps = min(self.slice_iterations, slot.remaining)
+                    remaining[index] = n_iterations - completed
+                if remaining[index] > 0:
+                    steps = min(self.slice_iterations, remaining[index])
                     slot.trainer.run_steps(steps, slot.history,
                                            eval_every=eval_every,
                                            eval_views=eval_views,
                                            eval_samples=eval_samples)
-                    slot.remaining -= steps
+                    remaining[index] -= steps
                     if (self.checkpoint_every is not None
                             and slot.trainer.iteration - slot.last_checkpoint_iteration
                             >= self.checkpoint_every):
-                        self._save_scene(slot)
-                slot.done = slot.remaining == 0
+                        residency.save(slot)
         results = []
-        for idx, slot in enumerate(slots):
-            self._make_room(slots, idx)
-            self._acquire(slot)
-            if self.checkpoint_dir is not None and (
-                    not slot.on_disk
-                    or slot.trainer.iteration != slot.last_checkpoint_iteration):
-                self._save_scene(slot)
+        for index in range(n):
+            slot = checkout(index)
+            if self.checkpoint_dir is not None:
+                residency.save_if_stale(slot)
             results.append(slot.trainer.finalize(slot.history,
                                                  eval_views=eval_views,
                                                  eval_samples=eval_samples))
             if self.max_resident_scenes is not None:
                 # The result is captured; free the model without re-saving
                 # (the final checkpoint above already holds this state).
-                self._release(slot)
-        return results
-
-    def _train_process_pool(self, jobs: List[_SceneJob]) -> Optional[List[TrainingResult]]:
-        """Run whole scenes in a worker pool; None if the pool is unavailable."""
-        import multiprocessing
-
-        try:
-            pool = multiprocessing.Pool(processes=self.n_workers)
-        except (OSError, PermissionError, ImportError):
-            # Restricted environments (sandboxes, some CI runners) may not
-            # allow semaphores/forking; the caller falls back to in-process.
-            # Only pool *construction* is guarded — errors raised by the
-            # training jobs themselves must propagate, not trigger a silent
-            # retrain.
-            return None
-        with pool:
-            return pool.map(_run_scene_job, jobs)
-
-    # -- entry points --------------------------------------------------------
-    def _run(self, n_iterations: int, eval_every: Optional[int],
-             eval_views: int, eval_samples: int, resume: bool) -> FleetResult:
-        if n_iterations < 1:
-            raise ValueError("n_iterations must be >= 1")
-        start = time.perf_counter()
-        residency = self._residency
-        evictions_before = residency.evictions
-        save_s_before = residency.checkpoint_save_s
-        load_s_before = residency.checkpoint_load_s
-        # Each run builds a fresh slot list (and discards the previous one),
-        # so the residency window — live count and peak — restarts at zero.
-        residency.reset_window()
-        schedule = "round_robin"
-        results: Optional[List[TrainingResult]] = None
-        if (not resume and self.checkpoint_dir is None
-                and self.n_workers > 1 and len(self.datasets) > 1):
-            results = self._train_process_pool(
-                self._jobs(n_iterations, eval_every, eval_views, eval_samples))
-            if results is not None:
-                schedule = "process_pool"
-        if results is None:
-            results = self._train_round_robin(n_iterations, eval_every,
-                                              eval_views, eval_samples,
-                                              resume=resume)
-        wall = time.perf_counter() - start
+                residency.release(slot)
+        self.evictions += residency.evictions
         return FleetResult(
             scene_names=self.scene_names,
             results=results,
-            wall_clock_s=wall,
-            n_workers=self.n_workers if schedule == "process_pool" else 0,
+            wall_clock_s=time.perf_counter() - start,
             n_iterations=n_iterations,
-            schedule=schedule,
-            evictions=residency.evictions - evictions_before,
+            evictions=residency.evictions,
             peak_resident_scenes=residency.peak_resident,
-            checkpoint_save_ms=1e3 * (residency.checkpoint_save_s - save_s_before),
-            checkpoint_load_ms=1e3 * (residency.checkpoint_load_s - load_s_before),
+            checkpoint_save_ms=1e3 * residency.checkpoint_save_s,
+            checkpoint_load_ms=1e3 * residency.checkpoint_load_s,
         )
 
     def train(self, n_iterations: int, eval_every: Optional[int] = None,
               eval_views: int = 1, eval_samples: int = 48) -> FleetResult:
         """Train every scene for ``n_iterations`` and aggregate the results.
 
-        With a ``checkpoint_dir``, every scene's final state is on disk when
-        this returns, so a later :meth:`resume` (possibly from a different
-        process) can extend the run bit-identically.
+        Existing checkpoint files are ignored (and overwritten): every scene
+        starts fresh.  With a ``checkpoint_dir``, every scene's final state
+        is on disk when this returns, so a later :meth:`resume` (possibly
+        from a different process) can extend the run bit-identically.
         """
         return self._run(n_iterations, eval_every, eval_views, eval_samples,
                          resume=False)
@@ -480,10 +301,10 @@ class SceneFleet:
 
 
 def train_fleet(datasets: Sequence[SceneDataset], config: Instant3DConfig,
-                n_iterations: int, seed: int = 0, n_workers: int = 0,
+                n_iterations: int, seed: int = 0,
                 eval_every: Optional[int] = None, eval_views: int = 1,
                 eval_samples: int = 48) -> FleetResult:
     """Convenience helper mirroring :func:`~repro.training.trainer.train_scene`."""
-    fleet = SceneFleet(datasets, config, seed=seed, n_workers=n_workers)
+    fleet = SceneFleet(datasets, config, seed=seed)
     return fleet.train(n_iterations, eval_every=eval_every,
                        eval_views=eval_views, eval_samples=eval_samples)

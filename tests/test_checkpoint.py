@@ -37,6 +37,7 @@ from repro.nerf.occupancy import OccupancyGrid
 from repro.nn.mlp import MLP
 from repro.nn.optim import SGD, Adam
 from repro.nn.parameter import Parameter
+from repro.serving import ResidencyManager
 from repro.training import SceneFleet
 from repro.training.trainer import Trainer, TrainingHistory
 from repro.utils.seeding import new_rng
@@ -440,6 +441,7 @@ class TestFleetCheckpointResume:
             assert res.final_occupancy_fraction == ref.final_occupancy_fraction
 
     def test_eviction_bounds_residency_and_preserves_results(self, tmp_path,
+                                                             monkeypatch,
                                                              ckpt_config,
                                                              ckpt_datasets):
         reference = SceneFleet(ckpt_datasets, ckpt_config, seed=0,
@@ -447,29 +449,33 @@ class TestFleetCheckpointResume:
                                                          eval_samples=16)
         fleet = self._fleet(ckpt_datasets, ckpt_config, tmp_path,
                             max_resident_scenes=1)
-        # Spy on acquire/evict to measure peak trainer residency: the cap
+        # Spy on acquire/release to measure peak trainer residency: the cap
         # must hold even transiently (room is made *before* acquiring).
         live = {"now": 0, "peak": 0}
-        orig_acquire, orig_release = fleet._acquire, fleet._release
+        orig_acquire = ResidencyManager.acquire
+        orig_release = ResidencyManager.release
 
-        def acquire(slot):
+        def acquire(manager, slot):
             was_resident = slot.trainer is not None
-            orig_acquire(slot)
+            trainer = orig_acquire(manager, slot)
             if not was_resident:
                 live["now"] += 1
                 live["peak"] = max(live["peak"], live["now"])
+            return trainer
 
-        def release(slot):
+        def release(manager, slot):
             was_resident = slot.trainer is not None
-            orig_release(slot)
+            orig_release(manager, slot)
             if was_resident:
                 live["now"] -= 1
 
-        fleet._acquire, fleet._release = acquire, release
+        monkeypatch.setattr(ResidencyManager, "acquire", acquire)
+        monkeypatch.setattr(ResidencyManager, "release", release)
         evicted = fleet.train(8, eval_views=1, eval_samples=16)
         # With 2 scenes and a 1-trainer cap, every slice boundary evicts.
         assert evicted.evictions > 0
         assert live["peak"] <= 1
+        assert live["now"] == 0           # every trainer was released
         assert fleet.evictions == evicted.evictions
         for name in fleet.scene_names:
             assert fleet.checkpoint_path(name).exists()

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from repro.core.config import Instant3DConfig
-from repro.datasets import nerf_synthetic_like
+from repro.datasets import NERF_SYNTHETIC_SCENES, nerf_synthetic_like
 from repro.grid.hash_encoding import HashGridConfig
+from repro.serving import residency
 from repro.training import SceneFleet, train_fleet, train_scene
 
 
@@ -52,10 +53,6 @@ class TestSceneFleet:
         assert result.wall_clock_s > 0
         assert result.scenes_per_hour > 0
         assert result.result_for("lego") is result.results[0]
-        summary = result.summary()
-        for key in ("n_scenes", "mean_rgb_psnr", "scenes_per_hour",
-                    "wall_clock_s"):
-            assert key in summary
 
     def test_eval_every_records_intermediate_evals(self, fleet_datasets,
                                                    fleet_config):
@@ -64,17 +61,6 @@ class TestSceneFleet:
         history = result.results[0].history
         assert history.eval_iterations == [2, 4]
         assert len(history.eval_rgb_psnrs) == 2
-
-    def test_process_pool_matches_round_robin(self, fleet_datasets, fleet_config):
-        """The worker path must be a pure scheduling change (or fall back)."""
-        serial = SceneFleet(fleet_datasets, fleet_config, seed=0).train(
-            4, eval_views=1, eval_samples=16)
-        pooled = SceneFleet(fleet_datasets, fleet_config, seed=0,
-                            n_workers=2).train(4, eval_views=1, eval_samples=16)
-        assert pooled.schedule in ("process_pool", "round_robin")
-        for a, b in zip(serial.results, pooled.results):
-            np.testing.assert_array_equal(a.history.losses, b.history.losses)
-            assert a.rgb_psnr == b.rgb_psnr
 
     def test_duplicate_scene_names_rejected(self, fleet_datasets, fleet_config):
         """Regression: per-scene RNG streams derive from the scene *name*,
@@ -98,6 +84,42 @@ class TestSceneFleet:
         with pytest.raises(ValueError):
             SceneFleet(fleet_datasets, fleet_config, slice_iterations=0)
         with pytest.raises(ValueError):
-            SceneFleet(fleet_datasets, fleet_config, n_workers=-1)
-        with pytest.raises(ValueError):
             SceneFleet(fleet_datasets, fleet_config).train(0)
+
+
+class TestVictimPolicy:
+    """The fleet evicts the scene whose next round-robin turn is farthest
+    away (finished scenes first).  On a cyclic schedule that beats the
+    residency manager's default LRU, which evicts exactly the scene needed
+    soonest: LRU would take 15 evictions at cap 2 and 14 at cap 3."""
+
+    @pytest.fixture(scope="class")
+    def four_scenes(self):
+        return nerf_synthetic_like(list(NERF_SYNTHETIC_SCENES[:4]),
+                                   n_train_views=3, n_test_views=1,
+                                   image_size=12)
+
+    @pytest.mark.parametrize("cap, evictions, saves, loads",
+                             [(1, 16, 16, 16), (2, 11, 12, 11), (3, 6, 8, 6)])
+    def test_farthest_next_turn_eviction_counts(self, tmp_path, monkeypatch,
+                                                four_scenes, fleet_config,
+                                                cap, evictions, saves, loads):
+        io = {"saves": 0, "loads": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                io[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(residency, "save_trainer_checkpoint",
+                            counting("saves", residency.save_trainer_checkpoint))
+        monkeypatch.setattr(residency, "load_trainer_checkpoint",
+                            counting("loads", residency.load_trainer_checkpoint))
+        fleet = SceneFleet(four_scenes, fleet_config, seed=0,
+                           slice_iterations=3, checkpoint_dir=tmp_path,
+                           max_resident_scenes=cap)
+        result = fleet.train(10, eval_views=1, eval_samples=16)
+        assert result.evictions == evictions
+        assert result.peak_resident_scenes == cap
+        assert io == {"saves": saves, "loads": loads}

@@ -42,6 +42,7 @@ from repro.serving import (
     RenderJob,
     ResidencyManager,
     SceneService,
+    TrainJob,
     render_coalesced,
 )
 from repro.training.fleet import SceneFleet
@@ -293,6 +294,20 @@ class TestResidencyManager:
         with pytest.raises(ValueError, match="requires a checkpoint_dir"):
             ResidencyManager(serving_config, max_resident_scenes=1)
 
+    @pytest.mark.parametrize("keep", [0, 65])
+    def test_keep_generations_validated_at_construction(
+            self, serving_datasets, serving_config, tmp_path, keep):
+        """An out-of-range generation count fails at construction in both
+        front ends, not at the first eviction or at close()."""
+        with pytest.raises(ValueError, match="keep_generations"):
+            SceneService(serving_datasets, serving_config,
+                         checkpoint_dir=tmp_path, max_resident_scenes=1,
+                         keep_generations=keep)
+        with pytest.raises(ValueError, match="keep_generations"):
+            SceneFleet(serving_datasets, serving_config,
+                       checkpoint_dir=tmp_path, max_resident_scenes=1,
+                       keep_generations=keep)
+
     def test_resume_after_evict_bit_identity(self, serving_datasets,
                                              serving_config, tmp_path):
         """Evict mid-training, continue elsewhere, come back: the trajectory
@@ -440,6 +455,18 @@ class TestSceneService:
             service.render(serving_datasets[0].name)
         service.close()                       # idempotent
 
+    def test_submit_rejects_non_positive_train_steps(self, serving_datasets,
+                                                     serving_config):
+        """``submit`` is the one check site: a raw TrainJob that would train
+        nothing is refused like ``service.train(scene, 0)``."""
+        scene = serving_datasets[0].name
+        with SceneService(serving_datasets[:1], serving_config, seed=0,
+                          n_workers=1) as service:
+            for n_steps in (0, -3):
+                with pytest.raises(ValueError, match="n_steps"):
+                    service.submit(TrainJob(scene=scene, n_steps=n_steps))
+            assert service.stats()["train_jobs"] == 0
+
     def test_worker_error_propagates_to_client(self, serving_datasets,
                                                serving_config):
         with SceneService(serving_datasets[:1], serving_config, seed=0,
@@ -464,7 +491,3 @@ class TestFleetResidencyStats:
         assert result.peak_resident_scenes == 1
         assert result.checkpoint_save_ms > 0
         assert result.checkpoint_load_ms > 0
-        summary = result.summary()
-        for key in ("evictions", "peak_resident_scenes",
-                    "checkpoint_save_ms", "checkpoint_load_ms"):
-            assert summary[key] == pytest.approx(getattr(result, key))
