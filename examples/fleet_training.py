@@ -115,7 +115,6 @@ def main() -> None:
     culled_config = dataclasses.replace(
         dense_config,
         culling_enabled=True,          # occupancy-culled sample compaction
-        early_termination_tau=1e-3,    # early ray termination in eval renders
     )
     culled = run_fleet(datasets, culled_config, "culled", args.iterations)
     print(f"  fleet mean RGB PSNR: {culled.mean_rgb_psnr:.2f} dB")

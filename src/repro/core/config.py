@@ -77,11 +77,6 @@ class Instant3DConfig:
         spacings this bounds the per-sample alpha lost to culling at
         ``~threshold * delta``, keeping culled renders within fractions of a
         dB of dense ones.
-    early_termination_tau:
-        Optional transmittance floor for *rendering* (evaluation) rays:
-        once a ray's transmittance falls below ``tau`` its remaining samples
-        are skipped.  ``None`` disables early termination.  Training always
-        marches full rays so gradients are unaffected.
     """
 
     grid: HashGridConfig = field(default_factory=HashGridConfig)
@@ -90,7 +85,6 @@ class Instant3DConfig:
     color_update_freq: float = 1.0
     mlp_hidden_width: int = 32
     mlp_hidden_layers: int = 2
-    geo_feature_dim: int = 0
     sh_degree: int = 3
     n_samples_per_ray: int = 32
     batch_pixels: int = 256
@@ -113,7 +107,6 @@ class Instant3DConfig:
     occupancy_decay: float = 0.6
     occupancy_threshold: float = 0.01
     occupancy_refresh_samples: int = 4096
-    early_termination_tau: Optional[float] = None
     #: Pixel-batch schedule of the training loop (see
     #: :mod:`repro.nerf.scheduling`).  ``"uniform"`` (the default) draws
     #: independent random pixels — bit-identical to previous releases.
@@ -121,10 +114,10 @@ class Instant3DConfig:
     #: each tile's pixels along the 2-D Z curve; ``"occupancy"``
     #: additionally reorders the batch (stably, no extra RNG draws) by the
     #: 3-D Morton code of the first occupied cell each ray enters, grouping
-    #: rays whose kept samples scatter into the same grid rows.  The tiled
-    #: schedules raise the address locality seen by the accelerator's
-    #: backward-update merger (``tests/test_scheduling.py`` pins the
-    #: merge-rate gain on a fixed training trace).
+    #: rays whose kept samples scatter into the same grid rows.  Together
+    #: with ``address_sort`` the tiled schedules raise the merge rate of the
+    #: accelerator's backward-update merger (``tests/test_scheduling.py``
+    #: pins the gain on a fixed training trace); the tiles alone do not.
     ray_schedule: str = "uniform"
     #: Edge length of the square pixel tiles drawn by the ``"morton"`` and
     #: ``"occupancy"`` schedules (clamped to the smallest view dimension).
@@ -200,10 +193,6 @@ class Instant3DConfig:
             raise ValueError(
                 f"occupancy_threshold must be finite and non-negative, "
                 f"got {self.occupancy_threshold}")
-        if self.early_termination_tau is not None and not (
-                math.isfinite(self.early_termination_tau)
-                and 0.0 < self.early_termination_tau < 1.0):
-            raise ValueError("early_termination_tau must be in (0, 1) or None")
         if self.ray_schedule not in _RAY_SCHEDULES:
             raise ValueError(
                 f"ray_schedule must be one of {_RAY_SCHEDULES}, "

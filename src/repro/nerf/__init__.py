@@ -15,8 +15,8 @@ pipeline described in Sec. 2.1 of the paper (Step ❸ — querying point feature
 
 :class:`~repro.nerf.pipeline.RenderPipeline` composes ❷–❹ into the
 occupancy-culled ray lifecycle (sample compaction via
-:class:`~repro.nerf.occupancy.OccupancyGrid`, optional early ray
-termination) that the trainer, evaluators and fleet route through.
+:class:`~repro.nerf.occupancy.OccupancyGrid`) that the trainer, evaluators
+and fleet route through.
 :mod:`repro.nerf.scheduling` supplies the Step-❶ schedulers — uniform
 (the bit-identical default), Morton-tiled and occupancy-aware — that trade
 pixel-draw randomness for grid-address locality.

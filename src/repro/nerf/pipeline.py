@@ -7,7 +7,7 @@ the matching gradient gather for the backward pass:
 
 1. ``stratified_samples`` draws ``n_samples`` distances per ray and
    ``ray_points`` evaluates the sample positions;
-2. the occupancy grid (when culling is enabled) marks samples in known-empty
+2. the occupancy grid (when one is attached) marks samples in known-empty
    cells, and only the *kept* samples are sent to
    ``DecoupledRadianceField.query`` — this is what keeps embedding-grid
    interpolations per iteration near the paper's ~200k instead of the full
@@ -20,17 +20,10 @@ the matching gradient gather for the backward pass:
    per-sample gradients back down to the kept samples, so back-propagation
    also only touches the points that were actually queried.
 
-For evaluation rendering the pipeline additionally supports **early ray
-termination**: rays are marched in fixed-size segments and a ray whose
-transmittance falls below ``early_termination_tau`` skips its remaining
-segments entirely (the truncated tail can change the composited color by at
-most ``tau`` per channel).  Early termination is forward-only — training
-never uses it, so gradients are unaffected.
-
-With ``culling_enabled=False`` (and no early termination) the pipeline
-executes exactly the dense sequence the pre-culling trainer ran —
-bit-identical outputs, checked against the frozen reference trainer in the
-test suite.
+Training and evaluation share this one forward path.  Without an
+occupancy grid the pipeline executes exactly the dense sequence the
+pre-culling trainer ran — bit-identical outputs, checked against the frozen
+reference trainer in the test suite.
 """
 
 from __future__ import annotations
@@ -80,18 +73,13 @@ class CullStage:
     ``idx is None`` marks the dense plan (culling off, or nothing cullable):
     the query runs over the full ``points_unit`` block and the composite is
     a plain reshape.  Otherwise ``idx`` holds the kept flat sample indices
-    (already permuted when address sorting is on) and ``keep_flat`` the flat
-    boolean mask the backward gather needs.
+    (already permuted when address sorting is on), which both the forward
+    scatter and the backward gather use.
     """
 
     sample: SampleStage
-    keep_flat: Optional[np.ndarray]
     idx: Optional[np.ndarray]
     n_queried: int
-
-    @property
-    def dense(self) -> bool:
-        return self.idx is None
 
 
 @dataclass
@@ -106,16 +94,6 @@ class PipelineRender:
     n_queried: int              # samples that actually reached the field
     n_total: int                # n_rays * n_samples (the dense product)
     occupancy_fraction: float   # occupied-cell fraction of the grid (1.0 dense)
-
-    @property
-    def keep_fraction(self) -> float:
-        """Fraction of the dense sample product that was queried."""
-        return self.n_queried / max(self.n_total, 1)
-
-    @property
-    def queries_saved(self) -> int:
-        """Embedding/MLP point queries skipped by culling/termination."""
-        return self.n_total - self.n_queried
 
 
 class RenderPipeline:
@@ -134,15 +112,10 @@ class RenderPipeline:
     white_background:
         Composite unaccumulated transmittance onto white (NeRF-Synthetic
         protocol).
-    occupancy / culling_enabled:
-        Sample culling is active when both an occupancy grid is attached and
-        ``culling_enabled`` is True.  Before the grid's first update every
-        sample is kept, so the pipeline is always correct.
-    early_termination_tau / termination_segment:
-        Optional transmittance floor for :meth:`render_rays` calls with
-        ``allow_termination=True`` (evaluation rendering): rays are marched
-        ``termination_segment`` samples at a time and drop out once their
-        transmittance is below ``tau``.
+    occupancy:
+        Sample culling is active when an occupancy grid is attached.  Before
+        the grid's first update every sample is kept, so the pipeline is
+        always correct.
     policy:
         Compute-precision policy threaded through sampling, compositing and
         the gradient gather (``None`` resolves to the bit-exact float64
@@ -167,18 +140,11 @@ class RenderPipeline:
     def __init__(self, model: "DecoupledRadianceField", scene_bound: float,
                  n_samples: int, white_background: bool = True,
                  occupancy: Optional[OccupancyGrid] = None,
-                 culling_enabled: bool = True,
-                 early_termination_tau: Optional[float] = None,
-                 termination_segment: int = 8,
                  policy: Optional[PrecisionPolicy] = None,
                  arena: Optional[WorkspaceArena] = None,
                  address_sort: bool = False):
         if n_samples < 1:
             raise ValueError("n_samples must be >= 1")
-        if early_termination_tau is not None and not (0.0 < early_termination_tau < 1.0):
-            raise ValueError("early_termination_tau must be in (0, 1) or None")
-        if termination_segment < 1:
-            raise ValueError("termination_segment must be >= 1")
         self.model = model
         self.scene_bound = float(scene_bound)
         self.n_samples = int(n_samples)
@@ -187,11 +153,7 @@ class RenderPipeline:
         self.renderer = VolumeRenderer(white_background=white_background,
                                        policy=self.policy, arena=arena)
         self.occupancy = occupancy
-        self.culling_enabled = bool(culling_enabled)
         self.address_sort = bool(address_sort)
-        self.early_termination_tau = early_termination_tau
-        self.termination_segment = int(termination_segment)
-        self._keep_flat: Optional[np.ndarray] = None   # flat bool mask of last pass
         self._keep_idx: Optional[np.ndarray] = None    # kept flat indices
         self._backward_ok = False
 
@@ -199,7 +161,7 @@ class RenderPipeline:
     @property
     def culling_active(self) -> bool:
         """True when batches are actually filtered through an occupancy grid."""
-        return self.culling_enabled and self.occupancy is not None
+        return self.occupancy is not None
 
     @property
     def occupancy_fraction(self) -> float:
@@ -215,14 +177,12 @@ class RenderPipeline:
         return fraction if fraction > 0.0 else 1.0
 
     # -- composable stages -------------------------------------------------------
-    # render_rays is the synchronous recomposition of these four stages; the
-    # serving layer calls them individually so rays from multiple pending
-    # requests for the same scene can share one engine stream (gather the
-    # per-request kept blocks, concatenate, query once, composite per
-    # request).  The staged path is bit-identical to the monolithic PR 7
-    # forward: stage order, arena buffer names and arithmetic are unchanged —
-    # only the dense-plane allocation moved from before the query to the
-    # composite, which is value-neutral (distinct buffer names, zero fill).
+    # render_rays runs these five stages in order: the one forward path.  The
+    # serving layer calls them one by one so rays from several pending
+    # requests for one scene share one engine stream (gather each request's
+    # kept block, concatenate, query once, composite per request);
+    # tests/test_serving.py pins the staged path bit-identical to the
+    # monolithic forward.
 
     def stage_samples(self, bundle: RayBundle,
                       rng: Optional[np.random.Generator] = None) -> SampleStage:
@@ -242,20 +202,17 @@ class RenderPipeline:
     def stage_cull(self, sample: SampleStage) -> CullStage:
         """Stage ❷: occupancy filtering into a dense or compacted query plan."""
         if not self.culling_active:
-            return CullStage(sample=sample, keep_flat=None, idx=None,
-                             n_queried=sample.n_total)
+            return CullStage(sample=sample, idx=None, n_queried=sample.n_total)
         keep = self.occupancy.filter_samples(sample.points_unit)
         if keep.all():
             # Nothing to cull (e.g. before the grid's first update): take the
             # dense plan so no compaction copies are paid.
-            return CullStage(sample=sample, keep_flat=None, idx=None,
-                             n_queried=int(keep.size))
+            return CullStage(sample=sample, idx=None, n_queried=int(keep.size))
         idx = np.flatnonzero(keep)
         n_queried = int(idx.size)
         if self.address_sort and n_queried:
             idx = self._address_sorted(sample.points_unit, idx, n_queried)
-        return CullStage(sample=sample, keep_flat=keep, idx=idx,
-                         n_queried=n_queried)
+        return CullStage(sample=sample, idx=idx, n_queried=n_queried)
 
     def stage_gather(self, plan: CullStage
                      ) -> Tuple[Optional[np.ndarray], Optional[np.ndarray]]:
@@ -320,41 +277,26 @@ class RenderPipeline:
 
     # -- forward ----------------------------------------------------------------
     def render_rays(self, bundle: RayBundle,
-                    rng: Optional[np.random.Generator] = None,
-                    allow_termination: bool = False) -> PipelineRender:
+                    rng: Optional[np.random.Generator] = None) -> PipelineRender:
         """Run the full ray lifecycle for one batch and composite colors.
 
         ``rng`` enables stratified jitter (training); ``None`` uses bin
-        midpoints (deterministic evaluation).  ``allow_termination=True``
-        additionally applies early ray termination when the pipeline has a
-        ``early_termination_tau`` — forward-only, so a subsequent
-        :meth:`backward_to_points` raises.
+        midpoints (deterministic evaluation).
         """
         sample = self.stage_samples(bundle, rng=rng)
-        terminating = allow_termination and self.early_termination_tau is not None
-        if terminating:
-            render, n_queried = self._march_terminated(
-                sample.points_unit, sample.dirs, sample.t_vals, sample.deltas,
-                sample.n_rays)
-            self._keep_flat = None
-            self._keep_idx = None
-            self._backward_ok = False
-        else:
-            plan = self.stage_cull(sample)
-            points, dirs = self.stage_gather(plan)
-            sigma, rgb = self.stage_query(points, dirs)
-            render = self.stage_composite(plan, sigma, rgb)
-            n_queried = plan.n_queried
-            self._keep_flat = plan.keep_flat
-            self._keep_idx = plan.idx
-            self._backward_ok = True
+        plan = self.stage_cull(sample)
+        points, dirs = self.stage_gather(plan)
+        sigma, rgb = self.stage_query(points, dirs)
+        render = self.stage_composite(plan, sigma, rgb)
+        self._keep_idx = plan.idx
+        self._backward_ok = True
         return PipelineRender(
             render=render,
             t_vals=sample.t_vals,
             deltas=sample.deltas,
             n_rays=sample.n_rays,
             n_samples=sample.n_samples,
-            n_queried=int(n_queried),
+            n_queried=plan.n_queried,
             n_total=sample.n_total,
             occupancy_fraction=self.occupancy_fraction,
         )
@@ -380,49 +322,6 @@ class RenderPipeline:
         np.take(idx, perm, out=sorted_idx, mode="clip")
         return sorted_idx
 
-    def _march_terminated(self, points_unit, dirs, t_vals, deltas,
-                          n_rays: int) -> Tuple[RenderOutput, int]:
-        """Segment-wise march with occupancy culling and early termination.
-
-        Samples are queried ``termination_segment`` at a time; after each
-        segment the running optical depth tells which rays have dropped below
-        the transmittance floor, and those rays skip all later segments
-        (their remaining samples stay at ``sigma = 0``, costing at most
-        ``tau`` of composited color).
-        """
-        tau = float(self.early_termination_tau)
-        n_samples = self.n_samples
-        dtype = self.policy.dtype
-        points_r = points_unit.reshape(n_rays, n_samples, 3)
-        dirs_r = dirs.reshape(n_rays, n_samples, 3)
-        sigma_plane = arena_zeros(self.arena, "pipe/term_sigma",
-                                  (n_rays, n_samples), dtype)
-        rgb_plane = arena_zeros(self.arena, "pipe/term_rgb",
-                                (n_rays, n_samples, 3), dtype)
-        if self.culling_active:
-            keep = self.occupancy.filter_samples(points_unit).reshape(n_rays, n_samples)
-        else:
-            keep = np.ones((n_rays, n_samples), dtype=bool)
-        active = np.ones(n_rays, dtype=bool)
-        optical_depth = np.zeros(n_rays)
-        n_queried = 0
-        for start in range(0, n_samples, self.termination_segment):
-            stop = min(start + self.termination_segment, n_samples)
-            mask = keep[:, start:stop] & active[:, None]
-            n_segment = int(np.count_nonzero(mask))
-            if n_segment:
-                sigma, rgb = self.model.query(points_r[:, start:stop][mask],
-                                              dirs_r[:, start:stop][mask])
-                sigma_plane[:, start:stop][mask] = sigma
-                rgb_plane[:, start:stop][mask] = rgb
-                n_queried += n_segment
-            optical_depth += np.einsum(
-                "ns,ns->n", sigma_plane[:, start:stop], deltas[:, start:stop])
-            active &= np.exp(-optical_depth) > tau
-            if not active.any() and stop < n_samples:
-                break
-        return self.renderer.forward(sigma_plane, rgb_plane, deltas, t_vals), n_queried
-
     # -- backward ---------------------------------------------------------------
     def backward_to_points(self, grad_colors: np.ndarray
                            ) -> Tuple[np.ndarray, np.ndarray]:
@@ -437,8 +336,7 @@ class RenderPipeline:
         """
         if not self._backward_ok:
             raise RuntimeError(
-                "backward_to_points requires a preceding render_rays without "
-                "early termination")
+                "backward_to_points requires a preceding render_rays")
         grad_sigmas, grad_rgbs = self.renderer.backward(grad_colors)
         if self._keep_idx is None:
             return grad_sigmas.reshape(-1), grad_rgbs.reshape(-1, 3)

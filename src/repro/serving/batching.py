@@ -124,8 +124,8 @@ def render_coalesced(pipeline: RenderPipeline, bundles: Sequence[RayBundle],
             # only in the shared query block.
             points_unit=None, dirs=None,
             n_rays=sample.n_rays, n_samples=sample.n_samples)
-        plans.append(CullStage(sample=retained_sample, keep_flat=None,
-                               idx=idx, n_queried=plan.n_queried))
+        plans.append(CullStage(sample=retained_sample, idx=idx,
+                               n_queried=plan.n_queried))
         offsets.append(stop)
 
     total = offsets[-1]

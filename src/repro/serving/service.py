@@ -48,6 +48,7 @@ step boundaries, so the trajectory is the solo trainer's exactly.
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 from pathlib import Path
@@ -193,8 +194,8 @@ class SceneService:
 
     def submit(self, job) -> JobHandle:
         """Enqueue a job and return its handle (raises if the service is
-        closed, the scene unknown, a train job's ``n_steps`` below 1, or the
-        queue full)."""
+        closed, the scene unknown, a render job's ``n_samples`` or a train
+        job's ``n_steps`` below 1, ``deadline_s`` NaN, or the queue full)."""
         with self._cv:
             if job.scene in self._poisoned_scenes:
                 raise JobPoisoned(
@@ -208,6 +209,8 @@ class SceneService:
         camera = None
         n_rays = 0
         if job.kind == "render":
+            if job.n_samples is not None and job.n_samples < 1:
+                raise ValueError("n_samples must be >= 1 or None")
             camera = job.camera
             if camera is None:
                 if not slot.dataset.test_views:
@@ -221,6 +224,9 @@ class SceneService:
                 raise ValueError("n_steps must be >= 1")
         else:
             raise TypeError(f"unknown job kind {getattr(job, 'kind', None)!r}")
+        # NaN compares false both ways and would break earliest-deadline order.
+        if job.deadline_s is not None and math.isnan(job.deadline_s):
+            raise ValueError("deadline_s must not be NaN")
         with self._cv:
             if self._closed:
                 raise RuntimeError("cannot submit to a closed SceneService")
@@ -552,7 +558,6 @@ class SceneService:
             trainer.model, slot.dataset.scene_bound, n_samples=n_samples,
             white_background=self.config.white_background,
             occupancy=trainer.occupancy,
-            culling_enabled=trainer.occupancy is not None,
             policy=trainer.policy, arena=arena,
         )
         bundles = [handle.camera.all_rays() for handle in batch]

@@ -20,6 +20,9 @@ from repro.nerf.losses import mse_to_psnr, psnr
 from repro.nerf.occupancy import OccupancyGrid
 from repro.nerf.pipeline import RenderPipeline
 
+#: Rays per :meth:`RenderPipeline.render_rays` call when rendering a view.
+CHUNK_RAYS = 2048
+
 
 @dataclass
 class EvaluationResult:
@@ -37,17 +40,15 @@ class EvaluationResult:
 
 def render_view(model: DecoupledRadianceField, camera: PinholeCamera,
                 scene_bound: float, n_samples: int = 48,
-                white_background: bool = True, chunk_rays: int = 2048,
+                white_background: bool = True,
                 occupancy: Optional[OccupancyGrid] = None,
-                early_termination_tau: Optional[float] = None,
                 policy=None):
     """Render a full image and depth map from a trained model.
 
     Rays are streamed through a :class:`~repro.nerf.pipeline.RenderPipeline`
-    in chunks of ``chunk_rays``.  An ``occupancy`` grid culls samples in
-    known-empty cells, and ``early_termination_tau`` stops marching rays
-    whose transmittance has dropped below the threshold — both default to
-    off, which renders densely (bit-identical to the pre-pipeline renderer).
+    in chunks of :data:`CHUNK_RAYS`.  An ``occupancy`` grid culls samples in
+    known-empty cells; without one (the default) the view renders densely,
+    bit-identical to the pre-pipeline renderer.
     ``policy`` selects the compositing precision (``None`` = the float64
     reference); the trainer forwards its config's policy here so evaluation
     renders use the same precision as training.
@@ -58,21 +59,19 @@ def render_view(model: DecoupledRadianceField, camera: PinholeCamera,
     pipeline = RenderPipeline(
         model, scene_bound, n_samples=n_samples,
         white_background=white_background, occupancy=occupancy,
-        culling_enabled=occupancy is not None,
-        early_termination_tau=early_termination_tau,
         policy=policy,
     )
     colors = np.empty((bundle.n_rays, 3))
     depths = np.empty(bundle.n_rays)
-    for start in range(0, bundle.n_rays, chunk_rays):
-        stop = min(start + chunk_rays, bundle.n_rays)
+    for start in range(0, bundle.n_rays, CHUNK_RAYS):
+        stop = min(start + CHUNK_RAYS, bundle.n_rays)
         chunk = RayBundle(
             origins=bundle.origins[start:stop],
             directions=bundle.directions[start:stop],
             near=bundle.near,
             far=bundle.far,
         )
-        out = pipeline.render_rays(chunk, rng=None, allow_termination=True)
+        out = pipeline.render_rays(chunk, rng=None)
         colors[start:stop] = out.render.colors
         depths[start:stop] = out.render.depth
     rgb_image = np.clip(colors, 0.0, 1.0).reshape(camera.height, camera.width, 3)
@@ -104,11 +103,10 @@ def evaluate_model(model: DecoupledRadianceField, dataset: SceneDataset,
                    n_views: Optional[int] = None, n_samples: int = 48,
                    white_background: bool = True,
                    occupancy: Optional[OccupancyGrid] = None,
-                   early_termination_tau: Optional[float] = None,
                    policy=None) -> EvaluationResult:
     """Render test views of ``dataset`` with ``model`` and average PSNR.
 
-    ``occupancy``, ``early_termination_tau`` and ``policy`` are forwarded to
+    ``occupancy`` and ``policy`` are forwarded to
     :func:`render_view`, so evaluation renders benefit from the same sample
     culling and compute precision as training when the caller (e.g. the
     trainer) provides them.
@@ -122,8 +120,7 @@ def evaluate_model(model: DecoupledRadianceField, dataset: SceneDataset,
         rgb, depth = render_view(
             model, view.camera, dataset.scene_bound,
             n_samples=n_samples, white_background=white_background,
-            occupancy=occupancy, early_termination_tau=early_termination_tau,
-            policy=policy,
+            occupancy=occupancy, policy=policy,
         )
         rgb_scores.append(psnr(rgb, view.rgb))
         depth_scores.append(

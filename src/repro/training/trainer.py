@@ -215,8 +215,6 @@ class Trainer:
             n_samples=self.config.n_samples_per_ray,
             white_background=self.config.white_background,
             occupancy=self.occupancy,
-            culling_enabled=self.config.culling_enabled,
-            early_termination_tau=self.config.early_termination_tau,
             policy=self.policy,
             arena=self.arena,
             address_sort=self.config.address_sort,
@@ -543,7 +541,6 @@ class Trainer:
             n_samples=eval_samples,
             white_background=self.config.white_background,
             occupancy=self.occupancy,
-            early_termination_tau=self.config.early_termination_tau,
             policy=self.policy,
         )
 

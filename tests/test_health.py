@@ -110,7 +110,6 @@ class TestConfigNumericValidation:
         {"learning_rate": float("inf")},
         {"occupancy_threshold": float("nan")},
         {"occupancy_threshold": -0.5},
-        {"early_termination_tau": float("nan")},
     ])
     def test_non_finite_or_out_of_range_rejected(self, tiny_config, kwargs):
         with pytest.raises(ValueError):

@@ -7,8 +7,8 @@ Three contracts anchor the refactor:
     experiment is unaffected;
 (b) with culling on but a fully-occupied grid, compaction is a no-op:
     losses and gradients reproduce the dense run exactly;
-(c) early ray termination changes evaluation renders by at most the
-    transmittance floor.
+(c) a partial mask scatters exactly like a dense forward with the culled
+    samples zeroed, and backward only reaches the kept samples.
 """
 
 import dataclasses
@@ -97,7 +97,7 @@ class TestDensePathBitIdentity:
         assert _params_equal(model, ref_model)
 
     def test_dense_render_view_unchanged(self, tiny_model, tiny_dataset):
-        """render_view without occupancy/termination equals the manual render."""
+        """render_view without occupancy equals the manual render."""
         camera = tiny_dataset.test_views[0].camera
         n_samples = 8
         rgb, depth = render_view(tiny_model, camera, tiny_dataset.scene_bound,
@@ -180,45 +180,11 @@ class TestFullyOccupiedCulling:
         assert grad_rgb.shape == (out.n_queried, 3)
         model.backward(grad_sigma, grad_rgb)      # shapes accepted by the field
 
-
-class TestEarlyTermination:
-    @pytest.fixture(scope="class")
-    def trained(self, tiny_config, tiny_dataset):
-        model = DecoupledRadianceField(tiny_config, seed=0)
-        trainer = Trainer(model, tiny_dataset, seed=0)
-        for _ in range(60):
-            trainer.train_step()
-        return model
-
-    def test_terminated_render_matches_full_within_tau(self, trained, tiny_dataset):
-        """(c) Early termination changes the render by at most ~tau."""
-        camera = tiny_dataset.test_views[0].camera
-        tau = 1e-3
-        full_rgb, full_depth = render_view(trained, camera,
-                                           tiny_dataset.scene_bound, n_samples=16)
-        term_rgb, term_depth = render_view(trained, camera,
-                                           tiny_dataset.scene_bound, n_samples=16,
-                                           early_termination_tau=tau)
-        assert np.max(np.abs(term_rgb - full_rgb)) < 5e-3
-        assert np.max(np.abs(term_depth - full_depth)) < 5e-2
-
-    def test_termination_saves_queries_on_opaque_scene(self, trained, tiny_dataset):
-        camera = tiny_dataset.test_views[0].camera
-        bundle = camera.all_rays()
-        pipeline = RenderPipeline(trained, tiny_dataset.scene_bound, n_samples=16,
-                                  early_termination_tau=1e-2,
-                                  termination_segment=4)
-        out = pipeline.render_rays(bundle, rng=None, allow_termination=True)
-        assert out.n_queried < out.n_total
-
-    def test_backward_after_termination_raises(self, trained, tiny_dataset):
-        camera = tiny_dataset.test_views[0].camera
-        bundle = camera.all_rays()
-        pipeline = RenderPipeline(trained, tiny_dataset.scene_bound, n_samples=8,
-                                  early_termination_tau=1e-2)
-        pipeline.render_rays(bundle, rng=None, allow_termination=True)
-        with pytest.raises(RuntimeError):
-            pipeline.backward_to_points(np.ones((bundle.n_rays, 3)))
+    def test_backward_before_render_raises(self, tiny_model, tiny_dataset):
+        pipeline = RenderPipeline(tiny_model, tiny_dataset.scene_bound,
+                                  n_samples=8)
+        with pytest.raises(RuntimeError, match="preceding render_rays"):
+            pipeline.backward_to_points(np.ones((4, 3)))
 
 
 class TestCulledTrainingRun:
@@ -255,8 +221,7 @@ class TestCulledTrainingRun:
         """Over the last quarter of a 120-step run, culling cuts field
         queries per iteration even after charging every occupancy refresh's
         density probes to the iterations they serve."""
-        config = dataclasses.replace(bench_scale_config, culling_enabled=True,
-                                     early_termination_tau=1e-3)
+        config = dataclasses.replace(bench_scale_config, culling_enabled=True)
         n_steps, tail = 120, 30
         trainer = Trainer(DecoupledRadianceField(config, seed=0),
                           bench_lego_20px, config=config, seed=0)
@@ -280,10 +245,6 @@ class TestCulledTrainingRun:
     def test_pipeline_validation(self, tiny_model):
         with pytest.raises(ValueError):
             RenderPipeline(tiny_model, 1.0, n_samples=0)
-        with pytest.raises(ValueError):
-            RenderPipeline(tiny_model, 1.0, n_samples=8, early_termination_tau=2.0)
-        with pytest.raises(ValueError):
-            RenderPipeline(tiny_model, 1.0, n_samples=8, termination_segment=0)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -298,8 +259,6 @@ class TestCulledTrainingRun:
             Instant3DConfig(occupancy_threshold=-0.1)
         with pytest.raises(ValueError):
             Instant3DConfig(occupancy_refresh_samples=0)
-        with pytest.raises(ValueError):
-            Instant3DConfig(early_termination_tau=0.0)
 
 
 class TestOccupancySeeding:

@@ -9,8 +9,9 @@ Three contracts anchor the scheduler seam:
 (b) the tiled schedules draw real pixels (targets match the images, rays
     match the cameras) and only reorder *within* the drawn batch, so
     training remains correct — just with a locality-friendly batch layout;
-(c) on a fixed culled + sparse training trace, the occupancy schedule lifts
-    the modeled BUM merge rate above the uniform draw's and to >= 0.95.
+(c) on a fixed culled + sparse training trace, the occupancy schedule with
+    ``address_sort`` lifts the modeled BUM merge rate above the uniform
+    draw's and to >= 0.95 (the tiles alone do not).
 """
 
 import dataclasses
@@ -344,8 +345,10 @@ class TestScheduledTraining:
 
 
 class TestBumMergeRate:
-    """(c) The scheduled draw raises the back-propagation update merger's
-    (BUM's) merge rate on a deterministic training trace.
+    """(c) The scheduled draw plus ``address_sort`` raises the
+    back-propagation update merger's (BUM's) merge rate on a deterministic
+    training trace; neither does it alone (tiles without the sort stay
+    near the uniform draw's ~0.90).
 
     The workload is fixed: benchmark-scale lego (32 px, 8 views), culled +
     sparse, 96 samples/ray so neighbouring rays overlap in the fine levels,

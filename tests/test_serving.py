@@ -29,7 +29,7 @@ from test_pipeline import _reference_dense_run
 from repro.core.model import DecoupledRadianceField
 from repro.datasets import make_synthetic_scene
 from repro.datasets.dataset import build_dataset
-from repro.nerf.cameras import RayBundle
+from repro.nerf.cameras import PinholeCamera, RayBundle
 from repro.nerf.pipeline import RenderPipeline
 from repro.nerf.sampling import (
     normalize_points_to_unit_cube,
@@ -110,6 +110,13 @@ def _monolithic_backward(renderer, grad_colors, keep_idx):
     return grad_sigmas.reshape(-1)[keep_idx], grad_rgbs.reshape(-1, 3)[keep_idx]
 
 
+class _RaylessCamera(PinholeCamera):
+    """A camera whose ray generation fails inside the service's worker."""
+
+    def all_rays(self):
+        raise ValueError("camera cannot generate rays")
+
+
 def _make_dataset(name, image_size=10, n_train=3, n_test=1, seed=0):
     return build_dataset(make_synthetic_scene(name), n_train_views=n_train,
                          n_test_views=n_test, image_size=image_size,
@@ -155,7 +162,7 @@ class TestStagedPipelineDifferential:
             trainer.model, tiny_dataset.scene_bound,
             n_samples=trainer.config.n_samples_per_ray,
             occupancy=trainer.occupancy if culled else None,
-            culling_enabled=culled, policy=trainer.policy,
+            policy=trainer.policy,
             arena=trainer.arena, address_sort=address_sort)
         bundle = tiny_dataset.test_views[0].camera.all_rays()
         grad_colors = np.random.default_rng(7).standard_normal(
@@ -198,8 +205,8 @@ class TestCoalescedRendering:
         return RenderPipeline(
             trainer.model, dataset.scene_bound,
             n_samples=trainer.config.n_samples_per_ray,
-            occupancy=trainer.occupancy, culling_enabled=True,
-            policy=trainer.policy, arena=trainer.arena)
+            occupancy=trainer.occupancy, policy=trainer.policy,
+            arena=trainer.arena)
 
     def test_matches_per_request(self, trained, tiny_dataset):
         pipeline = self._pipeline(trained, tiny_dataset)
@@ -467,13 +474,56 @@ class TestSceneService:
                     service.submit(TrainJob(scene=scene, n_steps=n_steps))
             assert service.stats()["train_jobs"] == 0
 
+    def test_submit_rejects_non_positive_render_samples(self, serving_datasets,
+                                                        serving_config):
+        """An invalid render is refused before it reaches a worker, so it
+        cannot evict a resident scene or load a checkpoint for nothing."""
+        scene = serving_datasets[0].name
+        service = SceneService(serving_datasets[:1], serving_config, seed=0,
+                               n_workers=1)
+        for n_samples in (0, -2):
+            with pytest.raises(ValueError, match="n_samples"):
+                service.submit(RenderJob(scene=scene, n_samples=n_samples))
+        service.close()
+        stats = service.stats()
+        assert stats["batches"] == 0
+        assert stats["peak_resident_scenes"] == 0
+
+    def test_submit_rejects_nan_deadline(self, serving_datasets,
+                                         serving_config):
+        """NaN compares false both ways, so one NaN deadline would break the
+        earliest-deadline order of every other pending job."""
+        scene = serving_datasets[0].name
+        with SceneService(serving_datasets[:1], serving_config, seed=0,
+                          n_workers=1) as service:
+            for job in (RenderJob(scene=scene, deadline_s=float("nan")),
+                        TrainJob(scene=scene, deadline_s=float("nan"))):
+                with pytest.raises(ValueError, match="deadline_s"):
+                    service.submit(job)
+            assert service.stats()["batches"] == 0
+
+    def test_zero_and_negative_deadlines_are_shed(self, serving_datasets,
+                                                  serving_config):
+        """Non-positive deadlines are valid and already expired."""
+        from repro.serving import DeadlineExceeded
+
+        scene = serving_datasets[0].name
+        with SceneService(serving_datasets[:1], serving_config, seed=0,
+                          n_workers=1) as service:
+            for deadline in (0.0, -1.0):
+                with pytest.raises(DeadlineExceeded):
+                    service.render(scene, deadline_s=deadline).result(60)
+
     def test_worker_error_propagates_to_client(self, serving_datasets,
                                                serving_config):
+        view = serving_datasets[0].test_views[0].camera
+        broken = _RaylessCamera(width=view.width, height=view.height,
+                                focal=view.focal, pose=view.pose)
         with SceneService(serving_datasets[:1], serving_config, seed=0,
                           n_workers=1) as service:
             handle = service.submit(RenderJob(scene=serving_datasets[0].name,
-                                              n_samples=0))
-            with pytest.raises(ValueError, match="n_samples"):
+                                              camera=broken))
+            with pytest.raises(ValueError, match="cannot generate rays"):
                 handle.result(60)
             # The service survives the failed job.
             ok = service.render(serving_datasets[0].name)
