@@ -20,15 +20,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
-import numpy as np
-
 from repro.accelerator.config import AcceleratorConfig
-from repro.accelerator.energy import AreaModel, EnergyBreakdown, EnergyModel
+from repro.accelerator.energy import EnergyBreakdown, EnergyModel
 from repro.accelerator.fusion import plan_fusion
 from repro.accelerator.grid_core import GridCoreSimulator, GridPhaseResult
 from repro.accelerator.mlp_unit import MLPEngine
 from repro.accelerator.trace import MemoryTrace
-from repro.grid.hash_encoding import FEATURE_BYTES
 from repro.training.profiler import IterationWorkload, PipelineStep
 
 
@@ -86,7 +83,6 @@ class Instant3DAccelerator:
         self.grid_sim = GridCoreSimulator(self.config)
         self.mlp_engine = MLPEngine(self.config.mlp_unit)
         self.energy_model = EnergyModel(self.config)
-        self.area_model = AreaModel(self.config)
 
     # -- grid phases --------------------------------------------------------------
     def _branch_rates(self, trace: Optional[MemoryTrace], table_bytes: Dict[str, int]
@@ -245,8 +241,3 @@ class Instant3DAccelerator:
             energy=energy,
             average_power_w=self.energy_model.average_power_w(energy, total_s),
         )
-
-    # -- reporting helpers -------------------------------------------------------------
-    def area_breakdown(self):
-        """Silicon-area breakdown of the configured accelerator (Fig. 15)."""
-        return self.area_model.breakdown()

@@ -81,10 +81,6 @@ class MLPUnitConfig:
         if not (0.0 < self.utilization <= 1.0):
             raise ValueError("utilization must be in (0, 1]")
 
-    @property
-    def systolic_macs(self) -> int:
-        return self.systolic_rows * self.systolic_cols
-
 
 @dataclass(frozen=True)
 class AcceleratorConfig:

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
-from repro.training.profiler import IterationWorkload, PipelineStep, WorkloadScale
+from repro.training.profiler import IterationWorkload, PipelineStep
 
 
 @dataclass(frozen=True)
@@ -65,14 +65,6 @@ class DeviceRuntimeEstimate:
     n_iterations: int
     step_seconds: Dict[str, float] = field(default_factory=dict)
     energy_j: float = 0.0
-
-    def step_fraction(self, steps) -> float:
-        """Fraction of per-iteration runtime spent in the named steps."""
-        if self.per_iteration_s <= 0:
-            return 0.0
-        selected = sum(v for k, v in self.step_seconds.items()
-                       if any(k.startswith(s) for s in steps))
-        return selected / self.per_iteration_s
 
 
 #: Table 3 specifications.

@@ -13,7 +13,6 @@ speedup to removing.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
 
 import numpy as np
 
@@ -29,10 +28,6 @@ class FusionPlan:
     n_segments: int            # table segments that must be processed serially
     dram_swap_bytes: int       # bytes swapped to/from DRAM between segments
     n_banks: int               # SRAM banks usable in parallel per segment
-
-    @property
-    def fused_cores(self) -> int:
-        return self.mode.n_cores
 
 
 def select_fusion_mode(table_bytes: int, config: AcceleratorConfig) -> FusionMode:
@@ -68,9 +63,3 @@ def plan_fusion(table_bytes: int, config: AcceleratorConfig) -> FusionPlan:
     swap_bytes = (n_segments - 1) * core_bytes if n_segments > 1 else 0
     return FusionPlan(mode=mode, table_bytes=table_bytes, n_segments=n_segments,
                       dram_swap_bytes=swap_bytes, n_banks=mode.n_banks)
-
-
-def branch_plans(branch_table_bytes: dict, config: AcceleratorConfig) -> List[FusionPlan]:
-    """Fusion plans for every branch (density/color) of a model configuration."""
-    return [plan_fusion(table_bytes, config)
-            for table_bytes in branch_table_bytes.values()]

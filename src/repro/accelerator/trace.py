@@ -41,10 +41,6 @@ class BranchTrace:
     level_table_sizes: List[int] = field(default_factory=list)
     n_points: int = 0
 
-    @property
-    def reads_per_point(self) -> int:
-        return int(self.read_addresses.size // max(self.n_points, 1))
-
 
 @dataclass
 class MemoryTrace:
@@ -55,10 +51,6 @@ class MemoryTrace:
 
     def branch(self, name: str) -> BranchTrace:
         return self.branches[name]
-
-    @property
-    def total_reads(self) -> int:
-        return int(sum(b.read_addresses.size for b in self.branches.values()))
 
 
 def _point_major_addresses(record: GridAccessRecord) -> np.ndarray:

@@ -52,10 +52,6 @@ class SlidingWindowStats:
     def mean_unique(self) -> float:
         return float(np.mean(self.unique_counts)) if self.unique_counts else 0.0
 
-    @property
-    def min_unique(self) -> int:
-        return int(min(self.unique_counts)) if self.unique_counts else 0
-
 
 def group_vertex_addresses(record: GridAccessRecord, level: int) -> np.ndarray:
     """Arrange one level's addresses as ``(N, 4 groups, 2 members)``."""

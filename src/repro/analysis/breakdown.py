@@ -51,11 +51,6 @@ class RuntimeBreakdown:
         """Share of runtime spent in the paper's bottleneck step."""
         return self.fraction(CATEGORY_GRID)
 
-    @property
-    def queries_saved_per_iteration(self) -> int:
-        """Point queries per iteration pruned by occupancy culling."""
-        return self.points_per_iteration - self.culled_points_per_iteration
-
 
 def _categorise(step_label: str) -> str:
     step = step_label.split("[")[0]

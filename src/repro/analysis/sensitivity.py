@@ -45,10 +45,6 @@ class LearningPaceResult:
         return self.rgb_psnrs[-1] if self.rgb_psnrs else float("nan")
 
     @property
-    def final_depth_psnr(self) -> float:
-        return self.depth_psnrs[-1] if self.depth_psnrs else float("nan")
-
-    @property
     def mean_rgb_lead(self) -> float:
         """Average PSNR lead of color over density along the trajectory."""
         if not self.iterations:

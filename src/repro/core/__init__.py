@@ -18,7 +18,6 @@ This package holds the paper's primary algorithmic contribution (Sec. 3):
 """
 
 from repro.core.config import Instant3DConfig
-from repro.core.coupled import CoupledInstantNGP
 from repro.core.schedule import UpdateSchedule, BranchSchedules
 from repro.core.decoupled_grid import DecoupledGridEncoder
 from repro.core.model import DecoupledRadianceField, QueryCache
@@ -26,7 +25,6 @@ from repro.core.search import RatioSearchResult, grid_ratio_search
 
 __all__ = [
     "Instant3DConfig",
-    "CoupledInstantNGP",
     "UpdateSchedule",
     "BranchSchedules",
     "DecoupledGridEncoder",

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Optional, Tuple
+from typing import Optional
 
 from repro.grid.hash_encoding import HashGridConfig
 from repro.reliability.health import HealthPolicy
@@ -339,7 +339,3 @@ class Instant3DConfig:
             and self.density_update_freq == 1.0
             and self.color_update_freq == 1.0
         )
-
-    def ratio_tuple(self) -> Tuple[float, float, float]:
-        """(S_C/S_D, F_D, F_C) — convenient for sweeps and tables."""
-        return (self.color_size_ratio, self.density_update_freq, self.color_update_freq)

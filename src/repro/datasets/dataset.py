@@ -118,10 +118,6 @@ class SceneDataset:
         return [view.camera for view in self.test_views]
 
     @property
-    def test_images(self) -> List[np.ndarray]:
-        return [view.rgb for view in self.test_views]
-
-    @property
     def scene_bound(self) -> float:
         return self.scene.scene_bound
 

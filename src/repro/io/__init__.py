@@ -22,7 +22,6 @@ from repro.io.checkpoint import (
     io_stats,
     load_checkpoint,
     load_trainer_checkpoint,
-    reset_io_stats,
     save_checkpoint,
     save_trainer_checkpoint,
 )
@@ -40,7 +39,6 @@ __all__ = [
     "io_stats",
     "load_checkpoint",
     "load_trainer_checkpoint",
-    "reset_io_stats",
     "save_checkpoint",
     "save_trainer_checkpoint",
 ]

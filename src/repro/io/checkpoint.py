@@ -83,6 +83,12 @@ CHECKPOINT_MIN_VERSION = 2
 _MANIFEST_KEY = "__manifest__"
 #: Manifest placeholder key referencing an npz array member.
 _ARRAY_KEY = "__npz__"
+#: What reading a damaged archive raises.  Beyond plain I/O and decode
+#: errors, a corrupted zip layer surfaces as ``BadZipFile`` (CRC or header
+#: mismatch), ``EOFError`` (empty file), ``NotImplementedError`` (flipped
+#: compression-method bits) or ``RuntimeError`` (flipped encryption flag).
+_ARCHIVE_ERRORS = (OSError, ValueError, EOFError, zlib.error,
+                   zipfile.BadZipFile, NotImplementedError, RuntimeError)
 
 PathLike = Union[str, Path]
 
@@ -139,13 +145,6 @@ def io_stats() -> CheckpointIOStats:
     before and after an operation.
     """
     return replace(_IO_STATS)
-
-
-def reset_io_stats() -> None:
-    """Zero the process-wide counters (test isolation helper)."""
-    _IO_STATS.fallback_loads = 0
-    _IO_STATS.quarantined_files = 0
-    _IO_STATS.legacy_digestless_loads = 0
 
 
 @dataclass
@@ -355,7 +354,7 @@ def _read_verified(path: Path, expected_kind: Optional[str]) -> Checkpoint:
     """
     try:
         archive = np.load(path, allow_pickle=False)
-    except (OSError, ValueError, zipfile.BadZipFile) as exc:
+    except _ARCHIVE_ERRORS as exc:
         raise CheckpointCorruptError(
             f"could not read checkpoint {path}: {exc}") from exc
     with archive as data:
@@ -364,7 +363,7 @@ def _read_verified(path: Path, expected_kind: Optional[str]) -> Checkpoint:
                 f"{path} is not a repro checkpoint (missing {_MANIFEST_KEY})")
         try:
             manifest = json.loads(str(data[_MANIFEST_KEY][()]))
-        except (json.JSONDecodeError, OSError, ValueError, zlib.error) as exc:
+        except _ARCHIVE_ERRORS as exc:
             raise CheckpointCorruptError(
                 f"corrupt manifest in {path}: {exc}") from exc
         if manifest.get("format") != CHECKPOINT_FORMAT:
@@ -389,8 +388,7 @@ def _read_verified(path: Path, expected_kind: Optional[str]) -> Checkpoint:
             for key in data.files:
                 if key != _MANIFEST_KEY:
                     members[key] = data[key]
-        except (OSError, ValueError, zlib.error, EOFError,
-                zipfile.BadZipFile) as exc:
+        except _ARCHIVE_ERRORS as exc:
             raise CheckpointCorruptError(
                 f"corrupt array member in {path}: {exc}") from exc
         digests = manifest.get("digests")

@@ -2,8 +2,7 @@
 
 This package implements Steps ❶, ❷, ❹ and ❺ of the six-step NeRF training
 pipeline described in Sec. 2.1 of the paper (Step ❸ — querying point features
-— lives in :mod:`repro.core` for the hash-grid models and in
-:mod:`repro.nerf.vanilla` for the vanilla-NeRF baseline):
+— lives in :mod:`repro.core`):
 
 ❶ sample pixels      → :class:`~repro.nerf.cameras.PinholeCamera` /
                         :func:`~repro.nerf.cameras.sample_pixel_batch`
@@ -26,7 +25,7 @@ from repro.nerf.cameras import PinholeCamera, RayBundle, sample_pixel_batch
 from repro.nerf.sampling import stratified_samples, ray_points, ray_probe_points
 from repro.nerf.volume_rendering import VolumeRenderer, RenderOutput
 from repro.nerf.losses import mse_loss, psnr, mse_to_psnr
-from repro.nerf.encoding import positional_encoding, spherical_harmonics_encoding
+from repro.nerf.encoding import spherical_harmonics_encoding
 from repro.nerf.occupancy import OccupancyGrid
 from repro.nerf.pipeline import PipelineRender, RenderPipeline
 from repro.nerf.scheduling import (
@@ -37,7 +36,6 @@ from repro.nerf.scheduling import (
     UniformScheduler,
     make_scheduler,
 )
-from repro.nerf.vanilla import VanillaNeRF, VanillaNeRFConfig
 
 __all__ = [
     "PinholeCamera",
@@ -57,11 +55,8 @@ __all__ = [
     "mse_loss",
     "psnr",
     "mse_to_psnr",
-    "positional_encoding",
     "spherical_harmonics_encoding",
     "OccupancyGrid",
     "RenderPipeline",
     "PipelineRender",
-    "VanillaNeRF",
-    "VanillaNeRFConfig",
 ]

@@ -1,10 +1,8 @@
-"""Input encodings: sinusoidal positional encoding and spherical harmonics.
+"""View-direction encoding: a low-order spherical-harmonics basis.
 
-The vanilla-NeRF baseline encodes 3-D positions and view directions with the
-sinusoidal positional encoding of Mildenhall et al.; the Instant-NGP-style
-models encode positions with the hash grid (:mod:`repro.grid`) and view
-directions with a low-order spherical-harmonics basis, matching the reference
-implementation.
+The Instant-NGP-style models encode positions with the hash grid
+(:mod:`repro.grid`) and view directions with spherical harmonics, matching
+the reference implementation.
 """
 
 from __future__ import annotations
@@ -12,34 +10,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.utils.workspace import arena_buffer
-
-
-def positional_encoding(x: np.ndarray, n_frequencies: int,
-                        include_input: bool = True) -> np.ndarray:
-    """Sinusoidal positional encoding ``[x, sin(2^i x), cos(2^i x)]``.
-
-    ``x`` has shape ``(N, D)``; the output has shape
-    ``(N, D * (include_input + 2 * n_frequencies))``.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2:
-        raise ValueError(f"x must be 2-D, got shape {x.shape}")
-    if n_frequencies < 0:
-        raise ValueError("n_frequencies must be >= 0")
-    features = [x] if include_input else []
-    for i in range(n_frequencies):
-        freq = (2.0 ** i) * np.pi
-        features.append(np.sin(freq * x))
-        features.append(np.cos(freq * x))
-    if not features:
-        return np.empty((x.shape[0], 0))
-    return np.concatenate(features, axis=1).astype(np.float32)
-
-
-def positional_encoding_dim(input_dim: int, n_frequencies: int,
-                            include_input: bool = True) -> int:
-    """Output dimensionality of :func:`positional_encoding`."""
-    return input_dim * ((1 if include_input else 0) + 2 * n_frequencies)
 
 
 def spherical_harmonics_encoding(dirs: np.ndarray, degree: int = 3,

@@ -168,10 +168,3 @@ class VolumeRenderer:
         np.subtract(suffix, grad_sigmas, out=grad_sigmas)
         grad_sigmas *= deltas
         return grad_sigmas, grad_rgbs
-
-    # -- utility ------------------------------------------------------------------
-    @staticmethod
-    def render_depth_normalized(render: RenderOutput, near: float, far: float) -> np.ndarray:
-        """Normalise depth to ``[0, 1]`` for depth-image PSNR (Fig. 5 analysis)."""
-        depth = np.clip(render.depth, near, far)
-        return (depth - near) / max(far - near, 1e-9)

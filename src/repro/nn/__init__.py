@@ -10,10 +10,8 @@ learning framework the reproduction implements the required pieces directly:
   :mod:`repro.nn.activations` — modules with ``forward``/``backward``.
 * :class:`~repro.nn.mlp.MLP` — a sequential container used for both the
   density and color heads.
-* :class:`~repro.nn.optim.Adam` / :class:`~repro.nn.optim.SGD` — optimisers
-  that consume the accumulated gradients.
-* :func:`~repro.nn.gradcheck.numerical_gradient` — finite-difference helper
-  used by the test-suite to validate every backward pass.
+* :class:`~repro.nn.optim.Adam` — the optimiser that consumes the
+  accumulated gradients.
 
 The forward methods cache whatever the matching backward pass needs, and
 ``backward`` both returns the gradient with respect to the input and
@@ -23,10 +21,9 @@ the paper profiles.
 
 from repro.nn.parameter import Parameter, SparseGrad
 from repro.nn.layers import Linear
-from repro.nn.activations import ReLU, Sigmoid, TruncatedExp, Identity, Softplus
+from repro.nn.activations import ReLU, Sigmoid, TruncatedExp, Identity
 from repro.nn.mlp import MLP
-from repro.nn.optim import SGD, Adam
-from repro.nn.gradcheck import numerical_gradient
+from repro.nn.optim import Adam
 
 __all__ = [
     "Parameter",
@@ -35,10 +32,7 @@ __all__ = [
     "ReLU",
     "Sigmoid",
     "TruncatedExp",
-    "Softplus",
     "Identity",
     "MLP",
-    "SGD",
     "Adam",
-    "numerical_gradient",
 ]

@@ -161,23 +161,3 @@ class TruncatedExp(_Activation):
         np.multiply(np.asarray(grad_out, dtype=np.float32), grad_in,
                     out=grad_in)
         return grad_in
-
-
-class Softplus(_Activation):
-    """Numerically-stable softplus, an alternative density activation."""
-
-    def __init__(self, beta: float = 1.0) -> None:
-        self.beta = float(beta)
-        self._input: Optional[np.ndarray] = None
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        self._input = x
-        out = np.logaddexp(0.0, self.beta * x) / self.beta
-        return out.astype(np.float32)
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._input is None:
-            raise RuntimeError("backward called before forward")
-        sig = 1.0 / (1.0 + np.exp(-np.clip(self.beta * self._input, -30.0, 30.0)))
-        return (grad_out * sig).astype(np.float32)

@@ -1,6 +1,6 @@
-"""Gradient-descent optimisers operating on :class:`~repro.nn.parameter.Parameter`.
+"""The Adam optimiser operating on :class:`~repro.nn.parameter.Parameter`.
 
-Per-parameter state (momentum velocities, Adam moments) is keyed by the
+Per-parameter state (the Adam moments) is keyed by the
 parameter's *index* in ``self.parameters`` rather than by ``id(param)``:
 CPython reuses object ids after garbage collection, so identity keys can
 silently alias one parameter's state onto an unrelated parameter that
@@ -51,7 +51,7 @@ from repro.utils.workspace import WorkspaceArena, arena_buffer
 
 def _load_indexed_state(slots: Dict[int, np.ndarray], stored: Dict[str, Any],
                         parameters: List[Parameter], label: str) -> None:
-    """Restore an index-keyed array dict (moments/velocities) in place."""
+    """Restore an index-keyed moment dict in place."""
     slots.clear()
     for key, array in stored.items():
         index = int(key)
@@ -69,7 +69,7 @@ def _load_indexed_state(slots: Dict[int, np.ndarray], stored: Dict[str, Any],
 
 
 def _dump_indexed_state(slots: Dict[int, np.ndarray]) -> Dict[str, np.ndarray]:
-    """Serialise an index-keyed array dict (string keys for the manifest)."""
+    """Serialise an index-keyed moment dict (string keys for the manifest)."""
     return {str(index): array.copy() for index, array in sorted(slots.items())}
 
 
@@ -138,108 +138,6 @@ def _rebuild_last_step(slots: Dict[int, np.ndarray], indices,
                                    step_count, dtype=np.int32)
 
 
-class SGD:
-    """Plain stochastic gradient descent with optional momentum.
-
-    ``sparse`` parameters take the lazy row-update path described in the
-    module docstring (velocity decay caught up as ``momentum ** k``); dense
-    parameters are untouched by it.
-    """
-
-    def __init__(self, parameters: Iterable[Parameter], lr: float = 1e-2,
-                 momentum: float = 0.0,
-                 arena: Optional[WorkspaceArena] = None):
-        if lr <= 0:
-            raise ValueError("learning rate must be positive")
-        self.parameters: List[Parameter] = list(parameters)
-        self.lr = float(lr)
-        self.momentum = float(momentum)
-        self.arena = arena
-        self._step_count = 0
-        self._velocity: Dict[int, np.ndarray] = {}
-        self._last_step: Dict[int, np.ndarray] = {}
-
-    def set_arena(self, arena: Optional[WorkspaceArena]) -> None:
-        self.arena = arena
-
-    def step(self) -> None:
-        """Apply one update using the gradients currently accumulated."""
-        self._step_count += 1
-        for index, param in enumerate(self.parameters):
-            if param.sparse:
-                self._step_sparse(index, param)
-                continue
-            update = param.grad
-            if self.momentum > 0.0:
-                vel = _state_slot(self._velocity, index, param.data)
-                vel *= self.momentum
-                vel += update
-                update = vel
-            # param.data -= lr * update, without the lr * update temporary.
-            scratch = arena_buffer(self.arena, "sgd/scratch", update.shape,
-                                   update.dtype)
-            np.multiply(self.lr, update, out=scratch)
-            param.data -= scratch
-
-    def _step_sparse(self, index: int, param: Parameter) -> None:
-        """Touched-rows-only update with lazy momentum catch-up."""
-        rows, vals = _touched_rows(param)
-        if rows.size == 0:
-            return
-        vals64 = vals.astype(np.float64)
-        if self.momentum > 0.0:
-            vel = _state_slot(self._velocity, index, param.data)
-            last = _state_slot(self._last_step, index, param.data,
-                               dtype=np.int32)
-            k = self._step_count - last[rows]
-            last[rows] = self._step_count
-            vel64 = vel[rows].astype(np.float64)
-            vel64 *= _broadcast_tail(_pow_by_exponent(self.momentum, k),
-                                     vals64.ndim)
-            vel64 += vals64
-            vel[rows] = vel64
-            update = vel64
-        else:
-            update = vals64
-        param.data[rows] -= self.lr * update
-
-    def _flush_lazy(self) -> None:
-        """Apply all deferred velocity decay (every row up to the current step)."""
-        for index, last in self._last_step.items():
-            stale = np.flatnonzero(last < self._step_count)
-            if stale.size == 0:
-                continue
-            k = self._step_count - last[stale]
-            vel = self._velocity[index]
-            vel[stale] *= _broadcast_tail(_pow_by_exponent(self.momentum, k),
-                                          vel.ndim)
-            last[stale] = self._step_count
-
-    def zero_grad(self) -> None:
-        for param in self.parameters:
-            param.zero_grad()
-
-    # -- serialisation ------------------------------------------------------
-    def state_dict(self) -> Dict[str, Any]:
-        """Serialisable optimiser state (momentum velocities by index).
-
-        Deferred lazy decay is **flushed first** (see the module docstring),
-        which rebases the live optimiser too — the saving run's continuation
-        and a load-and-continue run stay bit-identical to each other.
-        """
-        self._flush_lazy()
-        return {"step_count": int(self._step_count),
-                "velocity": _dump_indexed_state(self._velocity)}
-
-    def load_state_dict(self, state: Dict[str, Any]) -> None:
-        """Restore :meth:`state_dict`; continuation is bit-identical."""
-        _load_indexed_state(self._velocity, state["velocity"], self.parameters,
-                            "velocity")
-        self._step_count = int(state.get("step_count", 0))
-        _rebuild_last_step(self._last_step, self._velocity, self.parameters,
-                           self._step_count)
-
-
 class Adam:
     """Adam optimiser, the optimiser used by Instant-NGP for both MLPs and grids.
 
@@ -255,8 +153,16 @@ class Adam:
                  betas=(0.9, 0.99), eps: float = 1e-10,
                  weight_decay: float = 0.0,
                  arena: Optional[WorkspaceArena] = None):
-        if lr <= 0:
-            raise ValueError("learning rate must be positive")
+        # Each check is phrased so that NaN fails it.
+        if not (np.isfinite(lr) and lr > 0):
+            raise ValueError(f"learning rate must be finite and positive, got {lr}")
+        if not all(0.0 <= beta < 1.0 for beta in betas):
+            raise ValueError(f"betas must lie in [0, 1), got {betas}")
+        if not (np.isfinite(eps) and eps > 0):
+            raise ValueError(f"eps must be finite and positive, got {eps}")
+        if not (np.isfinite(weight_decay) and weight_decay >= 0):
+            raise ValueError(
+                f"weight_decay must be finite and non-negative, got {weight_decay}")
         self.parameters: List[Parameter] = list(parameters)
         self.lr = float(lr)
         self.beta1, self.beta2 = float(betas[0]), float(betas[1])

@@ -140,12 +140,6 @@ class IterationWorkload:
     steps: List[StepWorkload] = field(default_factory=list)
     keep_fraction: float = 1.0
 
-    def by_step(self, step: str) -> List[StepWorkload]:
-        return [s for s in self.steps if s.step == step]
-
-    def branch_steps(self, branch: str) -> List[StepWorkload]:
-        return [s for s in self.steps if s.branch == branch]
-
     def total(self, attribute: str, steps: Optional[List[str]] = None) -> float:
         """Sum an attribute over (a subset of) steps, weighted by update fraction."""
         selected = self.steps if steps is None else [s for s in self.steps if s.step in steps]
@@ -177,11 +171,6 @@ class IterationWorkload:
     def culled_points_per_iteration(self) -> int:
         """Point queries that actually reach the grids/MLPs after culling."""
         return int(round(self.scale.points_per_iteration * self.keep_fraction))
-
-    @property
-    def queries_saved_per_iteration(self) -> int:
-        """Point queries skipped per iteration thanks to occupancy culling."""
-        return self.points_per_iteration - self.culled_points_per_iteration
 
 
 # ---------------------------------------------------------------------------

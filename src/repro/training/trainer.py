@@ -87,11 +87,6 @@ class TrainingHistory:
                 int(queries_kept if queries_kept is not None else queries_total))
             self.occupancy_fractions.append(float(occupancy_fraction))
 
-    @property
-    def total_queries_saved(self) -> int:
-        """Point queries skipped by culling over the recorded iterations."""
-        return int(sum(self.queries_total) - sum(self.queries_kept))
-
     def mean_keep_fraction(self, last_n: Optional[int] = None) -> float:
         """Mean kept-sample fraction, optionally over the last ``last_n`` steps."""
         if last_n is not None and last_n <= 0:

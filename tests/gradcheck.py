@@ -1,4 +1,4 @@
-"""Finite-difference gradient checking used by the test-suite.
+"""Finite-difference gradient checking for the test-suite.
 
 Because every backward pass in this library is hand-derived, the tests verify
 them against central finite differences.  The helper works on any scalar

@@ -190,10 +190,9 @@ class TestBranchRates:
         scaled cycles reproduce the grid-core simulator's own cycle count."""
         workload = paper_workloads["instant3d_acc"]
         for branch in ("density", "color"):
-            fwd = [s for s in workload.branch_steps(branch)
-                   if s.step == PipelineStep.GRID_FORWARD][0]
-            bwd = [s for s in workload.branch_steps(branch)
-                   if s.step == PipelineStep.GRID_BACKWARD][0]
+            steps = {s.step: s for s in workload.steps if s.branch == branch}
+            fwd = steps[PipelineStep.GRID_FORWARD]
+            bwd = steps[PipelineStep.GRID_BACKWARD]
             assert bwd.grid_accesses == 2.0 * fwd.grid_accesses
             assert bwd.grid_bytes == fwd.grid_bytes    # bytes stay per-direction
 

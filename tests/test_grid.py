@@ -14,9 +14,9 @@ from repro.grid import (
     trilinear_weights,
 )
 from repro.grid.interpolation import interpolate, interpolate_backward
-from repro.nn.gradcheck import numerical_gradient
 from repro.utils.seeding import new_rng
 
+from gradcheck import numerical_gradient
 from oracles import per_level_loop
 
 

@@ -6,23 +6,21 @@ import pytest
 from repro.nerf import (
     PinholeCamera,
     RayBundle,
-    VanillaNeRF,
-    VanillaNeRFConfig,
     VolumeRenderer,
     mse_loss,
     mse_to_psnr,
-    positional_encoding,
     psnr,
     sample_pixel_batch,
     spherical_harmonics_encoding,
     stratified_samples,
     ray_points,
 )
-from repro.nerf.encoding import positional_encoding_dim, spherical_harmonics_dim
+from repro.nerf.encoding import spherical_harmonics_dim
 from repro.nerf.sampling import normalize_points_to_unit_cube
-from repro.nn.gradcheck import numerical_gradient
 from repro.utils.math3d import look_at_pose
 from repro.utils.seeding import new_rng
+
+from gradcheck import numerical_gradient
 
 
 def _camera(width=8, height=6, near=0.5, far=3.0):
@@ -244,16 +242,6 @@ class TestLossesAndEncodings:
     def test_mse_to_psnr_monotonic(self):
         assert mse_to_psnr(0.01) > mse_to_psnr(0.1)
 
-    def test_positional_encoding_dim(self):
-        x = np.zeros((5, 3))
-        out = positional_encoding(x, n_frequencies=4)
-        assert out.shape == (5, positional_encoding_dim(3, 4))
-
-    def test_positional_encoding_zero_freq(self):
-        x = np.ones((2, 3))
-        out = positional_encoding(x, n_frequencies=0)
-        np.testing.assert_allclose(out, x)
-
     @pytest.mark.parametrize("degree", [1, 2, 3, 4])
     def test_spherical_harmonics_dim(self, degree):
         dirs = new_rng(degree).normal(size=(7, 3))
@@ -265,33 +253,3 @@ class TestLossesAndEncodings:
         dirs = new_rng(9).normal(size=(10, 3))
         out = spherical_harmonics_encoding(dirs, degree=2)
         np.testing.assert_allclose(out[:, 0], 0.28209479177387814)
-
-
-class TestVanillaNeRF:
-    def test_query_shapes(self):
-        model = VanillaNeRF(VanillaNeRFConfig(), rng=new_rng(0))
-        points = new_rng(1).uniform(size=(11, 3))
-        dirs = new_rng(2).normal(size=(11, 3))
-        sigma, rgb = model.query(points, dirs)
-        assert sigma.shape == (11,)
-        assert rgb.shape == (11, 3)
-        assert np.all(sigma >= 0.0)
-        assert np.all((rgb >= 0.0) & (rgb <= 1.0))
-
-    def test_backward_populates_gradients(self):
-        model = VanillaNeRF(VanillaNeRFConfig(), rng=new_rng(0))
-        points = new_rng(1).uniform(size=(6, 3))
-        dirs = new_rng(2).normal(size=(6, 3))
-        sigma, rgb = model.query(points, dirs)
-        model.zero_grad()
-        model.backward(np.ones_like(sigma), np.ones_like(rgb))
-        assert any(np.any(p.grad != 0.0) for p in model.parameters())
-
-    def test_paper_scale_flops_are_about_one_mflop(self):
-        model = VanillaNeRF(VanillaNeRFConfig.paper_scale(), rng=new_rng(0))
-        assert 0.5e6 < model.flops_per_query < 2.5e6
-
-    def test_small_config_is_much_cheaper(self):
-        small = VanillaNeRF(VanillaNeRFConfig(), rng=new_rng(0))
-        big = VanillaNeRF(VanillaNeRFConfig.paper_scale(), rng=new_rng(0))
-        assert small.flops_per_query < big.flops_per_query / 10

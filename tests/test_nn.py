@@ -9,14 +9,13 @@ from repro.nn import (
     Linear,
     Parameter,
     ReLU,
-    SGD,
     Sigmoid,
-    Softplus,
     TruncatedExp,
-    numerical_gradient,
 )
 from repro.nn.parameter import flat_pair_view
 from repro.utils.seeding import new_rng
+
+from gradcheck import numerical_gradient
 
 
 class TestParameter:
@@ -105,7 +104,7 @@ class TestLinear:
 
 
 class TestActivations:
-    @pytest.mark.parametrize("activation_cls", [ReLU, Sigmoid, TruncatedExp, Softplus])
+    @pytest.mark.parametrize("activation_cls", [ReLU, Sigmoid, TruncatedExp])
     def test_gradient_matches_numerical(self, activation_cls):
         act = activation_cls()
         rng = new_rng(5)
@@ -193,15 +192,6 @@ class TestOptimizers:
         param = Parameter(np.array([5.0, -3.0]))
         return param
 
-    def test_sgd_reduces_quadratic(self):
-        param = self._quadratic_problem()
-        opt = SGD([param], lr=0.1)
-        for _ in range(100):
-            opt.zero_grad()
-            param.accumulate_grad(2.0 * param.data)
-            opt.step()
-        assert np.linalg.norm(param.data) < 1e-3
-
     def test_adam_reduces_quadratic(self):
         param = self._quadratic_problem()
         opt = Adam([param], lr=0.2)
@@ -218,20 +208,23 @@ class TestOptimizers:
         opt.step()
         assert opt.step_count == 2
 
-    def test_invalid_lr_raises(self):
+    @pytest.mark.parametrize("kwargs", [
+        {"lr": 0.0},
+        {"lr": -1.0},
+        {"lr": float("nan")},
+        {"lr": float("inf")},
+        {"betas": (1.0, 0.99)},
+        {"betas": (0.9, 1.0)},
+        {"betas": (-0.1, 0.99)},
+        {"betas": (float("nan"), 0.99)},
+        {"eps": 0.0},
+        {"eps": float("nan")},
+        {"eps": float("inf")},
+        {"weight_decay": -1e-3},
+        {"weight_decay": float("nan")},
+        {"weight_decay": float("inf")},
+    ], ids=lambda kwargs: ",".join(
+        f"{k}={v}" for k, v in kwargs.items()).replace(" ", ""))
+    def test_invalid_lr_raises(self, kwargs):
         with pytest.raises(ValueError):
-            Adam([Parameter(np.zeros(1))], lr=0.0)
-        with pytest.raises(ValueError):
-            SGD([Parameter(np.zeros(1))], lr=-1.0)
-
-    def test_sgd_momentum_accelerates(self):
-        param_plain = Parameter(np.array([10.0]))
-        param_momentum = Parameter(np.array([10.0]))
-        plain = SGD([param_plain], lr=0.01)
-        momentum = SGD([param_momentum], lr=0.01, momentum=0.9)
-        for _ in range(50):
-            for opt, param in ((plain, param_plain), (momentum, param_momentum)):
-                opt.zero_grad()
-                param.accumulate_grad(2.0 * param.data)
-                opt.step()
-        assert abs(param_momentum.data[0]) < abs(param_plain.data[0])
+            Adam([Parameter(np.zeros(1))], **kwargs)

@@ -319,8 +319,7 @@ class TestProfilerCulling:
                 == dense.total("flops", ["volume_render"]))
         assert culled.keep_fraction == 0.25
         assert culled.culled_points_per_iteration == dense.points_per_iteration // 4
-        assert (culled.queries_saved_per_iteration
-                == dense.points_per_iteration - culled.culled_points_per_iteration)
+        assert culled.points_per_iteration == dense.points_per_iteration
 
     def test_occupancy_grid_supplies_keep_fraction(self):
         grid = OccupancyGrid(resolution=8, occupancy_threshold=0.5, seed=0)
@@ -366,7 +365,5 @@ class TestProfilerCulling:
         assert breakdown.points_per_iteration == workload.points_per_iteration
         assert (breakdown.culled_points_per_iteration
                 == workload.culled_points_per_iteration)
-        assert (breakdown.queries_saved_per_iteration
-                == workload.queries_saved_per_iteration)
         # Default call keeps the dense accounting.
         assert runtime_breakdown(estimate).keep_fraction == 1.0

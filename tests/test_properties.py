@@ -1,5 +1,9 @@
 """Property-based tests (hypothesis) for core data structures and invariants."""
 
+import functools
+import tempfile
+from pathlib import Path
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,6 +15,7 @@ from repro.core.schedule import UpdateSchedule
 from repro.grid.hash_encoding import HashGridConfig, MultiResHashGrid
 from repro.grid.hash_function import spatial_hash
 from repro.grid.interpolation import interpolate, trilinear_weights
+from repro.io import CheckpointError, load_checkpoint, save_checkpoint
 from repro.nerf.losses import mse_loss, mse_to_psnr
 from repro.nerf.volume_rendering import VolumeRenderer
 from repro.utils.precision import FLOAT32, FLOAT64
@@ -263,3 +268,68 @@ def test_grid_engine_equals_per_level_loop(config, points, max_chunk_points,
     np.testing.assert_array_equal(plain.forward(points), out)
     plain.backward(grad)
     np.testing.assert_array_equal(plain.table.grad, grid.table.grad)
+
+
+# ---------------------------------------------------------------------------
+# Checkpoint integrity under arbitrary byte corruption
+# ---------------------------------------------------------------------------
+@functools.lru_cache(maxsize=None)
+def _saved_checkpoint():
+    """A small mixed payload and the bytes of its saved checkpoint file."""
+    payload = {"weights": np.arange(12, dtype=np.float32).reshape(6, 2),
+               "moments": {"m": np.full(5, 0.25), "steps": 7},
+               "history": [1.5, np.arange(3)],
+               "name": "scene"}
+    with tempfile.TemporaryDirectory() as tmp:
+        raw = save_checkpoint(Path(tmp) / "c.npz", payload,
+                              kind="t").read_bytes()
+    return payload, raw
+
+
+def _assert_same_tree(got, expected):
+    assert type(got) is type(expected)
+    if isinstance(expected, dict):
+        assert got.keys() == expected.keys()
+        for key in expected:
+            _assert_same_tree(got[key], expected[key])
+    elif isinstance(expected, list):
+        assert len(got) == len(expected)
+        for a, b in zip(got, expected):
+            _assert_same_tree(a, b)
+    elif isinstance(expected, np.ndarray):
+        assert got.dtype == expected.dtype
+        np.testing.assert_array_equal(got, expected)
+    else:
+        assert got == expected
+
+
+@given(
+    edits=st.lists(st.tuples(st.sampled_from(["flip", "overwrite"]),
+                             st.integers(0, 2**31 - 1),
+                             st.integers(0, 255)), max_size=3),
+    truncate=st.one_of(st.none(), st.integers(0, 2**31 - 1)),
+)
+@settings(max_examples=300, deadline=None)
+def test_corrupt_checkpoint_loads_intact_or_raises_checkpoint_error(edits,
+                                                                    truncate):
+    """Byte flips, overwrites and truncations either leave a payload equal
+    to the original or raise a ``CheckpointError`` (corruption included) —
+    never a raw zipfile/numpy exception and never silently wrong data."""
+    payload, raw = _saved_checkpoint()
+    buf = bytearray(raw)
+    for kind, pos, value in edits:
+        pos %= len(buf)
+        if kind == "flip":
+            buf[pos] ^= 1 << (value % 8)
+        else:
+            buf[pos] = value
+    if truncate is not None:
+        del buf[truncate % len(buf):]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "c.npz"
+        path.write_bytes(bytes(buf))
+        try:
+            loaded = load_checkpoint(path, expected_kind="t")
+        except CheckpointError:          # CheckpointCorruptError included
+            return
+    _assert_same_tree(loaded.payload, payload)

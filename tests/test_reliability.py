@@ -14,6 +14,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+import struct
 import threading
 import time
 import warnings
@@ -277,6 +278,25 @@ class TestCheckpointIntegrity:
         after = io_stats()
         assert after.fallback_loads == before.fallback_loads + 1
         assert after.quarantined_files == before.quarantined_files + 1
+
+    def test_manifest_bit_flip_falls_back_to_generation(self, tmp_path):
+        # One flipped byte inside the manifest member fails the zip layer's
+        # own CRC check; that must count as corruption (quarantine + fall
+        # back), not escape as a raw zipfile error.
+        path = tmp_path / "s.npz"
+        save_checkpoint(path, {"v": 1}, kind="t", keep_generations=2)
+        save_checkpoint(path, {"v": 2}, kind="t", keep_generations=2)
+        with zipfile.ZipFile(path) as archive:
+            info = archive.getinfo("__manifest__.npy")
+        raw = bytearray(path.read_bytes())
+        name_len, extra_len = struct.unpack(
+            "<HH", raw[info.header_offset + 26:info.header_offset + 30])
+        data_start = info.header_offset + 30 + name_len + extra_len
+        raw[data_start + info.file_size // 2] ^= 0x01
+        path.write_bytes(bytes(raw))
+        loaded = load_checkpoint(path, expected_kind="t")
+        assert loaded.payload["v"] == 1 and loaded.fallback_generation == 1
+        assert (tmp_path / "s.npz.corrupt").exists()
 
     def test_missing_primary_falls_back_to_generation(self, tmp_path):
         # Models a crash between the rotation and the final replace.

@@ -4,7 +4,7 @@ Covers the ``Instant3DConfig(sparse_updates=True)`` path end to end:
 
 * the grid backward's COO emission is bit-identical to the dense gradient
   scatter (rows and values);
-* the lazy Adam/SGD row update equals a dense per-step reference that decays
+* the lazy Adam row update equals a dense per-step reference that decays
   every row each step but only updates touched rows (exact for power-of-two
   betas, where ``beta ** k`` catch-up is lossless);
 * 20-step trainer differentials: the COO representation against its
@@ -26,7 +26,7 @@ from repro.core.decoupled_grid import DecoupledGridEncoder
 from repro.core.model import DecoupledRadianceField
 from repro.grid.hash_encoding import HashGridConfig, MultiResHashGrid
 from repro.io import load_trainer_checkpoint, save_trainer_checkpoint
-from repro.nn.optim import SGD, Adam, _pow_by_exponent
+from repro.nn.optim import Adam, _pow_by_exponent
 from repro.nn.parameter import Parameter, SparseGrad
 from repro.training.trainer import Trainer, TrainingHistory
 from repro.utils.seeding import new_rng
@@ -439,49 +439,6 @@ class TestLazyAdam:
             for idx in state_a[key]:
                 np.testing.assert_array_equal(state_a[key][idx],
                                               state_b[key][idx])
-
-
-class TestLazySGD:
-    def test_sparse_sgd_momentum_matches_dense_reference(self):
-        rng = new_rng(29)
-        init = rng.standard_normal((10, 2)).astype(np.float32)
-        grads = []
-        for _ in range(10):
-            grad = np.zeros((10, 2), np.float32)
-            touched = rng.choice(10, size=rng.integers(0, 4), replace=False)
-            grad[touched] = rng.standard_normal((touched.size, 2))
-            grads.append(grad)
-
-        param = Parameter(init.copy())
-        param.sparse = True
-        opt = SGD([param], lr=1e-2, momentum=0.5)   # power of two: exact
-        for grad in grads:
-            param.zero_grad()
-            param.add_sparse_grad(*coo_from_dense(grad))
-            opt.step()
-        opt._flush_lazy()
-
-        data = init.astype(np.float32).copy()
-        vel = np.zeros_like(data, dtype=np.float64)
-        for grad in grads:
-            vel *= 0.5
-            rows = np.flatnonzero(np.any(grad != 0.0, axis=1))
-            if rows.size == 0:
-                continue
-            vel[rows] += grad[rows]
-            data[rows] = (data[rows]
-                          - (1e-2 * vel[rows]).astype(np.float32))
-        np.testing.assert_allclose(param.data, data, rtol=1e-6, atol=1e-7)
-
-    def test_sparse_sgd_without_momentum_is_scaled_subtract(self):
-        param = Parameter(np.ones((4, 2)))
-        param.sparse = True
-        opt = SGD([param], lr=0.5)
-        param.add_sparse_grad(np.array([1]), np.full((1, 2), 2.0, np.float32))
-        opt.step()
-        np.testing.assert_array_equal(param.data[1], [0.0, 0.0])
-        np.testing.assert_array_equal(param.data[[0, 2, 3]],
-                                      np.ones((3, 2)))
 
 
 class TestDecayCatchUpProperty:

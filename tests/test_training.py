@@ -61,15 +61,16 @@ class TestIterationWorkload:
 
     def test_grid_steps_have_one_entry_per_branch(self):
         workload = build_iteration_workload(Instant3DConfig.paper_scale_instant3d())
-        assert len(workload.by_step(PipelineStep.GRID_FORWARD)) == 2
-        assert len(workload.by_step(PipelineStep.GRID_BACKWARD)) == 2
-        branches = {s.branch for s in workload.by_step(PipelineStep.GRID_FORWARD)}
-        assert branches == {"density", "color"}
+        forward = [s for s in workload.steps if s.step == PipelineStep.GRID_FORWARD]
+        backward = [s for s in workload.steps if s.step == PipelineStep.GRID_BACKWARD]
+        assert len(forward) == 2
+        assert len(backward) == 2
+        assert {s.branch for s in forward} == {"density", "color"}
 
     def test_grid_accesses_match_config(self):
         config = Instant3DConfig.paper_scale_baseline()
         workload = build_iteration_workload(config)
-        forward = workload.by_step(PipelineStep.GRID_FORWARD)
+        forward = [s for s in workload.steps if s.step == PipelineStep.GRID_FORWARD]
         points = workload.points_per_iteration
         for step in forward:
             assert step.grid_accesses == points * 8 * config.grid.n_levels
@@ -77,7 +78,8 @@ class TestIterationWorkload:
     def test_update_fraction_propagates_to_backward(self):
         config = Instant3DConfig.paper_scale_instant3d()
         workload = build_iteration_workload(config)
-        backward = {s.branch: s for s in workload.by_step(PipelineStep.GRID_BACKWARD)}
+        backward = {s.branch: s for s in workload.steps
+                    if s.step == PipelineStep.GRID_BACKWARD}
         assert backward["color"].update_fraction == 0.5
         assert backward["density"].update_fraction == 1.0
 
