@@ -12,7 +12,7 @@ hash-table size selects the accelerator's fusion mode).
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 import numpy as np
 
@@ -65,13 +65,17 @@ class DecoupledGridEncoder:
         """Interpolate color-branch embeddings for points in ``[0, 1]^3``."""
         return self.color_grid.forward(points_unit)
 
-    def backward_density(self, grad_embeddings: np.ndarray) -> None:
-        """Scatter density-embedding gradients into the density tables."""
-        self.density_grid.backward(grad_embeddings)
+    def backward_density(self, grad_embeddings: np.ndarray,
+                         runner: Optional[Callable] = None) -> None:
+        """Scatter density-embedding gradients into the density tables
+        (``runner``: see :meth:`MultiResHashGrid.backward`)."""
+        self.density_grid.backward(grad_embeddings, runner)
 
-    def backward_color(self, grad_embeddings: np.ndarray) -> None:
-        """Scatter color-embedding gradients into the color tables."""
-        self.color_grid.backward(grad_embeddings)
+    def backward_color(self, grad_embeddings: np.ndarray,
+                       runner: Optional[Callable] = None) -> None:
+        """Scatter color-embedding gradients into the color tables
+        (``runner``: see :meth:`MultiResHashGrid.backward`)."""
+        self.color_grid.backward(grad_embeddings, runner)
 
     # -- accounting ------------------------------------------------------------------
     def branch_storage_bytes(self) -> Dict[str, int]:

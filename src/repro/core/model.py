@@ -18,7 +18,11 @@ The two branches share no mutable state (own tables, MLP, optimiser and
 arena-name prefix), so :meth:`DecoupledRadianceField.run_branches` runs the
 color branch on a worker thread beside the density branch when both tables
 are too large for the caches — the software form of the accelerator giving
-each branch its own grid cores.  Results are bit-identical either way.
+each branch its own grid cores.  On a step where only one branch updates,
+:meth:`DecoupledRadianceField.run_branch_updates` gives that branch the idle
+worker instead: its grid backward and its lazy ``Adam`` step split over two
+threads, as fused grid cores serve one large table together.  Results are
+bit-identical either way.
 """
 
 from __future__ import annotations
@@ -45,6 +49,12 @@ from repro.utils.workspace import WorkspaceArena, arena_buffer
 #: branch, and below this size every numpy call lasts microseconds, so the
 #: interpreter-lock hand-offs cost more than the overlap saves.
 BRANCH_THREAD_MIN_ROWS = 1 << 18
+
+
+def _run_inline(first: Callable[[], Any],
+                second: Callable[[], Any]) -> Tuple[Any, Any]:
+    """A pair runner that runs both tasks on the caller's thread, in order."""
+    return first(), second()
 
 
 @dataclass
@@ -154,6 +164,29 @@ class DecoupledRadianceField:
             raise
         return density, color.result()
 
+    def run_branch_updates(self, density_fn: Optional[Callable[[Any], Any]],
+                           color_fn: Optional[Callable[[Any], Any]]
+                           ) -> Tuple[Any, Any]:
+        """Run two branch updates that each take a pair runner for their
+        sparse grid work (the grid backward, ``Adam.step``).
+
+        Below the gate each function gets ``None`` (one kernel call).
+        Above it, a branch whose partner is ``None`` gets
+        :meth:`run_branches`, so its two halves use the idle worker; when
+        both run, each gets an inline runner — a task already on the worker
+        must not submit to it, or the single worker would wait on itself.
+        """
+        def bind(fn, other):
+            if fn is None:
+                return None
+            runner = None
+            if self.branches_concurrent:
+                runner = self.run_branches if other is None else _run_inline
+            return lambda: fn(runner)
+
+        return self.run_branches(bind(density_fn, color_fn),
+                                 bind(color_fn, density_fn))
+
     # -- forward ------------------------------------------------------------------
     def query(self, points_unit: np.ndarray, dirs: np.ndarray
               ) -> Tuple[np.ndarray, np.ndarray]:
@@ -226,23 +259,23 @@ class DecoupledRadianceField:
         if cache is None:
             raise RuntimeError("backward called before query")
 
-        def density_branch() -> None:
+        def density_branch(runner) -> None:
             grad_raw_sigma = self.density_activation.backward(
                 np.asarray(grad_sigma, dtype=np.float32)[:, None]
             )
             grad_density_emb = self.density_mlp.backward(grad_raw_sigma)
-            self.encoder.backward_density(grad_density_emb)
+            self.encoder.backward_density(grad_density_emb, runner)
 
-        def color_branch() -> None:
+        def color_branch(runner) -> None:
             grad_raw_rgb = self.color_activation.backward(
                 np.asarray(grad_rgb, dtype=np.float32)
             )
             grad_color_in = self.color_mlp.backward(grad_raw_rgb)
             self.encoder.backward_color(
-                grad_color_in[:, : cache.color_embedding_dim])
+                grad_color_in[:, : cache.color_embedding_dim], runner)
 
-        self.run_branches(density_branch if update_density else None,
-                          color_branch if update_color else None)
+        self.run_branch_updates(density_branch if update_density else None,
+                                color_branch if update_color else None)
 
     # -- parameters ---------------------------------------------------------------
     def density_parameters(self) -> List[Parameter]:

@@ -17,7 +17,7 @@ a color grid) with different ``size_scale`` factors; see
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -213,13 +213,16 @@ class MultiResHashGrid:
     One engine serves every query: it computes corner addresses and
     trilinear weights for all ``L`` levels in one stacked ``(N, L, 8)`` pass,
     gathers from the grid's single backing feature table, and
-    back-propagates with a ``np.bincount``-based scatter over the touched
-    addresses.  Its :class:`GridAccessRecord` traces feed the accelerator
-    simulator and the Figs. 8-10 analyses.  The test suite holds a frozen
-    per-level loop built from the scalar Eq. 3 helpers
-    (:mod:`repro.grid.hash_function`, :mod:`repro.grid.interpolation`) that
-    this engine is checked against: equal embeddings and gradients, and
-    bit-identical traces.
+    back-propagates with one ``np.bincount`` segment-sum per feature over
+    all eight corner planes of the touched addresses.  Its
+    :class:`GridAccessRecord` traces feed the accelerator simulator and the
+    Figs. 8-10 analyses.  The test suite checks this engine against a
+    frozen per-level loop built from the scalar Eq. 3 helpers
+    (:mod:`repro.grid.hash_function`, :mod:`repro.grid.interpolation`):
+    bit-identical traces, equal embeddings, and gradients within a float64
+    tolerance (the fused segment-sum adds in a different order than the
+    loop's ``np.add.at``); and it checks the gradients of the full
+    training loss against central differences.
 
     Parameters
     ----------
@@ -259,11 +262,13 @@ class MultiResHashGrid:
         (:class:`~repro.nn.parameter.SparseGrad`) over the grid's backing
         table instead of expanding to dense zeros — the scatter trace is
         deduplicated with a first-touch address map + segment-sum whose
-        per-row sums are **bit-identical** to the dense ``np.bincount``
-        scatter — and flags the table for the optimiser's touched-rows-only
-        lazy update.  The emitted arrays live in the arena (valid for one
-        optimiser step) and the dense ``grad`` table is never written nor
-        cleared.
+        per-row sums are **bit-identical** to the dense scatter's (both
+        sum each row's contributions in the same order) — and flags the
+        table for the optimiser's touched-rows-only lazy update.  The
+        scatter runs over level ranges (:meth:`_scatter_sparse`), so a
+        caller may split it over two threads.  The emitted arrays live in
+        the arena (valid for one optimiser step) and the dense ``grad``
+        table is never written nor cleared.
     """
 
     def __init__(self, config: HashGridConfig, rng: np.random.Generator,
@@ -381,6 +386,15 @@ class MultiResHashGrid:
                                  np.zeros(total, dtype=np.int64))
             for param in [self.table] + [level.table for level in self.levels]:
                 param.sparse = True
+            # A split COO scatter runs levels [0, s) and [s, L): s is the
+            # longest level prefix holding at most half the table rows, so
+            # each range owns about half the table, as two fused grid cores
+            # each hold part of one large table (Sec. 4.6).  Fine levels
+            # touch more unique rows per trace entry, so this also balances
+            # the two ranges' time better than an even level count.
+            bounds = self._level_bounds
+            self._split_level = max(1, int(np.searchsorted(
+                bounds, bounds[-1] / 2, side="right")) - 1)
 
     def set_arena(self, arena: Optional[WorkspaceArena]) -> None:
         """Attach (or detach) a workspace arena for query-plane reuse."""
@@ -627,16 +641,24 @@ class MultiResHashGrid:
                                              *self._record_layout)
         return out
 
-    def backward(self, grad_embeddings: np.ndarray) -> None:
+    def backward(self, grad_embeddings: np.ndarray,
+                 runner: Optional[Callable] = None) -> None:
         """Back-propagate the concatenated embedding gradient into the tables.
 
         Must be called after :meth:`forward`; uses the corner planes of the
-        most recent query.  Per-corner gradients of all levels are
-        accumulated with ``np.bincount`` over global (level-offset)
-        addresses, and only the touched table rows receive float32 updates
-        (dense) or are emitted as one COO pair (``sparse``, see
-        :meth:`_scatter_sparse`).  Chunked queries fill one set of planes,
-        so chunked and unchunked backward passes agree.
+        most recent query.  Per feature, one ``np.bincount`` over all eight
+        corner planes accumulates every level's gradients at the global
+        (level-offset) addresses, and only the touched table rows receive
+        float32 updates (dense) or are emitted as one COO pair (``sparse``,
+        see :meth:`_scatter_sparse`).  Chunked queries fill one set of
+        planes, so chunked and unchunked backward passes agree.
+
+        ``runner`` (sparse grids only) is a pair runner, ``runner(first,
+        second)`` returning both results, such as
+        :meth:`~repro.core.model.DecoupledRadianceField.run_branches`: the
+        COO scatter then runs as two level ranges, one per task, whose rows
+        the backward concatenates.  ``None`` scatters all levels in one call.
+        Either way the emitted pair is bit-identical.
         """
         record = self._last_access
         if record is None:
@@ -647,40 +669,20 @@ class MultiResHashGrid:
             raise ValueError(
                 f"grad_embeddings shape {grad_embeddings.shape} does not match {expected}"
             )
-        addr_planes = record.address_planes
-        weight_planes = record.weight_planes
         n = grad_embeddings.shape[0]
         n_levels = len(self.levels)
         f = self.config.n_features_per_level
-        total = int(self._level_bounds[-1])
         grad3 = grad_embeddings.reshape(n, n_levels, f)
-        # The working set per corner is one (L, N) plane, so no chunking is
-        # needed here even for very large batches.  The bincount reduction
-        # always accumulates in float64 — the only weight dtype bincount
-        # sums — which keeps the scatter dtype-stable under both policies
-        # (float32 contributions are upcast in the multiply, not inside
-        # bincount).
-        feature_grads = []
-        for j in range(f):
-            fg = self._buf(f"bwd/fg{j}", (n_levels, n), grad_embeddings.dtype)
-            fg[...] = grad3[:, :, j].T
-            feature_grads.append(fg)
         if self.sparse:
-            self._scatter_sparse(addr_planes, weight_planes, feature_grads,
-                                 n, f)
+            self._backward_sparse(record, grad3, runner)
             return
+        addr_planes = record.address_planes
+        total = int(self._level_bounds[-1])
         acc = self._buf("bwd/acc", (f, total), np.float64)
-        acc.fill(0.0)
-        contrib = self._buf("bwd/contrib", (n_levels, n), np.float64)
-        for corner in range(8):
-            flat_addr = addr_planes[corner].ravel()
-            corner_weight = weight_planes[corner]
-            for j in range(f):
-                np.multiply(corner_weight, feature_grads[j], out=contrib)
-                # Adds the completed per-row sums; np.add.at into acc
-                # would change the float association.
-                acc[j] += np.bincount(flat_addr, weights=contrib.ravel(),
-                                      minlength=total)
+        flat_addr = addr_planes.reshape(-1)
+        for j, contrib in enumerate(self._contributions("bwd", record, grad3,
+                                                        0, n_levels)):
+            acc[j] = np.bincount(flat_addr, weights=contrib, minlength=total)
         touched = np.flatnonzero(self._any_nonzero("bwd", acc))
         acc = acc.T
         self.last_touched_rows = int(touched.size)
@@ -693,68 +695,104 @@ class MultiResHashGrid:
         # touched is unique, so a plain indexed add needs no np.add.at.
         self.table.grad[touched] += acc_touched.astype(np.float32)
 
-    def _scatter_sparse(self, addr_planes: np.ndarray,
-                        weight_planes: np.ndarray,
-                        feature_grads: List[np.ndarray],
-                        n: int, f: int) -> None:
-        """Deduplicated COO scatter: first-touch map + segment-sum, no sort.
+    def _contributions(self, key: str, record: GridAccessRecord,
+                       grad3: np.ndarray, lo: int, hi: int):
+        """Yield, per feature, the flat float64 scatter weights of levels
+        ``[lo, hi)``: corner weight times embedding gradient, laid out like
+        ``address_planes[:, lo:hi]`` (corner-major), in one reused buffer.
 
-        The flat scatter trace (``8 * L * N`` global addresses) sets its
-        addresses in the grid's ``bool`` mark array; ``flatnonzero`` reads
-        the unique addresses back in ascending order, the marks are cleared
-        (all-False between calls), and the slot array maps each unique
-        address to its rank, so one gather gives every trace entry its
-        unique-id.  Every corner's contributions are segment-summed with
-        ``np.bincount`` over those ids.  Because bincount accumulates in
-        scan order, each touched row's float64 sum — and its float32 cast —
-        is **bit-identical** to the dense scatter's: the COO pair is the
-        dense gradient table minus its zeros (rows whose float32 gradient
-        is all-zero are dropped).
+        The product runs in the compute dtype and is upcast on store:
+        float64 is the only weight dtype ``np.bincount`` sums without a
+        converted copy.
+        """
+        n = grad3.shape[0]
+        grad = self._buf(f"{key}/grad", (hi - lo, n), grad3.dtype)
+        contrib = self._buf(f"{key}/contrib", (8, hi - lo, n), np.float64)
+        weights = record.weight_planes[:, lo:hi]
+        for j in range(grad3.shape[2]):
+            grad[...] = grad3[:, lo:hi, j].T
+            np.multiply(weights, grad, out=contrib)
+            yield contrib.reshape(-1)
+
+    def _backward_sparse(self, record: GridAccessRecord, grad3: np.ndarray,
+                         runner: Optional[Callable]) -> None:
+        """Emit the COO gradient, split over ``runner`` when one is given."""
+        n_levels = len(self.levels)
+        if runner is None:
+            rows, vals = self._scatter_sparse(record, grad3, 0, n_levels, 0)
+        else:
+            split = self._split_level
+            (rows0, vals0), (rows1, vals1) = runner(
+                lambda: self._scatter_sparse(record, grad3, 0, split, 0),
+                lambda: self._scatter_sparse(record, grad3, split, n_levels, 1))
+            # The level ranges own ascending, disjoint table blocks, so the
+            # concatenated rows are sorted unique.
+            n_rows = rows0.size + rows1.size
+            rows = self._buf("bwds/rows", n_rows, np.int64)
+            np.concatenate((rows0, rows1), out=rows)
+            vals = self._buf("bwds/vals", (n_rows, grad3.shape[2]), np.float32)
+            np.concatenate((vals0, vals1), out=vals)
+        self.last_touched_rows = int(rows.size)
+        self.last_scatter_updates = int(record.address_planes.size)
+        if rows.size:
+            self.table.add_sparse_grad(rows, vals)
+
+    def _scatter_sparse(self, record: GridAccessRecord, grad3: np.ndarray,
+                        lo: int, hi: int, part: int
+                        ) -> Tuple[np.ndarray, np.ndarray]:
+        """Deduplicated COO scatter of levels ``[lo, hi)``: first-touch map +
+        segment-sum, no sort.  Returns the range's ``(rows, values)``.
+
+        The range's scatter trace (``8 * (hi - lo) * N`` global addresses)
+        sets its addresses in the grid's ``bool`` mark array;
+        ``flatnonzero`` over the range's table block reads the unique
+        addresses back in ascending order, the marks are cleared (all-False
+        between calls), and the slot array maps each unique address to its
+        rank, so one gather gives every trace entry its unique-id.  One
+        ``np.bincount`` per feature over all eight corner planes then
+        segment-sums the contributions.  Rows whose float32 gradient is
+        all-zero are dropped.
+
+        Every row belongs to one level, so its contributions are summed in
+        the same (corner, point) scan order whatever the range: the pair is
+        bit-identical to the dense scatter minus its zeros, and the same
+        for one range over all levels and for two ranges.  Two ranges touch
+        disjoint blocks of the mark/slot map and of the arena (``part``
+        names the buffers), so they may run on two threads at once.
 
         Cost is linear in the trace and touched rows plus one pass over the
-        table-length mark array.  Buffers come from the workspace arena
-        (when attached) except the grid-owned map arrays and the
-        touched-size index and bincount outputs.  The emitted COO pair holds
-        arena views, valid until the next backward (one optimiser step).
+        range's block of the mark array.  The returned arrays are arena
+        views, valid until the next backward (one optimiser step).
         """
-        n_levels = len(self.levels)
-        m = int(addr_planes.size)
-        if m == 0:
-            self.last_touched_rows = 0
-            self.last_scatter_updates = 0
-            return
+        key = f"bwds{part}"
+        f = grad3.shape[2]
+        addr = record.address_planes[:, lo:hi]
+        if addr.size == 0:
+            return (self._buf(f"{key}/rows", 0, np.int64),
+                    self._buf(f"{key}/vals", (0, f), np.float32))
         mark, slot = self._first_touch
-        flat_all = addr_planes.reshape(-1)
-        mark[flat_all] = True
-        unique_addr = np.flatnonzero(mark)
+        mark[addr] = True
+        start = int(self._level_bounds[lo])
+        unique_addr = np.flatnonzero(mark[start:self._level_bounds[hi]])
+        unique_addr += start
         mark[unique_addr] = False
         n_unique = int(unique_addr.size)
         slot[unique_addr] = np.arange(n_unique)
-        inverse = self._buf("bwds/inverse", m, np.int64)
-        np.take(slot, flat_all, out=inverse, mode="clip")
-        inv_planes = inverse.reshape(8, n_levels, n)
-        acc = self._buf("bwds/acc", (f, n_unique), np.float64)
-        acc.fill(0.0)
-        contrib = self._buf("bwd/contrib", (n_levels, n), np.float64)
-        for corner in range(8):
-            inv_flat = inv_planes[corner].reshape(-1)
-            corner_weight = weight_planes[corner]
-            for j in range(f):
-                np.multiply(corner_weight, feature_grads[j], out=contrib)
-                acc[j] += np.bincount(inv_flat, weights=contrib.ravel(),
-                                      minlength=n_unique)
-        vals32 = self._buf("bwds/vals32", (n_unique, f), np.float32)
-        np.copyto(vals32, acc.T, casting="unsafe")
-        kept = np.flatnonzero(self._any_nonzero("bwds", vals32.T))
-        rows = self._buf("bwds/rows", kept.size, np.int64)
+        inverse = self._buf(f"{key}/inverse", addr.shape, np.int64)
+        np.take(slot, addr, out=inverse, mode="clip")
+        inverse = inverse.reshape(-1)
+        vals32 = self._buf(f"{key}/vals32", (n_unique, f), np.float32)
+        for j, contrib in enumerate(self._contributions(key, record, grad3,
+                                                        lo, hi)):
+            vals32[:, j] = np.bincount(inverse, weights=contrib,
+                                       minlength=n_unique)
+        kept = np.flatnonzero(self._any_nonzero(key, vals32.T))
+        rows = self._buf(f"{key}/rows", kept.size, np.int64)
         np.take(unique_addr, kept, out=rows, mode="clip")
-        vals = self._buf("bwds/vals", (kept.size, f), np.float32)
+        vals = self._buf(f"{key}/vals", (kept.size, f), np.float32)
         np.take(vals32, kept, axis=0, out=vals, mode="clip")
         vals += 0.0       # -0.0 -> +0.0, as in the dense path's zeroed table
-        self.last_touched_rows = int(kept.size)
-        self.last_scatter_updates = m
-        if kept.size:
-            self.table.add_sparse_grad(rows, vals)
+        return rows, vals
 
     def _any_nonzero(self, key: str, columns: np.ndarray) -> np.ndarray:
         """``np.any(columns.T != 0.0, axis=1)`` as one compare + OR per

@@ -31,7 +31,9 @@ only ever writes touched hash-table entries back to SRAM:
 Gradients arrive as a compacted COO pair (:attr:`Parameter.sparse_grad`,
 produced by the grid backward) whose rows are exactly the non-zero rows of
 the equivalent dense gradient table; a sparse parameter with no pair this
-step was not touched.
+step was not touched.  Each touched row's update depends on that row
+alone, so :meth:`Adam.step` can split the rows into two halves and run them
+on two threads (its ``runner`` argument) with bit-identical results.
 
 ``state_dict()`` **flushes** the deferred decay first (every row's moments
 are brought up to the current step), so serialised moments are canonical
@@ -41,7 +43,7 @@ continue run is bit-identical to the saving run's own continuation.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -186,7 +188,7 @@ class Adam:
         if prefix is not None:
             self.arena_prefix = prefix
 
-    def step(self) -> None:
+    def step(self, runner: Optional[Callable] = None) -> None:
         """Apply one Adam update using the accumulated gradients.
 
         Every arithmetic step of the dense path runs in place through two
@@ -195,13 +197,19 @@ class Adam:
         so results are bit-identical to the allocating formulation while
         steady-state steps allocate nothing.  ``sparse`` parameters branch
         to the lazy row update instead.
+
+        ``runner`` is an optional pair runner, ``runner(first, second)``
+        returning both results (such as
+        :meth:`~repro.core.model.DecoupledRadianceField.run_branches`): each
+        sparse parameter's lazy update then runs as two tasks over the two
+        halves of its touched rows.  The result is bit-identical either way.
         """
         self._step_count += 1
         bias1 = 1.0 - self.beta1 ** self._step_count
         bias2 = 1.0 - self.beta2 ** self._step_count
         for index, param in enumerate(self.parameters):
             if param.sparse:
-                self._step_sparse(index, param, bias1, bias2)
+                self._step_sparse(index, param, bias1, bias2, runner)
                 continue
             grad = param.grad
             if self.weight_decay > 0.0:
@@ -227,27 +235,54 @@ class Adam:
             t1 /= t2
             param.data -= t1
 
-    def _step_sparse(self, index: int, param: Parameter,
-                     bias1: float, bias2: float) -> None:
-        """Touched-rows-only Adam update with ``beta ** k`` moment catch-up.
+    def _step_sparse(self, index: int, param: Parameter, bias1: float,
+                     bias2: float, runner: Optional[Callable]) -> None:
+        """Touched-rows-only Adam update of one sparse parameter.
 
-        Gathers the touched rows' moments, applies the deferred decay of the
-        ``k`` steps since each row's last touch (the current step included),
-        folds in this step's gradient and writes back — every pass is
-        ``O(touched)`` rows, never ``O(table)``.  Like the dense path, the
-        arithmetic runs in single precision (moments are float32 storage);
-        the decay factors are float32 roundings of exact float64 powers.
+        With a ``runner`` the sorted unique touched rows are split at
+        ``n_rows // 2`` into two disjoint halves, one :meth:`_step_rows`
+        task each; the moment arrays are created here first, so the two
+        tasks only read and write disjoint rows of them.
         """
         rows, vals = _touched_rows(param)
         n_rows = int(rows.size)
         if n_rows == 0:
             return            # nothing touched: every row's decay stays deferred
-        m = _state_slot(self._m, index, param.data)
-        v = _state_slot(self._v, index, param.data)
-        last = _state_slot(self._last_step, index, param.data,
-                           dtype=np.int32)
+        state = (_state_slot(self._m, index, param.data),
+                 _state_slot(self._v, index, param.data),
+                 _state_slot(self._last_step, index, param.data,
+                             dtype=np.int32))
+        if runner is None:
+            self._step_rows(state, param, rows, vals, bias1, bias2, 0)
+            return
+        half = n_rows // 2
+        runner(lambda: self._step_rows(state, param, rows[:half], vals[:half],
+                                       bias1, bias2, 0),
+               lambda: self._step_rows(state, param, rows[half:], vals[half:],
+                                       bias1, bias2, 1))
+
+    def _step_rows(self, state: Tuple[np.ndarray, np.ndarray, np.ndarray],
+                   param: Parameter, rows: np.ndarray, vals: np.ndarray,
+                   bias1: float, bias2: float, part: int) -> None:
+        """Lazy Adam update of a slice of sorted unique touched rows, with
+        ``beta ** k`` moment catch-up.
+
+        Gathers the rows' moments, applies the deferred decay of the ``k``
+        steps since each row's last touch (the current step included),
+        folds in this step's gradient and writes back — every pass is
+        ``O(rows)``, never ``O(table)``.  Each row's arithmetic depends on
+        that row alone, so updating disjoint slices (in any order, or at
+        once on two threads — ``part`` names their scratch buffers) is
+        bit-identical to one call over all rows.  Like the dense path, the
+        arithmetic runs in single precision (moments are float32 storage);
+        the decay factors are float32 roundings of exact float64 powers.
+        """
+        n_rows = int(rows.size)
+        if n_rows == 0:
+            return
+        m, v, last = state
         arena = self.arena
-        pre = self.arena_prefix
+        pre = f"{self.arena_prefix}{part}"
         # mode="clip" skips numpy's per-element bounds check on the gathers
         # below: the touched rows are in range by construction.
         k = arena_buffer(arena, f"{pre}/sp_k", n_rows, np.int32)

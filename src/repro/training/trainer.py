@@ -228,7 +228,8 @@ class Trainer:
             scene_bound=dataset.scene_bound,
         )
         # Per-branch arena prefixes: the two optimisers may step
-        # concurrently (see DecoupledRadianceField.run_branches).
+        # concurrently, and a branch stepping alone may split its update
+        # over both threads (see DecoupledRadianceField.run_branch_updates).
         self.density_optimizer = Adam(model.density_parameters(),
                                       lr=self.config.learning_rate)
         self.density_optimizer.set_arena(self.arena, "density_adam")
@@ -422,7 +423,7 @@ class Trainer:
                 rows_touched += encoder.density_grid.last_touched_rows
             if update_color and encoder.color_grid.last_touched_rows is not None:
                 rows_touched += encoder.color_grid.last_touched_rows
-            self.model.run_branches(
+            self.model.run_branch_updates(
                 self.density_optimizer.step if update_density else None,
                 self.color_optimizer.step if update_color else None)
             self.density_updates += int(update_density)

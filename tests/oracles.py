@@ -120,28 +120,27 @@ def coo_from_dense(grad: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def use_dense_scatter(grid) -> None:
-    """Swap a sparse grid's COO scatter for the dense-representation oracle.
+    """Swap a sparse grid's COO scatter kernel for the dense-representation
+    oracle.
 
-    The replacement accumulates every corner's contributions over the whole
-    table with ``np.bincount`` (the dense backward's arithmetic), casts to
-    float32 and emits :func:`coo_from_dense` of the result — bit-identical
-    to the first-touch COO scatter it stands in for, at dense cost.
+    The replacement accumulates a level range's contributions over the
+    whole table with one ``np.bincount`` per feature over all corner planes
+    (the dense backward's arithmetic), casts to float32 and emits
+    :func:`coo_from_dense` of the range's table block — bit-identical to the
+    first-touch COO scatter it stands in for, at dense cost.
     """
-    def scatter(addr_planes, weight_planes, feature_grads, n, f):
+    def scatter(record, grad3, lo, hi, part):
         total = grid.total_table_entries
-        acc = np.zeros((f, total), dtype=np.float64)
-        contrib = np.empty(weight_planes.shape[1:], dtype=np.float64)
-        for corner in range(8):
-            flat_addr = addr_planes[corner].ravel()
-            for j in range(f):
-                np.multiply(weight_planes[corner], feature_grads[j], out=contrib)
-                acc[j] += np.bincount(flat_addr, weights=contrib.ravel(),
-                                      minlength=total)
-        rows, values = coo_from_dense(acc.T.astype(np.float32))
-        grid.last_touched_rows = int(rows.size)
-        grid.last_scatter_updates = int(addr_planes.size)
-        if rows.size:
-            grid.table.add_sparse_grad(rows, values)
+        f = grad3.shape[2]
+        addr = record.address_planes[:, lo:hi].ravel()
+        acc = np.zeros((total, f), dtype=np.float64)
+        for j in range(f):
+            contrib = record.weight_planes[:, lo:hi] * grad3[:, lo:hi, j].T
+            acc[:, j] = np.bincount(addr, weights=contrib.astype(np.float64).ravel(),
+                                    minlength=total)
+        start, stop = grid._level_bounds[lo], grid._level_bounds[hi]
+        rows, values = coo_from_dense(acc[start:stop].astype(np.float32))
+        return rows + start, values
 
     grid._scatter_sparse = scatter
 

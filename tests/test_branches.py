@@ -3,12 +3,23 @@
 Above ``repro.core.model.BRANCH_THREAD_MIN_ROWS`` rows in the smaller branch
 table, :meth:`DecoupledRadianceField.run_branches` runs the color branch on
 a worker thread beside the density branch (query, backward and the
-trainer's optimiser steps).  These tests lower the gate to 0 so the
-concurrent path runs on tiny models, and check that:
+trainer's optimiser steps).  On a step where one branch updates alone,
+:meth:`DecoupledRadianceField.run_branch_updates` hands the idle worker to
+that branch instead: its COO grid backward runs as two level ranges and
+its lazy ``Adam`` step as two row halves, one on each thread.  These tests
+lower the gate to 0 so the concurrent paths run on tiny models, and check
+that:
 
 * a concurrent 20-step training run is bit-identical to the sequential one
   (losses, parameters, flushed Adam moments), dense and sparse updates,
   both precision policies, culled pipeline;
+* a 20-step sparse run whose density-only steps take the split is
+  bit-identical to the sequential run, both precision policies; the split
+  halves really ran on two threads, and the grid's first-touch ``mark``
+  array is all-False after every backward;
+* an exception in either half of a split grid backward reaches the caller
+  only after both halves joined, and the next backward matches a clean
+  model's;
 * the gate starts no thread below it and one worker at it;
 * color-branch exceptions (including ``np.errstate`` floating-point errors,
   which live in a context variable) reach the caller after both branches
@@ -33,7 +44,7 @@ import pytest
 import repro.core.model as model_module
 from repro.core.config import Instant3DConfig
 from repro.core.model import DecoupledRadianceField
-from repro.grid.hash_encoding import HashGridConfig
+from repro.grid.hash_encoding import HashGridConfig, MultiResHashGrid
 from repro.nn.optim import Adam
 from repro.nn.parameter import Parameter
 from repro.training.trainer import Trainer
@@ -68,6 +79,23 @@ def _run(config, dataset, n_steps: int):
     return trainer, losses
 
 
+def _assert_same_run(trainer_a, losses_a, trainer_b, losses_b) -> None:
+    """Equal losses, parameters and flushed Adam moments, bit for bit."""
+    assert losses_a == losses_b
+    for a, b in zip(trainer_a.model.parameters(),
+                    trainer_b.model.parameters()):
+        np.testing.assert_array_equal(a.data, b.data)
+    for name in ("density_optimizer", "color_optimizer"):
+        state_a = getattr(trainer_a, name).state_dict()
+        state_b = getattr(trainer_b, name).state_dict()
+        assert state_a["step_count"] == state_b["step_count"]
+        for key in ("m", "v"):
+            assert state_a[key].keys() == state_b[key].keys()
+            for index in state_a[key]:
+                np.testing.assert_array_equal(state_a[key][index],
+                                              state_b[key][index])
+
+
 class TestBitIdentity:
     N_STEPS = 20
 
@@ -83,19 +111,104 @@ class TestBitIdentity:
         concurrent, conc_losses = _run(config, tiny_dataset, self.N_STEPS)
         assert concurrent.model._worker is not None   # the threaded path ran
 
-        assert conc_losses == seq_losses
-        for a, b in zip(sequential.model.parameters(),
-                        concurrent.model.parameters()):
-            np.testing.assert_array_equal(a.data, b.data)
-        for name in ("density_optimizer", "color_optimizer"):
-            state_a = getattr(sequential, name).state_dict()
-            state_b = getattr(concurrent, name).state_dict()
-            assert state_a["step_count"] == state_b["step_count"]
-            for key in ("m", "v"):
-                assert state_a[key].keys() == state_b[key].keys()
-                for index in state_a[key]:
-                    np.testing.assert_array_equal(state_a[key][index],
-                                                  state_b[key][index])
+        _assert_same_run(sequential, seq_losses, concurrent, conc_losses)
+
+
+class TestSingleBranchSplit:
+    N_STEPS = 20
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_split_run_matches_sequential(self, tiny_config, tiny_dataset,
+                                          monkeypatch, dtype):
+        config = dataclasses.replace(tiny_config, sparse_updates=True,
+                                     compute_dtype=dtype, culling_enabled=True)
+        sequential, seq_losses = _run(config, tiny_dataset, self.N_STEPS)
+
+        # Record which thread ran each half of each kernel, and check the
+        # first-touch map after every grid backward.
+        halves = []
+        scatter = MultiResHashGrid._scatter_sparse
+        step_rows = Adam._step_rows
+        grid_backward = MultiResHashGrid.backward
+
+        def recording_scatter(grid, record, grad3, lo, hi, part):
+            halves.append((grid.name, part, threading.get_ident()))
+            return scatter(grid, record, grad3, lo, hi, part)
+
+        def recording_step_rows(opt, state, param, rows, vals, bias1, bias2,
+                                part):
+            halves.append((opt.arena_prefix, part, threading.get_ident()))
+            return step_rows(opt, state, param, rows, vals, bias1, bias2,
+                             part)
+
+        def checked_backward(grid, *args, **kwargs):
+            grid_backward(grid, *args, **kwargs)
+            assert not grid._first_touch[0].any()
+
+        monkeypatch.setattr(MultiResHashGrid, "_scatter_sparse",
+                            recording_scatter)
+        monkeypatch.setattr(Adam, "_step_rows", recording_step_rows)
+        monkeypatch.setattr(MultiResHashGrid, "backward", checked_backward)
+        monkeypatch.setattr(model_module, "BRANCH_THREAD_MIN_ROWS", 0)
+        split, split_losses = _run(config, tiny_dataset, self.N_STEPS)
+
+        _assert_same_run(sequential, seq_losses, split, split_losses)
+        # F_D:F_C = 1:0.5, so half of the steps update the density branch
+        # alone; on each of them the second half of its grid backward and
+        # of its Adam step ran on the worker, the first on the caller.
+        density_only = split.density_updates - split.color_updates
+        assert density_only > 0
+        caller = threading.get_ident()
+        for owner in ("density_grid", "density_adam"):
+            threads = [tid for name, part, tid in halves
+                       if name == owner and part == 1]
+            assert sum(tid != caller for tid in threads) == density_only
+            assert all(tid == caller for name, part, tid in halves
+                       if name == owner and part == 0)
+
+    @pytest.mark.parametrize("failing_part", [0, 1])
+    def test_half_error_raises_after_both_halves_join(
+            self, tiny_config, concurrent_branches, monkeypatch,
+            failing_part):
+        config = dataclasses.replace(tiny_config, sparse_updates=True)
+        model = DecoupledRadianceField(config, seed=0)
+        clean = DecoupledRadianceField(config, seed=0)
+        rng = new_rng(5)
+        points = rng.random((48, 3))
+        dirs = np.tile([0.0, 0.0, 1.0], (48, 1))
+        grad_sigma = rng.standard_normal(48)
+        grad_rgb = rng.standard_normal((48, 3))
+        scatter = MultiResHashGrid._scatter_sparse
+        finished = []
+
+        def flaky(grid, record, grad3, lo, hi, part):
+            if part == failing_part:
+                raise RuntimeError("half failed")
+            time.sleep(0.05)
+            out = scatter(grid, record, grad3, lo, hi, part)
+            finished.append(part)
+            return out
+
+        monkeypatch.setattr(MultiResHashGrid, "_scatter_sparse", flaky)
+        model.query(points, dirs)
+        with pytest.raises(RuntimeError, match="half failed"):
+            model.backward(grad_sigma, grad_rgb, update_color=False)
+        assert finished == [1 - failing_part]       # joined before raising
+        monkeypatch.setattr(MultiResHashGrid, "_scatter_sparse", scatter)
+
+        grid = model.encoder.density_grid
+        assert not grid._first_touch[0].any()
+        for m in (model, clean):
+            m.zero_grad()
+            m.query(points, dirs)
+            m.backward(grad_sigma, grad_rgb, update_color=False)
+        got = grid.table.sparse_grad
+        want = clean.encoder.density_grid.table.sparse_grad
+        np.testing.assert_array_equal(got.rows, want.rows)
+        np.testing.assert_array_equal(got.values, want.values)
+        for a, b in zip(model.density_mlp.parameters(),
+                        clean.density_mlp.parameters()):
+            np.testing.assert_array_equal(a.grad, b.grad)
 
 
 class TestGate:

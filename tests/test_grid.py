@@ -324,3 +324,71 @@ class TestFusedEngine:
     def test_max_chunk_points_validation(self, tiny_grid_config):
         with pytest.raises(ValueError):
             MultiResHashGrid(tiny_grid_config, rng=new_rng(0), max_chunk_points=0)
+
+
+class TestInstantNGPEquations:
+    """The encoding re-derived from the Instant-NGP paper's equations alone
+    (no library helper), compared with :meth:`MultiResHashGrid.forward`.
+
+    * growth factor ``b = exp((ln N_max - ln N_min) / (L - 1))`` and level
+      resolution ``N_l = floor(N_min * b**l)``;
+    * a level whose dense grid needs at most ``T`` entries,
+      ``(N_l + 1)**3 <= T``, maps vertices 1:1 (x fastest); finer levels
+      use ``h(x) = (x1*pi1 XOR x2*pi2 XOR x3*pi3) mod T`` with 32-bit
+      wrapping products, pi1 = 1, pi2 = 2654435761, pi3 = 805459861;
+    * each level trilinearly interpolates its 8 corner features, and the
+      levels' features are concatenated.
+    """
+
+    PRIMES = (1, 2654435761, 805459861)
+
+    @pytest.mark.parametrize("config", [
+        HashGridConfig(n_levels=5, n_features_per_level=2,
+                       log2_hashmap_size=10, base_resolution=4,
+                       finest_resolution=48),
+        HashGridConfig(n_levels=3, n_features_per_level=3,
+                       log2_hashmap_size=9, base_resolution=6,
+                       finest_resolution=30, size_scale=0.77),
+    ], ids=["f2-pow2", "f3-scaled"])
+    def test_forward_matches_the_equations(self, config):
+        grid = MultiResHashGrid(config, rng=new_rng(0))
+        # Features of order one, so float32 output rounding is the only
+        # difference left.
+        grid.table.data[...] = new_rng(1).standard_normal(grid.table.shape)
+        points = np.concatenate([new_rng(2).random((300, 3)),
+                                 [[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]]])
+        n_min, n_max, n_levels = (config.base_resolution,
+                                  config.finest_resolution, config.n_levels)
+        b = np.exp((np.log(n_max) - np.log(n_min)) / (n_levels - 1))
+        t_max = int(round(2 ** config.log2_hashmap_size * config.size_scale))
+        expected = []
+        for level in range(n_levels):
+            res = int(np.floor(n_min * b ** level))
+            assert grid.levels[level].resolution == res
+            dense = (res + 1) ** 3 <= t_max
+            table = grid.levels[level].table.data.astype(np.float64)
+            assert table.shape[0] == ((res + 1) ** 3 if dense else t_max)
+            scaled = points * res
+            # The upper cube face belongs to the last cell (weight 1).
+            base = np.minimum(np.floor(scaled).astype(np.int64), res - 1)
+            frac = scaled - base
+            features = np.zeros((len(points), table.shape[1]))
+            for dx in (0, 1):
+                for dy in (0, 1):
+                    for dz in (0, 1):
+                        vx, vy, vz = (base + [dx, dy, dz]).T
+                        if dense:
+                            index = vx + vy * (res + 1) + vz * (res + 1) ** 2
+                        else:
+                            index = np.array([
+                                ((x * self.PRIMES[0]) ^ (y * self.PRIMES[1])
+                                 ^ (z * self.PRIMES[2])) % 2 ** 32 % t_max
+                                for x, y, z in zip(vx.tolist(), vy.tolist(),
+                                                   vz.tolist())])
+                        weight = np.prod(np.where([dx, dy, dz], frac,
+                                                  1.0 - frac), axis=1)
+                        features += weight[:, None] * table[index]
+            expected.append(features)
+        got = grid.forward(points).astype(np.float64)
+        np.testing.assert_allclose(got, np.concatenate(expected, axis=1),
+                                   rtol=1e-6, atol=1e-6)

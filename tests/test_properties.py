@@ -18,6 +18,8 @@ from repro.grid.interpolation import interpolate, trilinear_weights
 from repro.io import CheckpointError, load_checkpoint, save_checkpoint
 from repro.nerf.losses import mse_loss, mse_to_psnr
 from repro.nerf.volume_rendering import VolumeRenderer
+from repro.nn.optim import Adam, _state_slot, _touched_rows
+from repro.nn.parameter import Parameter
 from repro.utils.precision import FLOAT32, FLOAT64
 from repro.utils.seeding import new_rng
 from repro.utils.workspace import WorkspaceArena
@@ -201,6 +203,89 @@ def test_coo_backward_is_the_dense_scatter_minus_its_zeros(
     if sparse is not None:                # bit-equal, sign of zero included
         np.testing.assert_array_equal(sparse.values.view(np.uint32),
                                       dense.table.grad[rows].view(np.uint32))
+
+
+# ---------------------------------------------------------------------------
+# Row-split lazy Adam
+# ---------------------------------------------------------------------------
+_TABLE_ROWS = 48
+
+
+@st.composite
+def _row_sets(draw):
+    """A sorted unique row set of the table (possibly empty or one row)."""
+    rows = draw(st.sets(st.integers(0, _TABLE_ROWS - 1), max_size=_TABLE_ROWS))
+    return np.array(sorted(rows), dtype=np.int64)
+
+
+def _set_rows_grad(param, rows, seed):
+    param.zero_grad()
+    if rows.size:
+        param.add_sparse_grad(rows, new_rng(seed).standard_normal(
+            (rows.size, 2)).astype(np.float32))
+
+
+def _split_step(opt, param, split):
+    """``opt.step()`` with the sparse parameter's touched rows updated as
+    the two slices ``[split:]`` then ``[:split]``."""
+    opt._step_count += 1
+    bias1 = 1.0 - opt.beta1 ** opt._step_count
+    bias2 = 1.0 - opt.beta2 ** opt._step_count
+    rows, vals = _touched_rows(param)
+    if rows.size == 0:
+        return
+    state = (_state_slot(opt._m, 0, param.data),
+             _state_slot(opt._v, 0, param.data),
+             _state_slot(opt._last_step, 0, param.data, dtype=np.int32))
+    opt._step_rows(state, param, rows[split:], vals[split:], bias1, bias2, 1)
+    opt._step_rows(state, param, rows[:split], vals[:split], bias1, bias2, 0)
+
+
+@given(history=st.lists(_row_sets(), max_size=3), rows=_row_sets(),
+       split_frac=st.floats(0.0, 1.0), seed=st.integers(0, 2**16),
+       arena=st.booleans())
+@settings(max_examples=80, deadline=None)
+def test_row_split_lazy_adam_equals_unsplit(history, rows, split_frac, seed,
+                                            arena):
+    init = new_rng(seed).standard_normal((_TABLE_ROWS, 2))
+    optimizers = []
+    for _ in range(2):
+        param = Parameter(init, "table")
+        param.sparse = True
+        opt = Adam([param], lr=1e-2)
+        if arena:
+            opt.set_arena(WorkspaceArena())
+        optimizers.append((opt, param))
+    # Earlier steps leave rows with different pending decay (k >= 1).
+    for step, earlier in enumerate(history):
+        for opt, param in optimizers:
+            _set_rows_grad(param, earlier, seed + step + 1)
+            opt.step()
+    (whole, whole_param), (split, split_param) = optimizers
+    before = split_param.data.copy()
+    state_before = {name: getattr(split, name)[0].copy()
+                    for name in ("_m", "_v", "_last_step")
+                    if 0 in getattr(split, name)}
+    for param in (whole_param, split_param):
+        _set_rows_grad(param, rows, seed)
+    whole.step()
+    _split_step(split, split_param, int(round(split_frac * rows.size)))
+
+    np.testing.assert_array_equal(split_param.data.view(np.uint32),
+                                  whole_param.data.view(np.uint32))
+    for name in ("_m", "_v", "_last_step"):
+        assert getattr(whole, name).keys() == getattr(split, name).keys()
+        for index, array in getattr(whole, name).items():
+            np.testing.assert_array_equal(
+                getattr(split, name)[index].view(np.uint32),
+                array.view(np.uint32))
+    # Untouched rows never move: parameter, moments and last-touch step.
+    untouched = np.setdiff1d(np.arange(_TABLE_ROWS), rows)
+    np.testing.assert_array_equal(split_param.data[untouched],
+                                  before[untouched])
+    for name, array in state_before.items():
+        np.testing.assert_array_equal(getattr(split, name)[0][untouched],
+                                      array[untouched])
 
 
 # ---------------------------------------------------------------------------
