@@ -101,7 +101,6 @@ def main() -> None:
     dense_config = Instant3DConfig.instant_3d(
         grid=grid, batch_pixels=192, n_samples_per_ray=24,
         mlp_hidden_width=32, mlp_hidden_layers=2,
-        max_chunk_points=16384,        # bounded-memory fused grid queries
     )
 
     dense = run_fleet(datasets, dense_config, "dense", args.iterations)

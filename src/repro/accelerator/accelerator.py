@@ -26,6 +26,7 @@ from repro.accelerator.fusion import plan_fusion
 from repro.accelerator.grid_core import GridCoreSimulator, GridPhaseResult
 from repro.accelerator.mlp_unit import MLPEngine
 from repro.accelerator.trace import MemoryTrace
+from repro.nerf.encoding import spherical_harmonics_dim
 from repro.training.profiler import IterationWorkload, PipelineStep
 
 
@@ -186,7 +187,7 @@ class Instant3DAccelerator:
         branch_features = max(1, model_config.grid.n_features_per_level // 2)
         density_in = model_config.density_grid_config.n_levels * branch_features
         color_in = (model_config.color_grid_config.n_levels * branch_features
-                    + model_config.sh_degree ** 2)
+                    + spherical_harmonics_dim())
         layers = (
             self.mlp_engine.head_layers(density_in, model_config.mlp_hidden_width,
                                         model_config.mlp_hidden_layers, 1)

@@ -7,14 +7,9 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from repro.grid.hash_encoding import HashGridConfig
+from repro.nerf.scheduling import RAY_SCHEDULES
 from repro.reliability.health import HealthPolicy
 from repro.utils.precision import PRECISION_NAMES, PrecisionPolicy, resolve_policy
-
-#: Valid ``ray_schedule`` values.  Kept as a local tuple (rather than
-#: importing ``repro.nerf.scheduling.RAY_SCHEDULES``, which mirrors it)
-#: because ``repro.core`` must not import ``repro.nerf`` at module level;
-#: a test asserts the two stay in sync.
-_RAY_SCHEDULES = ("uniform", "morton", "occupancy")
 
 
 @dataclass(frozen=True)
@@ -25,6 +20,11 @@ class Instant3DConfig:
     (``S_C / S_D``) and ``color_update_ratio`` (``F_C / F_D``); the density
     branch always uses the full grid size and updates every iteration, per
     the paper's design rule ``S_D > S_C`` and ``F_D > F_C``.
+
+    The model is built from ``grid``, ``color_size_ratio``, the MLP sizes,
+    ``compute_dtype`` and ``sparse_updates``; a
+    :class:`~repro.training.trainer.Trainer` rejects a config that differs
+    from its model's on any of them.  The other fields configure the run.
 
     Attributes
     ----------
@@ -44,8 +44,8 @@ class Instant3DConfig:
     mlp_hidden_width / mlp_hidden_layers:
         Size of the small density and color MLP heads (Instant-NGP uses
         3 layers of 64 units; the defaults are a scaled-down equivalent).
-    sh_degree:
-        Spherical-harmonics degree for the view-direction encoding.
+        View directions always use the degree-3 spherical-harmonics basis
+        (:data:`repro.nerf.encoding.SH_DEGREE`).
     n_samples_per_ray / batch_pixels:
         Per-iteration workload of the training loop.
     learning_rate:
@@ -56,27 +56,9 @@ class Instant3DConfig:
         occupancy grid marks empty are *compacted away* before the radiance
         field is queried (forward and backward).  ``False`` (the default)
         keeps the dense path, which is bit-identical to the pre-culling
-        trainer and retained for differential testing.
-    occupancy_resolution / occupancy_update_every / occupancy_warmup_iterations:
-        Shape and schedule of the occupancy grid: a ``resolution^3`` grid
-        refreshed from the density branch every ``occupancy_update_every``
-        iterations, starting at iteration ``occupancy_warmup_iterations``
-        (Instant-NGP updates every 16 iterations after a short warm-up that
-        lets the density branch carve out empty space first).
-    occupancy_decay:
-        Exponential-moving-maximum decay applied to the grid's per-cell
-        density memory at every refresh.  Cells whose decayed memory falls
-        below ``occupancy_threshold`` become cullable.
-    occupancy_refresh_samples:
-        Density-branch points probed per refresh.  Scale it with
-        ``occupancy_resolution`` — coverage per refresh is roughly
-        ``1 - exp(-samples / resolution^3)`` — or unsampled occupied cells
-        decay toward the cull threshold between visits.
-    occupancy_threshold:
-        Density below which a cell counts as empty.  With typical sample
-        spacings this bounds the per-sample alpha lost to culling at
-        ``~threshold * delta``, keeping culled renders within fractions of a
-        dB of dense ones.
+        trainer and retained for differential testing.  The grid's shape,
+        decay, threshold and refresh schedule belong to
+        :class:`~repro.nerf.occupancy.OccupancyGrid`.
     """
 
     grid: HashGridConfig = field(default_factory=HashGridConfig)
@@ -85,28 +67,11 @@ class Instant3DConfig:
     color_update_freq: float = 1.0
     mlp_hidden_width: int = 32
     mlp_hidden_layers: int = 2
-    sh_degree: int = 3
     n_samples_per_ray: int = 32
     batch_pixels: int = 256
     learning_rate: float = 1e-2
     white_background: bool = True
-    #: Upper bound on points per grid-query chunk (None = unchunked);
-    #: bounds the grid engine's transient working set for evaluation renders
-    #: and large batches (the per-query access trace still scales with N).
-    max_chunk_points: Optional[int] = None
-    #: Occupancy-culling knobs (see the attribute docs above).  The defaults
-    #: are the *reduced-scale* equivalent of Instant-NGP's 128^3 grid with
-    #: 0.95 decay refreshed every 16 iterations over ~35k iterations: our
-    #: runs are a few hundred iterations, so the grid is coarser (matching
-    #: the 4096-point refresh coverage), refreshed more often and decayed
-    #: faster so empty space is carved out within the run.
     culling_enabled: bool = False
-    occupancy_resolution: int = 16
-    occupancy_update_every: int = 8
-    occupancy_warmup_iterations: int = 16
-    occupancy_decay: float = 0.6
-    occupancy_threshold: float = 0.01
-    occupancy_refresh_samples: int = 4096
     #: Pixel-batch schedule of the training loop (see
     #: :mod:`repro.nerf.scheduling`).  ``"uniform"`` (the default) draws
     #: independent random pixels — bit-identical to previous releases.
@@ -168,34 +133,17 @@ class Instant3DConfig:
             raise ValueError(
                 f"compute_dtype must be one of {PRECISION_NAMES}, "
                 f"got {self.compute_dtype!r}")
-        if self.max_chunk_points is not None and self.max_chunk_points < 1:
-            raise ValueError("max_chunk_points must be >= 1 or None")
-        if self.occupancy_resolution < 2:
-            raise ValueError("occupancy_resolution must be >= 2")
-        if self.occupancy_update_every < 1:
-            raise ValueError("occupancy_update_every must be >= 1")
-        if self.occupancy_warmup_iterations < 0:
-            raise ValueError("occupancy_warmup_iterations must be >= 0")
-        # Ordered comparisons alone let NaN through (NaN < 0 is False), so
-        # the numeric knobs that feed straight into training arithmetic are
-        # checked for finiteness explicitly — a NaN here would otherwise
-        # surface hundreds of iterations later as a diverged run.
+        # Ordered comparisons alone let NaN through (NaN <= 0 is False), so
+        # the learning rate is checked for finiteness explicitly — a NaN
+        # here would otherwise surface hundreds of iterations later as a
+        # diverged run.
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0.0):
             raise ValueError(
                 f"learning_rate must be finite and > 0, "
                 f"got {self.learning_rate}")
-        if not (0.0 < self.occupancy_decay < 1.0):
-            raise ValueError("occupancy_decay must be in (0, 1)")
-        if self.occupancy_refresh_samples < 1:
-            raise ValueError("occupancy_refresh_samples must be >= 1")
-        if not (math.isfinite(self.occupancy_threshold)
-                and self.occupancy_threshold >= 0.0):
+        if self.ray_schedule not in RAY_SCHEDULES:
             raise ValueError(
-                f"occupancy_threshold must be finite and non-negative, "
-                f"got {self.occupancy_threshold}")
-        if self.ray_schedule not in _RAY_SCHEDULES:
-            raise ValueError(
-                f"ray_schedule must be one of {_RAY_SCHEDULES}, "
+                f"ray_schedule must be one of {RAY_SCHEDULES}, "
                 f"got {self.ray_schedule!r}")
         if self.tile_size < 1:
             raise ValueError("tile_size must be >= 1")
@@ -252,7 +200,6 @@ class Instant3DConfig:
             color_update_freq=1.0,
             mlp_hidden_width=64,
             mlp_hidden_layers=2,
-            sh_degree=3,
             n_samples_per_ray=48,
             batch_pixels=4096,
             **overrides,
@@ -280,7 +227,6 @@ class Instant3DConfig:
             color_update_freq=0.5,
             mlp_hidden_width=64,
             mlp_hidden_layers=2,
-            sh_degree=3,
             n_samples_per_ray=48,
             batch_pixels=4096,
             **overrides,

@@ -38,7 +38,6 @@ class DecoupledGridEncoder:
             config.density_grid_config,
             rng=derive_rng(seed, "density_grid"),
             name="density_grid",
-            max_chunk_points=config.max_chunk_points,
             policy=policy,
             sparse=config.sparse_updates,
         )
@@ -46,7 +45,6 @@ class DecoupledGridEncoder:
             config.color_grid_config,
             rng=derive_rng(seed, "color_grid"),
             name="color_grid",
-            max_chunk_points=config.max_chunk_points,
             policy=policy,
             sparse=config.sparse_updates,
         )

@@ -81,7 +81,7 @@ class DecoupledRadianceField:
             rng=mlp_rng,
             name="density_mlp",
         )
-        self._sh_dim = spherical_harmonics_dim(config.sh_degree)
+        self._sh_dim = spherical_harmonics_dim()
         self.color_mlp = MLP(
             in_features=self.encoder.color_grid.n_output_features + self._sh_dim,
             hidden_features=hidden,
@@ -209,9 +209,8 @@ class DecoupledRadianceField:
 
         def color_branch() -> Tuple[np.ndarray, int]:
             color_emb = self.encoder.encode_color(points_unit)
-            dir_enc = spherical_harmonics_encoding(
-                dirs, degree=self.config.sh_degree, dtype=dtype,
-                arena=self.arena)
+            dir_enc = spherical_harmonics_encoding(dirs, dtype=dtype,
+                                                   arena=self.arena)
             color_in = arena_buffer(self.arena, "model/color_in",
                                     (color_emb.shape[0],
                                      color_emb.shape[1] + dir_enc.shape[1]),

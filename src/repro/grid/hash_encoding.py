@@ -233,14 +233,6 @@ class MultiResHashGrid:
     name:
         Prefix for parameter names (useful when two grids coexist, e.g. the
         Instant-3D density and color grids).
-    max_chunk_points:
-        When set, queries larger than this many points are processed in
-        chunks of at most ``max_chunk_points``, bounding the engine's
-        transient working set (per-axis lattices, hash products, gather and
-        accumulation buffers) and keeping each chunk's planes inside the
-        cache hierarchy.  The access-trace planes themselves (addresses and
-        weights) necessarily still scale with the batch size.  The concatenated
-        outputs and access record are identical to the unchunked query.
     policy:
         Compute-precision policy (``None`` resolves to the float64
         reference, which is bit-identical to the pre-policy engine; float32
@@ -273,17 +265,13 @@ class MultiResHashGrid:
 
     def __init__(self, config: HashGridConfig, rng: np.random.Generator,
                  name: str = "grid",
-                 max_chunk_points: Optional[int] = None,
                  policy: Optional[PrecisionPolicy] = None,
                  arena: Optional[WorkspaceArena] = None,
                  sparse: bool = False):
-        if max_chunk_points is not None and max_chunk_points < 1:
-            raise ValueError("max_chunk_points must be >= 1 or None")
         if sparse not in (False, True):
             raise ValueError(f"sparse must be a bool, got {sparse!r}")
         self.config = config
         self.name = name
-        self.max_chunk_points = max_chunk_points
         self.policy = resolve_policy(policy)
         self.arena = arena
         self.levels: List[HashGridLevel] = []
@@ -424,7 +412,7 @@ class MultiResHashGrid:
     def _query_into(self, points: np.ndarray, table: np.ndarray,
                           addr_planes: np.ndarray, weight_planes: np.ndarray,
                           out: np.ndarray) -> None:
-        """One stacked-kernel query: all levels of one point chunk at once.
+        """One stacked-kernel query: all levels of all points at once.
 
         Writes into caller-provided views: ``out`` is ``(N, L*F)`` float32
         embeddings and the planes are level-major ``(8, L, N)`` arrays
@@ -630,13 +618,8 @@ class MultiResHashGrid:
         addr_planes = self._buf("addr_planes", (8, n_levels, n), np.int64)
         weight_planes = self._buf("weight_planes", (8, n_levels, n),
                                   self.policy.dtype)
-        chunk = self.max_chunk_points if self.max_chunk_points is not None else max(n, 1)
-        for start in range(0, n, chunk):
-            stop = min(start + chunk, n)
-            self._query_into(points[start:stop], self.table.data,
-                             addr_planes[:, :, start:stop],
-                             weight_planes[:, :, start:stop],
-                             out[start:stop])
+        self._query_into(points, self.table.data, addr_planes, weight_planes,
+                         out)
         self._last_access = GridAccessRecord(addr_planes, weight_planes,
                                              *self._record_layout)
         return out
@@ -650,8 +633,7 @@ class MultiResHashGrid:
         corner planes accumulates every level's gradients at the global
         (level-offset) addresses, and only the touched table rows receive
         float32 updates (dense) or are emitted as one COO pair (``sparse``,
-        see :meth:`_scatter_sparse`).  Chunked queries fill one set of
-        planes, so chunked and unchunked backward passes agree.
+        see :meth:`_scatter_sparse`).
 
         ``runner`` (sparse grids only) is a pair runner, ``runner(first,
         second)`` returning both results, such as

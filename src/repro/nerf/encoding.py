@@ -11,8 +11,12 @@ import numpy as np
 
 from repro.utils.workspace import arena_buffer
 
+#: Spherical-harmonics degree of the models' view-direction encoding
+#: (16 features), as in Instant-NGP.
+SH_DEGREE = 3
 
-def spherical_harmonics_encoding(dirs: np.ndarray, degree: int = 3,
+
+def spherical_harmonics_encoding(dirs: np.ndarray, degree: int = SH_DEGREE,
                                  dtype=np.float64,
                                  arena=None) -> np.ndarray:
     """Real spherical-harmonics basis evaluated at unit directions.
@@ -65,7 +69,7 @@ def spherical_harmonics_encoding(dirs: np.ndarray, degree: int = 3,
     return out32
 
 
-def spherical_harmonics_dim(degree: int) -> int:
+def spherical_harmonics_dim(degree: int = SH_DEGREE) -> int:
     """Number of features produced by :func:`spherical_harmonics_encoding`."""
     if degree not in (1, 2, 3, 4):
         raise ValueError("degree must be in {1, 2, 3, 4}")

@@ -15,14 +15,16 @@ implements that mechanism for the reproduction:
 The grid is wired into the training stack through
 :class:`~repro.nerf.pipeline.RenderPipeline`: with
 ``Instant3DConfig(culling_enabled=True)`` the trainer refreshes the grid from
-the density branch on the Instant-NGP schedule and every batch's samples are
-*compacted* (only occupied-cell samples reach the radiance field, forward and
-backward).  The dense path remains the default (``culling_enabled=False``)
-and is kept bit-identical for differential testing.
+the density branch whenever :meth:`OccupancyGrid.refresh_due` says so, and
+every batch's samples are *compacted* (only occupied-cell samples reach the
+radiance field, forward and backward).  The dense path remains the default
+(``culling_enabled=False``) and is kept bit-identical for differential
+testing.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Any, Callable, Dict, Optional, Tuple
 
 import numpy as np
@@ -31,16 +33,39 @@ from repro.utils.seeding import derive_rng, get_rng_state, set_rng_state
 
 
 class OccupancyGrid:
-    """A coarse occupancy grid over the unit cube used to prune empty samples."""
+    """A coarse occupancy grid over the unit cube used to prune empty samples.
 
-    def __init__(self, resolution: int = 32, decay: float = 0.95,
+    A ``resolution^3`` grid of per-cell density memories, each decayed by
+    ``decay`` at every refresh; cells below ``occupancy_threshold`` are
+    cullable (which bounds the per-sample alpha lost to ``~threshold *
+    delta``).  The defaults, and the refresh schedule below, are the
+    reduced-scale equivalent of Instant-NGP's 128^3 grid with 0.95 decay
+    refreshed every 16 of ~35k iterations: runs here last a few hundred
+    iterations, so the grid is coarser (matching the 4096-point refresh
+    coverage, ``1 - exp(-samples / resolution^3)``), refreshed more often
+    and decayed faster.
+    """
+
+    #: Refresh schedule (:meth:`refresh_due`): a warm-up that lets the
+    #: density branch carve out empty space first, then a fixed cadence,
+    #: probing ``refresh_samples`` density-branch points each time.
+    warmup_iterations: int = 16
+    update_every: int = 8
+    refresh_samples: int = 4096
+
+    def __init__(self, resolution: int = 16, decay: float = 0.6,
                  occupancy_threshold: float = 0.01, seed: int = 0):
         if resolution < 2:
             raise ValueError("resolution must be >= 2")
         if not (0.0 < decay < 1.0):
             raise ValueError("decay must be in (0, 1)")
-        if occupancy_threshold < 0.0:
-            raise ValueError("occupancy_threshold must be non-negative")
+        # A NaN threshold passes an ordered comparison and would mark no
+        # cell occupied, which silently turns culling off.
+        if not (math.isfinite(occupancy_threshold)
+                and occupancy_threshold >= 0.0):
+            raise ValueError(
+                f"occupancy_threshold must be finite and non-negative, "
+                f"got {occupancy_threshold}")
         self.resolution = int(resolution)
         self.decay = float(decay)
         self.occupancy_threshold = float(occupancy_threshold)
@@ -71,16 +96,25 @@ class OccupancyGrid:
         self._occupancy_cache = None
         self._any_occupied = None
 
+    def refresh_due(self, iteration: int) -> bool:
+        """Whether the schedule refreshes the grid at training ``iteration``."""
+        since_warmup = iteration - self.warmup_iterations
+        return since_warmup >= 0 and since_warmup % self.update_every == 0
+
     def update(self, query_fn: Callable[[np.ndarray], np.ndarray],
-               n_samples: int = 4096, rng: Optional[np.random.Generator] = None) -> None:
+               n_samples: Optional[int] = None,
+               rng: Optional[np.random.Generator] = None) -> None:
         """Refresh the grid from the radiance field's current density estimates.
 
         ``query_fn`` maps ``(N, 3)`` unit-cube points to ``(N,)`` densities
         (e.g. the model's :meth:`~repro.core.model.DecoupledRadianceField.query_density`).
+        ``n_samples`` points are probed (``None``: :attr:`refresh_samples`).
         Cells are updated with an exponential moving maximum, mirroring
         Instant-NGP's schedule.  Without an explicit ``rng`` the grid's own
         seeded generator is used, so repeated updates probe fresh point sets.
         """
+        if n_samples is None:
+            n_samples = self.refresh_samples
         rng = rng if rng is not None else self._rng
         points = rng.uniform(0.0, 1.0, size=(n_samples, 3))
         densities = np.asarray(query_fn(points), dtype=np.float32).reshape(-1)

@@ -244,9 +244,9 @@ class RenderPipeline:
         """Stage ❸b: the radiance-field query over one contiguous block.
 
         The block need not belong to a single request — the serving layer
-        passes the concatenation of several requests' gathered samples, and
-        the grid engine streams it in ``max_chunk_points`` chunks
-        regardless of where request boundaries fall.
+        passes the concatenation of several requests' gathered samples
+        (see :func:`~repro.serving.batching.render_coalesced`), whose
+        result does not depend on where request boundaries fall.
         """
         if points is None:
             return None, None

@@ -49,8 +49,7 @@ __all__ = [
     "make_scheduler",
 ]
 
-#: Valid ``Instant3DConfig.ray_schedule`` values (mirrored by the config's
-#: own validation tuple, which cannot import this module).
+#: Valid ``Instant3DConfig.ray_schedule`` values.
 RAY_SCHEDULES = ("uniform", "morton", "occupancy")
 
 #: Sort key larger than any encodable 3-D cell code: rays that hit no

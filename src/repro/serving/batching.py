@@ -1,7 +1,7 @@
 """Cross-request ray coalescing over the composable pipeline stages.
 
-The utilization argument of the paper applied to serving: the fused grid
-engine streams any contiguous point block in ``max_chunk_points`` chunks,
+The utilization argument of the paper applied to serving: a contiguous
+point block streams through the field in ``DEFAULT_CHUNK_POINTS`` chunks,
 so N pending render requests for the *same resident scene* are cheapest as
 ONE query over the concatenation of their kept samples — one stream of full
 chunks instead of N part-filled streams — with the results split back per
@@ -38,13 +38,12 @@ from repro.utils.workspace import WorkspaceArena, arena_buffer
 
 __all__ = ["CoalescedView", "DEFAULT_CHUNK_POINTS", "render_coalesced"]
 
-#: Serving-side engine stream chunk (points per stage-❸b call) when the
-#: config leaves ``max_chunk_points`` unset.  Rendering runs forward-only,
-#: so chunking the field query is safe (no backward state is needed) and
-#: keeps the fused engine's ``(8, L, chunk)`` planes and the MLP
-#: activations inside the cache hierarchy — without it a many-request
-#: coalesced block slows down super-linearly and batching loses to
-#: per-request dispatch instead of beating it.
+#: Serving-side engine stream chunk (points per stage-❸b call).  Rendering
+#: runs forward-only, so chunking the field query is safe (no backward
+#: state is needed) and keeps the fused engine's ``(8, L, chunk)`` planes
+#: and the MLP activations inside the cache hierarchy — without it a
+#: many-request coalesced block slows down super-linearly and batching
+#: loses to per-request dispatch instead of beating it.
 DEFAULT_CHUNK_POINTS = 4096
 
 
@@ -69,8 +68,7 @@ def _retain(arena: Optional[WorkspaceArena], name: str,
 
 
 def render_coalesced(pipeline: RenderPipeline, bundles: Sequence[RayBundle],
-                     arena: Optional[WorkspaceArena] = None,
-                     chunk_points: Optional[int] = DEFAULT_CHUNK_POINTS
+                     arena: Optional[WorkspaceArena] = None
                      ) -> List[CoalescedView]:
     """Render several ray bundles of one scene through a single field query.
 
@@ -80,11 +78,10 @@ def render_coalesced(pipeline: RenderPipeline, bundles: Sequence[RayBundle],
     only if nothing else interleaves with it).  Rendering is deterministic
     (no stratified jitter), matching evaluation renders.
 
-    ``chunk_points`` streams the shared query ``chunk_points`` samples at a
-    time (``None`` = one unchunked call).  Chunk boundaries are value-
-    neutral up to BLAS reduction order — every op in the query is
-    per-point/per-row — so results agree with per-request rendering to
-    reduction tolerance either way.
+    The shared query streams :data:`DEFAULT_CHUNK_POINTS` samples at a
+    time.  Chunk boundaries are value-neutral up to BLAS reduction order —
+    every op in the query is per-point/per-row — so results agree with
+    per-request rendering to reduction tolerance.
     """
     if not bundles:
         return []
@@ -133,9 +130,9 @@ def render_coalesced(pipeline: RenderPipeline, bundles: Sequence[RayBundle],
     if total:
         # The single engine stream all requests share (stage ❸b),
         # indifferent to where request boundaries fall: N part-filled
-        # per-request queries become ceil(total / chunk_points) full
-        # chunks.
-        step = chunk_points if chunk_points is not None else total
+        # per-request queries become ceil(total / DEFAULT_CHUNK_POINTS)
+        # full chunks.
+        step = DEFAULT_CHUNK_POINTS
         if step >= total:
             sigma_all, rgb_all = pipeline.stage_query(points_all[:total],
                                                       dirs_all[:total])

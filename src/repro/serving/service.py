@@ -63,7 +63,7 @@ from repro.nerf.pipeline import RenderPipeline
 from repro.reliability.faults import fault_point, get_injector
 from repro.reliability.health import NumericalFault
 from repro.reliability.retry import RetryPolicy
-from repro.serving.batching import DEFAULT_CHUNK_POINTS, render_coalesced
+from repro.serving.batching import render_coalesced
 from repro.serving.jobs import (
     DeadlineExceeded,
     JobCancelled,
@@ -561,9 +561,7 @@ class SceneService:
             policy=trainer.policy, arena=arena,
         )
         bundles = [handle.camera.all_rays() for handle in batch]
-        views = render_coalesced(
-            pipeline, bundles, arena=arena,
-            chunk_points=self.config.max_chunk_points or DEFAULT_CHUNK_POINTS)
+        views = render_coalesced(pipeline, bundles, arena=arena)
         with self._cv:
             self._stats["render_jobs"] += len(batch)
             self._stats["batches"] += 1

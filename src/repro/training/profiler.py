@@ -30,6 +30,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.core.config import Instant3DConfig
 from repro.grid.hash_encoding import FEATURE_BYTES, HashGridConfig
+from repro.nerf.encoding import spherical_harmonics_dim
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.nerf.occupancy import OccupancyGrid
@@ -294,7 +295,7 @@ def build_iteration_workload(config: Instant3DConfig,
 
     # Step ❸-② — the two small MLP heads (forward) and their backward.
     density_in = density_grid.n_levels * branch_features
-    color_in = color_grid.n_levels * branch_features + config.sh_degree ** 2
+    color_in = color_grid.n_levels * branch_features + spherical_harmonics_dim()
     mlp_forward_flops = points * (
         _mlp_flops(density_in, config.mlp_hidden_width, config.mlp_hidden_layers, 1)
         + _mlp_flops(color_in, config.mlp_hidden_width, config.mlp_hidden_layers, 3)

@@ -179,25 +179,38 @@ class TrainingResult:
         return int(sum(self.history.queries_kept))
 
 
+#: Config fields the model is built from; a trainer config that differs
+#: from ``model.config`` on one would describe (and checkpoint) a model it
+#: does not hold.
+_MODEL_FIELDS = ("grid", "color_size_ratio", "mlp_hidden_width",
+                 "mlp_hidden_layers", "compute_dtype", "sparse_updates")
+
+
 class Trainer:
-    """Optimises a :class:`DecoupledRadianceField` on one scene dataset."""
+    """Optimises a :class:`DecoupledRadianceField` on one scene dataset.
+
+    ``config`` (default ``model.config``) may change only run-level fields;
+    a model field (``_MODEL_FIELDS``) that differs raises ``ValueError``.
+    """
 
     def __init__(self, model: DecoupledRadianceField, dataset: SceneDataset,
                  config: Optional[Instant3DConfig] = None, seed: int = 0):
         self.model = model
         self.dataset = dataset
         self.config = config if config is not None else model.config
+        for name in _MODEL_FIELDS:
+            if getattr(self.config, name) != getattr(model.config, name):
+                raise ValueError(
+                    f"config.{name}={getattr(self.config, name)!r} does not "
+                    f"match the model's {getattr(model.config, name)!r}; "
+                    f"build the model from the same config")
         self.schedules = BranchSchedules.from_frequencies(
             self.config.density_update_freq, self.config.color_update_freq
         )
         self.occupancy: Optional[OccupancyGrid] = None
         if self.config.culling_enabled:
             self.occupancy = OccupancyGrid(
-                resolution=self.config.occupancy_resolution,
-                decay=self.config.occupancy_decay,
-                occupancy_threshold=self.config.occupancy_threshold,
-                seed=derive_seed(seed, f"{dataset.name}:occupancy"),
-            )
+                seed=derive_seed(seed, f"{dataset.name}:occupancy"))
         # One workspace arena per run: every per-iteration temporary — grid
         # query planes, MLP activations, renderer planes/gradients, optimiser
         # scratch — comes from named reusable buffers, so steady-state steps
@@ -256,19 +269,16 @@ class Trainer:
     def _refresh_occupancy(self) -> None:
         """Refresh the occupancy grid from the density branch when scheduled.
 
-        Follows the Instant-NGP cadence: every ``occupancy_update_every``
-        iterations, starting at ``occupancy_warmup_iterations`` so the
-        density branch has begun carving out empty space before its
-        predictions are trusted for culling.  Runs *before* the iteration's
-        query so the density branch's forward buffers are free to reuse.
+        The grid owns the Instant-NGP cadence
+        (:meth:`~repro.nerf.occupancy.OccupancyGrid.refresh_due`).  Runs
+        *before* the iteration's query so the density branch's forward
+        buffers are free to reuse.
         """
-        config = self.config
-        since_warmup = self.iteration - config.occupancy_warmup_iterations
-        if since_warmup < 0 or since_warmup % config.occupancy_update_every != 0:
+        grid = self.occupancy
+        if not grid.refresh_due(self.iteration):
             return
-        self.occupancy.update(self.model.query_density,
-                              n_samples=config.occupancy_refresh_samples)
-        self.occupancy_refresh_points += config.occupancy_refresh_samples
+        grid.update(self.model.query_density)
+        self.occupancy_refresh_points += grid.refresh_samples
 
     # -- checkpointing ---------------------------------------------------------
     def state_dict(self, history: Optional[TrainingHistory] = None

@@ -7,6 +7,7 @@ still exercising the real code paths end to end.
 
 from __future__ import annotations
 
+import contextlib
 import os
 
 import numpy as np
@@ -17,6 +18,7 @@ from repro.core.model import DecoupledRadianceField
 from repro.datasets import make_synthetic_scene, nerf_synthetic_like
 from repro.datasets.dataset import build_dataset
 from repro.grid.hash_encoding import HashGridConfig
+from repro.nerf.occupancy import OccupancyGrid
 from repro.utils.seeding import new_rng
 
 #: CI numerics leg: REPRO_STRICT_NUMERICS=1 runs every test under
@@ -41,6 +43,34 @@ def strict_numerics(request):
         return
     with np.errstate(invalid="raise", divide="raise"):
         yield
+
+
+@pytest.fixture(scope="session")
+def occupancy_schedule():
+    """Patch the occupancy grid's refresh schedule inside a ``with`` block.
+
+    ``with occupancy_schedule(warmup=4, every=2): ...`` makes every grid
+    refresh first at iteration 4 and then every 2nd iteration, so short
+    runs cull; ``warmup=10**6`` turns refreshes off.  ``samples`` replaces
+    the probe count and ``resolution`` the constructor's default grid size
+    (what ``Trainer`` builds).  The schedule is class state, patched like
+    ``repro.core.model.BRANCH_THREAD_MIN_ROWS``; it returns to the defaults
+    when the block exits.  A context manager rather than ``monkeypatch`` so
+    that module- and class-scoped fixtures can use it too.
+    """
+    @contextlib.contextmanager
+    def patch(warmup, every=OccupancyGrid.update_every,
+              samples=OccupancyGrid.refresh_samples, resolution=None):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(OccupancyGrid, "warmup_iterations", warmup)
+            mp.setattr(OccupancyGrid, "update_every", every)
+            mp.setattr(OccupancyGrid, "refresh_samples", samples)
+            if resolution is not None:
+                defaults = OccupancyGrid.__init__.__defaults__
+                mp.setattr(OccupancyGrid.__init__, "__defaults__",
+                           (resolution,) + defaults[1:])
+            yield
+    return patch
 
 
 @pytest.fixture(scope="session")

@@ -43,18 +43,23 @@ from repro.training.trainer import Trainer, TrainingHistory
 from repro.utils.seeding import new_rng
 
 
+@pytest.fixture(scope="module", autouse=True)
+def _ckpt_occupancy(occupancy_schedule):
+    """An 8^3 occupancy grid whose schedule fires within short runs."""
+    with occupancy_schedule(warmup=3, every=2, samples=256, resolution=8):
+        yield
+
+
 @pytest.fixture(scope="module")
 def ckpt_config():
-    """Tiny culled config whose occupancy schedule fires within short runs."""
+    """Tiny culled config (see ``_ckpt_occupancy`` for its grid)."""
     grid = HashGridConfig(n_levels=3, n_features_per_level=2,
                           log2_hashmap_size=9, base_resolution=4,
                           finest_resolution=16)
     return Instant3DConfig.instant_3d(
         grid=grid, batch_pixels=24, n_samples_per_ray=8,
         mlp_hidden_width=8, mlp_hidden_layers=1,
-        culling_enabled=True, occupancy_resolution=8,
-        occupancy_warmup_iterations=3, occupancy_update_every=2,
-        occupancy_refresh_samples=256,
+        culling_enabled=True,
     )
 
 
@@ -261,10 +266,12 @@ class TestComponentStateDicts:
             return np.where(np.linalg.norm(points - 0.5, axis=1) < 0.25,
                             10.0, 0.0)
 
-        source = OccupancyGrid(resolution=8, occupancy_threshold=0.5, seed=3)
+        source = OccupancyGrid(resolution=8, decay=0.95,
+                               occupancy_threshold=0.5, seed=3)
         source.update(ball, n_samples=512)
         source.mark_occupied(np.array([[0.05, 0.05, 0.05]]), density=2.0)
-        target = OccupancyGrid(resolution=8, occupancy_threshold=0.5, seed=3)
+        target = OccupancyGrid(resolution=8, decay=0.95,
+                               occupancy_threshold=0.5, seed=3)
         target.load_state_dict(source.state_dict())
         np.testing.assert_array_equal(source.density, target.density)
         assert target.n_updates == source.n_updates
@@ -279,8 +286,8 @@ class TestComponentStateDicts:
         np.testing.assert_array_equal(source.density, target.density)
 
     def test_occupancy_grid_rejects_mismatched_config(self):
-        source = OccupancyGrid(resolution=8)
-        other = OccupancyGrid(resolution=16)
+        source = OccupancyGrid(resolution=8, decay=0.95)
+        other = OccupancyGrid(resolution=16, decay=0.95)
         with pytest.raises(ValueError):
             other.load_state_dict(source.state_dict())
         different_decay = OccupancyGrid(resolution=8, decay=0.5)

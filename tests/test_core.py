@@ -126,27 +126,6 @@ class TestDecoupledGridEncoder:
         assert records["density"].n_points == 5
         assert records["color"].n_points == 5
 
-    def test_max_chunk_points_plumbed_and_identical(self, tiny_config):
-        """Chunked (bounded-memory) queries must match unchunked bit for bit."""
-        import dataclasses
-
-        chunked_config = dataclasses.replace(tiny_config, max_chunk_points=7)
-        whole = DecoupledGridEncoder(tiny_config, seed=0)
-        chunked = DecoupledGridEncoder(chunked_config, seed=0)
-        assert chunked.density_grid.max_chunk_points == 7
-        assert chunked.color_grid.max_chunk_points == 7
-        points = new_rng(2).uniform(size=(23, 3))
-        np.testing.assert_array_equal(whole.encode_density(points),
-                                      chunked.encode_density(points))
-        np.testing.assert_array_equal(whole.encode_color(points),
-                                      chunked.encode_color(points))
-
-    def test_invalid_max_chunk_points_rejected(self, tiny_config):
-        import dataclasses
-
-        with pytest.raises(ValueError):
-            dataclasses.replace(tiny_config, max_chunk_points=0)
-
 
 class TestDecoupledRadianceField:
     def test_query_shapes_and_ranges(self, tiny_model):

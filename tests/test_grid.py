@@ -277,22 +277,6 @@ class TestFusedEngine:
         np.testing.assert_allclose(grid.table.grad, grad_loop,
                                    rtol=1e-5, atol=1e-7)
 
-    def test_chunked_query_identical_to_unchunked(self, tiny_grid_config):
-        whole = MultiResHashGrid(tiny_grid_config, rng=new_rng(3))
-        chunked = MultiResHashGrid(tiny_grid_config, rng=new_rng(3),
-                                   max_chunk_points=13)
-        points = _boundary_points(new_rng(12), n_random=60)
-        out_whole = whole.forward(points)
-        out_chunked = chunked.forward(points)
-        np.testing.assert_array_equal(out_whole, out_chunked)
-        np.testing.assert_array_equal(whole.last_access.flat_addresses(),
-                                      chunked.last_access.flat_addresses())
-        grad = new_rng(13).normal(size=out_whole.shape)
-        whole.backward(grad)
-        chunked.backward(grad)
-        for lw, lc in zip(whole.levels, chunked.levels):
-            np.testing.assert_array_equal(lw.table.grad, lc.table.grad)
-
     def test_gradcheck_at_cube_boundaries(self):
         """Finite-difference gradcheck with points exactly at 0.0 and 1.0."""
         config = HashGridConfig(n_levels=1, n_features_per_level=2,
@@ -320,10 +304,6 @@ class TestFusedEngine:
         numeric = numerical_gradient(loss_for_table, table.data.astype(np.float64))
         np.testing.assert_allclose(grid.levels[0].table.grad, numeric,
                                    rtol=2e-2, atol=2e-2)
-
-    def test_max_chunk_points_validation(self, tiny_grid_config):
-        with pytest.raises(ValueError):
-            MultiResHashGrid(tiny_grid_config, rng=new_rng(0), max_chunk_points=0)
 
 
 class TestInstantNGPEquations:

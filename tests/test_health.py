@@ -108,8 +108,6 @@ class TestConfigNumericValidation:
         {"learning_rate": -1e-2},
         {"learning_rate": float("nan")},
         {"learning_rate": float("inf")},
-        {"occupancy_threshold": float("nan")},
-        {"occupancy_threshold": -0.5},
     ])
     def test_non_finite_or_out_of_range_rejected(self, tiny_config, kwargs):
         with pytest.raises(ValueError):
@@ -326,19 +324,19 @@ class TestNoTripBitIdentity:
                              ids=["dense", "culled"])
     @pytest.mark.parametrize("dtype", ["float64", "float32"])
     def test_guarded_run_matches_unguarded(self, tiny_config, health_dataset,
-                                           culled, dtype):
+                                           occupancy_schedule, culled, dtype):
         base = dataclasses.replace(
-            tiny_config, compute_dtype=dtype, culling_enabled=culled,
-            occupancy_warmup_iterations=4, occupancy_update_every=2)
+            tiny_config, compute_dtype=dtype, culling_enabled=culled)
         guarded_config = dataclasses.replace(base, health=FAST_POLICY)
 
-        plain = _trainer(base, health_dataset)
-        plain_history = TrainingHistory()
-        plain.run_steps(20, plain_history)
+        with occupancy_schedule(warmup=4, every=2):
+            plain = _trainer(base, health_dataset)
+            plain_history = TrainingHistory()
+            plain.run_steps(20, plain_history)
 
-        guarded = _trainer(guarded_config, health_dataset)
-        guarded_history = TrainingHistory()
-        guarded.run_steps(20, guarded_history)
+            guarded = _trainer(guarded_config, health_dataset)
+            guarded_history = TrainingHistory()
+            guarded.run_steps(20, guarded_history)
 
         assert guarded.health.guard_trips == 0
         assert guarded_history.guard_trips == 0

@@ -15,7 +15,7 @@ def _ball_density(points_unit: np.ndarray) -> np.ndarray:
 
 class TestOccupancyGridBasics:
     def test_initial_state_keeps_everything(self):
-        grid = OccupancyGrid(resolution=16)
+        grid = OccupancyGrid(resolution=16, decay=0.95)
         points = new_rng(0).uniform(size=(50, 3))
         assert np.all(grid.filter_samples(points))
         assert grid.occupancy_fraction == 0.0
@@ -28,8 +28,16 @@ class TestOccupancyGridBasics:
         with pytest.raises(ValueError):
             OccupancyGrid(occupancy_threshold=-1.0)
 
+    def test_default_shape_and_refresh_schedule(self):
+        grid = OccupancyGrid()
+        assert (grid.resolution, grid.decay, grid.occupancy_threshold) == (
+            16, 0.6, 0.01)
+        due = [i for i in range(41) if grid.refresh_due(i)]
+        assert due == [16, 24, 32, 40]
+        assert grid.refresh_samples == 4096
+
     def test_cell_indices_in_range(self):
-        grid = OccupancyGrid(resolution=8)
+        grid = OccupancyGrid(resolution=8, decay=0.95)
         points = np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0], [0.5, 0.2, 0.9]])
         ix, iy, iz = grid.cell_indices(points)
         for idx in (ix, iy, iz):
@@ -38,7 +46,8 @@ class TestOccupancyGridBasics:
 
 class TestOccupancyGridUpdates:
     def test_update_marks_occupied_region(self):
-        grid = OccupancyGrid(resolution=16, occupancy_threshold=0.5)
+        grid = OccupancyGrid(resolution=16, decay=0.95,
+                             occupancy_threshold=0.5)
         grid.update(_ball_density, n_samples=8192, rng=new_rng(1))
         inside = np.full((20, 3), 0.5)
         outside = np.full((20, 3), 0.05)
@@ -47,7 +56,8 @@ class TestOccupancyGridUpdates:
         assert 0.0 < grid.occupancy_fraction < 0.5
 
     def test_filter_samples_prunes_empty_space(self):
-        grid = OccupancyGrid(resolution=16, occupancy_threshold=0.5)
+        grid = OccupancyGrid(resolution=16, decay=0.95,
+                             occupancy_threshold=0.5)
         grid.update(_ball_density, n_samples=8192, rng=new_rng(2))
         rng = new_rng(3)
         points = rng.uniform(size=(2000, 3))
@@ -67,7 +77,7 @@ class TestOccupancyGridUpdates:
         assert grid.occupancy_fraction == 0.0
 
     def test_mark_occupied(self):
-        grid = OccupancyGrid(resolution=8, occupancy_threshold=0.5)
+        grid = OccupancyGrid(resolution=8, decay=0.95, occupancy_threshold=0.5)
         grid.mark_occupied(np.array([[0.9, 0.9, 0.9]]), density=2.0)
         assert grid.is_occupied(np.array([[0.9, 0.9, 0.9]]))[0]
 
@@ -78,7 +88,7 @@ class TestOccupancyGridUpdates:
         ``filter_samples`` treated a marked-but-never-updated grid as empty
         and kept everything — the forced occupancy silently never culled.
         """
-        grid = OccupancyGrid(resolution=8, occupancy_threshold=0.5)
+        grid = OccupancyGrid(resolution=8, decay=0.95, occupancy_threshold=0.5)
         assert not grid.has_data
         grid.mark_occupied(np.array([[0.9, 0.9, 0.9]]), density=2.0)
         assert grid.has_data and grid.n_marks == 1 and grid.n_updates == 0
@@ -90,7 +100,7 @@ class TestOccupancyGridUpdates:
 
     def test_occupancy_view_is_cached_and_invalidated(self):
         """Perf fix: the binary view is computed once per density change."""
-        grid = OccupancyGrid(resolution=8, occupancy_threshold=0.5)
+        grid = OccupancyGrid(resolution=8, decay=0.95, occupancy_threshold=0.5)
         first = grid.occupancy
         assert grid.occupancy is first                 # cached between reads
         grid.mark_occupied(np.array([[0.9, 0.9, 0.9]]), density=2.0)
@@ -102,12 +112,13 @@ class TestOccupancyGridUpdates:
         assert grid.occupancy is not marked            # invalidated by update
 
     def test_update_shape_mismatch_raises(self):
-        grid = OccupancyGrid(resolution=8)
+        grid = OccupancyGrid(resolution=8, decay=0.95)
         with pytest.raises(ValueError):
             grid.update(lambda p: np.zeros(3), n_samples=16)
 
     def test_expected_queries_shrink_after_update(self):
-        grid = OccupancyGrid(resolution=16, occupancy_threshold=0.5)
+        grid = OccupancyGrid(resolution=16, decay=0.95,
+                             occupancy_threshold=0.5)
         dense = grid.expected_queries_per_iteration(n_rays=4096, n_samples=48)
         assert dense == 4096 * 48
         grid.update(_ball_density, n_samples=8192, rng=new_rng(5))
@@ -118,7 +129,8 @@ class TestOccupancyGridUpdates:
 class TestOccupancyWithModel:
     def test_model_driven_update(self, tiny_model):
         """The grid can be refreshed directly from a radiance field's density branch."""
-        grid = OccupancyGrid(resolution=8, occupancy_threshold=1e-3)
+        grid = OccupancyGrid(resolution=8, decay=0.95,
+                             occupancy_threshold=1e-3)
 
         def query_fn(points_unit):
             dirs = np.tile(np.array([0.0, 0.0, 1.0]), (points_unit.shape[0], 1))

@@ -117,20 +117,21 @@ class TestDensePathBitIdentity:
 
 
 class TestFullyOccupiedCulling:
-    def test_fully_occupied_grid_reproduces_dense_run(self, tiny_config, tiny_dataset):
+    def test_fully_occupied_grid_reproduces_dense_run(self, tiny_config, tiny_dataset,
+                                                      occupancy_schedule):
         """(b) Compaction through an all-occupied grid is an exact no-op."""
         dense_model = DecoupledRadianceField(tiny_config, seed=0)
         dense_trainer = Trainer(dense_model, tiny_dataset, seed=0)
         dense_losses = [dense_trainer.train_step()["loss"] for _ in range(10)]
 
-        culled_config = dataclasses.replace(
-            tiny_config, culling_enabled=True,
-            occupancy_warmup_iterations=10**6)   # no refresh during the test
+        culled_config = dataclasses.replace(tiny_config, culling_enabled=True)
         culled_model = DecoupledRadianceField(culled_config, seed=0)
         culled_trainer = Trainer(culled_model, tiny_dataset,
                                  config=culled_config, seed=0)
         _force_fully_occupied(culled_trainer.occupancy)
-        culled_losses = [culled_trainer.train_step()["loss"] for _ in range(10)]
+        with occupancy_schedule(warmup=10**6):  # no refresh during the test
+            culled_losses = [culled_trainer.train_step()["loss"]
+                             for _ in range(10)]
 
         assert culled_losses == dense_losses
         assert _params_equal(culled_model, dense_model)
@@ -140,7 +141,8 @@ class TestFullyOccupiedCulling:
         camera = tiny_dataset.test_views[0].camera
         bundle = camera.all_rays()
         n_samples = 8
-        grid = OccupancyGrid(resolution=8, occupancy_threshold=0.5, seed=3)
+        grid = OccupancyGrid(resolution=8, decay=0.95,
+                             occupancy_threshold=0.5, seed=3)
         # A half-occupied grid: occupy a slab of cells.
         grid.density[:4].fill(1.0)
         grid._updates = 1
@@ -168,7 +170,8 @@ class TestFullyOccupiedCulling:
         model = DecoupledRadianceField(tiny_config, seed=0)
         camera = tiny_dataset.test_views[0].camera
         bundle = camera.all_rays()
-        grid = OccupancyGrid(resolution=8, occupancy_threshold=0.5, seed=3)
+        grid = OccupancyGrid(resolution=8, decay=0.95,
+                             occupancy_threshold=0.5, seed=3)
         grid.density[4:].fill(1.0)
         grid._updates = 1
         pipeline = RenderPipeline(model, tiny_dataset.scene_bound,
@@ -188,14 +191,14 @@ class TestFullyOccupiedCulling:
 
 
 class TestCulledTrainingRun:
-    def test_culling_reduces_queries_and_records_history(self, tiny_config, tiny_dataset):
-        config = dataclasses.replace(
-            tiny_config, culling_enabled=True,
-            occupancy_warmup_iterations=8, occupancy_update_every=4)
+    def test_culling_reduces_queries_and_records_history(self, tiny_config, tiny_dataset,
+                                                         occupancy_schedule):
+        config = dataclasses.replace(tiny_config, culling_enabled=True)
         model = DecoupledRadianceField(config, seed=0)
         trainer = Trainer(model, tiny_dataset, config=config, seed=0)
         history = TrainingHistory()
-        trainer.run_steps(80, history)
+        with occupancy_schedule(warmup=8, every=4):
+            trainer.run_steps(80, history)
         assert len(history.queries_total) == 80
         assert len(history.queries_kept) == 80
         assert len(history.occupancy_fractions) == 80
@@ -213,7 +216,7 @@ class TestCulledTrainingRun:
         assert result.queries_kept < result.queries_total
         # The culling ledger also charges the refreshes' density probes.
         assert result.occupancy_refresh_points == (
-            config.occupancy_refresh_samples * trainer.occupancy.n_updates)
+            OccupancyGrid.refresh_samples * trainer.occupancy.n_updates)
         assert np.isfinite(result.rgb_psnr)
 
     def test_net_query_reduction_at_bench_scale(self, bench_scale_config,
@@ -235,7 +238,8 @@ class TestCulledTrainingRun:
 
     def test_all_empty_grid_never_freezes_training(self, tiny_dataset):
         """An all-empty grid keeps every sample instead of deadlocking."""
-        grid = OccupancyGrid(resolution=8, occupancy_threshold=0.5, seed=0)
+        grid = OccupancyGrid(resolution=8, decay=0.95,
+                             occupancy_threshold=0.5, seed=0)
         grid.update(lambda p: np.zeros(p.shape[0]))     # refresh finds nothing
         assert grid.occupancy_fraction == 0.0
         points = new_rng(0).uniform(size=(50, 3))
@@ -247,25 +251,22 @@ class TestCulledTrainingRun:
             RenderPipeline(tiny_model, 1.0, n_samples=0)
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            Instant3DConfig(occupancy_resolution=1)
-        with pytest.raises(ValueError):
-            Instant3DConfig(occupancy_update_every=0)
-        with pytest.raises(ValueError):
-            Instant3DConfig(occupancy_warmup_iterations=-1)
-        with pytest.raises(ValueError):
-            Instant3DConfig(occupancy_decay=1.0)
-        with pytest.raises(ValueError):
-            Instant3DConfig(occupancy_threshold=-0.1)
-        with pytest.raises(ValueError):
-            Instant3DConfig(occupancy_refresh_samples=0)
+        # The grid owns its shape, decay and threshold.  A NaN threshold
+        # would mark no cell occupied (culling silently off) and make the
+        # grid reject its own checkpoint (NaN != NaN).
+        for kwargs in ({"resolution": 1}, {"decay": 1.0},
+                       {"occupancy_threshold": -0.1},
+                       {"occupancy_threshold": float("nan")},
+                       {"occupancy_threshold": float("inf")}):
+            with pytest.raises(ValueError):
+                OccupancyGrid(**kwargs)
 
 
 class TestOccupancySeeding:
     @staticmethod
     def _recorded_updates(seed: int, n_updates: int):
         """Run updates with the grid's own generator, recording probe points."""
-        grid = OccupancyGrid(resolution=8, seed=seed)
+        grid = OccupancyGrid(resolution=8, decay=0.95, seed=seed)
         probes = []
 
         def query_fn(points):
@@ -292,7 +293,7 @@ class TestOccupancySeeding:
         assert not np.array_equal(a[0], b[0])
 
     def test_explicit_rng_still_wins(self):
-        grid = OccupancyGrid(resolution=8, seed=0)
+        grid = OccupancyGrid(resolution=8, decay=0.95, seed=0)
         probes = []
 
         def query_fn(points):
@@ -322,7 +323,8 @@ class TestProfilerCulling:
         assert culled.points_per_iteration == dense.points_per_iteration
 
     def test_occupancy_grid_supplies_keep_fraction(self):
-        grid = OccupancyGrid(resolution=8, occupancy_threshold=0.5, seed=0)
+        grid = OccupancyGrid(resolution=8, decay=0.95,
+                             occupancy_threshold=0.5, seed=0)
         grid.density[:2].fill(1.0)            # 1/4 of the cells occupied
         grid._updates = 1
         config = Instant3DConfig.paper_scale_baseline()
@@ -331,7 +333,7 @@ class TestProfilerCulling:
         assert workload.culled_points_per_iteration < workload.points_per_iteration
 
     def test_occupancy_and_keep_fraction_are_exclusive(self):
-        grid = OccupancyGrid(resolution=8, seed=0)
+        grid = OccupancyGrid(resolution=8, decay=0.95, seed=0)
         with pytest.raises(ValueError):
             build_iteration_workload(Instant3DConfig.paper_scale_baseline(),
                                      occupancy=grid, keep_fraction=0.5)

@@ -149,20 +149,22 @@ class TestFloat64ReferenceBitIdentity:
         assert _params_equal(model, ref_model)
 
     def test_culled_float64_fully_occupied_matches_dense(self, tiny_config,
-                                                         tiny_dataset):
+                                                         tiny_dataset,
+                                                         occupancy_schedule):
         """(a) the culled float64 path is unchanged too."""
         dense = dataclasses.replace(tiny_config, compute_dtype="float64")
         dense_model = DecoupledRadianceField(dense, seed=0)
         dense_trainer = Trainer(dense_model, tiny_dataset, config=dense, seed=0)
         dense_losses = [dense_trainer.train_step()["loss"] for _ in range(10)]
 
-        culled = dataclasses.replace(
-            dense, culling_enabled=True, occupancy_warmup_iterations=10 ** 6)
+        culled = dataclasses.replace(dense, culling_enabled=True)
         culled_model = DecoupledRadianceField(culled, seed=0)
         culled_trainer = Trainer(culled_model, tiny_dataset, config=culled,
                                  seed=0)
         _force_fully_occupied(culled_trainer.occupancy)
-        culled_losses = [culled_trainer.train_step()["loss"] for _ in range(10)]
+        with occupancy_schedule(warmup=10 ** 6):
+            culled_losses = [culled_trainer.train_step()["loss"]
+                             for _ in range(10)]
         assert culled_losses == dense_losses
         assert _params_equal(culled_model, dense_model)
 
@@ -186,14 +188,15 @@ class TestFloat32FastPath:
         psnr32 = t32.finalize(TrainingHistory(), eval_samples=24).rgb_psnr
         assert psnr64 - psnr32 < 0.5
 
-    def test_culled_float32_trains(self, tiny_config, tiny_dataset):
+    def test_culled_float32_trains(self, tiny_config, tiny_dataset,
+                                   occupancy_schedule):
         config = dataclasses.replace(
-            tiny_config, compute_dtype="float32", culling_enabled=True,
-            occupancy_warmup_iterations=8, occupancy_update_every=4)
+            tiny_config, compute_dtype="float32", culling_enabled=True)
         model = DecoupledRadianceField(config, seed=0)
         trainer = Trainer(model, tiny_dataset, config=config, seed=0)
         history = TrainingHistory()
-        trainer.run_steps(80, history)
+        with occupancy_schedule(warmup=8, every=4):
+            trainer.run_steps(80, history)
         assert history.queries_kept[-1] < history.queries_total[-1]
         assert history.losses[-1] < history.losses[0]
         result = trainer.finalize(history, eval_samples=16)
@@ -213,14 +216,6 @@ class TestFloat32FastPath:
                               record_loop.flat_addresses())
         grid32.zero_grad(); grid32.backward(grad)
         np.testing.assert_allclose(grid32.table.grad, grad_loop, atol=1e-4)
-
-    def test_chunked_query_bit_identical(self, tiny_grid_config):
-        whole = MultiResHashGrid(tiny_grid_config, rng=new_rng(0),
-                                 policy=FLOAT32)
-        chunked = MultiResHashGrid(tiny_grid_config, rng=new_rng(0),
-                                   policy=FLOAT32, max_chunk_points=100)
-        points = new_rng(3).uniform(size=(513, 3))
-        assert np.array_equal(whole.forward(points), chunked.forward(points))
 
 
 class TestDtypeDiscipline:

@@ -3,23 +3,30 @@
 import functools
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro.accelerator.bum import BackPropUpdateMerger
 from repro.accelerator.sram import SRAMBankArray
+from repro.core.model import DecoupledRadianceField
 from repro.core.schedule import UpdateSchedule
 from repro.grid.hash_encoding import HashGridConfig, MultiResHashGrid
 from repro.grid.hash_function import spatial_hash
 from repro.grid.interpolation import interpolate, trilinear_weights
 from repro.io import CheckpointError, load_checkpoint, save_checkpoint
+from repro.nerf.cameras import RayBundle
 from repro.nerf.losses import mse_loss, mse_to_psnr
+from repro.nerf.occupancy import OccupancyGrid
+from repro.nerf.pipeline import RenderPipeline
 from repro.nerf.volume_rendering import VolumeRenderer
 from repro.nn.optim import Adam, _state_slot, _touched_rows
 from repro.nn.parameter import Parameter
+from repro.serving import batching
 from repro.utils.precision import FLOAT32, FLOAT64
 from repro.utils.seeding import new_rng
 from repro.utils.workspace import WorkspaceArena
@@ -179,20 +186,17 @@ _COO_GRID = HashGridConfig(n_levels=4, n_features_per_level=2,
 @given(
     points=arrays(np.float64, st.tuples(st.integers(0, 120), st.just(3)),
                   elements=st.floats(0.0, 1.0)),
-    max_chunk_points=st.one_of(st.none(), st.integers(1, 64)),
     grad_seed=st.integers(0, 2**16),
 )
 @settings(max_examples=40, deadline=None)
-def test_coo_backward_is_the_dense_scatter_minus_its_zeros(
-        points, max_chunk_points, grad_seed):
+def test_coo_backward_is_the_dense_scatter_minus_its_zeros(points, grad_seed):
     grad = new_rng(grad_seed).standard_normal(
         (len(points), _COO_GRID.n_output_features))
     dense = MultiResHashGrid(_COO_GRID, rng=new_rng(0))
     dense.forward(points)
     dense.zero_grad()
     dense.backward(grad)
-    coo = MultiResHashGrid(_COO_GRID, rng=new_rng(0), sparse=True,
-                           max_chunk_points=max_chunk_points)
+    coo = MultiResHashGrid(_COO_GRID, rng=new_rng(0), sparse=True)
     coo.forward(points)
     coo.zero_grad()
     coo.backward(grad)
@@ -314,16 +318,14 @@ _UNIT_OR_EDGE = st.one_of(st.floats(0.0, 1.0),
     config=_grid_configs(),
     points=arrays(np.float64, st.tuples(st.integers(0, 40), st.just(3)),
                   elements=_UNIT_OR_EDGE),
-    max_chunk_points=st.one_of(st.none(), st.integers(1, 16)),
     arena=st.booleans(),
     policy=st.sampled_from([FLOAT64, FLOAT32]),
     seed=st.integers(0, 2**16),
 )
 @settings(max_examples=60, deadline=None)
-def test_grid_engine_equals_per_level_loop(config, points, max_chunk_points,
-                                           arena, policy, seed):
+def test_grid_engine_equals_per_level_loop(config, points, arena, policy,
+                                           seed):
     grid = MultiResHashGrid(config, rng=new_rng(seed), policy=policy,
-                            max_chunk_points=max_chunk_points,
                             arena=WorkspaceArena() if arena else None)
     grad = new_rng(seed + 1).standard_normal(
         (len(points), config.n_output_features))
@@ -418,3 +420,56 @@ def test_corrupt_checkpoint_loads_intact_or_raises_checkpoint_error(edits,
         except CheckpointError:          # CheckpointCorruptError included
             return
     _assert_same_tree(loaded.payload, payload)
+
+
+# ---------------------------------------------------------------------------
+# Coalesced serving renders
+# ---------------------------------------------------------------------------
+@pytest.fixture(scope="module")
+def coalescing_pipeline(tiny_config, tiny_dataset):
+    """A culled pipeline whose grid marks only the scene's central cells
+    occupied, so rays can be made fully culled by moving their origin."""
+    grid = OccupancyGrid(seed=0)
+    grid.mark_occupied(new_rng(0).uniform(0.3, 0.7, size=(2048, 3)))
+    pipeline = RenderPipeline(DecoupledRadianceField(tiny_config, seed=0),
+                              tiny_dataset.scene_bound, n_samples=8,
+                              occupancy=grid, arena=WorkspaceArena())
+    return pipeline, tiny_dataset.test_views[0].camera.all_rays()
+
+
+@given(
+    requests=st.lists(st.tuples(st.integers(0, 10**6), st.integers(1, 400),
+                                st.booleans()), min_size=1, max_size=5),
+    chunk=st.integers(1, 64),
+)
+@settings(max_examples=30, deadline=None)
+def test_coalesced_render_matches_solo_renders(coalescing_pipeline, requests,
+                                               chunk):
+    """Any mix of request bundles, all-culled ones included, renders the
+    same coalesced as alone, wherever the shared query's chunk boundaries
+    fall (``DEFAULT_CHUNK_POINTS`` shrunk so that blocks cross them)."""
+    pipeline, rays = coalescing_pipeline
+    bundles = []
+    for start, length, culled in requests:
+        start %= rays.n_rays
+        stop = min(start + length, rays.n_rays)
+        origins = rays.origins[start:stop]
+        if culled:                         # every sample in an empty corner
+            origins = np.full_like(origins, -40.0)
+        bundles.append(RayBundle(origins=origins,
+                                 directions=rays.directions[start:stop],
+                                 near=rays.near, far=rays.far))
+    with mock.patch.object(batching, "DEFAULT_CHUNK_POINTS", chunk):
+        views = batching.render_coalesced(pipeline, bundles,
+                                          arena=WorkspaceArena())
+    assert len(views) == len(bundles)
+    for (_, _, culled), bundle, view in zip(requests, bundles, views):
+        solo = pipeline.render_rays(bundle, rng=None)
+        if culled:
+            assert view.n_queried == 0
+        assert view.n_queried == solo.n_queried
+        assert view.n_total == solo.n_total
+        np.testing.assert_allclose(view.colors, solo.render.colors,
+                                   rtol=0, atol=1e-8)
+        np.testing.assert_allclose(view.depth, solo.render.depth,
+                                   rtol=0, atol=1e-8)

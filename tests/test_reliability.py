@@ -74,11 +74,16 @@ def rel_datasets():
     return [_make_dataset(name) for name in ("lego", "chair")]
 
 
+@pytest.fixture(scope="module", autouse=True)
+def _fast_occupancy(occupancy_schedule):
+    """Occupancy refreshes that fire within a few train-job steps."""
+    with occupancy_schedule(warmup=4, every=2):
+        yield
+
+
 @pytest.fixture(scope="module")
 def rel_config(tiny_config):
-    return dataclasses.replace(tiny_config, culling_enabled=True,
-                               occupancy_warmup_iterations=4,
-                               occupancy_update_every=2)
+    return dataclasses.replace(tiny_config, culling_enabled=True)
 
 
 @pytest.fixture(autouse=True)

@@ -20,14 +20,12 @@ import numpy as np
 import pytest
 
 from repro.accelerator.bum import replay_trace
-from repro.core.config import _RAY_SCHEDULES
 from repro.core.model import DecoupledRadianceField
 from repro.datasets import nerf_synthetic_like
 from repro.nerf.cameras import sample_pixel_batch
 from repro.nerf.occupancy import OccupancyGrid
 from repro.nerf.sampling import ray_probe_points
 from repro.nerf.scheduling import (
-    RAY_SCHEDULES,
     MortonTileScheduler,
     OccupancyTileScheduler,
     UniformScheduler,
@@ -105,11 +103,6 @@ class TestMortonCodes:
 
 
 class TestConfigValidation:
-    def test_schedule_names_match_config_copy(self):
-        # config.py keeps its own tuple (core cannot import nerf); the two
-        # must never drift apart.
-        assert tuple(_RAY_SCHEDULES) == tuple(RAY_SCHEDULES)
-
     def test_unknown_schedule_rejected(self, tiny_config):
         with pytest.raises(ValueError, match="ray_schedule"):
             dataclasses.replace(tiny_config, ray_schedule="hilbert")
@@ -234,7 +227,7 @@ class TestOccupancyTileScheduler:
         assert np.array_equal(m_targets, o_targets)
 
     def test_empty_grid_degrades_to_morton(self, tiny_dataset):
-        grid = OccupancyGrid(resolution=8)
+        grid = OccupancyGrid(resolution=8, decay=0.95)
         assert not grid.has_data
         (m_bundle, _), _, (o_bundle, _), occ = \
             self._schedulers(tiny_dataset, occupancy=grid)
@@ -242,7 +235,7 @@ class TestOccupancyTileScheduler:
         assert np.array_equal(m_bundle.origins, o_bundle.origins)
 
     def test_reorder_is_a_permutation_with_sorted_keys(self, tiny_dataset):
-        grid = OccupancyGrid(resolution=8)
+        grid = OccupancyGrid(resolution=8, decay=0.95)
         rng = new_rng(2)
         grid.mark_occupied(rng.uniform(0.2, 0.8, size=(64, 3)))
         (m_bundle, m_targets), _, (o_bundle, o_targets), occ = \
@@ -257,7 +250,7 @@ class TestOccupancyTileScheduler:
         assert m_rows == o_rows
 
     def test_reorder_consumes_no_extra_rng(self, tiny_dataset):
-        grid = OccupancyGrid(resolution=8)
+        grid = OccupancyGrid(resolution=8, decay=0.95)
         grid.mark_occupied(np.full((4, 3), 0.5))
         rng_a, rng_b = new_rng(9), new_rng(9)
         morton = MortonTileScheduler(tiny_dataset.train_cameras,
@@ -293,7 +286,7 @@ class TestRayProbing:
             ray_probe_points(bundle, n_probes=0)
 
     def test_first_occupied_cells_finds_first_hit(self):
-        grid = OccupancyGrid(resolution=4)
+        grid = OccupancyGrid(resolution=4, decay=0.95)
         grid.mark_occupied(np.array([[0.6, 0.6, 0.6]]))
         # Ray A: probes through the occupied cell on its third probe.
         # Ray B: never enters it.
@@ -307,7 +300,7 @@ class TestRayProbing:
         assert (int(ix[0]), int(iy[0]), int(iz[0])) == (2, 2, 2)
 
     def test_first_occupied_cells_validates_shape(self):
-        grid = OccupancyGrid(resolution=4)
+        grid = OccupancyGrid(resolution=4, decay=0.95)
         grid.mark_occupied(np.full((1, 3), 0.5))
         with pytest.raises(ValueError):
             grid.first_occupied_cells(np.zeros((5, 3)), n_rays=2, n_probes=3)

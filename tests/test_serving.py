@@ -128,26 +128,32 @@ def serving_datasets():
     return [_make_dataset(name) for name in ("lego", "chair", "drums")]
 
 
+@pytest.fixture(scope="module", autouse=True)
+def _fast_occupancy(occupancy_schedule):
+    """Occupancy refreshes that fire within a few train-job steps."""
+    with occupancy_schedule(warmup=4, every=2):
+        yield
+
+
 @pytest.fixture(scope="module")
 def serving_config(request):
     config = request.getfixturevalue("tiny_config")
-    return dataclasses.replace(config, culling_enabled=True,
-                               occupancy_warmup_iterations=4,
-                               occupancy_update_every=2)
+    return dataclasses.replace(config, culling_enabled=True)
 
 
 class TestStagedPipelineDifferential:
     """The recomposed stages are the PR 7 monolith, bit for bit."""
 
     @pytest.fixture(scope="class", params=["float64", "float32"])
-    def trained(self, request, tiny_config, tiny_dataset):
+    def trained(self, request, tiny_config, tiny_dataset,
+                occupancy_schedule):
         config = dataclasses.replace(
-            tiny_config, culling_enabled=True, compute_dtype=request.param,
-            occupancy_warmup_iterations=8, occupancy_update_every=4)
+            tiny_config, culling_enabled=True, compute_dtype=request.param)
         model = DecoupledRadianceField(config, seed=0)
         trainer = Trainer(model, tiny_dataset, config=config, seed=0)
-        for _ in range(60):
-            trainer.train_step()
+        with occupancy_schedule(warmup=8, every=4):
+            for _ in range(60):
+                trainer.train_step()
         # The grid must genuinely cull for the compacted path to be exercised.
         assert 0.0 < trainer.occupancy.occupancy_fraction < 1.0
         return trainer
@@ -191,14 +197,13 @@ class TestStagedPipelineDifferential:
 
 class TestCoalescedRendering:
     @pytest.fixture(scope="class")
-    def trained(self, tiny_config, tiny_dataset):
-        config = dataclasses.replace(
-            tiny_config, culling_enabled=True,
-            occupancy_warmup_iterations=8, occupancy_update_every=4)
+    def trained(self, tiny_config, tiny_dataset, occupancy_schedule):
+        config = dataclasses.replace(tiny_config, culling_enabled=True)
         model = DecoupledRadianceField(config, seed=0)
         trainer = Trainer(model, tiny_dataset, config=config, seed=0)
-        for _ in range(60):
-            trainer.train_step()
+        with occupancy_schedule(warmup=8, every=4):
+            for _ in range(60):
+                trainer.train_step()
         return trainer
 
     def _pipeline(self, trainer, dataset):

@@ -166,9 +166,9 @@ class TestParameter:
 # ---------------------------------------------------------------------------
 
 class TestGridCOOEmission:
-    def _grids(self, config, **kwargs):
-        dense = MultiResHashGrid(config, rng=new_rng(0), **kwargs)
-        coo = MultiResHashGrid(config, rng=new_rng(0), sparse=True, **kwargs)
+    def _grids(self, config):
+        dense = MultiResHashGrid(config, rng=new_rng(0))
+        coo = MultiResHashGrid(config, rng=new_rng(0), sparse=True)
         return dense, coo
 
     def _check_match(self, dense, coo, points, grad):
@@ -192,13 +192,6 @@ class TestGridCOOEmission:
         points = rng.uniform(size=(257, 3))
         grad = rng.standard_normal(
             (257, tiny_grid_config.n_output_features))
-        self._check_match(dense, coo, points, grad)
-
-    def test_coo_matches_dense_scatter_chunked(self, tiny_grid_config, rng):
-        dense, coo = self._grids(tiny_grid_config, max_chunk_points=64)
-        points = rng.uniform(size=(200, 3))
-        grad = rng.standard_normal(
-            (200, tiny_grid_config.n_output_features))
         self._check_match(dense, coo, points, grad)
 
     @pytest.mark.parametrize("n_features", [1, 4])

@@ -1,5 +1,7 @@
 """Tests for the training pipeline: profiler, trainer, metrics."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -143,6 +145,33 @@ class TestTrainer:
         trainer = Trainer(model, tiny_dataset, seed=0)
         with pytest.raises(ValueError):
             trainer.train(0)
+
+    @pytest.mark.parametrize("name,value", [
+        ("grid", dataclasses.replace(Instant3DConfig().grid, n_levels=3)),
+        ("color_size_ratio", 1.0),
+        ("mlp_hidden_width", 8),
+        ("mlp_hidden_layers", 2),
+        ("compute_dtype", "float32"),
+        ("sparse_updates", True),
+    ])
+    def test_config_disagreeing_with_model_rejected(self, tiny_config,
+                                                    tiny_dataset, name, value):
+        # Such a trainer would record, say, sparse_updates=True in its
+        # checkpoints while stepping the model's dense grids.
+        model = DecoupledRadianceField(tiny_config, seed=0)
+        config = dataclasses.replace(tiny_config, **{name: value})
+        assert getattr(config, name) != getattr(tiny_config, name)
+        with pytest.raises(ValueError, match=f"config.{name}="):
+            Trainer(model, tiny_dataset, config=config, seed=0)
+
+    def test_run_level_config_fields_may_differ(self, tiny_config,
+                                                tiny_dataset):
+        model = DecoupledRadianceField(tiny_config, seed=0)
+        config = dataclasses.replace(
+            tiny_config, culling_enabled=True, batch_pixels=16,
+            learning_rate=5e-3, color_update_freq=1.0, ray_schedule="morton")
+        trainer = Trainer(model, tiny_dataset, config=config, seed=0)
+        assert trainer.train_step()["loss"] >= 0.0
 
 
 class TestMetrics:
