@@ -108,6 +108,8 @@ class TestConfigNumericValidation:
         {"learning_rate": -1e-2},
         {"learning_rate": float("nan")},
         {"learning_rate": float("inf")},
+        {"density_update_freq": float("nan")},
+        {"color_size_ratio": -0.5},
     ])
     def test_non_finite_or_out_of_range_rejected(self, tiny_config, kwargs):
         with pytest.raises(ValueError):
