@@ -211,8 +211,9 @@ class MultiResHashGrid:
     """Multiresolution hash-grid encoder with access tracing.
 
     One engine serves every query: it computes corner addresses and
-    trilinear weights for all ``L`` levels in one stacked ``(N, L, 8)`` pass,
-    gathers from the grid's single backing feature table, and
+    trilinear weights for all ``L`` levels into ``(8, L, N)`` corner planes,
+    one broadcast numpy call per stage, gathers from the grid's single
+    backing feature table, and
     back-propagates with one ``np.bincount`` segment-sum per feature over
     all eight corner planes of the touched addresses.  Its
     :class:`GridAccessRecord` traces feed the accelerator simulator and the
@@ -307,7 +308,6 @@ class MultiResHashGrid:
         self._dense_strides = np.array(
             [self.levels[i].resolution + 1 for i in self._dense_idx], dtype=np.int64)
         hash_sizes = sizes[self._hash_idx]
-        self._hash_sizes_u64 = hash_sizes.astype(np.uint64)
         self._hash_all_pow2 = bool(
             ((hash_sizes & (hash_sizes - 1)) == 0).all()) if hash_sizes.size else True
         # One backing Parameter holds every level's rows contiguously — "the
@@ -339,9 +339,17 @@ class MultiResHashGrid:
         self._max_base_col = self._max_base.astype(bdt)[:, None]
         self._res_col = self._resolutions[:, None]
         n_dense = self._dense_idx.size
-        self._dense_strides_col = self._dense_strides.astype(bdt)[:, None]
-        self._dense_offsets_col = (
-            self._offsets_arr[:n_dense].astype(bdt)[:, None])
+        # Dense levels: per axis, (coord + k) * stride for k in (0, 1) with
+        # strides (1, s, s^2), as coord * stride + k * stride; the level's
+        # global table offset is folded into the z term.  (3, 2, n_dense, 1).
+        s = self._dense_strides.astype(bdt)
+        self._dense_axis_strides = np.stack((np.ones_like(s), s, s * s))[
+            :, None, :, None]
+        self._dense_terms = (np.arange(2, dtype=bdt)[None, :, None, None]
+                             * self._dense_axis_strides)
+        self._dense_terms[2] += self._offsets_arr[:n_dense].astype(bdt)[:, None]
+        # Hashed levels start from coord + k for k in (0, 1).
+        self._coord_step = np.arange(2, dtype=bdt)[:, None, None]
         self._hash_offsets_col = self._offsets_arr[n_dense:][:, None]
         # The spatial hash is arithmetic mod 2**32, so when the lattice fits
         # int32 it runs natively in uint32 — the wrapping multiply IS the
@@ -349,9 +357,10 @@ class MultiResHashGrid:
         # traffic and without the explicit masking passes.
         self._hash_dtype = (np.uint32 if self._base_dtype == np.int32
                             else np.uint64)
-        self._pi_consts = tuple(self._hash_dtype(int(pi))
-                                for pi in (PI1, PI2, PI3))
-        self._hash_sizes_col = self._hash_sizes_u64.astype(
+        self._pi_col = np.array([int(pi) for pi in (PI1, PI2, PI3)],
+                                dtype=self._hash_dtype)[:, None, None, None]
+        self._hash_sizes_col = hash_sizes[:, None]
+        self._hash_pow2_mask_col = (hash_sizes - 1).astype(
             self._hash_dtype)[:, None]
         self._record_layout = ([int(offset) for offset in self._offsets_arr],
                                [int(size) for size in sizes])
@@ -396,18 +405,14 @@ class MultiResHashGrid:
     #
     # The engine works in a corner-major, level-major "plane" layout:
     # addresses and weights live in contiguous ``(8, L, N)`` arrays, one
-    # plane per cube corner with one contiguous row per level.  Every
-    # arithmetic pass then streams over a flat ``(L, N)`` block — no
-    # ``(N, L, 8, 3)`` corner tensor is ever materialised, and the dense- and
-    # hashed-level groups write whole rows instead of read-modify-writing
-    # interleaved columns — and the per-corner hash/weight products are
-    # shared across the four corners that reuse them (``h(x+dx) ^ h(y+dy)``
-    # appears in two corners each).
-
-    #: Corner build order: (xy-pair index, z index) per corner, consistent
-    #: with :data:`~repro.grid.interpolation.CORNER_OFFSETS` (dx = bit 0,
-    #: dy = bit 1, dz = bit 2).
-    _CORNER_XY_Z = ((0, 0), (1, 0), (2, 0), (3, 0), (0, 1), (1, 1), (2, 1), (3, 1))
+    # plane per cube corner with one contiguous row per level, and corner =
+    # 4*dz + 2*dy + dx (:data:`~repro.grid.interpolation.CORNER_OFFSETS`).
+    # Viewed as ``(2, 4, L, N)`` — (dz, xy-pair) — each stage of the query is
+    # one broadcast numpy call over all axes, levels and corners: the
+    # per-axis products are formed once for coord and coord + 1, their xy
+    # pairs as a 2x2 broadcast, and the eight corners as one (z, xy)
+    # broadcast into the planes.  No ``(N, L, 8, 3)`` corner tensor is ever
+    # materialised.
 
     def _query_into(self, points: np.ndarray, table: np.ndarray,
                           addr_planes: np.ndarray, weight_planes: np.ndarray,
@@ -426,126 +431,75 @@ class MultiResHashGrid:
         n = points.shape[0]
         n_levels = len(self.levels)
         n_dense = self._dense_idx.size
+        n_hash = n_levels - n_dense
         dt = self.policy.dtype
         bdt = self._base_dtype
-        clipped = self._buf("q/clipped", (n, 3), dt)
-        np.clip(points, 0.0, 1.0, out=clipped)
-        # Per-axis voxel base coordinates and fractional positions, (L, N);
-        # the frac overwrites its scaled buffer once the base is extracted.
-        base = []
-        frac = []
-        for axis in range(3):
-            scaled = self._buf(f"q/scaled{axis}", (n_levels, n), dt)
-            np.multiply(self._res_col, clipped[None, :, axis], out=scaled)
-            # Truncation equals floor here because ``scaled >= 0``.
-            b = self._buf(f"q/base{axis}", (n_levels, n), bdt)
-            np.copyto(b, scaled, casting="unsafe")
-            np.minimum(b, self._max_base_col, out=b)
-            base.append(b)
-            if self.policy.is_reference:
-                np.subtract(scaled, b, out=scaled)
-            else:
-                # Force the float32 loop (int32 operand would promote to
-                # float64); base values are < 2**24, so the cast is exact.
-                np.subtract(scaled, b, out=scaled, dtype=np.float32,
-                            casting="unsafe")
-            frac.append(scaled)
-        bx, by, bz = base
-        fx, fy, fz = frac
+        clipped = self._buf("q/clipped", (3, n), dt)
+        np.clip(points.T, 0.0, 1.0, out=clipped)
+        # Per-axis weights (1 - f, f): axis_w[1] first holds the scaled
+        # coordinates, (3, L, N), and becomes the fraction once the base
+        # coordinates are extracted.
+        axis_w = self._buf("q/axis_w", (2, 3, n_levels, n), dt)
+        scaled = axis_w[1]
+        np.multiply(self._res_col, clipped[:, None, :], out=scaled)
+        # Truncation equals floor here because ``scaled >= 0``.
+        base = self._buf("q/base", (3, n_levels, n), bdt)
+        np.copyto(base, scaled, casting="unsafe")
+        np.minimum(base, self._max_base_col, out=base)
+        if self.policy.is_reference:
+            np.subtract(scaled, base, out=scaled)
+        else:
+            # Force the float32 loop (int32 operand would promote to
+            # float64); base values are < 2**24, so the cast is exact.
+            np.subtract(scaled, base, out=scaled, dtype=np.float32,
+                        casting="unsafe")
+        np.subtract(1.0, scaled, out=axis_w[0])
 
+        addr4 = addr_planes.reshape(2, 4, n_levels, n)
         if n_dense:
-            # Dense (collision-free) levels: linear index with x fastest;
-            # the level's global table offset is folded into the z term.
+            # Dense (collision-free) levels: linear index with x fastest.
             # All values are bounded by the level's table size, so the
             # arithmetic fits the lattice dtype by construction.
-            strides = self._dense_strides_col
-            x0 = bx[:n_dense]
-            y0 = self._buf("q/y0", (n_dense, n), bdt)
-            np.multiply(by[:n_dense], strides, out=y0)
-            z0 = self._buf("q/z0", (n_dense, n), bdt)
-            np.multiply(bz[:n_dense], strides * strides, out=z0)
-            z0 += self._dense_offsets_col
-            x1 = self._buf("q/x1", (n_dense, n), bdt)
-            np.add(x0, 1, out=x1)
-            y1 = self._buf("q/y1", (n_dense, n), bdt)
-            np.add(y0, strides, out=y1)
-            z1 = self._buf("q/z1", (n_dense, n), bdt)
-            np.add(z0, strides * strides, out=z1)
-            xy = tuple(self._buf(f"q/dxy{i}", (n_dense, n), bdt)
-                       for i in range(4))
-            np.add(x0, y0, out=xy[0])
-            np.add(x1, y0, out=xy[1])
-            np.add(x0, y1, out=xy[2])
-            np.add(x1, y1, out=xy[3])
-            zs = (z0, z1)
-            for corner, (xy_idx, z_idx) in enumerate(self._CORNER_XY_Z):
-                np.add(xy[xy_idx], zs[z_idx],
-                       out=addr_planes[corner, :n_dense])
-        if n_dense < n_levels:
-            # Hashed levels: per-axis products are shared across corners.
+            terms = self._buf("q/dense", (3, 2, n_dense, n), bdt)
+            np.multiply(base[:, None, :n_dense], self._dense_axis_strides,
+                        out=terms)
+            np.add(terms, self._dense_terms, out=terms)
+            dxy = self._buf("q/dxy", (2, 2, n_dense, n), bdt)
+            np.add(terms[0][None], terms[1][:, None], out=dxy)
+            np.add(dxy.reshape(1, 4, n_dense, n), terms[2][:, None],
+                   out=addr4[:, :, :n_dense])
+        if n_hash:
+            # Hashed levels: pi * coord and pi * (coord + 1) per axis.
             hdt = self._hash_dtype
             narrow = hdt == np.uint32       # wrapping multiply == & _MASK32
-            one = hdt(1)
-            n_hash = n_levels - n_dense
-            hash_offsets = self._hash_offsets_col
-            hashes = []
-            for key, b, pi in zip("xyz", (bx, by, bz), self._pi_consts):
-                u = self._buf(f"q/u{key}", (n_hash, n), hdt)
-                np.copyto(u, b[n_dense:], casting="unsafe")
-                h0 = self._buf(f"q/h{key}0", (n_hash, n), hdt)
-                np.multiply(u, pi, out=h0)
-                if not narrow:
-                    np.bitwise_and(h0, _MASK32, out=h0)
-                np.add(u, one, out=u)                 # u holds coord + 1 now
-                h1 = u                                # hash of it, in place
-                np.multiply(u, pi, out=h1)
-                if not narrow:
-                    np.bitwise_and(h1, _MASK32, out=h1)
-                hashes.append((h0, h1))
-            (hx0, hx1), (hy0, hy1), (hz0, hz1) = hashes
-            xy = tuple(self._buf(f"q/hxy{i}", (n_hash, n), hdt)
-                       for i in range(4))
-            np.bitwise_xor(hx0, hy0, out=xy[0])
-            np.bitwise_xor(hx1, hy0, out=xy[1])
-            np.bitwise_xor(hx0, hy1, out=xy[2])
-            np.bitwise_xor(hx1, hy1, out=xy[3])
-            zs = (hz0, hz1)
-            h = self._buf("q/h", (n_hash, n), hdt)
-            # uint64 + int64 would promote to float64; route through a
-            # signed view (wide) or rely on uint32 -> int64 promotion.
-            h_for_add = h if narrow else h.view(np.int64)
+            hu = self._buf("q/hu", (3, 2, n_hash, n), hdt)
+            np.add(base[:, None, n_dense:], self._coord_step, out=hu,
+                   casting="unsafe")
+            np.multiply(hu, self._pi_col, out=hu)
+            if not narrow:
+                np.bitwise_and(hu, _MASK32, out=hu)
+            hxy = self._buf("q/hxy", (2, 2, n_hash, n), hdt)
+            np.bitwise_xor(hu[0][None], hu[1][:, None], out=hxy)
+            hz = hu[2]
             if self._hash_all_pow2:
                 # ``& (T-1) == % T`` for power-of-two tables, and ``&``
                 # distributes over ``^``: mask the six shared products once
                 # instead of masking every corner's xor.
-                pow2_mask = self._hash_sizes_col - one
-                for v in xy + zs:
-                    np.bitwise_and(v, pow2_mask, out=v)
-                for corner, (xy_idx, z_idx) in enumerate(self._CORNER_XY_Z):
-                    np.bitwise_xor(xy[xy_idx], zs[z_idx], out=h)
-                    np.add(h_for_add, hash_offsets,
-                           out=addr_planes[corner, n_dense:])
-            else:
-                for corner, (xy_idx, z_idx) in enumerate(self._CORNER_XY_Z):
-                    np.bitwise_xor(xy[xy_idx], zs[z_idx], out=h)
-                    h %= self._hash_sizes_col
-                    np.add(h_for_add, hash_offsets,
-                           out=addr_planes[corner, n_dense:])
+                np.bitwise_and(hxy, self._hash_pow2_mask_col, out=hxy)
+                np.bitwise_and(hz, self._hash_pow2_mask_col, out=hz)
+            # The corner hashes go straight into the int64 address planes
+            # (every value is below 2**32), then take the modulo and the
+            # level's global table offset in place.
+            h = addr4[:, :, n_dense:]
+            np.bitwise_xor(hxy.reshape(1, 4, n_hash, n), hz[:, None], out=h)
+            if not self._hash_all_pow2:
+                np.remainder(h, self._hash_sizes_col, out=h)
+            np.add(h, self._hash_offsets_col, out=h)
 
-        gx = self._buf("q/gx", (n_levels, n), dt)
-        gy = self._buf("q/gy", (n_levels, n), dt)
-        gz = self._buf("q/gz", (n_levels, n), dt)
-        np.subtract(1.0, fx, out=gx)
-        np.subtract(1.0, fy, out=gy)
-        np.subtract(1.0, fz, out=gz)
-        wxy = tuple(self._buf(f"q/wxy{i}", (n_levels, n), dt) for i in range(4))
-        np.multiply(gx, gy, out=wxy[0])
-        np.multiply(fx, gy, out=wxy[1])
-        np.multiply(gx, fy, out=wxy[2])
-        np.multiply(fx, fy, out=wxy[3])
-        wzs = (gz, fz)
-        for corner, (xy_idx, z_idx) in enumerate(self._CORNER_XY_Z):
-            np.multiply(wxy[xy_idx], wzs[z_idx], out=weight_planes[corner])
+        wxy = self._buf("q/wxy", (2, 2, n_levels, n), dt)
+        np.multiply(axis_w[:, 0][None], axis_w[:, 1][:, None], out=wxy)
+        np.multiply(wxy.reshape(1, 4, n_levels, n), axis_w[:, 2][:, None],
+                    out=weight_planes.reshape(2, 4, n_levels, n))
 
         # F == 2 fast path: each table row is one complex64 (the flat pair
         # view), so a corner gather is a single flat take and the weighted
@@ -631,9 +585,9 @@ class MultiResHashGrid:
         Must be called after :meth:`forward`; uses the corner planes of the
         most recent query.  Per feature, one ``np.bincount`` over all eight
         corner planes accumulates every level's gradients at the global
-        (level-offset) addresses, and only the touched table rows receive
-        float32 updates (dense) or are emitted as one COO pair (``sparse``,
-        see :meth:`_scatter_sparse`).
+        (level-offset) addresses; the float32 sums are added over the whole
+        gradient table (dense) or the touched rows are emitted as one COO
+        pair (``sparse``, see :meth:`_scatter_sparse`).
 
         ``runner`` (sparse grids only) is a pair runner, ``runner(first,
         second)`` returning both results, such as
@@ -665,17 +619,17 @@ class MultiResHashGrid:
         for j, contrib in enumerate(self._contributions("bwd", record, grad3,
                                                         0, n_levels)):
             acc[j] = np.bincount(flat_addr, weights=contrib, minlength=total)
-        touched = np.flatnonzero(self._any_nonzero("bwd", acc))
-        acc = acc.T
-        self.last_touched_rows = int(touched.size)
+        self.last_touched_rows = int(np.count_nonzero(
+            self._any_nonzero("bwd", acc)))
         self.last_scatter_updates = int(addr_planes.size)
-        # Sized at the table bound (not the batch-dependent touched count)
-        # so the steady-state arena never regrows it.
-        acc_touched = self._buf("bwd/acc_touched", (total, f),
-                                np.float64)[:touched.size]
-        np.take(acc, touched, axis=0, out=acc_touched, mode="clip")
-        # touched is unique, so a plain indexed add needs no np.add.at.
-        self.table.grad[touched] += acc_touched.astype(np.float32)
+        # One contiguous add over the whole table is much cheaper than a
+        # gather and scatter of the touched rows (a culled batch touches a
+        # scattered half of a small table), and it changes no bit: a
+        # bincount sum starts at +0.0, so it is never -0.0, and a dense
+        # gradient row (a sum from the zeroed table) plus +0.0 is itself.
+        acc32 = self._buf("bwd/acc32", (total, f), np.float32)
+        np.copyto(acc32, acc.T, casting="same_kind")
+        self.table.grad += acc32
 
     def _contributions(self, key: str, record: GridAccessRecord,
                        grad3: np.ndarray, lo: int, hi: int):

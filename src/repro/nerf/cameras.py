@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -99,6 +99,118 @@ class PinholeCamera:
         return self.rays_for_pixels(cols, rows)
 
 
+class RayTable:
+    """Every training view's rays and colours, flattened for one-gather draws.
+
+    Row ``offset[v] + row * width_v + col`` holds pixel ``(col, row)`` of
+    view ``v``: its unit direction (the row of the view's
+    :meth:`PinholeCamera.all_rays`) and its colour; each view also has its
+    ray origin (the camera centre).  A pixel draw is then integer index
+    arithmetic plus one gather per array, whatever the number of views —
+    rays are not generated view by view on every draw.  The arrays are
+    built on the first draw, not at construction.
+
+    Because every direction comes from one ``all_rays()`` call per view, a
+    pixel's ray does not depend on which other pixels share its draw.
+    :meth:`PinholeCamera.rays_for_pixels` over a view's drawn pixels gives
+    the same bits when it is called with at least two pixels; called with
+    one, it runs a one-row matrix product whose direction may differ from
+    the table's in the last bit.
+
+    A batch carries one ``near``/``far`` interval, so every view must share
+    view 0's; the constructor rejects a view whose interval differs, and an
+    image whose shape is not ``(height, width, 3)``, naming the view.
+    """
+
+    def __init__(self, cameras: Sequence[PinholeCamera], images: Sequence):
+        if len(cameras) != len(images) or not cameras:
+            raise ValueError("cameras and images must be non-empty and aligned")
+        self.cameras = list(cameras)
+        self.images = [np.asarray(image) for image in images]
+        self.near = self.cameras[0].near
+        self.far = self.cameras[0].far
+        for view, (cam, image) in enumerate(zip(self.cameras, self.images)):
+            if (cam.near, cam.far) != (self.near, self.far):
+                raise ValueError(
+                    f"view {view} has near/far ({cam.near}, {cam.far}) but "
+                    f"view 0 has ({self.near}, {self.far}); a pixel batch "
+                    f"carries one interval")
+            expected = (cam.height, cam.width, 3)
+            if image.shape != expected:
+                raise ValueError(
+                    f"view {view} has image shape {image.shape}, expected "
+                    f"(height, width, 3) = {expected}")
+        self.widths = [cam.width for cam in self.cameras]
+        self.heights = [cam.height for cam in self.cameras]
+        self._directions: Optional[np.ndarray] = None
+
+    @property
+    def n_views(self) -> int:
+        return len(self.cameras)
+
+    def _build(self) -> None:
+        self._widths = np.array(self.widths, dtype=np.int64)
+        self._offsets = np.concatenate(
+            ([0], np.cumsum([cam.n_pixels for cam in self.cameras])[:-1]))
+        self._directions = np.concatenate(
+            [cam.all_rays().directions for cam in self.cameras])
+        self._colors = np.concatenate(
+            [np.asarray(image, dtype=np.float64).reshape(-1, 3)
+             for image in self.images])
+        self._origins = np.stack([cam.pose[:3, 3] for cam in self.cameras])
+
+    def draw(self, unit_view: np.ndarray, unit_pixels: int,
+             draw_view: Callable[[int, int], Tuple[np.ndarray, np.ndarray]]
+             ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Scatter per-view pixel draws back into batch order.
+
+        ``unit_view`` gives the view of each drawn unit (a pixel, or a tile
+        of ``unit_pixels`` pixels); ``draw_view(view, count)`` returns the
+        ``(cols, rows)`` of ``count`` units of ``view``, unit-major.  It is
+        called once per drawn view, in ascending view order, so a caller
+        that draws from a generator there consumes it in that order.
+        Returns ``(pixel_view, cols, rows)``: each view's pixels fill the
+        batch positions of its units, in order.
+        """
+        counts = np.bincount(unit_view, minlength=self.n_views)
+        drawn = [draw_view(view, int(counts[view]))
+                 for view in np.flatnonzero(counts)]
+        pixel_view = np.repeat(unit_view, unit_pixels)
+        order = np.argsort(pixel_view, kind="stable")
+        cols = np.empty(pixel_view.size, dtype=np.int64)
+        rows = np.empty(pixel_view.size, dtype=np.int64)
+        if drawn:
+            cols[order] = np.concatenate([c for c, _ in drawn])
+            rows[order] = np.concatenate([r for _, r in drawn])
+        return pixel_view, cols, rows
+
+    def gather(self, pixel_view: np.ndarray, cols: np.ndarray,
+               rows: np.ndarray) -> Tuple[RayBundle, np.ndarray]:
+        """``(ray_bundle, target_rgb)`` of the given pixels of the given views."""
+        if self._directions is None:
+            self._build()
+        flat = self._offsets[pixel_view] + rows * self._widths[pixel_view] + cols
+        bundle = RayBundle(origins=np.take(self._origins, pixel_view, axis=0),
+                           directions=np.take(self._directions, flat, axis=0),
+                           near=self.near, far=self.far)
+        return bundle, np.take(self._colors, flat, axis=0)
+
+    def sample_pixels(self, batch_size: int, rng: np.random.Generator):
+        """Step ❶: ``batch_size`` uniform random pixels across all views.
+
+        Draws with replacement, as in Instant-NGP: one view per pixel
+        first, then each drawn view's columns and rows in ascending view
+        order.  Returns ``(ray_bundle, target_rgb)``.
+        """
+        view_idx = rng.integers(0, self.n_views, size=batch_size)
+        pixel_view, cols, rows = self.draw(
+            view_idx, 1,
+            lambda view, count: (
+                rng.integers(0, self.widths[view], size=count),
+                rng.integers(0, self.heights[view], size=count)))
+        return self.gather(pixel_view, cols, rows)
+
+
 def sample_pixel_batch(cameras, images, batch_size: int,
                        rng: np.random.Generator):
     """Step ❶: randomly sample a batch of pixels across all training views.
@@ -118,25 +230,8 @@ def sample_pixel_batch(cameras, images, batch_size: int,
     Returns
     -------
     ``(ray_bundle, target_rgb)`` where ``target_rgb`` is ``(batch_size, 3)``.
+
+    Builds a :class:`RayTable` over the views for this one draw; callers
+    that draw repeatedly keep a table (every ray scheduler does).
     """
-    if len(cameras) != len(images) or not cameras:
-        raise ValueError("cameras and images must be non-empty and aligned")
-    n_views = len(cameras)
-    view_idx = rng.integers(0, n_views, size=batch_size)
-    origins = np.empty((batch_size, 3))
-    directions = np.empty((batch_size, 3))
-    targets = np.empty((batch_size, 3))
-    near = cameras[0].near
-    far = cameras[0].far
-    for view in np.unique(view_idx):
-        mask = view_idx == view
-        count = int(mask.sum())
-        cam = cameras[view]
-        image = np.asarray(images[view])
-        cols = rng.integers(0, cam.width, size=count)
-        rows = rng.integers(0, cam.height, size=count)
-        bundle = cam.rays_for_pixels(cols, rows)
-        origins[mask] = bundle.origins
-        directions[mask] = bundle.directions
-        targets[mask] = image[rows, cols]
-    return RayBundle(origins=origins, directions=directions, near=near, far=far), targets
+    return RayTable(cameras, images).sample_pixels(batch_size, rng)

@@ -8,9 +8,9 @@ samples rarely touch the same grid rows.  This module supplies drop-in
 schedulers for the trainer's pixel draw that restore that locality in
 software:
 
-* :class:`UniformScheduler` — the seed behaviour, delegating verbatim to
-  :func:`~repro.nerf.cameras.sample_pixel_batch`.  Bit-identical to the
-  pre-scheduler trainer (same RNG stream, same draws).
+* :class:`UniformScheduler` — the seed behaviour: uniform random pixels,
+  drawn as :func:`~repro.nerf.cameras.sample_pixel_batch` draws them (same
+  RNG stream, same draws).
 * :class:`MortonTileScheduler` — draws whole ``tile_size x tile_size`` pixel
   tiles per view and enumerates each tile's pixels in 2-D Morton order, so
   neighbouring rays (which march through overlapping grid voxels) are
@@ -20,6 +20,11 @@ software:
   stably reordering the batch by the 3-D Morton code of the first occupied
   cell each ray enters, grouping rays whose *kept* samples land in the same
   grid region.
+
+Every scheduler draws through its own :class:`~repro.nerf.cameras.RayTable`:
+the RNG picks views and pixels (or tile origins) view by view, and one
+gather per array then reads the drawn pixels' rays and colours from the
+table, built on the first draw.
 
 The RNG-stream rule that keeps ``ray_schedule="uniform"`` bit-identical: a
 scheduler owns the trainer's pixel stream for the duration of a draw and may
@@ -35,7 +40,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.nerf.cameras import PinholeCamera, RayBundle, sample_pixel_batch
+from repro.nerf.cameras import PinholeCamera, RayBundle, RayTable
 from repro.nerf.occupancy import OccupancyGrid
 from repro.nerf.sampling import normalize_points_to_unit_cube, ray_probe_points
 from repro.utils.morton import morton_encode_2d, morton_encode_3d
@@ -57,11 +62,6 @@ RAY_SCHEDULES = ("uniform", "morton", "occupancy")
 _NO_HIT_KEY = np.int64(1) << np.int64(62)
 
 
-def _validate_views(cameras: Sequence[PinholeCamera], images: Sequence) -> None:
-    if len(cameras) != len(images) or not cameras:
-        raise ValueError("cameras and images must be non-empty and aligned")
-
-
 class RayScheduler:
     """Draws ``(RayBundle, targets)`` training batches from the given views.
 
@@ -79,27 +79,24 @@ class RayScheduler:
 
 
 class UniformScheduler(RayScheduler):
-    """The seed schedule: uniform random pixels via :func:`sample_pixel_batch`.
+    """The seed schedule: uniform random pixels, drawn from a ray table.
 
-    This class adds no behaviour — it exists so the trainer can treat every
-    schedule uniformly.  The delegation keeps the RNG consumption (one view
+    :meth:`RayTable.sample_pixels` keeps the RNG consumption (one view
     draw, then per-view column/row draws) byte-for-byte identical to the
-    pre-scheduler trainer, which the differential tests pin.
+    pre-scheduler trainer, which the differential tests pin against a
+    frozen per-view draw.  ``last_pixels`` stays ``None``.
     """
 
     def __init__(self, cameras: Sequence[PinholeCamera], images: Sequence,
                  batch_pixels: int):
-        _validate_views(cameras, images)
+        self.table = RayTable(cameras, images)
         if batch_pixels < 1:
             raise ValueError("batch_pixels must be >= 1")
-        self.cameras = list(cameras)
-        self.images = list(images)
         self.batch_pixels = int(batch_pixels)
 
     def sample_batch(self, rng: np.random.Generator):
         self.last_pixels = None
-        return sample_pixel_batch(self.cameras, self.images,
-                                  self.batch_pixels, rng)
+        return self.table.sample_pixels(self.batch_pixels, rng)
 
 
 class MortonTileScheduler(RayScheduler):
@@ -113,20 +110,19 @@ class MortonTileScheduler(RayScheduler):
     the BUM's small address-matching window can exploit.
 
     ``tile_size`` is clamped to the smallest view dimension so tiles always
-    fit inside every image.
+    fit inside every image.  The drawn tiles' rays and colours are gathered
+    from the scheduler's :class:`RayTable` in one pass.
     """
 
     def __init__(self, cameras: Sequence[PinholeCamera], images: Sequence,
                  batch_pixels: int, tile_size: int = 8):
-        _validate_views(cameras, images)
+        self.table = RayTable(cameras, images)
         if batch_pixels < 1:
             raise ValueError("batch_pixels must be >= 1")
         if tile_size < 1:
             raise ValueError("tile_size must be >= 1")
-        self.cameras = list(cameras)
-        self.images = [np.asarray(image) for image in images]
         self.batch_pixels = int(batch_pixels)
-        min_dim = min(min(cam.width, cam.height) for cam in self.cameras)
+        min_dim = min(min(self.table.widths), min(self.table.heights))
         self.tile_size = int(min(tile_size, min_dim))
         # Within-tile (dx, dy) offsets along the Z curve, precomputed once.
         # For power-of-two tiles this is exactly the Morton traversal; for
@@ -141,42 +137,22 @@ class MortonTileScheduler(RayScheduler):
         self.pixels_per_tile = t * t
 
     def sample_batch(self, rng: np.random.Generator):
-        n_views = len(self.cameras)
-        ppt = self.pixels_per_tile
-        n_tiles = -(-self.batch_pixels // ppt)
-        n_total = n_tiles * ppt
+        table = self.table
         t = self.tile_size
-        view_idx = rng.integers(0, n_views, size=n_tiles)
-        pixel_view = np.repeat(view_idx, ppt)
-        origins = np.empty((n_total, 3))
-        directions = np.empty((n_total, 3))
-        targets = np.empty((n_total, 3))
-        cols_all = np.empty(n_total, dtype=np.int64)
-        rows_all = np.empty(n_total, dtype=np.int64)
-        near = self.cameras[0].near
-        far = self.cameras[0].far
-        for view in np.unique(view_idx):
-            count = int((view_idx == view).sum())
-            cam = self.cameras[view]
-            image = self.images[view]
-            ox = rng.integers(0, cam.width - t + 1, size=count)
-            oy = rng.integers(0, cam.height - t + 1, size=count)
-            cols = (ox[:, None] + self._tile_dx[None, :]).reshape(-1)
-            rows = (oy[:, None] + self._tile_dy[None, :]).reshape(-1)
-            bundle = cam.rays_for_pixels(cols, rows)
-            mask = pixel_view == view
-            origins[mask] = bundle.origins
-            directions[mask] = bundle.directions
-            targets[mask] = image[rows, cols]
-            cols_all[mask] = cols
-            rows_all[mask] = rows
+        n_tiles = -(-self.batch_pixels // self.pixels_per_tile)
+        view_idx = rng.integers(0, table.n_views, size=n_tiles)
+
+        def draw_tiles(view, count):
+            ox = rng.integers(0, table.widths[view] - t + 1, size=count)
+            oy = rng.integers(0, table.heights[view] - t + 1, size=count)
+            return ((ox[:, None] + self._tile_dx[None, :]).reshape(-1),
+                    (oy[:, None] + self._tile_dy[None, :]).reshape(-1))
+
+        pixel_view, cols, rows = table.draw(view_idx, self.pixels_per_tile,
+                                            draw_tiles)
         batch = self.batch_pixels
-        self.last_pixels = (pixel_view[:batch].copy(), cols_all[:batch],
-                            rows_all[:batch])
-        bundle = RayBundle(origins=origins[:batch],
-                           directions=directions[:batch],
-                           near=near, far=far)
-        return bundle, targets[:batch]
+        self.last_pixels = (pixel_view[:batch], cols[:batch], rows[:batch])
+        return table.gather(*self.last_pixels)
 
 
 class OccupancyTileScheduler(MortonTileScheduler):

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import threading
 from math import prod
-from typing import Dict, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -50,6 +50,9 @@ class WorkspaceArena:
 
     def __init__(self) -> None:
         self._backing: Dict[Tuple[str, str], np.ndarray] = {}
+        #: Normalised ``(dtype, dtype.str)`` per ``dtype`` argument seen, so
+        #: a hit skips ``np.dtype()``.
+        self._dtypes: Dict[Any, Tuple[np.dtype, str]] = {}
         self.hits = 0
         self.misses = 0
         self._lock = threading.Lock()
@@ -62,13 +65,17 @@ class WorkspaceArena:
         last time).  The view aliases the arena's backing store: it is valid
         until the same ``name`` is requested again.
         """
-        dt = np.dtype(dtype)
+        normalised = self._dtypes.get(dtype)
+        if normalised is None:
+            dt = np.dtype(dtype)
+            normalised = self._dtypes[dtype] = (dt, dt.str)
+        dt, dt_str = normalised
         if isinstance(shape, (int, np.integer)):
             shape = (int(shape),)
-        else:
+        elif type(shape) is not tuple:
             shape = tuple(int(s) for s in shape)
-        size = prod(shape) if shape else 1
-        key = (name, dt.str)
+        size = prod(shape)
+        key = (name, dt_str)
         with self._lock:
             backing = self._backing.get(key)
             if backing is None or backing.size < size:

@@ -17,6 +17,10 @@ the engine against them.
 * :func:`updates_in_loop` — the O(n) per-iteration count that
   :meth:`~repro.core.schedule.UpdateSchedule.updates_in` replaced with a
   closed form.
+* :func:`per_view_pixel_draw` and :func:`per_view_tile_draw` — the pixel
+  draws that :class:`~repro.nerf.cameras.RayTable` replaced: rays generated
+  view by view with ``rays_for_pixels`` on every draw, consuming the RNG in
+  the order the table must keep.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from repro.grid.hash_function import dense_index, spatial_hash
+from repro.nerf.cameras import RayBundle
 from repro.grid.interpolation import (
     CORNER_OFFSETS,
     interpolate,
@@ -151,3 +156,76 @@ def updates_in_loop(schedule, n_iterations: int) -> int:
     if n_iterations < 0:
         raise ValueError("n_iterations must be non-negative")
     return sum(schedule.should_update(i) for i in range(n_iterations))
+
+
+def per_view_pixel_draw(cameras, images, batch_size: int,
+                        rng: np.random.Generator):
+    """The per-view uniform draw of ``sample_pixel_batch``, verbatim.
+
+    One view per pixel, then per drawn view (ascending) its columns and
+    rows; each view's rays come from one ``rays_for_pixels`` call over its
+    drawn pixels.  Returns ``(bundle, targets)``.
+    """
+    if len(cameras) != len(images) or not cameras:
+        raise ValueError("cameras and images must be non-empty and aligned")
+    n_views = len(cameras)
+    view_idx = rng.integers(0, n_views, size=batch_size)
+    origins = np.empty((batch_size, 3))
+    directions = np.empty((batch_size, 3))
+    targets = np.empty((batch_size, 3))
+    near = cameras[0].near
+    far = cameras[0].far
+    for view in np.unique(view_idx):
+        mask = view_idx == view
+        count = int(mask.sum())
+        cam = cameras[view]
+        image = np.asarray(images[view])
+        cols = rng.integers(0, cam.width, size=count)
+        rows = rng.integers(0, cam.height, size=count)
+        bundle = cam.rays_for_pixels(cols, rows)
+        origins[mask] = bundle.origins
+        directions[mask] = bundle.directions
+        targets[mask] = image[rows, cols]
+    return RayBundle(origins=origins, directions=directions, near=near,
+                     far=far), targets
+
+
+def per_view_tile_draw(cameras, images, batch_pixels: int, tile_dx, tile_dy,
+                       rng: np.random.Generator):
+    """The per-view Morton tile draw, verbatim.
+
+    ``tile_dx``/``tile_dy`` are a tile's pixel offsets in Z-curve order
+    (``MortonTileScheduler._tile_dx``/``_tile_dy``).  One view per tile,
+    then per drawn view (ascending) its tile origins.  Returns
+    ``(bundle, targets, (views, cols, rows))``.
+    """
+    ppt = tile_dx.size
+    t = int(tile_dx.max()) + 1
+    n_tiles = -(-batch_pixels // ppt)
+    n_total = n_tiles * ppt
+    view_idx = rng.integers(0, len(cameras), size=n_tiles)
+    pixel_view = np.repeat(view_idx, ppt)
+    origins = np.empty((n_total, 3))
+    directions = np.empty((n_total, 3))
+    targets = np.empty((n_total, 3))
+    cols_all = np.empty(n_total, dtype=np.int64)
+    rows_all = np.empty(n_total, dtype=np.int64)
+    for view in np.unique(view_idx):
+        count = int((view_idx == view).sum())
+        cam = cameras[view]
+        image = np.asarray(images[view])
+        ox = rng.integers(0, cam.width - t + 1, size=count)
+        oy = rng.integers(0, cam.height - t + 1, size=count)
+        cols = (ox[:, None] + tile_dx[None, :]).reshape(-1)
+        rows = (oy[:, None] + tile_dy[None, :]).reshape(-1)
+        bundle = cam.rays_for_pixels(cols, rows)
+        mask = pixel_view == view
+        origins[mask] = bundle.origins
+        directions[mask] = bundle.directions
+        targets[mask] = image[rows, cols]
+        cols_all[mask] = cols
+        rows_all[mask] = rows
+    b = batch_pixels
+    bundle = RayBundle(origins=origins[:b], directions=directions[:b],
+                       near=cameras[0].near, far=cameras[0].far)
+    return bundle, targets[:b], (pixel_view[:b], cols_all[:b], rows_all[:b])

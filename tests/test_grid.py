@@ -228,15 +228,40 @@ class TestFusedEngine:
         "tiny": HashGridConfig(n_levels=4, n_features_per_level=2,
                                log2_hashmap_size=10, base_resolution=4,
                                finest_resolution=32),
-        # Non-power-of-two tables (size_scale != 1) take the modulo path.
+        # A smaller power-of-two table (2**11 * 0.25 = 512 rows).
         "scaled": HashGridConfig(n_levels=5, n_features_per_level=2,
                                  log2_hashmap_size=11, base_resolution=4,
                                  finest_resolution=48, size_scale=0.25),
+        # Non-power-of-two tables (round(2**11 * 0.3) = 614 rows) take the
+        # modulo path.
+        "nonpow2": HashGridConfig(n_levels=5, n_features_per_level=2,
+                                  log2_hashmap_size=11, base_resolution=4,
+                                  finest_resolution=48, size_scale=0.3),
+        # finest_resolution >= 2**24 selects the wide lattice (int64 base
+        # coordinates, uint64 hash with explicit 32-bit masking), with
+        # power-of-two and non-power-of-two (round(2**10 * 0.3)) tables.
+        "wide": HashGridConfig(n_levels=3, n_features_per_level=2,
+                               log2_hashmap_size=10, base_resolution=4,
+                               finest_resolution=2 ** 24),
+        "wide_nonpow2": HashGridConfig(n_levels=3, n_features_per_level=2,
+                                       log2_hashmap_size=10, base_resolution=4,
+                                       finest_resolution=2 ** 24,
+                                       size_scale=0.3),
         # F != 2 exercises the generic (non-complex) gather path.
         "f3": HashGridConfig(n_levels=3, n_features_per_level=3,
                              log2_hashmap_size=9, base_resolution=4,
                              finest_resolution=16),
     }
+
+    @pytest.mark.parametrize("key,lattice,pow2", [
+        ("tiny", np.int32, True), ("scaled", np.int32, True),
+        ("nonpow2", np.int32, False), ("wide", np.int64, True),
+        ("wide_nonpow2", np.int64, False)])
+    def test_configs_reach_each_lattice_and_hash_path(self, key, lattice, pow2):
+        grid = MultiResHashGrid(self.CONFIGS[key], rng=new_rng(7))
+        assert grid._base_dtype == lattice
+        assert grid._hash_all_pow2 == pow2
+        assert grid._hash_idx.size > 0
 
     @pytest.mark.parametrize("key", sorted(CONFIGS))
     def test_forward_matches_loop(self, key):
@@ -276,6 +301,25 @@ class TestFusedEngine:
         grid.backward(grad)
         np.testing.assert_allclose(grid.table.grad, grad_loop,
                                    rtol=1e-5, atol=1e-7)
+
+    def test_backward_adds_into_the_existing_gradient(self):
+        """The dense backward adds over the whole table: rows no corner
+        touched keep their bits, touched rows gain the loop's gradient."""
+        grid = MultiResHashGrid(self.CONFIGS["tiny"], rng=new_rng(7))
+        points = new_rng(10).uniform(0.2, 0.4, size=(16, 3))
+        out = grid.forward(points)
+        grad = new_rng(11).normal(size=out.shape)
+        _, _, grad_loop = per_level_loop(grid, points, grad)
+        prior = new_rng(12).normal(size=grid.table.grad.shape).astype(np.float32)
+        prior[::7] = 0.0
+        grid.table.grad[...] = prior
+        grid.backward(grad)
+        untouched = ~np.any(grad_loop != 0.0, axis=1)
+        assert 0 < untouched.sum() < untouched.size
+        assert np.array_equal(grid.table.grad[untouched].view(np.uint32),
+                              prior[untouched].view(np.uint32))
+        np.testing.assert_allclose(grid.table.grad, prior + grad_loop,
+                                   rtol=1e-5, atol=1e-6)
 
     def test_gradcheck_at_cube_boundaries(self):
         """Finite-difference gradcheck with points exactly at 0.0 and 1.0."""

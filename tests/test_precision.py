@@ -104,6 +104,17 @@ class TestWorkspaceArena:
         assert not np.shares_memory(a, b)
         assert not np.shares_memory(a, c)
 
+    def test_dtype_spellings_and_shape_forms_share_one_buffer(self):
+        arena = WorkspaceArena()
+        a = arena.buffer("a", (2, 8), np.float64)
+        for dtype in (np.float64, "f8", np.dtype("<f8"), float):
+            for shape in ((2, 8), [2, 8], (np.int64(2), 8), 16):
+                b = arena.buffer("a", shape, dtype)
+                assert b.dtype == np.float64
+                assert b.shape == ((16,) if shape == 16 else (2, 8))
+                assert np.shares_memory(a, b)
+        assert arena.misses == 1 and arena.hits == 16
+
 
 class _PoisonedArena(WorkspaceArena):
     """Arena that overwrites every buffer it hands out with garbage."""

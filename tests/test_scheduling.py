@@ -22,9 +22,12 @@ import pytest
 from repro.accelerator.bum import replay_trace
 from repro.core.model import DecoupledRadianceField
 from repro.datasets import nerf_synthetic_like
-from repro.nerf.cameras import sample_pixel_batch
+from repro.nerf.cameras import PinholeCamera, RayTable, sample_pixel_batch
 from repro.nerf.occupancy import OccupancyGrid
-from repro.nerf.sampling import ray_probe_points
+from repro.nerf.sampling import (
+    normalize_points_to_unit_cube,
+    ray_probe_points,
+)
 from repro.nerf.scheduling import (
     MortonTileScheduler,
     OccupancyTileScheduler,
@@ -37,7 +40,10 @@ from repro.utils.morton import (
     morton_encode_2d,
     morton_encode_3d,
 )
+from repro.utils.math3d import look_at_pose
 from repro.utils.seeding import new_rng
+
+from oracles import per_view_pixel_draw, per_view_tile_draw
 
 
 def _params_equal(model_a, model_b) -> bool:
@@ -46,7 +52,7 @@ def _params_equal(model_a, model_b) -> bool:
 
 
 class _InlineUniformOracle:
-    """The pre-scheduler Step ❶, verbatim: an inline sample_pixel_batch call.
+    """The pre-scheduler Step ❶, verbatim: the frozen per-view pixel draw.
 
     Swapped into a trainer in place of its scheduler, this reproduces the
     seed trainer's pixel draw exactly — the oracle the uniform schedule is
@@ -59,8 +65,8 @@ class _InlineUniformOracle:
         self.batch_pixels = batch_pixels
 
     def sample_batch(self, rng):
-        return sample_pixel_batch(self.cameras, self.images,
-                                  self.batch_pixels, rng)
+        return per_view_pixel_draw(self.cameras, self.images,
+                                   self.batch_pixels, rng)
 
 
 class TestMortonCodes:
@@ -146,6 +152,151 @@ class TestUniformBitIdentity:
     def test_uniform_is_the_default(self, tiny_config):
         assert tiny_config.ray_schedule == "uniform"
         assert tiny_config.address_sort is False
+
+
+def _assert_draws_equal(got, expected):
+    (bundle, targets), (ref_bundle, ref_targets) = got, expected
+    assert np.array_equal(bundle.origins, ref_bundle.origins)
+    assert np.array_equal(bundle.directions, ref_bundle.directions)
+    assert np.array_equal(targets, ref_targets)
+    assert (bundle.near, bundle.far) == (ref_bundle.near, ref_bundle.far)
+
+
+def _occupancy_reorder(scheduler, bundle, targets, pixels):
+    """The occupancy schedule's documented reorder of a tile draw."""
+    probes = ray_probe_points(bundle, scheduler.n_probes)
+    found, ix, iy, iz = scheduler.occupancy.first_occupied_cells(
+        normalize_points_to_unit_cube(probes, scheduler.scene_bound),
+        bundle.n_rays, scheduler.n_probes)
+    keys = morton_encode_3d(ix, iy, iz)
+    keys[~found] = np.int64(1) << np.int64(62)
+    order = np.argsort(keys, kind="stable")
+    return ((bundle.origins[order], bundle.directions[order]),
+            targets[order], tuple(p[order] for p in pixels), keys[order])
+
+
+class TestRayTableDraws:
+    """Every scheduler equals the frozen per-view draws bit for bit (views
+    drawn at least twice per batch), including the generator state."""
+
+    @pytest.mark.parametrize("batch", [64, 256, 1000])
+    def test_uniform_matches_per_view_oracle(self, tiny_dataset, batch):
+        cams, images = tiny_dataset.train_cameras, tiny_dataset.train_images
+        sched = UniformScheduler(cams, images, batch)
+        rng, ref_rng = new_rng(3), new_rng(3)
+        for _ in range(50):
+            got = sched.sample_batch(rng)
+            _assert_draws_equal(got, per_view_pixel_draw(cams, images, batch,
+                                                         ref_rng))
+            _assert_draws_equal(
+                sample_pixel_batch(cams, images, batch, new_rng(4)),
+                per_view_pixel_draw(cams, images, batch, new_rng(4)))
+            assert sched.last_pixels is None
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @pytest.mark.parametrize("batch,tile", [(48, 4), (40, 4), (64, 8),
+                                            (30, 3)])
+    def test_morton_matches_per_view_oracle(self, tiny_dataset, batch, tile):
+        cams, images = tiny_dataset.train_cameras, tiny_dataset.train_images
+        sched = MortonTileScheduler(cams, images, batch, tile)
+        rng, ref_rng = new_rng(5), new_rng(5)
+        for _ in range(50):
+            got = sched.sample_batch(rng)
+            bundle, targets, pixels = per_view_tile_draw(
+                cams, images, batch, sched._tile_dx, sched._tile_dy, ref_rng)
+            _assert_draws_equal(got, (bundle, targets))
+            for a, b in zip(sched.last_pixels, pixels):
+                assert np.array_equal(a, b)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_occupancy_matches_per_view_oracle(self, tiny_dataset):
+        cams, images = tiny_dataset.train_cameras, tiny_dataset.train_images
+        grid = OccupancyGrid(resolution=8, decay=0.95)
+        grid.mark_occupied(new_rng(2).uniform(0.2, 0.8, size=(64, 3)))
+        sched = OccupancyTileScheduler(cams, images, 48, 4, occupancy=grid,
+                                       scene_bound=tiny_dataset.scene_bound)
+        rng, ref_rng = new_rng(6), new_rng(6)
+        for _ in range(50):
+            bundle, targets = sched.sample_batch(rng)
+            ref = per_view_tile_draw(cams, images, 48, sched._tile_dx,
+                                     sched._tile_dy, ref_rng)
+            (origins, directions), ref_targets, pixels, keys = \
+                _occupancy_reorder(sched, *ref)
+            assert np.array_equal(bundle.origins, origins)
+            assert np.array_equal(bundle.directions, directions)
+            assert np.array_equal(targets, ref_targets)
+            assert np.array_equal(sched.last_keys, keys)
+            for a, b in zip(sched.last_pixels, pixels):
+                assert np.array_equal(a, b)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_one_pixel_view_reads_its_all_rays_row(self, tiny_dataset):
+        """A view drawn once gets its ``all_rays()`` row, whatever else the
+        batch holds.  The per-view draw generated that ray with a one-row
+        matrix product, which may differ from the row in the last bit."""
+        cams, images = tiny_dataset.train_cameras, tiny_dataset.train_images
+        sched = MortonTileScheduler(cams, images, batch_pixels=1, tile_size=1)
+        for seed in range(20):
+            bundle, targets = sched.sample_batch(new_rng(seed))
+            (view,), (col,), (row,) = sched.last_pixels
+            cam = cams[view]
+            flat = row * cam.width + col
+            assert np.array_equal(bundle.directions[0],
+                                  cam.all_rays().directions[flat])
+            assert np.array_equal(targets[0], images[view][row, col])
+            one_row = cam.rays_for_pixels(np.array([col]), np.array([row]))
+            np.testing.assert_allclose(bundle.directions[0],
+                                       one_row.directions[0],
+                                       rtol=0, atol=1e-15)
+
+    def test_table_is_built_on_first_draw(self, tiny_dataset):
+        table = RayTable(tiny_dataset.train_cameras, tiny_dataset.train_images)
+        assert table._directions is None
+        table.sample_pixels(8, new_rng(0))
+        assert table._directions.shape == (4 * 20 * 20, 3)
+
+
+def _two_views(near1=0.5, far1=3.0, shape1=None):
+    pose = look_at_pose(eye=[0.0, -2.0, 0.0], target=[0.0, 0.0, 0.0])
+    cams = [PinholeCamera(width=8, height=6, focal=10.0, pose=pose,
+                          near=0.5, far=3.0),
+            PinholeCamera(width=8, height=6, focal=10.0, pose=pose,
+                          near=near1, far=far1)]
+    images = [np.zeros((6, 8, 3)), np.ones(shape1 or (6, 8, 3))]
+    return cams, images
+
+
+_DRAWS = {
+    "sample_pixel_batch": lambda c, i: sample_pixel_batch(c, i, 64,
+                                                          new_rng(0)),
+    "uniform": lambda c, i: make_scheduler("uniform", c, i, 64),
+    "morton": lambda c, i: make_scheduler("morton", c, i, 64, tile_size=4),
+    "occupancy": lambda c, i: make_scheduler("occupancy", c, i, 64,
+                                             tile_size=4),
+}
+
+
+class TestRayTableValidation:
+    """A batch carries one near/far interval and (H, W, 3) colours."""
+
+    @pytest.mark.parametrize("draw", sorted(_DRAWS))
+    @pytest.mark.parametrize("near,far", [(1.0, 5.0), (0.5, 5.0), (1.0, 3.0)])
+    def test_rejects_a_view_with_another_interval(self, draw, near, far):
+        cams, images = _two_views(near1=near, far1=far)
+        with pytest.raises(ValueError, match="view 1 has near/far"):
+            _DRAWS[draw](cams, images)
+
+    @pytest.mark.parametrize("draw", sorted(_DRAWS))
+    @pytest.mark.parametrize("shape", [(8, 6, 3), (6, 8, 4), (6, 8)])
+    def test_rejects_an_image_of_another_shape(self, draw, shape):
+        cams, images = _two_views(shape1=shape)
+        with pytest.raises(ValueError, match="view 1 has image shape"):
+            _DRAWS[draw](cams, images)
+
+    def test_shared_interval_is_the_bundle_interval(self):
+        cams, images = _two_views()
+        bundle, _ = sample_pixel_batch(cams, images, 64, new_rng(0))
+        assert (bundle.near, bundle.far) == (0.5, 3.0)
 
 
 class TestMortonTileScheduler:
