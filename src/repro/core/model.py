@@ -16,13 +16,14 @@ branch's back-propagation on non-update iterations.
 
 The two branches share no mutable state (own tables, MLP, optimiser and
 arena-name prefix), so :meth:`DecoupledRadianceField.run_branches` runs the
-color branch on a worker thread beside the density branch when both tables
-are too large for the caches — the software form of the accelerator giving
-each branch its own grid cores.  On a step where only one branch updates,
-:meth:`DecoupledRadianceField.run_branch_updates` gives that branch the idle
-worker instead: its grid backward and its lazy ``Adam`` step split over two
-threads, as fused grid cores serve one large table together.  Results are
-bit-identical either way.
+color branch on a worker thread beside the density branch — the software
+form of the accelerator giving each branch its own grid cores — when both
+tables are too large for the caches, or when a query or backward covers
+enough points to outweigh the thread hand-offs.  On a step where only one
+branch updates, :meth:`DecoupledRadianceField.run_branch_updates` gives
+that branch the idle worker instead: its grid backward and its lazy
+``Adam`` step split over two threads, as fused grid cores serve one large
+table together.  Results are bit-identical either way.
 """
 
 from __future__ import annotations
@@ -44,11 +45,19 @@ from repro.nn.parameter import Parameter
 from repro.utils.seeding import derive_rng
 from repro.utils.workspace import WorkspaceArena, arena_buffer
 
-#: Run the two branches concurrently only when the *smaller* branch table
-#: holds at least this many rows.  The overlap is bounded by the shorter
-#: branch, and below this size every numpy call lasts microseconds, so the
-#: interpreter-lock hand-offs cost more than the overlap saves.
+#: Run the two branches concurrently in every phase (query, backward and
+#: the trainer's update phase) when the *smaller* branch table holds at
+#: least this many rows, so that its gathers and scatters leave the caches.
+#: On smaller tables an optimiser step's numpy calls last microseconds, and
+#: the interpreter-lock hand-offs cost more than the overlap saves.
 BRANCH_THREAD_MIN_ROWS = 1 << 18
+
+#: Below the rows gate, a query or backward still runs concurrently when it
+#: covers at least this many points: a numpy call's cost grows with the
+#: points it covers.  On ``train-small``'s grid (2-core host) 1,024 points
+#: break even on the query and 2,048 save a quarter of the query and a
+#: third of the backward (README, "Concurrent density/color branches").
+BRANCH_THREAD_MIN_POINTS = 2048
 
 
 def _run_inline(first: Callable[[], Any],
@@ -109,7 +118,6 @@ class DecoupledRadianceField:
             self.encoder.color_parameters() + self.color_mlp.parameters())
         self._params: List[Parameter] = (
             self._density_params + self._color_params)
-        self._n_parameters = sum(p.size for p in self._params)
         self._min_branch_rows = min(
             self.encoder.density_grid.table.data.shape[0],
             self.encoder.color_grid.table.data.shape[0])
@@ -132,23 +140,29 @@ class DecoupledRadianceField:
     # -- branch concurrency -------------------------------------------------------
     @property
     def branches_concurrent(self) -> bool:
-        """Whether :meth:`run_branches` uses the color-branch worker thread."""
+        """Whether the rows gate holds, so that :meth:`run_branches` uses the
+        color-branch worker thread whatever the call's point count."""
         return self._min_branch_rows >= BRANCH_THREAD_MIN_ROWS
 
     def run_branches(self, density_fn: Optional[Callable[[], Any]],
-                     color_fn: Optional[Callable[[], Any]]) -> Tuple[Any, Any]:
+                     color_fn: Optional[Callable[[], Any]],
+                     n_points: int = 0) -> Tuple[Any, Any]:
         """Run ``density_fn()`` and ``color_fn()`` and return both results.
 
         A ``None`` function is skipped (its result is ``None``).  When both
-        are given and :attr:`branches_concurrent` holds, ``color_fn`` runs on
-        the model's worker thread while ``density_fn`` runs on the caller's;
-        otherwise both run inline, density first.  The color task runs in a
-        copy of the caller's context, so ``np.errstate`` (a context variable)
-        applies to it too.  Both branches are joined before this returns or
-        raises; a density-branch exception wins over a color-branch one.
+        are given and a gate holds — :attr:`branches_concurrent`, or
+        ``n_points`` (the points the call covers; 0 for work that is not per
+        point) is at least :data:`BRANCH_THREAD_MIN_POINTS` — ``color_fn``
+        runs on the model's worker thread while ``density_fn`` runs on the
+        caller's; otherwise both run inline, density first.  The color task
+        runs in a copy of the caller's context, so ``np.errstate`` (a
+        context variable) applies to it too.  Both branches are joined
+        before this returns or raises; a density-branch exception wins over
+        a color-branch one.
         """
         if (density_fn is None or color_fn is None
-                or not self.branches_concurrent):
+                or not (self.branches_concurrent
+                        or n_points >= BRANCH_THREAD_MIN_POINTS)):
             return (density_fn() if density_fn is not None else None,
                     color_fn() if color_fn is not None else None)
         if self._worker is None:
@@ -165,16 +179,19 @@ class DecoupledRadianceField:
         return density, color.result()
 
     def run_branch_updates(self, density_fn: Optional[Callable[[Any], Any]],
-                           color_fn: Optional[Callable[[Any], Any]]
-                           ) -> Tuple[Any, Any]:
+                           color_fn: Optional[Callable[[Any], Any]],
+                           n_points: int = 0) -> Tuple[Any, Any]:
         """Run two branch updates that each take a pair runner for their
         sparse grid work (the grid backward, ``Adam.step``).
 
-        Below the gate each function gets ``None`` (one kernel call).
-        Above it, a branch whose partner is ``None`` gets
-        :meth:`run_branches`, so its two halves use the idle worker; when
-        both run, each gets an inline runner — a task already on the worker
-        must not submit to it, or the single worker would wait on itself.
+        The two branches run as :meth:`run_branches` runs them for
+        ``n_points`` points (the trainer's update phase passes none).  The
+        pair runners follow the rows gate alone.  Below it each function
+        gets ``None`` (one kernel call).  Above it, a branch whose partner
+        is ``None`` gets :meth:`run_branches`, so its two halves use the
+        idle worker; when both run, each gets an inline runner — a task
+        already on the worker must not submit to it, or the single worker
+        would wait on itself.
         """
         def bind(fn, other):
             if fn is None:
@@ -185,7 +202,7 @@ class DecoupledRadianceField:
             return lambda: fn(runner)
 
         return self.run_branches(bind(density_fn, color_fn),
-                                 bind(color_fn, density_fn))
+                                 bind(color_fn, density_fn), n_points)
 
     # -- forward ------------------------------------------------------------------
     def query(self, points_unit: np.ndarray, dirs: np.ndarray
@@ -221,7 +238,7 @@ class DecoupledRadianceField:
             return self.color_activation.forward(raw_rgb), color_emb.shape[1]
 
         (sigma, density_dim), (rgb, color_dim) = self.run_branches(
-            density_branch, color_branch)
+            density_branch, color_branch, points_unit.shape[0])
         self._last_cache = QueryCache(
             n_points=points_unit.shape[0],
             density_embedding_dim=density_dim,
@@ -274,7 +291,8 @@ class DecoupledRadianceField:
                 grad_color_in[:, : cache.color_embedding_dim], runner)
 
         self.run_branch_updates(density_branch if update_density else None,
-                                color_branch if update_color else None)
+                                color_branch if update_color else None,
+                                cache.n_points)
 
     # -- parameters ---------------------------------------------------------------
     def density_parameters(self) -> List[Parameter]:
@@ -314,18 +332,6 @@ class DecoupledRadianceField:
         self.color_mlp.load_state_dict(state["color_mlp"])
 
     # -- workload accounting ---------------------------------------------------------
-    def mlp_flops_per_point(self) -> int:
-        """Forward FLOPs of the two MLP heads for a single point query."""
-        return self.density_mlp.flops_per_sample + self.color_mlp.flops_per_sample
-
-    def grid_accesses_per_point(self) -> Dict[str, int]:
-        """Hash-table vertex reads per point query, per branch."""
-        return self.encoder.accesses_per_point()
-
     def branch_storage_bytes(self) -> Dict[str, int]:
         """Hash-table storage per branch (selects the accelerator fusion mode)."""
         return self.encoder.branch_storage_bytes()
-
-    @property
-    def n_parameters(self) -> int:
-        return self._n_parameters

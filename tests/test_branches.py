@@ -3,7 +3,9 @@
 Above ``repro.core.model.BRANCH_THREAD_MIN_ROWS`` rows in the smaller branch
 table, :meth:`DecoupledRadianceField.run_branches` runs the color branch on
 a worker thread beside the density branch (query, backward and the
-trainer's optimiser steps).  On a step where one branch updates alone,
+trainer's optimiser steps).  Below it, a query or backward covering at
+least ``BRANCH_THREAD_MIN_POINTS`` points does the same; the update phase
+stays inline.  On a step where one branch updates alone,
 :meth:`DecoupledRadianceField.run_branch_updates` hands the idle worker to
 that branch instead: its COO grid backward runs as two level ranges and
 its lazy ``Adam`` step as two row halves, one on each thread.  These tests
@@ -13,6 +15,10 @@ that:
 * a concurrent 20-step training run is bit-identical to the sequential one
   (losses, parameters, flushed Adam moments), dense and sparse updates,
   both precision policies, culled pipeline;
+* with the gates as shipped, a 24-step small-table run whose batches
+  cross the point gate and are then culled below it threads exactly the
+  calls at or above the gate, and is bit-identical to the run with both
+  gates at infinity;
 * a 20-step sparse run whose density-only steps take the split is
   bit-identical to the sequential run, both precision policies; the split
   halves really ran on two threads, and the grid's first-touch ``mark``
@@ -20,7 +26,8 @@ that:
 * an exception in either half of a split grid backward reaches the caller
   only after both halves joined, and the next backward matches a clean
   model's;
-* the gate starts no thread below it and one worker at it;
+* each gate starts no thread below it and one worker at it, and
+  ``backward`` follows the point count of the query it belongs to;
 * color-branch exceptions (including ``np.errstate`` floating-point errors,
   which live in a context variable) reach the caller after both branches
   joined, and the model keeps working;
@@ -34,6 +41,7 @@ from __future__ import annotations
 
 import dataclasses
 import gc
+import math
 import sys
 import threading
 import time
@@ -45,6 +53,7 @@ import repro.core.model as model_module
 from repro.core.config import Instant3DConfig
 from repro.core.model import DecoupledRadianceField
 from repro.grid.hash_encoding import HashGridConfig, MultiResHashGrid
+from repro.nn.mlp import MLP
 from repro.nn.optim import Adam
 from repro.nn.parameter import Parameter
 from repro.training.trainer import Trainer
@@ -70,6 +79,19 @@ def model(tiny_config, concurrent_branches):
 def _workers() -> set:
     return {thread for thread in threading.enumerate()
             if thread.name.startswith(WORKER_PREFIX)}
+
+
+def _on_worker() -> bool:
+    return threading.current_thread().name.startswith(WORKER_PREFIX)
+
+
+def _inputs(n_points: int, seed: int = 0):
+    """``n_points`` random points, one direction, and output gradients."""
+    rng = new_rng(seed)
+    return (rng.random((n_points, 3)),
+            np.tile([0.0, 0.0, 1.0], (n_points, 1)),
+            rng.standard_normal(n_points),
+            rng.standard_normal((n_points, 3)))
 
 
 def _run(config, dataset, n_steps: int):
@@ -112,6 +134,58 @@ class TestBitIdentity:
         assert concurrent.model._worker is not None   # the threaded path ran
 
         _assert_same_run(sequential, seq_losses, concurrent, conc_losses)
+
+    def test_point_gated_run_matches_sequential(self, tiny_config,
+                                                tiny_dataset, monkeypatch,
+                                                occupancy_schedule):
+        # train-small's shape on the tiny grid: float64, dense Adam, culled.
+        # 3,072 points per dense step; the early refreshes cull steps below
+        # 2,048 points, and by step 20 the field is culled to ~130.
+        config = dataclasses.replace(
+            tiny_config, batch_pixels=128, n_samples_per_ray=24,
+            mlp_hidden_width=32, mlp_hidden_layers=2, culling_enabled=True)
+        gate = model_module.BRANCH_THREAD_MIN_POINTS
+        # Which thread ran each color-branch MLP pass and optimiser step.
+        calls = []
+        forward, backward, step = MLP.forward, MLP.backward, Adam.step
+
+        def recording_forward(mlp, x):
+            if mlp.name == "color_mlp":
+                calls.append(("forward", x.shape[0], _on_worker()))
+            return forward(mlp, x)
+
+        def recording_backward(mlp, grad_out):
+            if mlp.name == "color_mlp":
+                calls.append(("backward", grad_out.shape[0], _on_worker()))
+            return backward(mlp, grad_out)
+
+        def recording_step(opt, runner=None):
+            calls.append(("step", 0, _on_worker()))
+            return step(opt, runner)
+
+        monkeypatch.setattr(MLP, "forward", recording_forward)
+        monkeypatch.setattr(MLP, "backward", recording_backward)
+        monkeypatch.setattr(Adam, "step", recording_step)
+        with occupancy_schedule(warmup=4, every=2):
+            gated, gated_losses = _run(config, tiny_dataset, 24)
+            gated_calls, calls[:] = list(calls), []
+            monkeypatch.setattr(model_module, "BRANCH_THREAD_MIN_ROWS",
+                                math.inf)
+            monkeypatch.setattr(model_module, "BRANCH_THREAD_MIN_POINTS",
+                                math.inf)
+            inline, inline_losses = _run(config, tiny_dataset, 24)
+
+        assert not gated.model.branches_concurrent
+        kept = [n for phase, n, _ in gated_calls if phase == "forward"]
+        assert max(kept) >= gate and min(kept) < gate
+        assert sum(n >= gate for n in kept) >= 4
+        assert sum(n < gate for n in kept) >= 4
+        # Exactly the per-point calls at or above the gate threaded; the
+        # update phase kept to the rows gate and stayed inline.
+        for phase, n, threaded in gated_calls:
+            assert threaded == (phase != "step" and n >= gate), (phase, n)
+        assert not any(threaded for *_, threaded in calls)
+        _assert_same_run(gated, gated_losses, inline, inline_losses)
 
 
 class TestSingleBranchSplit:
@@ -213,6 +287,9 @@ class TestSingleBranchSplit:
 
 class TestGate:
     def test_small_model_starts_no_thread(self, tiny_config, tiny_dataset):
+        # Small tables, and batches below the point gate.
+        assert (tiny_config.batch_pixels * tiny_config.n_samples_per_ray
+                < model_module.BRANCH_THREAD_MIN_POINTS)
         # Let workers of models dropped by earlier tests exit first.
         gc.collect()
         for thread in _workers():
@@ -222,6 +299,42 @@ class TestGate:
         assert not trainer.model.branches_concurrent
         assert trainer.model._worker is None
         assert threading.active_count() == before
+
+    def test_query_at_point_gate_starts_one_worker(self, tiny_config):
+        gate = model_module.BRANCH_THREAD_MIN_POINTS
+        model = DecoupledRadianceField(tiny_config, seed=0)
+        assert not model.branches_concurrent
+        before = _workers()
+        points, dirs, _, _ = _inputs(gate - 1)
+        model.query(points, dirs)
+        assert model._worker is None           # none below the gate
+        assert not _workers() - before
+        points, dirs, _, _ = _inputs(gate)
+        model.query(points, dirs)
+        model.query(points, dirs)
+        assert len(_workers() - before) == 1   # one, reused
+
+    def test_backward_follows_cached_point_count(self, tiny_config,
+                                                 monkeypatch):
+        gate = model_module.BRANCH_THREAD_MIN_POINTS
+        model = DecoupledRadianceField(tiny_config, seed=0)
+        threaded = []
+        backward = model.color_mlp.backward
+
+        def recording_backward(grad_out):
+            threaded.append(_on_worker())
+            return backward(grad_out)
+
+        monkeypatch.setattr(model.color_mlp, "backward", recording_backward)
+        for n in (gate, gate - 1, gate):
+            points, dirs, grad_sigma, grad_rgb = _inputs(n, seed=n)
+            model.query(points, dirs)
+            model.backward(grad_sigma, grad_rgb)
+        assert threaded == [True, False, True]
+        # A lone branch has no partner to overlap with.
+        model.query(points, dirs)
+        model.backward(grad_sigma, grad_rgb, update_density=False)
+        assert threaded[-1] is False
 
     def test_model_at_gate_starts_one_worker(self):
         # One hashed level of exactly 2^18 rows in both branches.
@@ -236,7 +349,7 @@ class TestGate:
                    model.encoder.color_grid.table.data.shape[0]) \
             == model_module.BRANCH_THREAD_MIN_ROWS
         assert model.branches_concurrent
-        assert _workers() == before            # none at construction
+        assert not _workers() - before         # none at construction
         points = new_rng(0).random((64, 3))
         dirs = np.tile([0.0, 0.0, 1.0], (64, 1))
         model.query(points, dirs)

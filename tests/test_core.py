@@ -163,11 +163,14 @@ class TestDecoupledRadianceField:
             model.backward(np.zeros(3), np.zeros((3, 3)))
 
     def test_workload_accounting(self, tiny_model, tiny_config):
-        accesses = tiny_model.grid_accesses_per_point()
+        accesses = tiny_model.encoder.accesses_per_point()
+        mlp_flops_per_point = (tiny_model.density_mlp.flops_per_sample
+                               + tiny_model.color_mlp.flops_per_sample)
+        n_parameters = sum(p.size for p in tiny_model.parameters())
         assert accesses["density"] == 8 * tiny_config.grid.n_levels
         assert accesses["color"] == 8 * tiny_config.grid.n_levels
-        assert tiny_model.mlp_flops_per_point() > 0
-        assert tiny_model.n_parameters > 0
+        assert mlp_flops_per_point > 0
+        assert n_parameters > 0
 
     def test_mismatched_inputs_raise(self, tiny_model):
         with pytest.raises(ValueError):
