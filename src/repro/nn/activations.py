@@ -73,7 +73,12 @@ class Identity(_Activation):
 
 
 class ReLU(_Activation):
-    """Rectified linear unit."""
+    """Rectified linear unit.
+
+    The forward overwrites a float32 input in place and returns it: in an
+    :class:`~repro.nn.mlp.MLP` that input is the preceding ``Linear``'s
+    output buffer, which nothing else reads.
+    """
 
     def __init__(self) -> None:
         self._mask: Optional[np.ndarray] = None
@@ -84,9 +89,8 @@ class ReLU(_Activation):
         np.greater(x, 0, out=mask)
         self._mask = mask
         # x * mask matches np.where(mask, x, 0) exactly for finite inputs.
-        out = self._buf("out", x.shape, np.float32)
-        np.multiply(x, mask, out=out)
-        return out
+        np.multiply(x, mask, out=x)
+        return x
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         if self._mask is None:

@@ -43,7 +43,11 @@ __all__ = ["CoalescedView", "DEFAULT_CHUNK_POINTS", "render_coalesced"]
 #: state is needed) and keeps the fused engine's ``(8, L, chunk)`` planes
 #: and the MLP activations inside the cache hierarchy — without it a
 #: many-request coalesced block slows down super-linearly and batching
-#: loses to per-request dispatch instead of beating it.
+#: loses to per-request dispatch instead of beating it.  The grid's own
+#: ``POINT_BLOCK`` bounds only the engine temporaries (bit-identically);
+#: this chunk also bounds the planes and the MLP activations, whose BLAS
+#: rounding may then differ from a solo render within the served-vs-solo
+#: check.
 DEFAULT_CHUNK_POINTS = 4096
 
 

@@ -21,6 +21,9 @@ from repro.nerf.occupancy import OccupancyGrid
 from repro.nerf.pipeline import RenderPipeline
 
 #: Rays per :meth:`RenderPipeline.render_rays` call when rendering a view.
+#: The grid streams a chunk's points through its own ``POINT_BLOCK``
+#: blocks bit-identically; the MLPs see the whole chunk, because a
+#: smaller row count can change the color head's BLAS rounding.
 CHUNK_RAYS = 2048
 
 

@@ -104,17 +104,6 @@ class WorkspaceArena:
         """Bytes of backing storage currently held by the arena."""
         return sum(b.nbytes for b in self._backing.values())
 
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of requests served without allocating (1.0 = steady state)."""
-        total = self.hits + self.misses
-        return self.hits / total if total else 1.0
-
-    def reset_stats(self) -> None:
-        """Zero the hit/miss counters (backing buffers are kept)."""
-        self.hits = 0
-        self.misses = 0
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"WorkspaceArena(buffers={self.n_buffers}, "
                 f"bytes={self.total_bytes}, hits={self.hits}, "

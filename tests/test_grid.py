@@ -1,8 +1,11 @@
 """Tests for the multiresolution hash-grid encoding."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from repro.core.model import DecoupledRadianceField
 from repro.grid import (
     CORNER_OFFSETS,
     HashGridConfig,
@@ -13,8 +16,12 @@ from repro.grid import (
     spatial_hash,
     trilinear_weights,
 )
+from repro.grid import hash_encoding
 from repro.grid.interpolation import interpolate, interpolate_backward
+from repro.training.metrics import render_view
+from repro.training.trainer import Trainer
 from repro.utils.seeding import new_rng
+from repro.utils.workspace import WorkspaceArena
 
 from gradcheck import numerical_gradient
 from oracles import per_level_loop
@@ -348,6 +355,106 @@ class TestFusedEngine:
         numeric = numerical_gradient(loss_for_table, table.data.astype(np.float64))
         np.testing.assert_allclose(grid.levels[0].table.grad, numeric,
                                    rtol=2e-2, atol=2e-2)
+
+
+def _assert_same_bits(a, b):
+    assert a.dtype == b.dtype and a.shape == b.shape
+    np.testing.assert_array_equal(np.ascontiguousarray(a).view(np.uint8),
+                                  np.ascontiguousarray(b).view(np.uint8))
+
+
+class TestPointBlocks:
+    """Queries above ``POINT_BLOCK`` points run in blocks whose results,
+    access record and backward are bit-identical to one pass."""
+
+    # Dense and hashed levels; power-of-two, modulo and wide-lattice
+    # hashes; the F = 2 complex gather and the generic F != 2 gather.
+    KEYS = ("tiny", "nonpow2", "wide", "f3")
+
+    @staticmethod
+    def _run(config, dtype, sparse, arena):
+        grid = MultiResHashGrid(config, rng=new_rng(7), policy=dtype,
+                                sparse=sparse,
+                                arena=WorkspaceArena() if arena else None)
+        points = _boundary_points(new_rng(8), n_random=300)
+        out = grid.forward(points).copy()
+        record = grid.last_access
+        results = [out, record.address_planes.copy(),
+                   record.weight_planes.copy()]
+        grid.zero_grad()
+        grid.backward(new_rng(9).normal(size=out.shape))
+        if sparse:
+            results += [grid.table.sparse_grad.rows.copy(),
+                        grid.table.sparse_grad.values.copy()]
+        else:
+            results.append(grid.table.grad.copy())
+        return results
+
+    @pytest.mark.parametrize("block", [7, 64])
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    @pytest.mark.parametrize("key", KEYS)
+    def test_blocks_bit_identical_to_one_pass(self, monkeypatch, key, dtype,
+                                              block):
+        config = TestFusedEngine.CONFIGS[key]
+        runs = [(sparse, self._run(config, dtype, sparse, arena=False))
+                for sparse in (False, True)]
+        monkeypatch.setattr(hash_encoding, "POINT_BLOCK", block)
+        for sparse, one_pass in runs:
+            for arena in (False, True):
+                blocked = self._run(config, dtype, sparse, arena)
+                assert len(blocked) == len(one_pass)
+                for got, expected in zip(blocked, one_pass):
+                    _assert_same_bits(got, expected)
+
+    def test_query_of_at_most_one_block_is_one_pass(self, monkeypatch):
+        monkeypatch.setattr(hash_encoding, "POINT_BLOCK", 64)
+        grid = MultiResHashGrid(TestFusedEngine.CONFIGS["tiny"],
+                                rng=new_rng(7), arena=WorkspaceArena())
+        calls = []
+        query_into = grid._query_into
+
+        def counting(points, *args):
+            calls.append(points.shape[0])
+            query_into(points, *args)
+
+        monkeypatch.setattr(grid, "_query_into", counting)
+        points = new_rng(8).uniform(size=(200, 3))
+        for n, expected in ((64, [64]), (0, [0]), (1, [1]),
+                            (65, [64, 1]), (200, [64, 64, 64, 8])):
+            calls.clear()
+            grid.forward(points[:n])
+            assert calls == expected
+
+    def test_render_grows_no_engine_buffer(self, tiny_config, tiny_dataset):
+        """A dense 32x32 render (48 samples, 49,152 points per grid) needs
+        no engine temporary larger than one block's: only the block's
+        contiguous gather index is new."""
+        trainer = Trainer(DecoupledRadianceField(tiny_config, seed=0),
+                          tiny_dataset, config=tiny_config, seed=0)
+        trainer.train_step()
+        encoder = trainer.model.encoder
+        grids = (encoder.density_grid, encoder.color_grid)
+        points = new_rng(3).uniform(size=(hash_encoding.POINT_BLOCK, 3))
+        for grid in grids:
+            grid.forward(points)
+
+        def engine_buffers():
+            return {name: backing.size
+                    for (name, _), backing in trainer.arena._backing.items()
+                    if "/q/" in name}
+
+        before = engine_buffers()
+        camera = tiny_dataset.test_views[0].camera
+        camera = dataclasses.replace(
+            camera, width=32, height=32,
+            focal=camera.focal * 32 / camera.width)
+        render_view(trainer.model, camera, tiny_dataset.scene_bound)
+        after = engine_buffers()
+        assert {name: after[name] for name in before} == before
+        assert {name: after[name] for name in set(after) - set(before)} == {
+            f"{grid.name}/q/index":
+                grid.config.n_levels * hash_encoding.POINT_BLOCK
+            for grid in grids}
 
 
 class TestInstantNGPEquations:

@@ -14,6 +14,7 @@ from repro.nn import (
 )
 from repro.nn.parameter import flat_pair_view
 from repro.utils.seeding import new_rng
+from repro.utils.workspace import WorkspaceArena
 
 from gradcheck import numerical_gradient
 
@@ -122,6 +123,36 @@ class TestActivations:
     def test_relu_zeroes_negative(self):
         out = ReLU().forward(np.array([[-1.0, 2.0]]))
         np.testing.assert_allclose(out, [[0.0, 2.0]])
+
+    def test_relu_in_place_matches_separate_product(self):
+        # Negative inputs and -0.0 give -0.0 (x * False), as the product
+        # written to a separate buffer does.
+        x = np.array([[-1.5, -0.0, 0.0, 2.0, 1e-45, -1e-45, 3e38, -3e38]],
+                     dtype=np.float32)
+        grad = np.array([[1.0, -2.0, -0.0, 0.0, -3.0, 4.0, 5.0, -6.0]],
+                        dtype=np.float32)
+        mask = x > 0
+        expected_out = np.empty_like(x)
+        np.multiply(x, mask, out=expected_out)
+        expected_grad = np.empty_like(grad)
+        np.multiply(grad, mask, out=expected_grad)
+        relu = ReLU()
+        buf = x.copy()
+        out = relu.forward(buf)
+        assert out is buf
+        np.testing.assert_array_equal(out.view(np.uint32),
+                                      expected_out.view(np.uint32))
+        np.testing.assert_array_equal(relu.backward(grad).view(np.uint32),
+                                      expected_grad.view(np.uint32))
+
+    def test_hidden_relu_returns_its_linear_output(self):
+        mlp = MLP(4, [8], 2, rng=new_rng(0))
+        mlp.set_arena(WorkspaceArena())
+        linear, relu = mlp.layers[0], mlp.layers[1]
+        assert isinstance(relu, ReLU)
+        x = new_rng(1).normal(size=(5, 4)).astype(np.float32)
+        hidden = linear.forward(x)
+        assert relu.forward(hidden) is hidden
 
     def test_sigmoid_range(self):
         out = Sigmoid().forward(np.array([[-100.0, 0.0, 100.0]]))

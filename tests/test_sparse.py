@@ -268,6 +268,38 @@ class TestGridCOOEmission:
             assert coo.last_touched_rows == rows.size
             assert not mark.any()
 
+    @pytest.mark.parametrize("split", [False, True])
+    def test_two_backwards_with_arena_sum_like_dense(self, tiny_grid_config,
+                                                     rng, split):
+        # A second backward before zero_grad merges into the stored pair;
+        # with an arena the first pair is a view of the buffers the second
+        # backward rewrites, so it must be copied before they are reused.
+        dense = MultiResHashGrid(tiny_grid_config, rng=new_rng(0),
+                                 arena=WorkspaceArena())
+        arena = WorkspaceArena()
+        coo = MultiResHashGrid(tiny_grid_config, rng=new_rng(0), sparse=True,
+                               arena=arena)
+        runner = (lambda first, second: (first(), second())) if split else None
+        dense.zero_grad()
+        coo.zero_grad()
+        # The smaller second batch reuses the first one's buffers.
+        for step, n in enumerate((200, 100)):
+            points = rng.uniform(size=(n, 3))
+            grad = rng.standard_normal(
+                (n, tiny_grid_config.n_output_features))
+            dense.forward(points)
+            dense.backward(grad)
+            coo.forward(points)
+            coo.backward(grad, runner=runner)
+            if step == 0:
+                # One backward per step stores the arena views, uncopied.
+                assert any(np.shares_memory(coo.table.sparse_grad.rows, b)
+                           for b in arena._backing.values())
+        sparse = coo.table.sparse_grad
+        rows = np.flatnonzero(np.any(dense.table.grad != 0.0, axis=1))
+        np.testing.assert_array_equal(sparse.rows, rows)
+        np.testing.assert_array_equal(sparse.values, dense.table.grad[rows])
+
     def test_sparse_grid_step_without_gradient_moves_nothing(
             self, tiny_grid_config, rng):
         grid = MultiResHashGrid(tiny_grid_config, rng=new_rng(0), sparse=True)
