@@ -41,7 +41,6 @@ from repro.training import (
     TrainingResult,
     WorkloadScale,
     build_iteration_workload,
-    profile_iteration,
     evaluate_model,
     train_fleet,
     train_scene,
@@ -59,7 +58,6 @@ __all__ = [
     "evaluate_model",
     "WorkloadScale",
     "build_iteration_workload",
-    "profile_iteration",
     "FleetResult",
     "SceneFleet",
     "train_fleet",

@@ -45,12 +45,6 @@ class FRMResult:
         capacity = self.mapped_cycles * self.n_banks
         return self.n_requests / capacity if capacity else float("nan")
 
-    @property
-    def unmapped_utilization(self) -> float:
-        """Average fraction of banks busy per cycle without the FRM."""
-        capacity = self.unmapped_cycles * self.n_banks
-        return self.n_requests / capacity if capacity else float("nan")
-
 
 class FeedForwardReadMapper:
     """Greedy window-based packer of SRAM read requests into conflict-free cycles."""

@@ -29,12 +29,6 @@ class BankConflictStats:
     def accesses_per_cycle(self) -> float:
         return self.n_accesses / max(self.n_cycles, 1)
 
-    @property
-    def bank_utilization(self) -> float:
-        """Fraction of bank-cycles that carried an access (needs ``n_banks``)."""
-        # Filled in by SRAMBankArray.service via _n_banks; kept simple here.
-        return self._utilization if hasattr(self, "_utilization") else float("nan")
-
 
 class SRAMBankArray:
     """An equally partitioned multi-bank SRAM holding one 1-D hash table."""
@@ -80,20 +74,17 @@ class SRAMBankArray:
 
     def service(self, batches: Iterable[Sequence[int]]) -> BankConflictStats:
         """Service a sequence of access batches and return cycle statistics."""
-        total_accesses = 0
+        n_accesses = 0
         total_cycles = 0
         conflict_cycles = 0
         for batch in batches:
             batch = np.asarray(batch, dtype=np.int64)
             cycles = self.cycles_for_batch(batch)
-            total_accesses += int(batch.size)
+            n_accesses += int(batch.size)
             total_cycles += cycles
             conflict_cycles += max(cycles - 1, 0)
-        stats = BankConflictStats(
-            n_accesses=total_accesses,
+        return BankConflictStats(
+            n_accesses=n_accesses,
             n_cycles=total_cycles,
             n_conflict_cycles=conflict_cycles,
         )
-        capacity = total_cycles * self.n_banks * self.accesses_per_bank_per_cycle
-        stats._utilization = total_accesses / capacity if capacity else float("nan")
-        return stats

@@ -53,30 +53,18 @@ class MemoryTrace:
         return self.branches[name]
 
 
-def _point_major_addresses(record: GridAccessRecord) -> np.ndarray:
-    """Flatten a grid access record point-major: per point, per level, 8 corners."""
-    per_level = [addr + offset for addr, offset
-                 in zip(record.addresses, record.level_offsets)]
-    stacked = np.stack(per_level, axis=1)          # (N, L, 8)
-    return stacked.reshape(-1)
-
-
-def _level_major_addresses(record: GridAccessRecord) -> np.ndarray:
-    """Flatten a grid access record level-major: per level, per point, 8 corners."""
-    parts = [
-        (addr + offset).reshape(-1)
-        for addr, offset in zip(record.addresses, record.level_offsets)
-    ]
-    return np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
-
-
 def trace_from_record(branch: str, record: GridAccessRecord,
                       table_entries: int) -> BranchTrace:
-    """Build a :class:`BranchTrace` from one grid access record."""
+    """Build a :class:`BranchTrace` from one grid access record.
+
+    The record's ``(8, L, N)`` global-address planes, transposed, give the
+    point-major reads (per point, per level, 8 corners); its flat addresses
+    are the level-major writes (per level, per point, 8 corners).
+    """
     return BranchTrace(
         branch=branch,
-        read_addresses=_point_major_addresses(record),
-        write_addresses=_level_major_addresses(record),
+        read_addresses=record.address_planes.transpose(2, 1, 0).flatten(),
+        write_addresses=record.flat_addresses(),
         table_entries=table_entries,
         level_table_sizes=list(record.table_sizes),
         n_points=record.n_points,

@@ -6,16 +6,13 @@ closer to ground truth than the depth images (driven by the learned density),
 i.e. color is learned at a faster pace and is therefore less sensitive to
 compression.  :func:`learning_pace_study` reproduces the quantified version:
 train a model while periodically evaluating both RGB PSNR and depth PSNR on
-held-out views, then report the two trajectories and the iteration at which
-each crosses a target quality.
+held-out views, then report the two trajectories.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
-
-import numpy as np
+from typing import List
 
 from repro.core.config import Instant3DConfig
 from repro.core.model import DecoupledRadianceField
@@ -31,25 +28,6 @@ class LearningPaceResult:
     iterations: List[int] = field(default_factory=list)
     rgb_psnrs: List[float] = field(default_factory=list)
     depth_psnrs: List[float] = field(default_factory=list)
-
-    def iterations_to_reach(self, target_psnr: float, metric: str = "rgb") -> Optional[int]:
-        """First evaluated iteration at which the metric reaches ``target_psnr``."""
-        values = self.rgb_psnrs if metric == "rgb" else self.depth_psnrs
-        for iteration, value in zip(self.iterations, values):
-            if value >= target_psnr:
-                return iteration
-        return None
-
-    @property
-    def final_rgb_psnr(self) -> float:
-        return self.rgb_psnrs[-1] if self.rgb_psnrs else float("nan")
-
-    @property
-    def mean_rgb_lead(self) -> float:
-        """Average PSNR lead of color over density along the trajectory."""
-        if not self.iterations:
-            return float("nan")
-        return float(np.mean(np.asarray(self.rgb_psnrs) - np.asarray(self.depth_psnrs)))
 
 
 def learning_pace_study(dataset: SceneDataset, config: Instant3DConfig,

@@ -20,7 +20,7 @@ This package holds the paper's primary algorithmic contribution (Sec. 3):
 from repro.core.config import Instant3DConfig
 from repro.core.schedule import UpdateSchedule, BranchSchedules
 from repro.core.decoupled_grid import DecoupledGridEncoder
-from repro.core.model import DecoupledRadianceField, QueryCache
+from repro.core.model import DecoupledRadianceField
 from repro.core.search import RatioSearchResult, grid_ratio_search
 
 __all__ = [
@@ -29,7 +29,6 @@ __all__ = [
     "BranchSchedules",
     "DecoupledGridEncoder",
     "DecoupledRadianceField",
-    "QueryCache",
     "RatioSearchResult",
     "grid_ratio_search",
 ]

@@ -276,12 +276,3 @@ class Instant3DConfig:
     def points_per_iteration(self) -> int:
         """Number of grid/MLP point queries per training iteration."""
         return self.batch_pixels * self.n_samples_per_ray
-
-    @property
-    def is_baseline(self) -> bool:
-        """True when this config is equivalent to the Instant-NGP baseline."""
-        return (
-            self.color_size_ratio == 1.0
-            and self.density_update_freq == 1.0
-            and self.color_update_freq == 1.0
-        )

@@ -5,9 +5,10 @@ embedding feeds a density MLP that in turn feeds the color MLP.  Instant-3D
 *decomposes* that grid into a density grid and a color grid so that the two
 feature types — which learn at different paces — can use different grid
 sizes and update frequencies.  :class:`DecoupledGridEncoder` owns the two
-:class:`~repro.grid.hash_encoding.MultiResHashGrid` instances and exposes the
-per-branch storage/access accounting the accelerator simulator needs (the
-hash-table size selects the accelerator's fusion mode).
+:class:`~repro.grid.hash_encoding.MultiResHashGrid` instances, each with its
+own parameters and access record.  What each branch costs in storage,
+accesses and FLOPs (and so the accelerator's fusion mode) is counted from
+the config alone by :func:`repro.training.profiler.build_iteration_workload`.
 """
 
 from __future__ import annotations
@@ -75,32 +76,7 @@ class DecoupledGridEncoder:
         (``runner``: see :meth:`MultiResHashGrid.backward`)."""
         self.color_grid.backward(grad_embeddings, runner)
 
-    # -- accounting ------------------------------------------------------------------
-    def branch_storage_bytes(self) -> Dict[str, int]:
-        """FP16 bytes of each branch's hash tables (drives fusion-mode choice)."""
-        return {
-            "density": self.density_grid.storage_bytes,
-            "color": self.color_grid.storage_bytes,
-        }
-
-    def total_storage_bytes(self) -> int:
-        return self.density_grid.storage_bytes + self.color_grid.storage_bytes
-
-    def accesses_per_point(self) -> Dict[str, int]:
-        """Vertex reads per queried point, per branch."""
-        return {
-            "density": self.density_grid.accesses_per_point(),
-            "color": self.color_grid.accesses_per_point(),
-        }
-
-    def last_touched_rows(self) -> Dict[str, Optional[int]]:
-        """Unique table rows touched by each branch's most recent backward
-        (``None`` for a branch whose backward has not run)."""
-        return {
-            "density": self.density_grid.last_touched_rows,
-            "color": self.color_grid.last_touched_rows,
-        }
-
+    # -- parameters and tracing ----------------------------------------------------
     def last_access_records(self) -> Dict[str, Optional[GridAccessRecord]]:
         """Access records of the most recent encode calls (for trace export)."""
         return {
@@ -108,18 +84,11 @@ class DecoupledGridEncoder:
             "color": self.color_grid.last_access,
         }
 
-    def parameters(self) -> List[Parameter]:
-        return self.density_grid.parameters() + self.color_grid.parameters()
-
     def density_parameters(self) -> List[Parameter]:
         return self.density_grid.parameters()
 
     def color_parameters(self) -> List[Parameter]:
         return self.color_grid.parameters()
-
-    def zero_grad(self) -> None:
-        self.density_grid.zero_grad()
-        self.color_grid.zero_grad()
 
     # -- serialisation ------------------------------------------------------
     def state_dict(self) -> Dict[str, Any]:

@@ -24,6 +24,10 @@ branch updates, :meth:`DecoupledRadianceField.run_branch_updates` gives
 that branch the idle worker instead: its grid backward and its lazy
 ``Adam`` step split over two threads, as fused grid cores serve one large
 table together.  Results are bit-identical either way.
+
+The model counts none of its own cost: table bytes, grid accesses and
+FLOPs per step come from the config alone, through
+:func:`repro.training.profiler.build_iteration_workload`.
 """
 
 from __future__ import annotations
@@ -31,7 +35,6 @@ from __future__ import annotations
 import contextvars
 import weakref
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -66,15 +69,6 @@ def _run_inline(first: Callable[[], Any],
     return first(), second()
 
 
-@dataclass
-class QueryCache:
-    """Bookkeeping of one :meth:`DecoupledRadianceField.query` call."""
-
-    n_points: int
-    density_embedding_dim: int
-    color_embedding_dim: int
-
-
 class DecoupledRadianceField:
     """Queryable/trainable radiance field with decoupled color/density branches."""
 
@@ -100,7 +94,9 @@ class DecoupledRadianceField:
         )
         self.density_activation = TruncatedExp()
         self.color_activation = Sigmoid()
-        self._last_cache: Optional[QueryCache] = None
+        # Points and color-embedding width of the last query (for backward).
+        self._last_n_points: Optional[int] = None
+        self._last_color_dim = 0
         # Compute-precision policy from the config: the grids got it at
         # construction; MLP activations pick it up here (Linear compute is
         # float32 under both policies — storage precision).
@@ -218,11 +214,10 @@ class DecoupledRadianceField:
         if points_unit.shape != dirs.shape or points_unit.shape[-1] != 3:
             raise ValueError("points_unit and dirs must both have shape (N, 3)")
 
-        def density_branch() -> Tuple[np.ndarray, int]:
+        def density_branch() -> np.ndarray:
             density_emb = self.encoder.encode_density(points_unit)
             raw_sigma = self.density_mlp.forward(density_emb)
-            return (self.density_activation.forward(raw_sigma)[:, 0],
-                    density_emb.shape[1])
+            return self.density_activation.forward(raw_sigma)[:, 0]
 
         def color_branch() -> Tuple[np.ndarray, int]:
             color_emb = self.encoder.encode_color(points_unit)
@@ -237,13 +232,10 @@ class DecoupledRadianceField:
             raw_rgb = self.color_mlp.forward(color_in)
             return self.color_activation.forward(raw_rgb), color_emb.shape[1]
 
-        (sigma, density_dim), (rgb, color_dim) = self.run_branches(
+        sigma, (rgb, color_dim) = self.run_branches(
             density_branch, color_branch, points_unit.shape[0])
-        self._last_cache = QueryCache(
-            n_points=points_unit.shape[0],
-            density_embedding_dim=density_dim,
-            color_embedding_dim=color_dim,
-        )
+        self._last_n_points = points_unit.shape[0]
+        self._last_color_dim = color_dim
         return sigma, rgb
 
     def query_density(self, points_unit: np.ndarray) -> np.ndarray:
@@ -271,9 +263,10 @@ class DecoupledRadianceField:
         entire back-propagation (MLP and embedding grid), which is exactly the
         work the accelerator skips on non-update iterations.
         """
-        cache = self._last_cache
-        if cache is None:
+        n_points = self._last_n_points
+        if n_points is None:
             raise RuntimeError("backward called before query")
+        color_dim = self._last_color_dim
 
         def density_branch(runner) -> None:
             grad_raw_sigma = self.density_activation.backward(
@@ -288,11 +281,11 @@ class DecoupledRadianceField:
             )
             grad_color_in = self.color_mlp.backward(grad_raw_rgb)
             self.encoder.backward_color(
-                grad_color_in[:, : cache.color_embedding_dim], runner)
+                grad_color_in[:, :color_dim], runner)
 
         self.run_branch_updates(density_branch if update_density else None,
                                 color_branch if update_color else None,
-                                cache.n_points)
+                                n_points)
 
     # -- parameters ---------------------------------------------------------------
     def density_parameters(self) -> List[Parameter]:
@@ -330,8 +323,3 @@ class DecoupledRadianceField:
         self.encoder.load_state_dict(state["encoder"])
         self.density_mlp.load_state_dict(state["density_mlp"])
         self.color_mlp.load_state_dict(state["color_mlp"])
-
-    # -- workload accounting ---------------------------------------------------------
-    def branch_storage_bytes(self) -> Dict[str, int]:
-        """Hash-table storage per branch (selects the accelerator fusion mode)."""
-        return self.encoder.branch_storage_bytes()

@@ -26,13 +26,6 @@ class RatioSearchResult:
     """Evaluated candidates as ``(config, psnr, runtime)`` tuples."""
 
     @property
-    def selected_psnr(self) -> float:
-        for config, psnr, _ in self.candidates:
-            if config is self.selected:
-                return psnr
-        raise LookupError("selected config missing from candidates")
-
-    @property
     def selected_runtime(self) -> float:
         for config, _, runtime in self.candidates:
             if config is self.selected:

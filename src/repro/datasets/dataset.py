@@ -114,10 +114,6 @@ class SceneDataset:
         return [view.rgb for view in self.train_views]
 
     @property
-    def test_cameras(self) -> List[PinholeCamera]:
-        return [view.camera for view in self.test_views]
-
-    @property
     def scene_bound(self) -> float:
         return self.scene.scene_bound
 

@@ -223,7 +223,3 @@ class AnalyticScene:
         models; the analytic scenes are Lambertian so it is ignored.
         """
         return self.density_at(points), self.color_at(points)
-
-    @property
-    def n_primitives(self) -> int:
-        return len(self.primitives)

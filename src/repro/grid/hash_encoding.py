@@ -183,10 +183,6 @@ class GridAccessRecord:
         parts = [self.flat_addresses(level) for level in range(self.n_levels)]
         return np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
 
-    def total_accesses(self) -> int:
-        """Total number of individual vertex-embedding reads."""
-        return int(self.address_planes.size)
-
 
 class HashGridLevel:
     """Metadata and table view of one resolution level of the grid.
@@ -208,11 +204,6 @@ class HashGridLevel:
         self.table_size = n_vertices if self.is_dense else int(max_entries)
         init = rng.uniform(-1e-4, 1e-4, size=(self.table_size, self.n_features))
         self.table = Parameter(init, name=f"{name}.table")
-
-    @property
-    def storage_bytes(self) -> int:
-        """Bytes of FP16 storage this level occupies in the hash table."""
-        return self.table_size * self.n_features * FEATURE_BYTES
 
 
 class MultiResHashGrid:
@@ -375,12 +366,9 @@ class MultiResHashGrid:
         self._last_access: Optional[GridAccessRecord] = None
         # The trainable surface is the single backing table.
         self._params: List[Parameter] = [self.table]
-        #: Sparsity statistics of the most recent backward: touched (unique,
-        #: non-zero) table rows across all levels, and the raw scatter-update
-        #: count (8 corner updates per (level, point) pair).  ``None`` until
-        #: a backward has run.
+        #: Touched (unique, non-zero) table rows across all levels in the
+        #: most recent backward; ``None`` until a backward has run.
         self.last_touched_rows: Optional[int] = None
-        self.last_scatter_updates: Optional[int] = None
         self.sparse = bool(sparse)
         #: COO backward's first-touch map (mark, slot): table-length arrays,
         #: allocated for sparse grids only.
@@ -654,7 +642,6 @@ class MultiResHashGrid:
             acc[j] = np.bincount(flat_addr, weights=contrib, minlength=total)
         self.last_touched_rows = int(np.count_nonzero(
             self._any_nonzero("bwd", acc)))
-        self.last_scatter_updates = int(addr_planes.size)
         # One contiguous add over the whole table is much cheaper than a
         # gather and scatter of the touched rows (a culled batch touches a
         # scattered half of a small table), and it changes no bit: a
@@ -708,7 +695,6 @@ class MultiResHashGrid:
             vals = self._buf("bwds/vals", (n_rows, grad3.shape[2]), np.float32)
             np.concatenate((vals0, vals1), out=vals)
         self.last_touched_rows = int(rows.size)
-        self.last_scatter_updates = int(record.address_planes.size)
         if rows.size:
             self.table.add_sparse_grad(rows, vals)
 
@@ -794,11 +780,6 @@ class MultiResHashGrid:
     def total_table_entries(self) -> int:
         return sum(level.table_size for level in self.levels)
 
-    @property
-    def storage_bytes(self) -> int:
-        """Total FP16 bytes of embedding storage across all levels."""
-        return sum(level.storage_bytes for level in self.levels)
-
     def parameters(self) -> List[Parameter]:
         """The single backing table Parameter (cached list — do not mutate).
 
@@ -826,7 +807,3 @@ class MultiResHashGrid:
                 f"{len(self.levels)}")
         for level, entry in zip(self.levels, tables):
             level.table.load_state_dict(entry)
-
-    def accesses_per_point(self) -> int:
-        """Vertex reads needed to encode one point (8 per level)."""
-        return 8 * self.config.n_levels

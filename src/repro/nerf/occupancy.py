@@ -146,11 +146,6 @@ class OccupancyGrid:
         return self._updates
 
     @property
-    def n_marks(self) -> int:
-        """How many times cells were forced occupied via :meth:`mark_occupied`."""
-        return self._marks
-
-    @property
     def has_data(self) -> bool:
         """True once the grid holds any density evidence (update *or* mark).
 

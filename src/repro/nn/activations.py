@@ -57,10 +57,6 @@ class _Activation:
     def parameters(self) -> List[Parameter]:
         return []
 
-    @property
-    def flops_per_sample(self) -> int:
-        return 0
-
 
 class Identity(_Activation):
     """Pass-through activation (used for the final layer of heads)."""

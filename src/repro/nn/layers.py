@@ -92,11 +92,3 @@ class Linear:
         if self.bias is not None:
             params.append(self.bias)
         return params
-
-    @property
-    def flops_per_sample(self) -> int:
-        """Multiply-accumulate FLOPs for a single input row (2 per MAC)."""
-        flops = 2 * self.in_features * self.out_features
-        if self.bias is not None:
-            flops += self.out_features
-        return flops

@@ -47,7 +47,6 @@ class MLP:
         self._params: List[Parameter] = []
         for layer in self.layers:
             self._params.extend(layer.parameters())
-        self._num_parameters = sum(p.size for p in self._params)
 
     def set_arena(self, arena: Optional[WorkspaceArena]) -> None:
         """Thread a workspace arena through every layer and activation."""
@@ -102,12 +101,3 @@ class MLP:
                 f"{len(params)}")
         for param, entry in zip(params, stored):
             param.load_state_dict(entry)
-
-    @property
-    def num_parameters(self) -> int:
-        return self._num_parameters
-
-    @property
-    def flops_per_sample(self) -> int:
-        """FLOPs to evaluate one input row (forward pass only)."""
-        return sum(layer.flops_per_sample for layer in self.layers)

@@ -152,9 +152,7 @@ class Adam:
     """
 
     def __init__(self, parameters: Iterable[Parameter], lr: float = 1e-2,
-                 betas=(0.9, 0.99), eps: float = 1e-10,
-                 weight_decay: float = 0.0,
-                 arena: Optional[WorkspaceArena] = None):
+                 betas=(0.9, 0.99), eps: float = 1e-10):
         # Each check is phrased so that NaN fails it.
         if not (np.isfinite(lr) and lr > 0):
             raise ValueError(f"learning rate must be finite and positive, got {lr}")
@@ -162,15 +160,11 @@ class Adam:
             raise ValueError(f"betas must lie in [0, 1), got {betas}")
         if not (np.isfinite(eps) and eps > 0):
             raise ValueError(f"eps must be finite and positive, got {eps}")
-        if not (np.isfinite(weight_decay) and weight_decay >= 0):
-            raise ValueError(
-                f"weight_decay must be finite and non-negative, got {weight_decay}")
         self.parameters: List[Parameter] = list(parameters)
         self.lr = float(lr)
         self.beta1, self.beta2 = float(betas[0]), float(betas[1])
         self.eps = float(eps)
-        self.weight_decay = float(weight_decay)
-        self.arena = arena
+        self.arena: Optional[WorkspaceArena] = None
         #: Arena-name prefix of this instance's scratch buffers.
         self.arena_prefix = "adam"
         self._step_count = 0
@@ -212,8 +206,6 @@ class Adam:
                 self._step_sparse(index, param, bias1, bias2, runner)
                 continue
             grad = param.grad
-            if self.weight_decay > 0.0:
-                grad = grad + self.weight_decay * param.data
             m = _state_slot(self._m, index, param.data)
             v = _state_slot(self._v, index, param.data)
             t1 = arena_buffer(self.arena, f"{self.arena_prefix}/t1",
@@ -321,8 +313,6 @@ class Adam:
             np.take(m, rows, axis=0, out=m32, mode="clip")
             np.take(v, rows, axis=0, out=v32, mode="clip")
             np.take(param.data, rows, axis=0, out=d32, mode="clip")
-        if self.weight_decay > 0.0:
-            vals = vals + self.weight_decay * d32
         # Moments, float32 in place on the gathered rows:
         #   m <- beta1**k * m + (1 - beta1) * g
         #   v <- beta2**k * v + (1 - beta2) * g^2

@@ -25,10 +25,8 @@ from repro.reliability.faults import (
     TransientFault,
     fault_injection,
     fault_point,
-    fault_sites,
     get_injector,
     install_injector,
-    register_fault_site,
     uninstall_injector,
 )
 from repro.reliability.health import (
@@ -56,9 +54,7 @@ __all__ = [
     "copy_state_tree",
     "fault_injection",
     "fault_point",
-    "fault_sites",
     "get_injector",
     "install_injector",
-    "register_fault_site",
     "uninstall_injector",
 ]

@@ -74,10 +74,8 @@ __all__ = [
     "TransientFault",
     "fault_injection",
     "fault_point",
-    "fault_sites",
     "get_injector",
     "install_injector",
-    "register_fault_site",
     "uninstall_injector",
 ]
 
@@ -106,20 +104,6 @@ FAULT_SITES = {
     "train.backward": "after gradients are scattered into parameters",
     "optimizer.step": "after both optimizers apply their updates",
 }
-
-
-def register_fault_site(site: str, description: str = "") -> None:
-    """Register a new ``fault_point`` site so specs may target it.
-
-    Production modules adding a fault point must register its name here
-    (at import time) or :meth:`FaultInjector.add` will reject specs for it.
-    """
-    FAULT_SITES[site] = description
-
-
-def fault_sites() -> Dict[str, str]:
-    """Mapping of registered site name -> one-line description."""
-    return dict(FAULT_SITES)
 
 
 class TransientFault(OSError):
@@ -185,16 +169,15 @@ class FaultInjector:
             delay_s: float = 0.0) -> FaultSpec:
         """Arm a fault at ``site`` and return the spec for later inspection.
 
-        ``site`` must be registered in :data:`FAULT_SITES` (see
-        :func:`register_fault_site`): a typo'd site would otherwise arm a
-        spec that silently never fires.
+        ``site`` must be named in :data:`FAULT_SITES`: a typo'd site would
+        otherwise arm a spec that silently never fires.
         """
         spec = FaultSpec(site=site, kind=kind, rate=rate, after=after,
                          times=times, delay_s=delay_s)
         if site not in FAULT_SITES:
             raise ValueError(
                 f"unknown fault site {site!r}; registered sites: "
-                f"{sorted(FAULT_SITES)} (see register_fault_site)")
+                f"{sorted(FAULT_SITES)}")
         with self._lock:
             index = len(self._specs)
             self._specs.append(spec)
@@ -285,18 +268,6 @@ class FaultInjector:
                 continue
             # .flat assigns in place even on non-contiguous views.
             array.flat[int(rng.integers(0, array.size))] = np.nan
-
-    def sites(self) -> Dict[str, int]:
-        """Registered sites mapped to how many specs target each.
-
-        Lists *every* registered site (count 0 when nothing is armed), so
-        tests can discover valid targets without grepping the source.
-        """
-        with self._lock:
-            out = {site: 0 for site in FAULT_SITES}
-            for spec in self._specs:
-                out[spec.site] = out.get(spec.site, 0) + 1
-        return out
 
     def counts(self) -> Dict[str, int]:
         """Per-site trigger counts plus the ``total``."""

@@ -166,14 +166,6 @@ class ResidencyManager:
     def scene_names(self) -> List[str]:
         return list(self._slots)
 
-    @property
-    def resident_names(self) -> List[str]:
-        return [name for name, slot in self._slots.items() if slot.resident]
-
-    @property
-    def n_resident(self) -> int:
-        return self._resident
-
     # -- checkpoint plumbing --------------------------------------------------
     def checkpoint_path(self, scene_name: str) -> Path:
         """Checkpoint file for one scene (requires ``checkpoint_dir``)."""

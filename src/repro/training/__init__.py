@@ -19,7 +19,6 @@ from repro.training.profiler import (
     IterationWorkload,
     WorkloadScale,
     build_iteration_workload,
-    profile_iteration,
 )
 from repro.training.trainer import Trainer, TrainingHistory, TrainingResult, train_scene
 from repro.training.metrics import evaluate_model, EvaluationResult
@@ -31,7 +30,6 @@ __all__ = [
     "IterationWorkload",
     "WorkloadScale",
     "build_iteration_workload",
-    "profile_iteration",
     "Trainer",
     "TrainingHistory",
     "TrainingResult",

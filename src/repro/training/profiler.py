@@ -6,7 +6,8 @@ FLOPs each step of the training pipeline performs.  This module derives those
 counts from an :class:`~repro.core.config.Instant3DConfig` and a
 :class:`WorkloadScale`, without running the optimisation, so that paper-scale
 workloads (hundreds of thousands of point queries per iteration) can be fed
-to the device models and the accelerator simulator.
+to the device models and the accelerator simulator.  It is the one place
+that counts a configuration's work: the live model keeps no copy of it.
 
 Pipeline steps follow the paper's numbering:
 
@@ -188,11 +189,6 @@ def grid_table_entries(grid: HashGridConfig) -> int:
     return total
 
 
-def grid_storage_bytes(grid: HashGridConfig) -> int:
-    """FP16 bytes of embedding storage for a grid config."""
-    return grid_table_entries(grid) * grid.n_features_per_level * FEATURE_BYTES
-
-
 def _mlp_flops(in_features: int, hidden_width: int, hidden_layers: int,
                out_features: int) -> int:
     """Forward FLOPs of one MLP head per input point (2 FLOPs per MAC)."""
@@ -335,7 +331,3 @@ def build_iteration_workload(config: Instant3DConfig,
         other_bytes=8.0 * mlp_params,
     ))
     return workload
-
-
-#: Alias matching the paper-facing name for per-iteration workload profiling.
-profile_iteration = build_iteration_workload

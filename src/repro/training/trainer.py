@@ -341,15 +341,14 @@ class Trainer:
         When ``history`` is given it is filled from the snapshot's recorded
         series; a snapshot saved without a history then raises.
         """
-        stored_dtype = state.get("compute_dtype")
-        if stored_dtype is not None and stored_dtype != self.config.compute_dtype:
+        stored_dtype = state["compute_dtype"]
+        if stored_dtype != self.config.compute_dtype:
             raise ValueError(
                 f"checkpoint was trained under compute_dtype="
                 f"{stored_dtype!r} but this trainer uses "
                 f"{self.config.compute_dtype!r}; resume is only bit-exact "
                 f"within one precision policy")
-        # Pre-sparse checkpoints carry no flag and were all dense-trained.
-        stored_sparse = bool(state.get("sparse_updates", False))
+        stored_sparse = bool(state["sparse_updates"])
         if stored_sparse != self.config.sparse_updates:
             raise ValueError(
                 f"checkpoint was trained with sparse_updates={stored_sparse} "

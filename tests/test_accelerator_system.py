@@ -1,5 +1,7 @@
 """System-level tests: traces, grid cores, device models, energy, full accelerator."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,11 @@ from repro.accelerator import (
 from repro.accelerator.devices import EdgeGPUModel
 from repro.analysis.breakdown import runtime_breakdown
 from repro.core.config import Instant3DConfig
+from repro.core.model import DecoupledRadianceField
+from repro.grid import hash_encoding
 from repro.training.profiler import PipelineStep, WorkloadScale, build_iteration_workload
+
+from oracles import per_level_loop
 
 
 @pytest.fixture(scope="module")
@@ -47,6 +53,40 @@ class TestMemoryTrace:
         for branch in tiny_trace.branches.values():
             np.testing.assert_array_equal(np.sort(branch.read_addresses),
                                           np.sort(branch.write_addresses))
+
+    @pytest.mark.parametrize("block", [None, 7])
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_trace_order_matches_per_level_loop(self, monkeypatch, tiny_config,
+                                                tiny_dataset, dtype, block):
+        """Reads are point-major (per point, per level, 8 corners) and
+        writes level-major (per level, per point, 8 corners): the order the
+        Fig. 10 windows read, element for element against the frozen
+        per-level loop, with the engine's blocked forward (``block``) too."""
+        if block is not None:
+            monkeypatch.setattr(hash_encoding, "POINT_BLOCK", block)
+        config = dataclasses.replace(tiny_config, compute_dtype=dtype)
+        model = DecoupledRadianceField(config, seed=0)
+        queried = {}
+        for name in ("density", "color"):
+            grid = getattr(model.encoder, f"{name}_grid")
+
+            def spy(points, _forward=grid.forward, _name=name):
+                queried[_name] = np.array(points)
+                return _forward(points)
+            monkeypatch.setattr(grid, "forward", spy)
+        trace = extract_training_trace(model, tiny_dataset, batch_pixels=16,
+                                       samples_per_ray=4, seed=3)
+        for name, branch in trace.branches.items():
+            grid = getattr(model.encoder, f"{name}_grid")
+            _, loop, _ = per_level_loop(grid, queried[name])
+            per_level = [addr + offset for addr, offset
+                         in zip(loop.addresses, loop.level_offsets)]
+            reads = np.stack(per_level, axis=1).reshape(-1)       # (N, L, 8)
+            writes = np.concatenate([a.reshape(-1) for a in per_level])
+            assert branch.read_addresses.dtype == np.int64
+            assert branch.write_addresses.dtype == np.int64
+            np.testing.assert_array_equal(branch.read_addresses, reads)
+            np.testing.assert_array_equal(branch.write_addresses, writes)
 
     def test_backward_trace_has_more_window_sharing(self, tiny_trace):
         """Level-major backward ordering revisits addresses within a window more

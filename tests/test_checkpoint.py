@@ -275,7 +275,7 @@ class TestComponentStateDicts:
         target.load_state_dict(source.state_dict())
         np.testing.assert_array_equal(source.density, target.density)
         assert target.n_updates == source.n_updates
-        assert target.n_marks == source.n_marks
+        assert target.state_dict()["marks"] == source.state_dict()["marks"] == 1
         points = new_rng(1).uniform(size=(64, 3))
         np.testing.assert_array_equal(source.filter_samples(points),
                                       target.filter_samples(points))
@@ -401,6 +401,26 @@ class TestTrainerCheckpoint:
         for src_param, res_param in zip(source.model.parameters(),
                                         restored.model.parameters()):
             np.testing.assert_array_equal(src_param.data, res_param.data)
+
+    @pytest.mark.parametrize("key", ["compute_dtype", "sparse_updates"])
+    def test_state_without_mode_key_is_rejected(self, tmp_path, ckpt_config,
+                                                ckpt_datasets, key):
+        """Every loadable trainer checkpoint records its precision policy
+        and update mode (both entered the state with format version 2), so
+        a state missing either is malformed, not a dense float64 run."""
+        dataset = ckpt_datasets[0]
+        source = Trainer(DecoupledRadianceField(ckpt_config, seed=0), dataset,
+                         config=ckpt_config, seed=0)
+        source.run_steps(2, TrainingHistory())
+        state = source.state_dict()
+        del state[key]
+        path = save_checkpoint(tmp_path / "nokey.ckpt.npz", {"trainer": state},
+                               kind="trainer")
+        target = Trainer(DecoupledRadianceField(ckpt_config, seed=0), dataset,
+                         config=ckpt_config, seed=0)
+        with pytest.raises(CheckpointError, match=key):
+            load_trainer_checkpoint(path, target)
+        assert target.iteration == 0
 
     def test_history_requested_but_not_saved_raises(self, tmp_path,
                                                     ckpt_config, ckpt_datasets):

@@ -103,7 +103,7 @@ class TestSceneBuilders:
     def test_all_synthetic_scenes_build_and_have_content(self, name):
         scene = make_synthetic_scene(name)
         assert scene.name == name
-        assert scene.n_primitives >= 3
+        assert len(scene.primitives) >= 3
         # Every scene should have some occupied volume near the origin region.
         probe = np.random.default_rng(0).uniform(-0.6, 0.6, size=(500, 3))
         assert scene.density_at(probe).max() > 1.0
@@ -112,7 +112,7 @@ class TestSceneBuilders:
     def test_silvr_scenes_are_large_volume(self, name):
         scene = make_silvr_scene(name)
         assert scene.scene_bound >= 2.0
-        assert scene.n_primitives >= 3
+        assert len(scene.primitives) >= 3
 
     @pytest.mark.parametrize("name", SCANNET_SCENES)
     def test_scannet_scenes_have_room_shell(self, name):
@@ -212,6 +212,10 @@ def silvr_dataset():
     return dataset
 
 
+def _all_cameras(dataset):
+    return [view.camera for view in dataset.train_views + dataset.test_views]
+
+
 def _assert_view_shapes(dataset, image_size):
     for view in dataset.train_views + dataset.test_views:
         assert view.rgb.shape == (image_size, image_size, 3)
@@ -251,14 +255,14 @@ class TestScannetLoader:
 
     def test_intrinsics(self, scannet_dataset):
         bound = scannet_dataset.scene_bound
-        for camera in scannet_dataset.train_cameras + scannet_dataset.test_cameras:
+        for camera in _all_cameras(scannet_dataset):
             assert camera.focal == pytest.approx(0.9 * _LOADER_IMAGE_SIZE)
             assert camera.near == pytest.approx(0.05)
             assert camera.far == pytest.approx(2.0 * bound * 1.8)
 
     def test_interior_camera_rig(self, scannet_dataset):
         # Interior rig: every camera centre sits inside the room bound.
-        for camera in scannet_dataset.train_cameras + scannet_dataset.test_cameras:
+        for camera in _all_cameras(scannet_dataset):
             assert np.linalg.norm(camera.pose[:3, 3]) < scannet_dataset.scene_bound
 
     def test_ray_contracts(self, scannet_dataset):
@@ -292,7 +296,7 @@ class TestSilvrLoader:
         # silvr_like widens the rig to 1.9x the (>= 2.0) scene bound.
         bound = silvr_dataset.scene_bound
         assert bound >= 2.0
-        for camera in silvr_dataset.train_cameras + silvr_dataset.test_cameras:
+        for camera in _all_cameras(silvr_dataset):
             assert np.linalg.norm(camera.pose[:3, 3]) == pytest.approx(1.9 * bound)
 
     def test_ray_contracts(self, silvr_dataset):

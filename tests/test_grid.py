@@ -19,6 +19,7 @@ from repro.grid import (
 from repro.grid import hash_encoding
 from repro.grid.interpolation import interpolate, interpolate_backward
 from repro.training.metrics import render_view
+from repro.training.profiler import grid_table_entries
 from repro.training.trainer import Trainer
 from repro.utils.seeding import new_rng
 from repro.utils.workspace import WorkspaceArena
@@ -165,9 +166,9 @@ class TestMultiResHashGrid:
         assert record is not None
         assert record.n_points == 9
         assert record.n_levels == tiny_grid_config.n_levels
-        assert record.total_accesses() == 9 * 8 * tiny_grid_config.n_levels
+        assert record.address_planes.size == 9 * 8 * tiny_grid_config.n_levels
         flat = record.flat_addresses()
-        assert flat.size == record.total_accesses()
+        assert flat.size == record.address_planes.size
         assert flat.max() < grid.total_table_entries
 
     def test_backward_before_forward_raises(self, tiny_grid_config):
@@ -209,9 +210,15 @@ class TestMultiResHashGrid:
         assert np.all(np.isfinite(out))
 
     def test_storage_and_access_accounting(self, tiny_grid_config):
+        """The profiler's config-only counts match the allocated grid: table
+        rows summed over levels, and 8 recorded reads per level per point."""
         grid = MultiResHashGrid(tiny_grid_config, rng=new_rng(0))
-        assert grid.storage_bytes == sum(l.storage_bytes for l in grid.levels)
-        assert grid.accesses_per_point() == 8 * tiny_grid_config.n_levels
+        assert (grid_table_entries(tiny_grid_config)
+                == sum(level.table.data.shape[0] for level in grid.levels)
+                == grid.table.data.shape[0])
+        grid.forward(new_rng(1).uniform(size=(5, 3)))
+        assert (grid.last_access.address_planes.size
+                == 5 * 8 * tiny_grid_config.n_levels)
 
     def test_invalid_points_shape_raises(self, tiny_grid_config):
         grid = MultiResHashGrid(tiny_grid_config, rng=new_rng(0))

@@ -14,9 +14,11 @@ of ``test_reliability.py``:
 
 from __future__ import annotations
 
+import ast
 import dataclasses
 import math
 import os
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -37,10 +39,9 @@ from repro.reliability import (
     SnapshotRing,
     copy_state_tree,
     fault_injection,
-    fault_sites,
     get_injector,
-    register_fault_site,
 )
+from repro.reliability.faults import FAULT_SITES
 from repro.serving import JobPoisoned, SceneService
 from repro.training.trainer import Trainer, TrainingHistory
 
@@ -280,25 +281,26 @@ class TestFaultSites:
         with pytest.raises(ValueError, match="unknown fault site"):
             injector.add("no.such.site", "raise-transient")
 
-    def test_training_sites_are_registered(self):
-        sites = fault_sites()
-        assert "train.backward" in sites and "optimizer.step" in sites
-        assert all(isinstance(desc, str) for desc in sites.values())
-
-    def test_sites_listing_reports_armed_counts(self):
-        injector = FaultInjector(seed=FAULT_SEED)
-        injector.add("train.backward", "corrupt-grad", times=1)
-        injector.add("train.backward", "corrupt-grad", after=5)
-        listing = injector.sites()
-        assert listing["train.backward"] == 2
-        assert listing["checkpoint.save"] == 0      # registered, unarmed
-        assert set(fault_sites()) <= set(listing)
-
-    def test_register_fault_site_extends_registry(self):
-        register_fault_site("test.custom-site", "a site registered by a test")
-        assert "test.custom-site" in fault_sites()
-        injector = FaultInjector(seed=FAULT_SEED)
-        injector.add("test.custom-site", "raise-transient", times=1)
+    def test_registry_names_every_fault_point_in_src(self):
+        """FAULT_SITES equals the set of sites the source passes to
+        fault_point(), each as a string literal (scanned, not imported)."""
+        src = Path(__file__).resolve().parents[1] / "src"
+        sites = set()
+        for path in sorted(src.rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if not isinstance(node, ast.Call):
+                    continue
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(
+                    func, "attr", None)
+                if name != "fault_point":
+                    continue
+                site = node.args[0] if node.args else None
+                assert (isinstance(site, ast.Constant)
+                        and isinstance(site.value, str)), (
+                    f"{path}:{node.lineno}: fault_point site is not a literal")
+                sites.add(site.value)
+        assert sites == set(FAULT_SITES)
 
     @pytest.mark.nonfinite
     def test_corrupt_array_is_seeded_and_in_place(self):

@@ -46,10 +46,12 @@ class TestEndToEndTraining:
             mlp_hidden_width=16, mlp_hidden_layers=1)
         model_color_small = DecoupledRadianceField(color_small, seed=0)
         model_density_small = DecoupledRadianceField(density_small, seed=0)
-        storage_color_small = model_color_small.branch_storage_bytes()
-        storage_density_small = model_density_small.branch_storage_bytes()
-        assert storage_color_small["color"] < storage_color_small["density"]
-        assert storage_density_small["density"] < storage_color_small["density"]
+        def rows(model, branch):
+            return getattr(model.encoder, f"{branch}_grid").table.data.shape[0]
+
+        assert rows(model_color_small, "color") < rows(model_color_small, "density")
+        assert (rows(model_density_small, "density")
+                < rows(model_color_small, "density"))
 
 
 class TestEndToEndCoDesign:

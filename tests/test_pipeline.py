@@ -27,7 +27,7 @@ from repro.nerf.sampling import normalize_points_to_unit_cube, ray_points, strat
 from repro.nerf.volume_rendering import VolumeRenderer
 from repro.nn.optim import Adam
 from repro.training.metrics import render_view
-from repro.training.profiler import build_iteration_workload, profile_iteration
+from repro.training.profiler import build_iteration_workload
 from repro.training.trainer import Trainer, TrainingHistory
 from repro.utils.seeding import derive_rng, new_rng
 
@@ -340,9 +340,6 @@ class TestProfilerCulling:
         with pytest.raises(ValueError):
             build_iteration_workload(Instant3DConfig.paper_scale_baseline(),
                                      keep_fraction=1.5)
-
-    def test_profile_iteration_alias(self):
-        assert profile_iteration is build_iteration_workload
 
     def test_devices_price_culled_workload_cheaper(self):
         from repro.accelerator.devices import baseline_devices

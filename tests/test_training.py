@@ -16,7 +16,7 @@ from repro.training import (
     train_scene,
 )
 from repro.training.metrics import render_view
-from repro.training.profiler import grid_storage_bytes, grid_table_entries
+from repro.training.profiler import grid_table_entries
 
 
 class TestWorkloadScale:
@@ -42,8 +42,8 @@ class TestGridAccounting:
         assert entries > 0
 
     def test_storage_scales_with_size_scale(self, tiny_grid_config):
-        small = grid_storage_bytes(tiny_grid_config.scaled(0.25))
-        full = grid_storage_bytes(tiny_grid_config)
+        small = grid_table_entries(tiny_grid_config.scaled(0.25))
+        full = grid_table_entries(tiny_grid_config)
         assert small < full
 
     def test_matches_allocated_grid(self, tiny_config):
