@@ -16,7 +16,6 @@ with and without the mapping so the ablation of Fig. 18 can be regenerated.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 

@@ -8,7 +8,7 @@ maps used by the Fig. 5 color-vs-density learning-pace analysis.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 

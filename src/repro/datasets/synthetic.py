@@ -12,8 +12,6 @@ from __future__ import annotations
 
 from typing import Iterable, List, Optional
 
-import numpy as np
-
 from repro.datasets.dataset import SceneDataset, build_dataset
 from repro.datasets.scene import (
     AnalyticScene,

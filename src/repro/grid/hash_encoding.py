@@ -30,14 +30,6 @@ from repro.utils.workspace import WorkspaceArena, arena_buffer
 #: Bytes per stored feature (FP16 in the accelerator and in Instant-NGP).
 FEATURE_BYTES = 2
 
-#: Points per engine pass.  A larger query (a dense held-out render) runs
-#: as blocks of this many points, each writing its slice of the full
-#: planes and output, so the engine's ``q/*`` temporaries stay block-sized
-#: while every result bit and the access record are those of one pass.
-#: It sits above every training query (at most 6,144 points per branch
-#: in perfbench, 4,096 per occupancy refresh), which run in one pass.
-POINT_BLOCK = 8192
-
 
 @dataclass(frozen=True)
 class HashGridConfig:
@@ -129,9 +121,9 @@ class GridAccessRecord:
     (level-offset) table addresses and ``weight_planes`` the trilinear
     weights.  ``level_offsets`` gives each level's base offset inside the
     concatenated 1-D storage so traces can use globally unique addresses.
-    The per-level local ``(N, 8)`` views :attr:`addresses` and
-    :attr:`weights` are materialised lazily on first access, keeping trace
-    bookkeeping off the query hot path.
+    The per-level local ``(N, 8)`` view :attr:`addresses` is materialised
+    lazily on first access, keeping trace bookkeeping off the query hot
+    path.
     """
 
     def __init__(self, address_planes: np.ndarray, weight_planes: np.ndarray,
@@ -141,7 +133,6 @@ class GridAccessRecord:
         self.level_offsets = list(level_offsets)
         self.table_sizes = list(table_sizes)
         self._addresses: Optional[List[np.ndarray]] = None
-        self._weights: Optional[List[np.ndarray]] = None
 
     @property
     def addresses(self) -> List[np.ndarray]:
@@ -152,14 +143,6 @@ class GridAccessRecord:
                 for level, offset in enumerate(self.level_offsets)
             ]
         return self._addresses
-
-    @property
-    def weights(self) -> List[np.ndarray]:
-        """Per-level ``(N, 8)`` trilinear weights."""
-        if self._weights is None:
-            self._weights = [self.weight_planes[:, level, :].T
-                             for level in range(self.n_levels)]
-        return self._weights
 
     @property
     def n_points(self) -> int:
@@ -420,10 +403,9 @@ class MultiResHashGrid:
         holding, per cube corner, the *global* (level-offset) table address
         (int64) and trilinear weight (compute-dtype) of every
         (level, point) pair.  ``table`` is the backing ``(T, F)`` feature
-        table of all levels.  The planes and ``out`` may be point slices
-        of larger arrays (one block of a query).  Every temporary comes
-        from the workspace arena when one is attached, so steady-state
-        queries allocate nothing.
+        table of all levels.  Every temporary comes from the
+        workspace arena when one is attached, so steady-state queries
+        allocate nothing.
         """
         n = points.shape[0]
         n_levels = len(self.levels)
@@ -498,19 +480,6 @@ class MultiResHashGrid:
         np.multiply(wxy.reshape(1, 4, n_levels, n), axis_w[:, 2][:, None],
                     out=weight_planes.reshape(2, 4, n_levels, n))
 
-        # A block's address rows are strided in the full planes, and
-        # np.take copies strided indices into a fresh array: copy each
-        # corner's rows into one reused contiguous buffer instead.
-        strided = not addr_planes.flags.c_contiguous
-        if strided:
-            index = self._buf("q/index", (n_levels, n), np.int64)
-
-        def corner_index(corner):
-            if strided:
-                np.copyto(index, addr_planes[corner])
-                return index
-            return addr_planes[corner]
-
         # F == 2 fast path: each table row is one complex64 (the flat pair
         # view), so a corner gather is a single flat take and the weighted
         # accumulation runs on complex planes whose (real, imag) parts are
@@ -527,8 +496,7 @@ class MultiResHashGrid:
             for corner in range(8):
                 # Addresses are in range by construction (hash mod / dense
                 # index + offset), so the gather skips bounds checks.
-                np.take(flat, corner_index(corner), out=gathered,
-                        mode="clip")
+                np.take(flat, addr_planes[corner], out=gathered, mode="clip")
                 if corner == 0:
                     np.multiply(weight_planes[corner], gathered, out=acc)
                 else:
@@ -544,7 +512,7 @@ class MultiResHashGrid:
             corner_values = self._buf("q/cv", (n_levels, n, f), np.float32)
             tmp = self._buf("q/cvw", (n_levels, n, f), dt)
             for corner in range(8):
-                np.take(table, corner_index(corner), axis=0,
+                np.take(table, addr_planes[corner], axis=0,
                         out=corner_values, mode="clip")
                 np.multiply(weight_planes[corner][:, :, None], corner_values,
                             out=tmp)
@@ -573,11 +541,7 @@ class MultiResHashGrid:
 
     # -- forward / backward -------------------------------------------------
     def forward(self, points: np.ndarray) -> np.ndarray:
-        """Encode ``(N, 3)`` points in ``[0, 1]^3`` into ``(N, L*F)`` features.
-
-        Queries of more than :data:`POINT_BLOCK` points run in blocks of
-        that size, bit-identical to one pass.
-        """
+        """Encode ``(N, 3)`` points in ``[0, 1]^3`` into ``(N, L*F)`` features."""
         points = np.asarray(points, dtype=self.policy.dtype)
         if points.ndim != 2 or points.shape[1] != 3:
             raise ValueError(f"points must have shape (N, 3), got {points.shape}")
@@ -587,14 +551,8 @@ class MultiResHashGrid:
         addr_planes = self._buf("addr_planes", (8, n_levels, n), np.int64)
         weight_planes = self._buf("weight_planes", (8, n_levels, n),
                                   self.policy.dtype)
-        # Every engine op is per point, so blocks compute the bits of one
-        # pass.  A query of at most POINT_BLOCK points, empty ones included,
-        # is one pass over the whole planes.
-        for lo in range(0, max(n, 1), POINT_BLOCK):
-            hi = min(lo + POINT_BLOCK, n)
-            self._query_into(points[lo:hi], self.table.data,
-                             addr_planes[:, :, lo:hi],
-                             weight_planes[:, :, lo:hi], out[lo:hi])
+        self._query_into(points, self.table.data, addr_planes, weight_planes,
+                         out)
         self._last_access = GridAccessRecord(addr_planes, weight_planes,
                                              *self._record_layout)
         return out

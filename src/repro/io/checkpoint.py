@@ -22,9 +22,8 @@ Integrity and fault tolerance (see ``docs/reliability.md``):
 
 * every array member's CRC32 is recorded in the manifest under
   ``"digests"`` at save and verified on load; a mismatch (or an unreadable
-  archive) raises :class:`CheckpointCorruptError`.  Digest-less files from
-  older checkpoints still load — with a :class:`UserWarning` and a bump of
-  the ``legacy_digestless_loads`` counter in :func:`io_stats`;
+  archive, or a manifest without digests) raises
+  :class:`CheckpointCorruptError`;
 * ``save_checkpoint(..., keep_generations=N)`` rotates the previous file
   to ``path.g1`` (and ``.g1`` to ``.g2``, ...) before the atomic replace,
   keeping the newest ``N`` snapshots;
@@ -51,7 +50,6 @@ import itertools
 import json
 import os
 import threading
-import warnings
 import zipfile
 import zlib
 from dataclasses import dataclass, field, replace
@@ -72,13 +70,16 @@ CHECKPOINT_FORMAT = "repro-checkpoint"
 #:   1 — original layout (hash grids exposed one Parameter per level, so
 #:       optimiser moments were keyed/shaped per level);
 #:   2 — each grid's levels are backed by a single master-table Parameter:
-#:       optimiser state holds one table-sized moment array per grid.
-CHECKPOINT_VERSION = 2
-#: Oldest version this library can still restore.  Version-1 optimiser
-#: state cannot be mapped onto the master-table parameters, so such files
-#: are rejected up front with a clear error instead of failing deep inside
-#: the moment-shape validation.
-CHECKPOINT_MIN_VERSION = 2
+#:       optimiser state holds one table-sized moment array per grid;
+#:   3 — every manifest records per-array CRC32 ``"digests"`` and trainer
+#:       histories carry ``health_counters``.  Both arrived during version
+#:       2, so a version-2 file may lack either.
+CHECKPOINT_VERSION = 3
+#: Oldest version this library can still restore.  Older files are
+#: rejected up front with a clear error: version-1 optimiser state cannot
+#: be mapped onto the master-table parameters, and a version-2 file cannot
+#: be verified.
+CHECKPOINT_MIN_VERSION = 3
 #: npz member that stores the JSON manifest.
 _MANIFEST_KEY = "__manifest__"
 #: Manifest placeholder key referencing an npz array member.
@@ -131,7 +132,6 @@ class CheckpointIOStats:
 
     fallback_loads: int = 0
     quarantined_files: int = 0
-    legacy_digestless_loads: int = 0
 
 
 _IO_STATS = CheckpointIOStats()
@@ -374,8 +374,8 @@ def _read_verified(path: Path, expected_kind: Optional[str]) -> Checkpoint:
             raise CheckpointError(
                 f"{path} has unsupported checkpoint version {version} "
                 f"(this library supports {CHECKPOINT_MIN_VERSION}.."
-                f"{CHECKPOINT_VERSION}; version 1 files predate the "
-                f"master-table grid layout and cannot be restored)")
+                f"{CHECKPOINT_VERSION}; older files predate integrity "
+                f"digests and cannot be restored)")
         kind = manifest.get("kind", "state")
         if expected_kind is not None and kind != expected_kind:
             raise CheckpointError(
@@ -393,21 +393,17 @@ def _read_verified(path: Path, expected_kind: Optional[str]) -> Checkpoint:
                 f"corrupt array member in {path}: {exc}") from exc
         digests = manifest.get("digests")
         if digests is None:
-            _IO_STATS.legacy_digestless_loads += 1
-            warnings.warn(
-                f"checkpoint {path} predates per-array integrity digests; "
-                f"loading without verification (re-save to add digests)",
-                UserWarning, stacklevel=3)
-        else:
-            for key, expected in digests.items():
-                if key not in members:
-                    raise CheckpointCorruptError(
-                        f"corrupt checkpoint {path}: digest manifest lists "
-                        f"member {key!r} but the archive lacks it")
-                if _array_digest(members[key]) != int(expected):
-                    raise CheckpointCorruptError(
-                        f"corrupt checkpoint {path}: CRC32 mismatch on "
-                        f"array member {key!r}")
+            raise CheckpointCorruptError(
+                f"corrupt checkpoint {path}: manifest has no digests")
+        for key, expected in digests.items():
+            if key not in members:
+                raise CheckpointCorruptError(
+                    f"corrupt checkpoint {path}: digest manifest lists "
+                    f"member {key!r} but the archive lacks it")
+            if _array_digest(members[key]) != int(expected):
+                raise CheckpointCorruptError(
+                    f"corrupt checkpoint {path}: CRC32 mismatch on "
+                    f"array member {key!r}")
         try:
             payload = _unflatten(manifest["payload"], members)
             metadata = _unflatten(manifest.get("metadata", {}), members)

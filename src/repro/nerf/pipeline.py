@@ -20,16 +20,20 @@ the matching gradient gather for the backward pass:
    per-sample gradients back down to the kept samples, so back-propagation
    also only touches the points that were actually queried.
 
-Training and evaluation share this one forward path.  Without an
-occupancy grid the pipeline executes exactly the dense sequence the
-pre-culling trainer ran — bit-identical outputs, checked against the frozen
-reference trainer in the test suite.
+Training and evaluation share these stages.  Training runs them over one
+ray batch in :meth:`RenderPipeline.render_rays` (which the backward pass
+needs); forward-only renders — held-out views and served requests — run
+them through :func:`render_coalesced`, which streams the field query in
+fixed :data:`DEFAULT_CHUNK_POINTS` chunks.  Without an occupancy grid the
+pipeline executes exactly the dense sequence the pre-culling trainer ran —
+bit-identical outputs, checked against the frozen reference trainer in the
+test suite.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -50,8 +54,9 @@ class SampleStage:
 
     Beware of buffer lifetime under an arena: every array aliases the
     arena's sampling buffers and is only valid until the pipeline samples
-    the *next* bundle.  Callers that interleave bundles (the serving
-    coalescer) must copy what they keep into their own named buffers.
+    the *next* bundle.  Callers that interleave bundles
+    (:func:`render_coalesced`) must copy what they keep into their own
+    named buffers.
     """
 
     t_vals: np.ndarray          # (n_rays, n_samples) sample distances
@@ -87,10 +92,6 @@ class PipelineRender:
     """Outputs and query accounting of one pipeline pass over a ray batch."""
 
     render: RenderOutput
-    t_vals: np.ndarray          # (n_rays, n_samples) sample distances
-    deltas: np.ndarray          # (n_rays, n_samples) sample spacings
-    n_rays: int
-    n_samples: int
     n_queried: int              # samples that actually reached the field
     n_total: int                # n_rays * n_samples (the dense product)
     occupancy_fraction: float   # occupied-cell fraction of the grid (1.0 dense)
@@ -177,10 +178,10 @@ class RenderPipeline:
         return fraction if fraction > 0.0 else 1.0
 
     # -- composable stages -------------------------------------------------------
-    # render_rays runs these five stages in order: the one forward path.  The
-    # serving layer calls them one by one so rays from several pending
-    # requests for one scene share one engine stream (gather each request's
-    # kept block, concatenate, query once, composite per request);
+    # render_rays runs these five stages in order over one training batch;
+    # render_coalesced calls them one by one so the rays of several bundles
+    # share one chunked engine stream (gather each bundle's kept block,
+    # concatenate, query in chunks, composite per bundle);
     # tests/test_serving.py pins the staged path bit-identical to the
     # monolithic forward.
 
@@ -243,10 +244,10 @@ class RenderPipeline:
                     ) -> Tuple[Optional[np.ndarray], Optional[np.ndarray]]:
         """Stage ❸b: the radiance-field query over one contiguous block.
 
-        The block need not belong to a single request — the serving layer
-        passes the concatenation of several requests' gathered samples
-        (see :func:`~repro.serving.batching.render_coalesced`), whose
-        result does not depend on where request boundaries fall.
+        The block need not belong to a single bundle —
+        :func:`render_coalesced` passes chunks of several bundles' gathered
+        samples, whose result does not depend on where bundle boundaries
+        fall.
         """
         if points is None:
             return None, None
@@ -281,7 +282,10 @@ class RenderPipeline:
         """Run the full ray lifecycle for one batch and composite colors.
 
         ``rng`` enables stratified jitter (training); ``None`` uses bin
-        midpoints (deterministic evaluation).
+        midpoints.  The whole batch is one field query, and
+        :meth:`backward_to_points` reads its state: this is the training
+        path.  Forward-only renders of a whole view go through
+        :func:`render_coalesced`, whose chunks bound the query.
         """
         sample = self.stage_samples(bundle, rng=rng)
         plan = self.stage_cull(sample)
@@ -292,10 +296,6 @@ class RenderPipeline:
         self._backward_ok = True
         return PipelineRender(
             render=render,
-            t_vals=sample.t_vals,
-            deltas=sample.deltas,
-            n_rays=sample.n_rays,
-            n_samples=sample.n_samples,
             n_queried=plan.n_queried,
             n_total=sample.n_total,
             occupancy_fraction=self.occupancy_fraction,
@@ -349,3 +349,132 @@ class RenderPipeline:
         np.take(grad_rgbs.reshape(-1, 3), idx, axis=0, out=kept_rgbs,
                 mode="clip")
         return kept_sigmas, kept_rgbs
+
+
+#: Points per stage-❸b call of :func:`render_coalesced`.  Rendering runs
+#: forward-only, so the field query can be chunked (no backward state is
+#: needed); a chunk bounds the grid's ``(8, L, chunk)`` address/weight
+#: planes, its engine temporaries and the MLP activations, so a dense
+#: held-out view or a many-request batch runs in the buffers a training
+#: step already holds.  The MLPs' BLAS rounding may then differ from one
+#: whole-view query within the served-vs-solo tolerance.
+DEFAULT_CHUNK_POINTS = 4096
+
+
+@dataclass
+class CoalescedView:
+    """One bundle's rendered rays, scattered back out of a coalesced pass."""
+
+    colors: np.ndarray          # (n_rays, 3), owned copy
+    depth: np.ndarray           # (n_rays,), owned copy
+    n_rays: int
+    n_queried: int              # this bundle's field queries after culling
+    n_total: int                # dense rays x samples product
+
+
+def _retain(arena: Optional[WorkspaceArena], name: str,
+            source: np.ndarray) -> np.ndarray:
+    """Copy ``source`` into an arena buffer that survives later stage calls."""
+    out = arena_buffer(arena, name, source.shape, source.dtype)
+    out[...] = source
+    return out
+
+
+def render_coalesced(pipeline: RenderPipeline, bundles: Sequence[RayBundle],
+                     arena: Optional[WorkspaceArena] = None
+                     ) -> List[CoalescedView]:
+    """Render ray bundles of one scene through one chunked field query.
+
+    The forward-only render loop: held-out views (one bundle) and served
+    requests (several same-scene bundles) both run here.  Stages ❶–❷
+    (sampling, culling) run per bundle, and each bundle's kept samples are
+    gathered straight into its slice of one shared query block — its
+    capacity, the bundles' dense ray x sample product, is known before any
+    stage runs, so no concatenation copy is paid.  What the composite needs
+    later (``t_vals``/``deltas``/``idx``) is retained in slot-indexed arena
+    buffers (``serve/<i>/...``, a bounded name set).  The shared block
+    streams through stage ❸b :data:`DEFAULT_CHUNK_POINTS` points at a time,
+    indifferent to where bundle boundaries fall, then stage ❹ composites
+    per bundle, copying colors/depth out before the next composite reuses
+    the renderer's planes.
+
+    ``pipeline`` must belong to the scene being rendered; ``arena`` holds
+    the retained blocks and the query block (the serving worker's arena;
+    pass the pipeline's own only if nothing else interleaves with it).
+    Rendering is deterministic (no stratified jitter).  The grid and the
+    activations are per point, so only the MLP matmuls see a different
+    batch extent than :meth:`RenderPipeline.render_rays` over one bundle:
+    results agree with it to BLAS reduction tolerance, not bitwise.
+    """
+    if not bundles:
+        return []
+    dtype = pipeline.policy.dtype
+    capacity = sum(bundle.n_rays for bundle in bundles) * pipeline.n_samples
+    points_all = arena_buffer(arena, "serve/points_all", (capacity, 3),
+                              dtype)
+    dirs_all = arena_buffer(arena, "serve/dirs_all", (capacity, 3), dtype)
+    plans: List[CullStage] = []
+    offsets = [0]
+    for i, bundle in enumerate(bundles):
+        sample = pipeline.stage_samples(bundle, rng=None)
+        plan = pipeline.stage_cull(sample)
+        # Everything the composite needs outlives the next bundle's stages
+        # only if copied out of the pipeline's per-call buffers.
+        t_vals = _retain(arena, f"serve/{i}/t_vals", sample.t_vals)
+        deltas = _retain(arena, f"serve/{i}/deltas", sample.deltas)
+        start = offsets[-1]
+        stop = start + plan.n_queried
+        idx = plan.idx
+        if idx is None:
+            points_all[start:stop] = sample.points_unit
+            dirs_all[start:stop] = sample.dirs
+        elif plan.n_queried:
+            idx = _retain(arena, f"serve/{i}/idx", idx)
+            np.take(sample.points_unit, idx, axis=0,
+                    out=points_all[start:stop], mode="clip")
+            np.take(sample.dirs, idx, axis=0, out=dirs_all[start:stop],
+                    mode="clip")
+        retained_sample = SampleStage(
+            t_vals=t_vals, deltas=deltas,
+            # The composite never reads the sample positions — they live
+            # only in the shared query block.
+            points_unit=None, dirs=None,
+            n_rays=sample.n_rays, n_samples=sample.n_samples)
+        plans.append(CullStage(sample=retained_sample, idx=idx,
+                               n_queried=plan.n_queried))
+        offsets.append(stop)
+
+    total = offsets[-1]
+    sigma_all = rgb_all = None
+    if total:
+        step = DEFAULT_CHUNK_POINTS
+        if step >= total:
+            sigma_all, rgb_all = pipeline.stage_query(points_all[:total],
+                                                      dirs_all[:total])
+        else:
+            for start in range(0, total, step):
+                stop = min(start + step, total)
+                sigma, rgb = pipeline.stage_query(points_all[start:stop],
+                                                  dirs_all[start:stop])
+                if sigma_all is None:
+                    sigma_all = arena_buffer(arena, "serve/sigma_all",
+                                             total, sigma.dtype)
+                    rgb_all = arena_buffer(arena, "serve/rgb_all",
+                                           (total, 3), rgb.dtype)
+                sigma_all[start:stop] = sigma
+                rgb_all[start:stop] = rgb
+
+    views: List[CoalescedView] = []
+    for plan, start, stop in zip(plans, offsets, offsets[1:]):
+        sigma = sigma_all[start:stop] if stop > start else None
+        rgb = rgb_all[start:stop] if stop > start else None
+        render = pipeline.stage_composite(plan, sigma, rgb)
+        # Copy out before the next composite reuses the renderer's planes.
+        views.append(CoalescedView(
+            colors=np.array(render.colors, copy=True),
+            depth=np.array(render.depth, copy=True),
+            n_rays=plan.sample.n_rays,
+            n_queried=plan.n_queried,
+            n_total=plan.sample.n_total,
+        ))
+    return views

@@ -10,10 +10,10 @@ concurrent render and fine-tune requests sharing one engine:
 * :mod:`repro.serving.residency` — the :class:`ResidencyManager`, the
   standalone LRU checkpoint-eviction engine shared by
   :class:`~repro.training.fleet.SceneFleet` and the service;
-* :mod:`repro.serving.batching` — cross-request ray coalescing over the
-  :class:`~repro.nerf.pipeline.RenderPipeline` stages;
 * :mod:`repro.serving.service` — the :class:`SceneService` front end owning
-  the worker threads and the request queue.
+  the worker threads and the request queue; it batches pending same-scene
+  renders through :func:`~repro.nerf.pipeline.render_coalesced`, the
+  chunked forward loop that evaluation renders run too.
 """
 
 from repro.serving.jobs import (
@@ -28,16 +28,9 @@ from repro.serving.jobs import (
     TrainResult,
 )
 from repro.serving.residency import ResidencyManager, SceneSlot, validate_scene_name
-from repro.serving.batching import (
-    DEFAULT_CHUNK_POINTS,
-    CoalescedView,
-    render_coalesced,
-)
 from repro.serving.service import SceneService
 
 __all__ = [
-    "CoalescedView",
-    "DEFAULT_CHUNK_POINTS",
     "DeadlineExceeded",
     "JobCancelled",
     "JobHandle",
@@ -50,6 +43,5 @@ __all__ = [
     "SceneSlot",
     "TrainJob",
     "TrainResult",
-    "render_coalesced",
     "validate_scene_name",
 ]

@@ -13,7 +13,7 @@ Two engine-utilization levers from the training stack carry over:
 * **cross-request ray batching** — when a worker dequeues a render job it
   also grabs every other pending render job for the *same scene* (same
   sample count, within ``max_coalesced_rays``) and runs them as one
-  coalesced field query (:func:`~repro.serving.batching.render_coalesced`)
+  coalesced field query (:func:`~repro.nerf.pipeline.render_coalesced`)
   instead of per-request calls;
 * **per-worker workspace arenas** — each worker owns one
   :class:`~repro.utils.workspace.WorkspaceArena` for its pipeline and
@@ -59,11 +59,10 @@ import numpy as np
 from repro.core.config import Instant3DConfig
 from repro.datasets.dataset import SceneDataset
 from repro.nerf.cameras import PinholeCamera
-from repro.nerf.pipeline import RenderPipeline
+from repro.nerf.pipeline import RenderPipeline, render_coalesced
 from repro.reliability.faults import fault_point, get_injector
 from repro.reliability.health import NumericalFault
 from repro.reliability.retry import RetryPolicy
-from repro.serving.batching import render_coalesced
 from repro.serving.jobs import (
     DeadlineExceeded,
     JobCancelled,

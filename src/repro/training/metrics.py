@@ -15,16 +15,10 @@ import numpy as np
 
 from repro.core.model import DecoupledRadianceField
 from repro.datasets.dataset import SceneDataset
-from repro.nerf.cameras import PinholeCamera, RayBundle
+from repro.nerf.cameras import PinholeCamera
 from repro.nerf.losses import mse_to_psnr, psnr
 from repro.nerf.occupancy import OccupancyGrid
-from repro.nerf.pipeline import RenderPipeline
-
-#: Rays per :meth:`RenderPipeline.render_rays` call when rendering a view.
-#: The grid streams a chunk's points through its own ``POINT_BLOCK``
-#: blocks bit-identically; the MLPs see the whole chunk, because a
-#: smaller row count can change the color head's BLAS rounding.
-CHUNK_RAYS = 2048
+from repro.nerf.pipeline import RenderPipeline, render_coalesced
 
 
 @dataclass
@@ -48,37 +42,30 @@ def render_view(model: DecoupledRadianceField, camera: PinholeCamera,
                 policy=None):
     """Render a full image and depth map from a trained model.
 
-    Rays are streamed through a :class:`~repro.nerf.pipeline.RenderPipeline`
-    in chunks of :data:`CHUNK_RAYS`.  An ``occupancy`` grid culls samples in
-    known-empty cells; without one (the default) the view renders densely,
-    bit-identical to the pre-pipeline renderer.
+    The view's rays run through
+    :func:`~repro.nerf.pipeline.render_coalesced`, whose field query
+    streams :data:`~repro.nerf.pipeline.DEFAULT_CHUNK_POINTS` points at a
+    time, so a render needs no buffer larger than a training step's and
+    agrees with one whole-view :meth:`RenderPipeline.render_rays` to BLAS
+    reduction tolerance.  An ``occupancy`` grid culls samples in
+    known-empty cells; without one (the default) the view renders densely.
     ``policy`` selects the compositing precision (``None`` = the float64
     reference); the trainer forwards its config's policy here so evaluation
     renders use the same precision as training.
 
     Returns ``(rgb, depth)`` with shapes ``(H, W, 3)`` and ``(H, W)``.
     """
-    bundle = camera.all_rays()
     pipeline = RenderPipeline(
         model, scene_bound, n_samples=n_samples,
         white_background=white_background, occupancy=occupancy,
         policy=policy,
     )
-    colors = np.empty((bundle.n_rays, 3))
-    depths = np.empty(bundle.n_rays)
-    for start in range(0, bundle.n_rays, CHUNK_RAYS):
-        stop = min(start + CHUNK_RAYS, bundle.n_rays)
-        chunk = RayBundle(
-            origins=bundle.origins[start:stop],
-            directions=bundle.directions[start:stop],
-            near=bundle.near,
-            far=bundle.far,
-        )
-        out = pipeline.render_rays(chunk, rng=None)
-        colors[start:stop] = out.render.colors
-        depths[start:stop] = out.render.depth
-    rgb_image = np.clip(colors, 0.0, 1.0).reshape(camera.height, camera.width, 3)
-    depth_image = depths.reshape(camera.height, camera.width)
+    [view] = render_coalesced(pipeline, [camera.all_rays()])
+    # float64 images whatever the compute precision, as depth PSNR expects.
+    rgb_image = np.clip(view.colors, 0.0, 1.0, dtype=np.float64).reshape(
+        camera.height, camera.width, 3)
+    depth_image = view.depth.astype(np.float64).reshape(camera.height,
+                                                        camera.width)
     return rgb_image, depth_image
 
 

@@ -130,11 +130,9 @@ class TrainingHistory:
         for name, dtype in self._FIELDS:
             cast = int if np.issubdtype(dtype, np.integer) else float
             getattr(self, name)[:] = [cast(v) for v in state[name]]
-        # Pre-health checkpoints carry no counters: all zero.
-        counters = state.get("health_counters")
+        counters = state["health_counters"]
         for index, name in enumerate(self._COUNTERS):
-            setattr(self, name,
-                    int(counters[index]) if counters is not None else 0)
+            setattr(self, name, int(counters[index]))
 
 
 @dataclass

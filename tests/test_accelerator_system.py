@@ -21,7 +21,6 @@ from repro.accelerator.devices import EdgeGPUModel
 from repro.analysis.breakdown import runtime_breakdown
 from repro.core.config import Instant3DConfig
 from repro.core.model import DecoupledRadianceField
-from repro.grid import hash_encoding
 from repro.training.profiler import PipelineStep, WorkloadScale, build_iteration_workload
 
 from oracles import per_level_loop
@@ -54,16 +53,13 @@ class TestMemoryTrace:
             np.testing.assert_array_equal(np.sort(branch.read_addresses),
                                           np.sort(branch.write_addresses))
 
-    @pytest.mark.parametrize("block", [None, 7])
     @pytest.mark.parametrize("dtype", ["float64", "float32"])
     def test_trace_order_matches_per_level_loop(self, monkeypatch, tiny_config,
-                                                tiny_dataset, dtype, block):
+                                                tiny_dataset, dtype):
         """Reads are point-major (per point, per level, 8 corners) and
         writes level-major (per level, per point, 8 corners): the order the
         Fig. 10 windows read, element for element against the frozen
-        per-level loop, with the engine's blocked forward (``block``) too."""
-        if block is not None:
-            monkeypatch.setattr(hash_encoding, "POINT_BLOCK", block)
+        per-level loop."""
         config = dataclasses.replace(tiny_config, compute_dtype=dtype)
         model = DecoupledRadianceField(config, seed=0)
         queried = {}

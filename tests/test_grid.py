@@ -16,13 +16,14 @@ from repro.grid import (
     spatial_hash,
     trilinear_weights,
 )
-from repro.grid import hash_encoding
 from repro.grid.interpolation import interpolate, interpolate_backward
+from repro.nerf import pipeline as pipeline_module
+from repro.nerf.occupancy import OccupancyGrid
+from repro.nerf.pipeline import RenderPipeline
 from repro.training.metrics import render_view
 from repro.training.profiler import grid_table_entries
 from repro.training.trainer import Trainer
 from repro.utils.seeding import new_rng
-from repro.utils.workspace import WorkspaceArena
 
 from gradcheck import numerical_gradient
 from oracles import per_level_loop
@@ -300,8 +301,8 @@ class TestFusedEngine:
         for level in range(config.n_levels):
             np.testing.assert_array_equal(rec_f.addresses[level],
                                           rec_l.addresses[level])
-            np.testing.assert_array_equal(rec_f.weights[level],
-                                          rec_l.weights[level])
+            np.testing.assert_array_equal(
+                rec_f.weight_planes[:, level, :].T, rec_l.weights[level])
             np.testing.assert_array_equal(rec_f.flat_addresses(level),
                                           rec_l.flat_addresses(level))
 
@@ -364,104 +365,72 @@ class TestFusedEngine:
                                    rtol=2e-2, atol=2e-2)
 
 
-def _assert_same_bits(a, b):
-    assert a.dtype == b.dtype and a.shape == b.shape
-    np.testing.assert_array_equal(np.ascontiguousarray(a).view(np.uint8),
-                                  np.ascontiguousarray(b).view(np.uint8))
+class TestRenderChunks:
+    """``render_view`` streams a view through ``render_coalesced``'s
+    ``DEFAULT_CHUNK_POINTS`` chunks: no buffer beyond a training step's,
+    and the colors of one whole-view query to BLAS rounding."""
 
-
-class TestPointBlocks:
-    """Queries above ``POINT_BLOCK`` points run in blocks whose results,
-    access record and backward are bit-identical to one pass."""
-
-    # Dense and hashed levels; power-of-two, modulo and wide-lattice
-    # hashes; the F = 2 complex gather and the generic F != 2 gather.
-    KEYS = ("tiny", "nonpow2", "wide", "f3")
-
-    @staticmethod
-    def _run(config, dtype, sparse, arena):
-        grid = MultiResHashGrid(config, rng=new_rng(7), policy=dtype,
-                                sparse=sparse,
-                                arena=WorkspaceArena() if arena else None)
-        points = _boundary_points(new_rng(8), n_random=300)
-        out = grid.forward(points).copy()
-        record = grid.last_access
-        results = [out, record.address_planes.copy(),
-                   record.weight_planes.copy()]
-        grid.zero_grad()
-        grid.backward(new_rng(9).normal(size=out.shape))
-        if sparse:
-            results += [grid.table.sparse_grad.rows.copy(),
-                        grid.table.sparse_grad.values.copy()]
-        else:
-            results.append(grid.table.grad.copy())
-        return results
-
-    @pytest.mark.parametrize("block", [7, 64])
-    @pytest.mark.parametrize("dtype", ["float64", "float32"])
-    @pytest.mark.parametrize("key", KEYS)
-    def test_blocks_bit_identical_to_one_pass(self, monkeypatch, key, dtype,
-                                              block):
-        config = TestFusedEngine.CONFIGS[key]
-        runs = [(sparse, self._run(config, dtype, sparse, arena=False))
-                for sparse in (False, True)]
-        monkeypatch.setattr(hash_encoding, "POINT_BLOCK", block)
-        for sparse, one_pass in runs:
-            for arena in (False, True):
-                blocked = self._run(config, dtype, sparse, arena)
-                assert len(blocked) == len(one_pass)
-                for got, expected in zip(blocked, one_pass):
-                    _assert_same_bits(got, expected)
-
-    def test_query_of_at_most_one_block_is_one_pass(self, monkeypatch):
-        monkeypatch.setattr(hash_encoding, "POINT_BLOCK", 64)
-        grid = MultiResHashGrid(TestFusedEngine.CONFIGS["tiny"],
-                                rng=new_rng(7), arena=WorkspaceArena())
-        calls = []
-        query_into = grid._query_into
-
-        def counting(points, *args):
-            calls.append(points.shape[0])
-            query_into(points, *args)
-
-        monkeypatch.setattr(grid, "_query_into", counting)
-        points = new_rng(8).uniform(size=(200, 3))
-        for n, expected in ((64, [64]), (0, [0]), (1, [1]),
-                            (65, [64, 1]), (200, [64, 64, 64, 8])):
-            calls.clear()
-            grid.forward(points[:n])
-            assert calls == expected
-
-    def test_render_grows_no_engine_buffer(self, tiny_config, tiny_dataset):
-        """A dense 32x32 render (48 samples, 49,152 points per grid) needs
-        no engine temporary larger than one block's: only the block's
-        contiguous gather index is new."""
-        trainer = Trainer(DecoupledRadianceField(tiny_config, seed=0),
-                          tiny_dataset, config=tiny_config, seed=0)
+    def test_render_grows_no_arena_buffer(self, tiny_config, tiny_dataset):
+        """After a dense step of at least one chunk of points, a dense
+        32x32 render (48 samples, 49,152 points) allocates nothing in the
+        trainer's arena."""
+        config = dataclasses.replace(tiny_config, batch_pixels=256)
+        assert (config.batch_pixels * config.n_samples_per_ray
+                >= pipeline_module.DEFAULT_CHUNK_POINTS)
+        trainer = Trainer(DecoupledRadianceField(config, seed=0),
+                          tiny_dataset, config=config, seed=0)
         trainer.train_step()
-        encoder = trainer.model.encoder
-        grids = (encoder.density_grid, encoder.color_grid)
-        points = new_rng(3).uniform(size=(hash_encoding.POINT_BLOCK, 3))
-        for grid in grids:
-            grid.forward(points)
 
-        def engine_buffers():
-            return {name: backing.size
-                    for (name, _), backing in trainer.arena._backing.items()
-                    if "/q/" in name}
+        def backing():
+            return {key: array.size
+                    for key, array in trainer.arena._backing.items()}
 
-        before = engine_buffers()
+        before = backing()
         camera = tiny_dataset.test_views[0].camera
         camera = dataclasses.replace(
             camera, width=32, height=32,
             focal=camera.focal * 32 / camera.width)
-        render_view(trainer.model, camera, tiny_dataset.scene_bound)
-        after = engine_buffers()
-        assert {name: after[name] for name in before} == before
-        assert {name: after[name] for name in set(after) - set(before)} == {
-            f"{grid.name}/q/index":
-                grid.config.n_levels * hash_encoding.POINT_BLOCK
-            for grid in grids}
+        render_view(trainer.model, camera, tiny_dataset.scene_bound,
+                    n_samples=48, policy=trainer.policy)
+        assert backing() == before
+
+    @pytest.mark.parametrize("culled", [False, True])
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_chunks_match_one_whole_view_query(self, monkeypatch, tiny_config,
+                                               tiny_dataset, dtype, culled):
+        config = dataclasses.replace(tiny_config, compute_dtype=dtype)
+        model = DecoupledRadianceField(config, seed=0)
+        occupancy = None
+        if culled:
+            occupancy = OccupancyGrid(seed=0)
+            occupancy.mark_occupied(
+                new_rng(0).uniform(0.3, 0.7, size=(2048, 3)))
+        camera = tiny_dataset.test_views[0].camera
+        whole = RenderPipeline(
+            model, tiny_dataset.scene_bound, n_samples=48,
+            occupancy=occupancy, policy=model.policy,
+        ).render_rays(camera.all_rays(), rng=None)
+        # 250 points per chunk: boundaries fall inside rays.
+        monkeypatch.setattr(pipeline_module, "DEFAULT_CHUNK_POINTS", 250)
+        chunks = []
+        query = model.query
+
+        def counting(points, dirs):
+            chunks.append(points.shape[0])
+            return query(points, dirs)
+
+        monkeypatch.setattr(model, "query", counting)
+        rgb, depth = render_view(model, camera, tiny_dataset.scene_bound,
+                                 n_samples=48, occupancy=occupancy,
+                                 policy=model.policy)
+        assert len(chunks) > 2 and max(chunks) == 250
+        assert sum(chunks) == whole.n_queried
+        assert (whole.n_queried < whole.n_total) == culled
+        np.testing.assert_allclose(
+            rgb.reshape(-1, 3), np.clip(whole.render.colors, 0.0, 1.0),
+            rtol=0, atol=1e-6)
+        np.testing.assert_allclose(depth.reshape(-1), whole.render.depth,
+                                   rtol=0, atol=1e-6)
 
 
 class TestInstantNGPEquations:

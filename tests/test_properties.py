@@ -22,11 +22,11 @@ from repro.io import CheckpointError, load_checkpoint, save_checkpoint
 from repro.nerf.cameras import RayBundle
 from repro.nerf.losses import mse_loss, mse_to_psnr
 from repro.nerf.occupancy import OccupancyGrid
+from repro.nerf import pipeline as pipeline_module
 from repro.nerf.pipeline import RenderPipeline
 from repro.nerf.volume_rendering import VolumeRenderer
 from repro.nn.optim import Adam, _state_slot, _touched_rows
 from repro.nn.parameter import Parameter
-from repro.serving import batching
 from repro.utils.precision import FLOAT32, FLOAT64
 from repro.utils.seeding import new_rng
 from repro.utils.workspace import WorkspaceArena
@@ -339,7 +339,7 @@ def test_grid_engine_equals_per_level_loop(config, points, arena, policy,
     for level in range(config.n_levels):
         np.testing.assert_array_equal(trace.addresses[level],
                                       record.addresses[level])
-        np.testing.assert_array_equal(trace.weights[level],
+        np.testing.assert_array_equal(trace.weight_planes[:, level, :].T,
                                       record.weights[level])
     atol = 1e-10 if policy is FLOAT64 else 1e-5
     np.testing.assert_allclose(out.astype(np.float64),
@@ -459,9 +459,9 @@ def test_coalesced_render_matches_solo_renders(coalescing_pipeline, requests,
         bundles.append(RayBundle(origins=origins,
                                  directions=rays.directions[start:stop],
                                  near=rays.near, far=rays.far))
-    with mock.patch.object(batching, "DEFAULT_CHUNK_POINTS", chunk):
-        views = batching.render_coalesced(pipeline, bundles,
-                                          arena=WorkspaceArena())
+    with mock.patch.object(pipeline_module, "DEFAULT_CHUNK_POINTS", chunk):
+        views = pipeline_module.render_coalesced(pipeline, bundles,
+                                                 arena=WorkspaceArena())
     assert len(views) == len(bundles)
     for (_, _, culled), bundle, view in zip(requests, bundles, views):
         solo = pipeline.render_rays(bundle, rng=None)

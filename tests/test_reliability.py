@@ -341,20 +341,34 @@ class TestCheckpointIntegrity:
                                fallback_generations=False).payload["v"] == 3
         assert not generation_path(path, 3).exists()
 
-    def test_legacy_digestless_checkpoint_loads_with_warning(self, tmp_path):
-        path = save_checkpoint(tmp_path / "s.npz", self._payload(), kind="t")
+    @staticmethod
+    def _rewrite_manifest(path, edit):
         with np.load(path, allow_pickle=False) as data:
             members = {key: data[key] for key in data.files}
         manifest = json.loads(str(members["__manifest__"][()]))
-        del manifest["digests"]                # simulate a pre-digest file
+        edit(manifest)
         members["__manifest__"] = np.array(json.dumps(manifest))
         np.savez(path, **members)
-        before = io_stats().legacy_digestless_loads
-        with pytest.warns(UserWarning, match="predates per-array"):
-            loaded = load_checkpoint(path, expected_kind="t")
-        assert io_stats().legacy_digestless_loads == before + 1
-        np.testing.assert_array_equal(loaded.payload["weights"],
-                                      self._payload()["weights"])
+
+    def test_version_2_checkpoint_is_structural_error(self, tmp_path):
+        """A version-2 file may predate digests or health counters, so it
+        is refused as unsupported: no quarantine, no generation fallback."""
+        path = tmp_path / "s.npz"
+        save_checkpoint(path, self._payload(), kind="t", keep_generations=2)
+        save_checkpoint(path, self._payload(), kind="t", keep_generations=2)
+        self._rewrite_manifest(path, lambda m: m.update(version=2))
+        before = io_stats().fallback_loads
+        with pytest.raises(CheckpointError, match="version 2") as info:
+            load_checkpoint(path, expected_kind="t")
+        assert not isinstance(info.value, CheckpointCorruptError)
+        assert io_stats().fallback_loads == before
+        assert not list(tmp_path.glob("*.corrupt*"))
+
+    def test_version_3_manifest_without_digests_is_corrupt(self, tmp_path):
+        path = save_checkpoint(tmp_path / "s.npz", self._payload(), kind="t")
+        self._rewrite_manifest(path, lambda m: m.pop("digests"))
+        with pytest.raises(CheckpointCorruptError, match="no digests"):
+            load_checkpoint(path, expected_kind="t")
 
     def test_concurrent_same_path_saves_do_not_collide(self, tmp_path):
         # Satellite regression: the temp name used to be pid-only, so two

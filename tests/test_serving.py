@@ -30,7 +30,7 @@ from repro.core.model import DecoupledRadianceField
 from repro.datasets import make_synthetic_scene
 from repro.datasets.dataset import build_dataset
 from repro.nerf.cameras import PinholeCamera, RayBundle
-from repro.nerf.pipeline import RenderPipeline
+from repro.nerf.pipeline import RenderPipeline, render_coalesced
 from repro.nerf.sampling import (
     normalize_points_to_unit_cube,
     ray_points,
@@ -43,7 +43,6 @@ from repro.serving import (
     ResidencyManager,
     SceneService,
     TrainJob,
-    render_coalesced,
 )
 from repro.training.fleet import SceneFleet
 from repro.training.trainer import Trainer, TrainingHistory, train_scene
