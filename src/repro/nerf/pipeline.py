@@ -158,6 +158,11 @@ class RenderPipeline:
         self._keep_idx: Optional[np.ndarray] = None    # kept flat indices
         self._backward_ok = False
 
+    def set_arena(self, arena: Optional[WorkspaceArena]) -> None:
+        """Attach (or detach) the arena of the stages and the renderer."""
+        self.arena = arena
+        self.renderer.arena = arena
+
     # -- state ------------------------------------------------------------------
     @property
     def culling_active(self) -> bool:

@@ -76,10 +76,6 @@ class SnapshotRing:
         if len(self._entries) > self.capacity:
             self._entries.pop(0)
 
-    def newest(self) -> Optional[Dict[str, Any]]:
-        """Newest entry (``{"iteration", "state"}``) or ``None`` when empty."""
-        return self._entries[-1] if self._entries else None
-
     def restore_newest(self) -> Optional[Dict[str, Any]]:
         """A fresh copy of the newest stored state, or ``None`` when empty.
 

@@ -36,6 +36,7 @@ from repro.io import (CheckpointError, io_stats, load_trainer_checkpoint,
 from repro.io.checkpoint import _MAX_GENERATIONS
 from repro.reliability.faults import fault_point
 from repro.training.trainer import Trainer, TrainingHistory
+from repro.utils.workspace import WorkspaceArena
 
 __all__ = ["ResidencyManager", "SceneSlot", "validate_scene_name"]
 
@@ -194,12 +195,23 @@ class ResidencyManager:
             self.save(slot)
 
     # -- residency transitions ------------------------------------------------
-    def acquire(self, slot: SceneSlot) -> Trainer:
-        """Make the slot's trainer resident (build fresh or restore)."""
+    def acquire(self, slot: SceneSlot, arena: WorkspaceArena) -> Trainer:
+        """Make the slot's trainer resident (build fresh or restore).
+
+        The trainer's per-step scratch comes from the caller's ``arena``
+        (:meth:`Trainer.set_arena`): the service passes its worker's and
+        the fleet one per run, so a resident or evicted scene holds only
+        its parameters, moments, occupancy grid and RNG state.
+        """
         self._clock += 1
         slot.last_used = self._clock
-        if slot.trainer is not None:
-            return slot.trainer
+        if slot.trainer is None:
+            self._materialise(slot)
+        slot.trainer.set_arena(arena)
+        return slot.trainer
+
+    def _materialise(self, slot: SceneSlot) -> None:
+        """Build the slot's trainer, restoring its checkpoint if on disk."""
         trainer = Trainer(DecoupledRadianceField(self.config, seed=self.seed),
                           slot.dataset, config=self.config, seed=self.seed)
         if slot.on_disk:
@@ -235,7 +247,6 @@ class ResidencyManager:
         slot.trainer = trainer
         self._resident += 1
         self.peak_resident = max(self.peak_resident, self._resident)
-        return trainer
 
     def release(self, slot: SceneSlot) -> None:
         """Drop a resident trainer whose state is already safe (or final)."""
@@ -277,12 +288,14 @@ class ResidencyManager:
         for victim in sorted(evictable, key=key)[:excess]:
             self.evict(victim)
 
-    def checkout(self, name: str, pinned: Iterable[str] = ()) -> SceneSlot:
-        """Make a registered scene resident, evicting LRU scenes as needed."""
+    def checkout(self, name: str, arena: WorkspaceArena,
+                 pinned: Iterable[str] = ()) -> SceneSlot:
+        """Make a registered scene resident, evicting LRU scenes as needed
+        (``arena`` as in :meth:`acquire`)."""
         fault_point("residency.checkout")
         slot = self.slot(name)
         self.make_room(slot, pinned=pinned)
-        self.acquire(slot)
+        self.acquire(slot, arena)
         return slot
 
     def flush(self, save: Optional[bool] = None) -> None:

@@ -16,10 +16,13 @@ Two engine-utilization levers from the training stack carry over:
   coalesced field query (:func:`~repro.nerf.pipeline.render_coalesced`)
   instead of per-request calls;
 * **per-worker workspace arenas** — each worker owns one
-  :class:`~repro.utils.workspace.WorkspaceArena` for its pipeline and
-  coalescer temporaries, so steady-state serving performs no large
-  allocations (buffer names are bounded: pipeline sites plus
-  ``serve/<slot>/...`` retention sites).
+  :class:`~repro.utils.workspace.WorkspaceArena` and attaches it to every
+  trainer it checks out (:meth:`ResidencyManager.checkout`), so train
+  steps, renders and coalescer temporaries all reuse one set of buffers
+  and a resident scene holds only its parameters, moments, occupancy
+  grid and RNG state.  Steady-state serving performs no large
+  allocations (buffer names are bounded: pipeline, model and optimiser
+  sites plus ``serve/<slot>/...`` retention sites).
 
 Determinism: renders are jitter-free and consume no training RNG, so any
 mix of render and train jobs leaves every scene's training trajectory
@@ -457,7 +460,8 @@ class SceneService:
                 with self._cv:
                     pinned = set(self._busy)
                 with self._residency_lock:
-                    slot = self._residency.checkout(scene, pinned=pinned)
+                    slot = self._residency.checkout(scene, arena,
+                                                    pinned=pinned)
                 fault_point("worker.execute")
                 if lead.job.kind == "train":
                     self._run_train(lead, slot, dequeued_at)
@@ -552,7 +556,8 @@ class SceneService:
                      if batch[0].job.n_samples is not None
                      else self.config.n_samples_per_ray)
         # A fresh pipeline per batch is cheap (no allocations): all heavy
-        # buffers come from the worker's arena, keyed by stable site names.
+        # buffers, the model's included (checkout attached the arena to
+        # the trainer), come from the worker's arena by stable site names.
         pipeline = RenderPipeline(
             trainer.model, slot.dataset.scene_bound, n_samples=n_samples,
             white_background=self.config.white_background,

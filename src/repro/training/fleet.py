@@ -48,6 +48,7 @@ from repro.datasets.dataset import SceneDataset
 from repro.io import CheckpointError
 from repro.serving.residency import ResidencyManager
 from repro.training.trainer import TrainingResult
+from repro.utils.workspace import WorkspaceArena
 
 
 @dataclass
@@ -97,9 +98,6 @@ class FleetResult:
             return 1.0
         return kept / total
 
-    def result_for(self, scene_name: str) -> TrainingResult:
-        return self.results[self.scene_names.index(scene_name)]
-
 
 class SceneFleet:
     """Trains and evaluates many scenes under one shared configuration.
@@ -110,8 +108,7 @@ class SceneFleet:
         Scene datasets to train on (one independent model per scene).
         Scene names must be unique: per-scene RNG streams are derived from
         the name, so duplicates would silently train on identical
-        pixel/sample streams (and ``FleetResult.result_for`` could only
-        ever find the first).
+        pixel/sample streams.
     config:
         Shared training configuration.
     seed:
@@ -203,6 +200,7 @@ class SceneFleet:
             raise ValueError("n_iterations must be >= 1")
         start = time.perf_counter()
         residency = self._new_residency()
+        arena = WorkspaceArena()   # one step's scratch, shared by every scene
         slots = [residency.slot(name) for name in self.scene_names]
         if not resume:
             for slot in slots:
@@ -221,7 +219,7 @@ class SceneFleet:
 
             residency.make_room(slots[index],
                                 victim_key=lambda slot: -turns_until_needed(slot))
-            residency.acquire(slots[index])
+            residency.acquire(slots[index], arena)
             return slots[index]
 
         while any(left != 0 for left in remaining):

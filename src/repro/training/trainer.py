@@ -209,20 +209,13 @@ class Trainer:
         if self.config.culling_enabled:
             self.occupancy = OccupancyGrid(
                 seed=derive_seed(seed, f"{dataset.name}:occupancy"))
-        # One workspace arena per run: every per-iteration temporary — grid
-        # query planes, MLP activations, renderer planes/gradients, optimiser
-        # scratch — comes from named reusable buffers, so steady-state steps
-        # perform no large allocations (misses only while shapes grow).
-        self.arena = WorkspaceArena()
         self.policy = self.config.precision_policy
-        model.set_arena(self.arena)
         self.pipeline = RenderPipeline(
             model, dataset.scene_bound,
             n_samples=self.config.n_samples_per_ray,
             white_background=self.config.white_background,
             occupancy=self.occupancy,
             policy=self.policy,
-            arena=self.arena,
             address_sort=self.config.address_sort,
         )
         # Pixel-batch scheduler (Step ❶).  The default "uniform" schedule
@@ -238,15 +231,13 @@ class Trainer:
             occupancy=self.occupancy,
             scene_bound=dataset.scene_bound,
         )
-        # Per-branch arena prefixes: the two optimisers may step
-        # concurrently, and a branch stepping alone may split its update
-        # over both threads (see DecoupledRadianceField.run_branch_updates).
         self.density_optimizer = Adam(model.density_parameters(),
                                       lr=self.config.learning_rate)
-        self.density_optimizer.set_arena(self.arena, "density_adam")
         self.color_optimizer = Adam(model.color_parameters(),
                                     lr=self.config.learning_rate)
-        self.color_optimizer.set_arena(self.arena, "color_adam")
+        # A solo trainer owns its arena; a serving worker or a fleet swaps
+        # in its own through set_arena when it checks the trainer out.
+        self.set_arena(WorkspaceArena())
         self._pixel_rng = derive_rng(seed, f"{dataset.name}:pixels")
         self._sample_rng = derive_rng(seed, f"{dataset.name}:samples")
         self.iteration = 0
@@ -262,6 +253,26 @@ class Trainer:
         if self.config.health is not None:
             self.health = HealthMonitor(self.config.health)
             self._snapshots = SnapshotRing(self.config.health.snapshot_ring)
+
+    def set_arena(self, arena: WorkspaceArena) -> None:
+        """Serve every per-step temporary from ``arena``.
+
+        Grid query planes, MLP activations, renderer planes and gradients
+        and optimiser scratch come from named reusable buffers, so steady
+        steps make no large allocations (misses only while shapes grow).
+        No buffer outlives the step that wrote it, so trainers that never
+        step at the same time may share one arena and keep their solo
+        trajectories bit for bit (``ResidencyManager.acquire`` attaches
+        the caller's).  The optimisers get per-branch prefixes: they may
+        step concurrently, and a branch stepping alone may split its
+        update over both threads (see
+        ``DecoupledRadianceField.run_branch_updates``).
+        """
+        self.arena = arena
+        self.model.set_arena(arena)
+        self.pipeline.set_arena(arena)
+        self.density_optimizer.set_arena(arena, "density_adam")
+        self.color_optimizer.set_arena(arena, "color_adam")
 
     # -- occupancy maintenance -------------------------------------------------
     def _refresh_occupancy(self) -> None:

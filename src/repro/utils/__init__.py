@@ -4,10 +4,6 @@ from repro.utils.math3d import (
     normalize,
     look_at_pose,
     spherical_pose,
-    rotation_x,
-    rotation_y,
-    rotation_z,
-    transform_points,
     transform_directions,
 )
 from repro.utils.seeding import new_rng, derive_rng
@@ -24,10 +20,6 @@ __all__ = [
     "normalize",
     "look_at_pose",
     "spherical_pose",
-    "rotation_x",
-    "rotation_y",
-    "rotation_z",
-    "transform_points",
     "transform_directions",
     "new_rng",
     "derive_rng",

@@ -21,33 +21,6 @@ def normalize(v: np.ndarray, axis: int = -1, eps: float = 1e-12) -> np.ndarray:
     return v / np.maximum(norm, eps)
 
 
-def rotation_x(angle: float) -> np.ndarray:
-    """4x4 homogeneous rotation about the x axis by ``angle`` radians."""
-    c, s = np.cos(angle), np.sin(angle)
-    m = np.eye(4)
-    m[1, 1], m[1, 2] = c, -s
-    m[2, 1], m[2, 2] = s, c
-    return m
-
-
-def rotation_y(angle: float) -> np.ndarray:
-    """4x4 homogeneous rotation about the y axis by ``angle`` radians."""
-    c, s = np.cos(angle), np.sin(angle)
-    m = np.eye(4)
-    m[0, 0], m[0, 2] = c, s
-    m[2, 0], m[2, 2] = -s, c
-    return m
-
-
-def rotation_z(angle: float) -> np.ndarray:
-    """4x4 homogeneous rotation about the z axis by ``angle`` radians."""
-    c, s = np.cos(angle), np.sin(angle)
-    m = np.eye(4)
-    m[0, 0], m[0, 1] = c, -s
-    m[1, 0], m[1, 1] = s, c
-    return m
-
-
 def look_at_pose(eye: np.ndarray, target: np.ndarray, up=(0.0, 0.0, 1.0)) -> np.ndarray:
     """Build a 4x4 camera-to-world pose for a camera at ``eye`` looking at ``target``.
 
@@ -83,12 +56,6 @@ def spherical_pose(radius: float, theta: float, phi: float,
         np.sin(phi),
     ])
     return look_at_pose(eye, target, up=up)
-
-
-def transform_points(pose: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Apply a 4x4 homogeneous transform to an (N, 3) array of points."""
-    points = np.asarray(points, dtype=np.float64)
-    return points @ pose[:3, :3].T + pose[:3, 3]
 
 
 def transform_directions(pose: np.ndarray, dirs: np.ndarray) -> np.ndarray:

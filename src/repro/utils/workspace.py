@@ -29,9 +29,14 @@ Semantics
   steady-state miss rate.
 * Components accept ``arena=None`` and then allocate fresh arrays exactly
   as before — direct (non-trainer) use keeps allocation semantics
-  unchanged.  The :class:`~repro.training.trainer.Trainer` owns one arena
-  per run and threads it through the pipeline, model, renderer and
-  optimisers.
+  unchanged.  :meth:`~repro.training.trainer.Trainer.set_arena` threads an
+  arena through the pipeline, model, renderer and optimisers.  A solo
+  trainer owns one; whatever executes trainers owns it instead — each
+  :class:`~repro.serving.service.SceneService` worker and each
+  :class:`~repro.training.fleet.SceneFleet` run attach theirs to every
+  trainer they check out — so the workspace is paid once per executor and
+  a resident scene holds only its state.  No buffer outlives the step that
+  wrote it, so trainers that never step at the same time may share one.
 """
 
 from __future__ import annotations

@@ -480,9 +480,9 @@ class TestFleetCheckpointResume:
         orig_acquire = ResidencyManager.acquire
         orig_release = ResidencyManager.release
 
-        def acquire(manager, slot):
+        def acquire(manager, slot, arena):
             was_resident = slot.trainer is not None
-            trainer = orig_acquire(manager, slot)
+            trainer = orig_acquire(manager, slot, arena)
             if not was_resident:
                 live["now"] += 1
                 live["peak"] = max(live["peak"], live["now"])

@@ -235,7 +235,7 @@ class TestSnapshotRing:
             ring.push(i, {"x": np.full(2, float(i))})
         assert ring.iterations() == [2, 3]
         assert len(ring) == 2
-        assert ring.newest()["iteration"] == 3
+        assert ring.restore_newest()["iteration"] == 3
 
     def test_push_copies_the_state(self):
         ring = SnapshotRing(1)
@@ -259,7 +259,7 @@ class TestSnapshotRing:
 
     def test_empty_ring(self):
         ring = SnapshotRing(2)
-        assert ring.newest() is None and ring.restore_newest() is None
+        assert ring.restore_newest() is None
         assert ring.iterations() == [] and len(ring) == 0
 
     def test_copy_state_tree_handles_scalars_and_tuples(self):

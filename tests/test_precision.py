@@ -33,6 +33,7 @@ from repro.grid.hash_encoding import HashGridConfig, MultiResHashGrid
 from repro.io import CheckpointError, load_trainer_checkpoint, save_trainer_checkpoint
 from repro.nn.layers import Linear
 from repro.training import trainer as trainer_module
+from repro.training.metrics import render_view
 from repro.training.trainer import Trainer, TrainingHistory
 from repro.utils.precision import FLOAT32, FLOAT64, PrecisionPolicy, resolve_policy
 from repro.utils.seeding import new_rng
@@ -306,17 +307,79 @@ class TestArenaSteadyState:
     def test_components_propagate_arena(self, tiny_config, tiny_dataset):
         model = DecoupledRadianceField(tiny_config, seed=0)
         trainer = Trainer(model, tiny_dataset, config=tiny_config, seed=0)
-        arena = trainer.arena
-        assert model.arena is arena
-        assert model.encoder.density_grid.arena is arena
-        assert trainer.pipeline.arena is arena
-        assert trainer.pipeline.renderer.arena is arena
-        assert trainer.density_optimizer.arena is arena
-        for mlp in (model.density_mlp, model.color_mlp):
-            for layer in mlp.layers:
-                assert layer.arena is arena
-                if isinstance(layer, _Activation):
-                    assert layer.name is not None
+
+        def assert_bound(arena):
+            assert trainer.arena is arena
+            assert model.arena is arena
+            assert model.encoder.density_grid.arena is arena
+            assert model.encoder.color_grid.arena is arena
+            assert trainer.pipeline.arena is arena
+            assert trainer.pipeline.renderer.arena is arena
+            assert trainer.density_optimizer.arena is arena
+            assert trainer.color_optimizer.arena is arena
+            assert trainer.density_optimizer.arena_prefix == "density_adam"
+            assert trainer.color_optimizer.arena_prefix == "color_adam"
+            for mlp in (model.density_mlp, model.color_mlp):
+                for layer in mlp.layers:
+                    assert layer.arena is arena
+                    if isinstance(layer, _Activation):
+                        assert layer.name is not None
+
+        assert isinstance(trainer.arena, WorkspaceArena)
+        assert_bound(trainer.arena)
+        shared = WorkspaceArena()
+        trainer.set_arena(shared)
+        assert_bound(shared)
+        trainer.train_step()
+        assert shared.misses > 0
+
+
+class TestSharedArena:
+    """Trainers that never step at the same time may share one arena, as
+    the trainers a serving worker or a fleet checks out do."""
+
+    @pytest.mark.parametrize("overrides", [
+        dict(compute_dtype="float64"),
+        dict(compute_dtype="float32", sparse_updates=True,
+             culling_enabled=True),
+    ], ids=["float64-dense", "float32-sparse"])
+    def test_interleaved_trainers_match_solo_runs(self, tiny_config,
+                                                  tiny_dataset, overrides,
+                                                  occupancy_schedule):
+        """Steps of two trainers alternate on one poisoning arena, with a
+        held-out render between them; each trainer's losses and parameter
+        bytes equal its solo run's, so no buffer outlives its step."""
+        config = dataclasses.replace(tiny_config, **overrides)
+        seeds, n_steps = (0, 1), 12
+        camera = tiny_dataset.test_views[0].camera
+
+        def build(seed):
+            return Trainer(DecoupledRadianceField(config, seed=seed),
+                           tiny_dataset, config=config, seed=seed)
+
+        with occupancy_schedule(warmup=4, every=2):
+            solo = [build(seed) for seed in seeds]
+            solo_losses = [[trainer.train_step()["loss"]
+                            for _ in range(n_steps)] for trainer in solo]
+            arena = _PoisonedArena()
+            shared = [build(seed) for seed in seeds]
+            for trainer in shared:
+                trainer.set_arena(arena)
+            shared_losses = [[] for _ in seeds]
+            for _ in range(n_steps):
+                for losses, trainer in zip(shared_losses, shared):
+                    losses.append(trainer.train_step()["loss"])
+                    rgb, _ = render_view(
+                        trainer.model, camera, tiny_dataset.scene_bound,
+                        n_samples=config.n_samples_per_ray,
+                        occupancy=trainer.occupancy, policy=trainer.policy)
+                    assert np.all(np.isfinite(rgb))
+        assert arena.hits > 0
+        assert shared_losses == solo_losses
+        for ours, theirs in zip(shared, solo):
+            for a, b in zip(ours.model.parameters(),
+                            theirs.model.parameters()):
+                assert a.data.tobytes() == b.data.tobytes()
 
 
 class TestCheckpointPrecision:

@@ -55,6 +55,7 @@ from repro.serving import (
     SceneService,
 )
 from repro.training.trainer import Trainer, TrainingHistory
+from repro.utils.workspace import WorkspaceArena
 
 FAULT_SEED = int(os.environ.get("REPRO_FAULT_SEED", "0"))
 
@@ -633,16 +634,17 @@ class TestGenerationFallbackInService:
         for dataset in rel_datasets:
             manager.add_scene(dataset)
         lego, chair = rel_datasets[0].name, rel_datasets[1].name
-        slot = manager.checkout(lego)
+        arena = WorkspaceArena()
+        slot = manager.checkout(lego, arena)
         slot.trainer.run_steps(4, slot.history)
         manager.save(slot)
         slot.trainer.run_steps(4, slot.history)
         manager.save(slot)                      # rotates iter-4 file to .g1
-        manager.checkout(chair)                 # evicts lego
+        manager.checkout(chair, arena)          # evicts lego
         path = manager.checkpoint_path(lego)
         with open(path, "r+b") as handle:       # torn write of the newest
             handle.truncate(path.stat().st_size // 2)
-        slot = manager.checkout(lego)           # falls back, scene survives
+        slot = manager.checkout(lego, arena)    # falls back, scene survives
         assert slot.trainer.iteration == 4
         assert manager.fallback_loads == 1
         assert manager.stats()["fallback_loads"] == 1.0

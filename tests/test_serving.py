@@ -46,6 +46,7 @@ from repro.serving import (
 )
 from repro.training.fleet import SceneFleet
 from repro.training.trainer import Trainer, TrainingHistory, train_scene
+from repro.utils.workspace import WorkspaceArena
 
 
 # ---------------------------------------------------------------------------
@@ -274,14 +275,15 @@ class TestResidencyManager:
         for dataset in serving_datasets:
             manager.add_scene(dataset)
         lego, chair, drums = [d.name for d in serving_datasets]
-        manager.checkout(lego)
-        manager.checkout(chair)
-        manager.checkout(lego)            # touch: chair is now the LRU scene
-        manager.checkout(drums)           # over cap -> evict chair, not lego
+        arena = WorkspaceArena()
+        manager.checkout(lego, arena)
+        manager.checkout(chair, arena)
+        manager.checkout(lego, arena)     # touch: chair is now the LRU scene
+        manager.checkout(drums, arena)    # over cap -> evict chair, not lego
         assert _resident(manager) == sorted([lego, drums])
         assert manager.slot(chair).on_disk
         assert manager.evictions == 1
-        manager.checkout(chair)           # LRU is now lego
+        manager.checkout(chair, arena)    # LRU is now lego
         assert _resident(manager) == sorted([chair, drums])
         assert manager.evictions == 2
         assert manager.peak_resident == 2
@@ -294,9 +296,10 @@ class TestResidencyManager:
         for dataset in serving_datasets[:2]:
             manager.add_scene(dataset)
         lego, chair = [d.name for d in serving_datasets[:2]]
-        manager.checkout(lego)
+        arena = WorkspaceArena()
+        manager.checkout(lego, arena)
         # A pinned scene is never evicted even over cap: the bound stretches.
-        manager.checkout(chair, pinned={lego})
+        manager.checkout(chair, arena, pinned={lego})
         assert _resident(manager) == sorted([lego, chair])
         assert manager.evictions == 0
         assert manager.peak_resident == 2
@@ -327,20 +330,21 @@ class TestResidencyManager:
 
     def test_resume_after_evict_bit_identity(self, serving_datasets,
                                              serving_config, tmp_path):
-        """Evict mid-training, continue elsewhere, come back: the trajectory
-        is the uninterrupted one, bit for bit."""
+        """Evict mid-training, continue elsewhere on the same arena, come
+        back: the trajectory is the uninterrupted one, bit for bit."""
         lego, chair = serving_datasets[0], serving_datasets[1]
         manager = ResidencyManager(serving_config, seed=0,
                                    checkpoint_dir=tmp_path,
                                    max_resident_scenes=1)
         slot_a = manager.add_scene(lego)
         slot_b = manager.add_scene(chair)
-        manager.checkout(lego.name)
+        arena = WorkspaceArena()
+        manager.checkout(lego.name, arena)
         slot_a.trainer.run_steps(5, slot_a.history)
-        manager.checkout(chair.name)               # evicts lego mid-run
+        manager.checkout(chair.name, arena)        # evicts lego mid-run
         assert not slot_a.resident and slot_a.on_disk
         slot_b.trainer.run_steps(5, slot_b.history)
-        manager.checkout(lego.name)                # evicts chair, restores lego
+        manager.checkout(lego.name, arena)         # evicts chair, restores lego
         slot_a.trainer.run_steps(5, slot_a.history)
         assert manager.evictions == 2
 
@@ -395,6 +399,32 @@ class TestSceneService:
             second = service.train(lego.name, n_steps=5)
             losses = first.result(60).losses + second.result(60).losses
         assert losses == ref_losses
+
+    def test_worker_arena_serves_every_checked_out_trainer(
+            self, serving_datasets, serving_config, tmp_path):
+        """The worker's arena is the one its trainers step in: every
+        resident trainer holds the same arena, and a TrainJob on a scene
+        just restored from its checkpoint does not grow it."""
+        with SceneService(serving_datasets, serving_config, seed=0,
+                          n_workers=1, checkpoint_dir=tmp_path,
+                          max_resident_scenes=2) as service:
+            # Warm-up past the first occupancy refreshes, with renders.
+            for _ in range(2):
+                for dataset in serving_datasets:
+                    service.train(dataset.name, n_steps=4).result(60)
+                    service.render(dataset.name).result(60)
+            residency = service._residency
+            slots = [residency.slot(name) for name in residency.scene_names]
+            resident = [slot for slot in slots if slot.resident]
+            assert len(resident) == 2
+            arena = resident[0].trainer.arena
+            assert all(slot.trainer.arena is arena for slot in resident)
+            [evicted] = [slot for slot in slots if not slot.resident]
+            loads, misses = residency.checkpoint_loads, arena.misses
+            service.train(evicted.name, n_steps=4).result(60)
+            assert residency.checkpoint_loads == loads + 1
+            assert evicted.trainer.arena is arena
+            assert arena.misses == misses
 
     def test_coalesces_same_scene_renders(self, serving_datasets,
                                           serving_config):

