@@ -23,7 +23,10 @@ enough points to outweigh the thread hand-offs.  On a step where only one
 branch updates, :meth:`DecoupledRadianceField.run_branch_updates` gives
 that branch the idle worker instead: its grid backward and its lazy
 ``Adam`` step split over two threads, as fused grid cores serve one large
-table together.  Results are bit-identical either way.
+table together.  Results are bit-identical either way.  The worker
+belongs to the calling thread, not to the model: every model a thread
+builds and drops (a service worker restoring scene after scene) hands its
+color branch to that thread's one worker.
 
 The model counts none of its own cost: table bytes, grid accesses and
 FLOPs per step come from the config alone, through
@@ -33,7 +36,7 @@ FLOPs per step come from the config alone, through
 from __future__ import annotations
 
 import contextvars
-import weakref
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -61,6 +64,21 @@ BRANCH_THREAD_MIN_ROWS = 1 << 18
 #: break even on the query and 2,048 save a quarter of the query and a
 #: third of the backward (README, "Concurrent density/color branches").
 BRANCH_THREAD_MIN_POINTS = 2048
+
+
+#: Each calling thread's color-branch worker, started on its first
+#: concurrent call and stopped when the thread ends and drops it.
+_BRANCH_WORKERS = threading.local()
+
+
+def _branch_worker() -> ThreadPoolExecutor:
+    """The calling thread's color-branch worker (started on first use)."""
+    worker = getattr(_BRANCH_WORKERS, "executor", None)
+    if worker is None:
+        worker = ThreadPoolExecutor(max_workers=1,
+                                    thread_name_prefix="repro-color-branch")
+        _BRANCH_WORKERS.executor = worker
+    return worker
 
 
 def _run_inline(first: Callable[[], Any],
@@ -117,8 +135,6 @@ class DecoupledRadianceField:
         self._min_branch_rows = min(
             self.encoder.density_grid.table.data.shape[0],
             self.encoder.color_grid.table.data.shape[0])
-        # The color-branch worker, started on the first concurrent call.
-        self._worker: Optional[ThreadPoolExecutor] = None
 
     def set_arena(self, arena: Optional[WorkspaceArena]) -> None:
         """Thread a workspace arena through grids, MLP heads and activations.
@@ -149,8 +165,8 @@ class DecoupledRadianceField:
         are given and a gate holds — :attr:`branches_concurrent`, or
         ``n_points`` (the points the call covers; 0 for work that is not per
         point) is at least :data:`BRANCH_THREAD_MIN_POINTS` — ``color_fn``
-        runs on the model's worker thread while ``density_fn`` runs on the
-        caller's; otherwise both run inline, density first.  The color task
+        runs on the calling thread's worker while ``density_fn`` runs on
+        the caller's; otherwise both run inline, density first.  The color task
         runs in a copy of the caller's context, so ``np.errstate`` (a
         context variable) applies to it too.  Both branches are joined
         before this returns or raises; a density-branch exception wins over
@@ -161,12 +177,8 @@ class DecoupledRadianceField:
                         or n_points >= BRANCH_THREAD_MIN_POINTS)):
             return (density_fn() if density_fn is not None else None,
                     color_fn() if color_fn is not None else None)
-        if self._worker is None:
-            self._worker = ThreadPoolExecutor(
-                max_workers=1, thread_name_prefix="repro-color-branch")
-            # The worker may drop the last reference itself, so do not join.
-            weakref.finalize(self, self._worker.shutdown, wait=False)
-        color = self._worker.submit(contextvars.copy_context().run, color_fn)
+        color = _branch_worker().submit(contextvars.copy_context().run,
+                                        color_fn)
         try:
             density = density_fn()
         except BaseException:

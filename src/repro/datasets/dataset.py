@@ -9,7 +9,7 @@ import numpy as np
 
 from repro.datasets.renderer import GroundTruthRenderer
 from repro.datasets.scene import AnalyticScene
-from repro.nerf.cameras import PinholeCamera
+from repro.nerf.cameras import PinholeCamera, RayTable
 from repro.utils.math3d import spherical_pose
 from repro.utils.seeding import derive_rng
 
@@ -104,6 +104,19 @@ class SceneDataset:
     train_views: List[RenderedView] = field(default_factory=list)
     test_views: List[RenderedView] = field(default_factory=list)
     suite: str = "custom"
+    _ray_table: Optional[RayTable] = field(default=None, init=False,
+                                           repr=False, compare=False)
+
+    @property
+    def ray_table(self) -> RayTable:
+        """The training views' :class:`RayTable`, made on first use.
+
+        Every trainer of this scene draws from it, so a trainer restored
+        after eviction finds the table its predecessor built.
+        """
+        if self._ray_table is None:
+            self._ray_table = RayTable(self.train_cameras, self.train_images)
+        return self._ray_table
 
     @property
     def train_cameras(self) -> List[PinholeCamera]:

@@ -1,18 +1,20 @@
 """Versioned single-file checkpointing for training state.
 
-A checkpoint is **one** ``.npz`` file: every :class:`numpy.ndarray` leaf of
-the state tree is stored as a raw npz member (dtype- and bit-exact), and a
-JSON *manifest* — stored inside the same archive under ``__manifest__`` —
-records the tree structure, scalar leaves (including the arbitrary-precision
+A checkpoint is **one** ``.npz`` file with two members.  ``__data__`` is a
+``uint8`` array holding every :class:`numpy.ndarray` leaf of the state tree,
+raw and bit-exact, each at a 64-byte-aligned offset.  ``__manifest__`` is a
+JSON *manifest* that records the tree structure, each array's offset, dtype,
+shape and CRC32, the scalar leaves (including the arbitrary-precision
 integers of numpy bit-generator states), a format version and caller
 metadata.  The format needs no pickle (``allow_pickle=False`` throughout),
 so checkpoints are safe to load from untrusted sources and stable across
-Python versions.
+Python versions.  A load reads the data member once and hands out views
+into it.
 
 Round-trip guarantees, which the interrupt/resume differential tests build
 on:
 
-* arrays are byte-identical (npz stores raw buffers);
+* arrays are byte-identical (the data member stores raw buffers);
 * Python ``float`` scalars round-trip exactly (JSON uses ``repr``-based
   shortest representations that parse back to the same double);
 * ``int`` scalars of any magnitude round-trip exactly (JSON integers are
@@ -20,10 +22,10 @@ on:
 
 Integrity and fault tolerance (see ``docs/reliability.md``):
 
-* every array member's CRC32 is recorded in the manifest under
-  ``"digests"`` at save and verified on load; a mismatch (or an unreadable
-  archive, or a manifest without digests) raises
-  :class:`CheckpointCorruptError`;
+* every array's CRC32 is recorded in the manifest under ``"digests"`` at
+  save and verified on load; a mismatch (or an unreadable archive, a
+  manifest without digests, or an array whose recorded layout runs past
+  the data member) raises :class:`CheckpointCorruptError`;
 * ``save_checkpoint(..., keep_generations=N)`` rotates the previous file
   to ``path.g1`` (and ``.g1`` to ``.g2``, ...) before the atomic replace,
   keeping the newest ``N`` snapshots;
@@ -48,6 +50,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import os
 import threading
 import zipfile
@@ -73,16 +76,23 @@ CHECKPOINT_FORMAT = "repro-checkpoint"
 #:       optimiser state holds one table-sized moment array per grid;
 #:   3 — every manifest records per-array CRC32 ``"digests"`` and trainer
 #:       histories carry ``health_counters``.  Both arrived during version
-#:       2, so a version-2 file may lack either.
-CHECKPOINT_VERSION = 3
+#:       2, so a version-2 file may lack either;
+#:   4 — every array lives in one ``uint8`` data member at the offset,
+#:       dtype and shape the manifest's ``"layout"`` records, instead of
+#:       one npz member per array.
+CHECKPOINT_VERSION = 4
 #: Oldest version this library can still restore.  Older files are
 #: rejected up front with a clear error: version-1 optimiser state cannot
-#: be mapped onto the master-table parameters, and a version-2 file cannot
-#: be verified.
-CHECKPOINT_MIN_VERSION = 3
+#: be mapped onto the master-table parameters, a version-2 file cannot be
+#: verified, and a version-3 file keeps one npz member per array.
+CHECKPOINT_MIN_VERSION = 4
 #: npz member that stores the JSON manifest.
 _MANIFEST_KEY = "__manifest__"
-#: Manifest placeholder key referencing an npz array member.
+#: npz member that stores every array's bytes.
+_DATA_KEY = "__data__"
+#: Alignment of each array's offset inside the data member.
+_ALIGN = 64
+#: Manifest placeholder key referencing an array of the data member.
 _ARRAY_KEY = "__npz__"
 #: What reading a damaged archive raises.  Beyond plain I/O and decode
 #: errors, a corrupted zip layer surfaces as ``BadZipFile`` (CRC or header
@@ -160,9 +170,9 @@ class Checkpoint:
     fallback_generation: int = 0
 
 
-def _array_digest(array: np.ndarray) -> int:
-    """CRC32 over the array's raw bytes (C-contiguous view)."""
-    return zlib.crc32(np.ascontiguousarray(array).tobytes())
+def _raw_bytes(array: np.ndarray) -> np.ndarray:
+    """The array's bytes as a flat ``uint8`` view (copied if not C-ordered)."""
+    return np.require(array, requirements="C").reshape(-1).view(np.uint8)
 
 
 def generation_path(path: PathLike, k: int) -> Path:
@@ -220,8 +230,8 @@ def _flatten(node: Any, arrays: Dict[str, np.ndarray], path: str,
     """
     if isinstance(node, np.ndarray):
         if node.dtype == object:
-            # np.savez would silently pickle these, and allow_pickle=False
-            # on load would then reject them — an unrestorable checkpoint.
+            # Their bytes are object pointers, not data: the data member
+            # could store them but no load could restore them.
             raise CheckpointError(
                 f"object-dtype arrays cannot be checkpointed "
                 f"(at {path or '<root>'})")
@@ -298,11 +308,13 @@ def save_checkpoint(path: PathLike, payload: Dict[str, Any], *,
     concurrent saves of the same path from different threads never collide
     on the temp file.
 
-    The manifest records a CRC32 digest per array member, verified by
-    :func:`load_checkpoint`.  With ``keep_generations=N`` (N > 1) the
-    previous file is rotated to ``path.g1`` (``.g1`` to ``.g2``, ...)
-    before the replace, so a later corruption of the primary file can fall
-    back to an older verified snapshot.
+    Every array is streamed into the one data member, so a save holds no
+    copy of the whole file.  The manifest records each array's offset,
+    dtype, shape and CRC32 digest, verified by :func:`load_checkpoint`.
+    With ``keep_generations=N`` (N > 1) the previous file is rotated to
+    ``path.g1`` (``.g1`` to ``.g2``, ...) before the replace, so a later
+    corruption of the primary file can fall back to an older verified
+    snapshot.
 
     Non-finite floating values in the payload are **refused** by default
     (:class:`NonFiniteCheckpointError`) — a NaN-poisoned state must not
@@ -315,22 +327,47 @@ def save_checkpoint(path: PathLike, payload: Dict[str, Any], *,
     path = Path(path)
     arrays: Dict[str, np.ndarray] = {}
     tree = _flatten(payload, arrays, "", allow_non_finite)
+    meta_tree = _flatten(metadata or {}, arrays, "metadata")
+    raw: Dict[str, np.ndarray] = {}
+    layout: Dict[str, Dict[str, Any]] = {}
+    size = 0
+    for key, array in arrays.items():
+        raw[key] = _raw_bytes(array)
+        offset = -(-size // _ALIGN) * _ALIGN
+        layout[key] = {"offset": offset,
+                       "dtype": np.lib.format.dtype_to_descr(array.dtype),
+                       "shape": list(array.shape)}
+        size = offset + raw[key].size
     manifest = {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
         "kind": str(kind),
-        "metadata": _flatten(metadata or {}, arrays, "metadata"),
+        "metadata": meta_tree,
         "payload": tree,
-        "digests": {key: _array_digest(array)
-                    for key, array in arrays.items()},
+        "layout": layout,
+        "digests": {key: zlib.crc32(data) for key, data in raw.items()},
     }
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp_path = path.parent / (f".{path.name}.tmp{os.getpid()}-"
                               f"{threading.get_ident()}-{next(_TMP_COUNTER)}")
     try:
-        with open(tmp_path, "wb") as handle:
-            np.savez(handle, **{_MANIFEST_KEY: np.array(json.dumps(manifest))},
-                     **arrays)
+        with zipfile.ZipFile(tmp_path, "w") as archive:
+            with archive.open(f"{_MANIFEST_KEY}.npy", "w",
+                              force_zip64=True) as member:
+                np.lib.format.write_array(
+                    member, np.array(json.dumps(manifest)),
+                    allow_pickle=False)
+            with archive.open(f"{_DATA_KEY}.npy", "w",
+                              force_zip64=True) as member:
+                np.lib.format.write_array_header_1_0(
+                    member, {"descr": "|u1", "fortran_order": False,
+                             "shape": (size,)})
+                written = 0
+                for key, data in raw.items():
+                    offset = layout[key]["offset"]
+                    member.write(bytes(offset - written))
+                    member.write(data)
+                    written = offset + data.size
         if keep_generations > 1 and path.exists():
             _rotate_generations(path, keep_generations)
         os.replace(tmp_path, path)
@@ -344,11 +381,51 @@ def save_checkpoint(path: PathLike, payload: Dict[str, Any], *,
     return path
 
 
+def _verified_views(path: Path, blob: np.ndarray, layout: Any,
+                    digests: Dict[str, Any]) -> Dict[str, np.ndarray]:
+    """Each array of the data member ``blob``, CRC32-checked, as a view.
+
+    A layout that does not parse, names other arrays than the digests, or
+    places an array outside ``blob`` is corruption like a digest mismatch.
+    """
+    if blob.dtype != np.uint8 or blob.ndim != 1:
+        raise CheckpointCorruptError(
+            f"corrupt checkpoint {path}: data member is {blob.dtype} "
+            f"{blob.shape}, not a flat uint8 array")
+    if not isinstance(layout, dict) or set(layout) != set(digests):
+        raise CheckpointCorruptError(
+            f"corrupt checkpoint {path}: manifest layout does not list "
+            f"exactly the digested arrays")
+    members: Dict[str, np.ndarray] = {}
+    for key, entry in layout.items():
+        try:
+            dtype = np.lib.format.descr_to_dtype(entry["dtype"])
+            shape = tuple(int(n) for n in entry["shape"])
+            offset = int(entry["offset"])
+            expected = int(digests[key])
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise CheckpointCorruptError(
+                f"corrupt checkpoint {path}: bad layout of array {key!r}: "
+                f"{exc!r}") from exc
+        end = offset + dtype.itemsize * math.prod(shape)
+        if offset < 0 or min(shape, default=0) < 0 or end > blob.size:
+            raise CheckpointCorruptError(
+                f"corrupt checkpoint {path}: array {key!r} at bytes "
+                f"{offset}..{end} lies outside the {blob.size}-byte data "
+                f"member")
+        raw = blob[offset:end]
+        if zlib.crc32(raw) != expected:
+            raise CheckpointCorruptError(
+                f"corrupt checkpoint {path}: CRC32 mismatch on array {key!r}")
+        members[key] = raw.view(dtype).reshape(shape)
+    return members
+
+
 def _read_verified(path: Path, expected_kind: Optional[str]) -> Checkpoint:
-    """Read one file and verify its integrity digests.
+    """Read one file, reading its data member once, and verify every array.
 
     Corruption-class failures (unreadable archive, undecodable manifest,
-    digest mismatch, dangling array reference) raise
+    digest mismatch, bad array layout, dangling array reference) raise
     :class:`CheckpointCorruptError`; structural mismatches (format, version,
     kind) stay :class:`CheckpointError`.
     """
@@ -374,36 +451,23 @@ def _read_verified(path: Path, expected_kind: Optional[str]) -> Checkpoint:
             raise CheckpointError(
                 f"{path} has unsupported checkpoint version {version} "
                 f"(this library supports {CHECKPOINT_MIN_VERSION}.."
-                f"{CHECKPOINT_VERSION}; older files predate integrity "
-                f"digests and cannot be restored)")
+                f"{CHECKPOINT_VERSION}; older files use a layout this "
+                f"library no longer reads)")
         kind = manifest.get("kind", "state")
         if expected_kind is not None and kind != expected_kind:
             raise CheckpointError(
                 f"{path} holds a {kind!r} checkpoint, expected "
                 f"{expected_kind!r}")
-        # Materialise every member once: digest verification and
-        # _unflatten share the decompressed arrays.
-        members: Dict[str, np.ndarray] = {}
-        try:
-            for key in data.files:
-                if key != _MANIFEST_KEY:
-                    members[key] = data[key]
-        except _ARCHIVE_ERRORS as exc:
-            raise CheckpointCorruptError(
-                f"corrupt array member in {path}: {exc}") from exc
         digests = manifest.get("digests")
         if digests is None:
             raise CheckpointCorruptError(
                 f"corrupt checkpoint {path}: manifest has no digests")
-        for key, expected in digests.items():
-            if key not in members:
-                raise CheckpointCorruptError(
-                    f"corrupt checkpoint {path}: digest manifest lists "
-                    f"member {key!r} but the archive lacks it")
-            if _array_digest(members[key]) != int(expected):
-                raise CheckpointCorruptError(
-                    f"corrupt checkpoint {path}: CRC32 mismatch on "
-                    f"array member {key!r}")
+        try:
+            blob = data[_DATA_KEY]
+        except (KeyError, *_ARCHIVE_ERRORS) as exc:
+            raise CheckpointCorruptError(
+                f"corrupt data member in {path}: {exc!r}") from exc
+        members = _verified_views(path, blob, manifest.get("layout"), digests)
         try:
             payload = _unflatten(manifest["payload"], members)
             metadata = _unflatten(manifest.get("metadata", {}), members)

@@ -108,7 +108,8 @@ class RayTable:
     ray origin (the camera centre).  A pixel draw is then integer index
     arithmetic plus one gather per array, whatever the number of views —
     rays are not generated view by view on every draw.  The arrays are
-    built on the first draw, not at construction.
+    built on the first draw, not at construction, and never change after
+    it, so any number of schedulers may share one table.
 
     Because every direction comes from one ``all_rays()`` call per view, a
     pixel's ray does not depend on which other pixels share its draw.
@@ -152,12 +153,13 @@ class RayTable:
         self._widths = np.array(self.widths, dtype=np.int64)
         self._offsets = np.concatenate(
             ([0], np.cumsum([cam.n_pixels for cam in self.cameras])[:-1]))
-        self._directions = np.concatenate(
-            [cam.all_rays().directions for cam in self.cameras])
         self._colors = np.concatenate(
             [np.asarray(image, dtype=np.float64).reshape(-1, 3)
              for image in self.images])
         self._origins = np.stack([cam.pose[:3, 3] for cam in self.cameras])
+        # Last: gather() builds while _directions is None.
+        self._directions = np.concatenate(
+            [cam.all_rays().directions for cam in self.cameras])
 
     def draw(self, unit_view: np.ndarray, unit_pixels: int,
              draw_view: Callable[[int, int], Tuple[np.ndarray, np.ndarray]]

@@ -21,10 +21,12 @@ software:
   cell each ray enters, grouping rays whose *kept* samples land in the same
   grid region.
 
-Every scheduler draws through its own :class:`~repro.nerf.cameras.RayTable`:
-the RNG picks views and pixels (or tile origins) view by view, and one
-gather per array then reads the drawn pixels' rays and colours from the
-table, built on the first draw.
+Every scheduler draws through the :class:`~repro.nerf.cameras.RayTable` it
+is given (a trainer passes its dataset's
+:attr:`~repro.datasets.dataset.SceneDataset.ray_table`, which outlives the
+trainer): the RNG picks views and pixels (or tile origins) view by view, and
+one gather per array then reads the drawn pixels' rays and colours from the
+table, built on its first draw.
 
 The RNG-stream rule that keeps ``ray_schedule="uniform"`` bit-identical: a
 scheduler owns the trainer's pixel stream for the duration of a draw and may
@@ -36,11 +38,11 @@ the pixel stream.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.nerf.cameras import PinholeCamera, RayBundle, RayTable
+from repro.nerf.cameras import RayBundle, RayTable
 from repro.nerf.occupancy import OccupancyGrid
 from repro.nerf.sampling import normalize_points_to_unit_cube, ray_probe_points
 from repro.utils.morton import morton_encode_2d, morton_encode_3d
@@ -63,7 +65,7 @@ _NO_HIT_KEY = np.int64(1) << np.int64(62)
 
 
 class RayScheduler:
-    """Draws ``(RayBundle, targets)`` training batches from the given views.
+    """Draws ``(RayBundle, targets)`` training batches from a ray table.
 
     ``last_pixels`` exposes the most recent draw as ``(views, cols, rows)``
     index arrays (None before the first draw) so tests and benchmarks can
@@ -87,9 +89,8 @@ class UniformScheduler(RayScheduler):
     frozen per-view draw.  ``last_pixels`` stays ``None``.
     """
 
-    def __init__(self, cameras: Sequence[PinholeCamera], images: Sequence,
-                 batch_pixels: int):
-        self.table = RayTable(cameras, images)
+    def __init__(self, table: RayTable, batch_pixels: int):
+        self.table = table
         if batch_pixels < 1:
             raise ValueError("batch_pixels must be >= 1")
         self.batch_pixels = int(batch_pixels)
@@ -111,12 +112,11 @@ class MortonTileScheduler(RayScheduler):
 
     ``tile_size`` is clamped to the smallest view dimension so tiles always
     fit inside every image.  The drawn tiles' rays and colours are gathered
-    from the scheduler's :class:`RayTable` in one pass.
+    from the table in one pass.
     """
 
-    def __init__(self, cameras: Sequence[PinholeCamera], images: Sequence,
-                 batch_pixels: int, tile_size: int = 8):
-        self.table = RayTable(cameras, images)
+    def __init__(self, table: RayTable, batch_pixels: int, tile_size: int = 8):
+        self.table = table
         if batch_pixels < 1:
             raise ValueError("batch_pixels must be >= 1")
         if tile_size < 1:
@@ -171,11 +171,10 @@ class OccupancyTileScheduler(MortonTileScheduler):
     degrades to the plain Morton draw.
     """
 
-    def __init__(self, cameras: Sequence[PinholeCamera], images: Sequence,
-                 batch_pixels: int, tile_size: int = 8,
+    def __init__(self, table: RayTable, batch_pixels: int, tile_size: int = 8,
                  occupancy: Optional[OccupancyGrid] = None,
                  scene_bound: float = 1.0, n_probes: int = 16):
-        super().__init__(cameras, images, batch_pixels, tile_size)
+        super().__init__(table, batch_pixels, tile_size)
         if scene_bound <= 0:
             raise ValueError("scene_bound must be positive")
         if n_probes < 1:
@@ -208,8 +207,7 @@ class OccupancyTileScheduler(MortonTileScheduler):
         return bundle, targets[order]
 
 
-def make_scheduler(schedule: str, cameras: Sequence[PinholeCamera],
-                   images: Sequence, batch_pixels: int, *,
+def make_scheduler(schedule: str, table: RayTable, batch_pixels: int, *,
                    tile_size: int = 8,
                    occupancy: Optional[OccupancyGrid] = None,
                    scene_bound: float = 1.0,
@@ -221,11 +219,11 @@ def make_scheduler(schedule: str, cameras: Sequence[PinholeCamera],
     disabled) degrades it to the plain Morton draw.
     """
     if schedule == "uniform":
-        return UniformScheduler(cameras, images, batch_pixels)
+        return UniformScheduler(table, batch_pixels)
     if schedule == "morton":
-        return MortonTileScheduler(cameras, images, batch_pixels, tile_size)
+        return MortonTileScheduler(table, batch_pixels, tile_size)
     if schedule == "occupancy":
-        return OccupancyTileScheduler(cameras, images, batch_pixels, tile_size,
+        return OccupancyTileScheduler(table, batch_pixels, tile_size,
                                       occupancy=occupancy,
                                       scene_bound=scene_bound,
                                       n_probes=n_probes)

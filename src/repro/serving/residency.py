@@ -11,9 +11,9 @@ always used, extracted here so the multi-tenant
 trainer, staleness-aware checkpoint saves, eviction accounting, and a
 make-room pass that evicts before acquiring so peak residency never exceeds
 the cap even transiently.  The *victim policy* is pluggable: the default is
-LRU over :attr:`SceneSlot.last_used` (right for a service where request
-recency is the only signal), while the fleet passes a key that evicts the
-scene whose next round-robin turn is farthest away.
+LRU over :attr:`SceneSlot.last_used`, while the callers that can see their
+future pass a key that evicts the scene needed farthest ahead — the fleet
+by its round-robin turns, the service by its queued jobs.
 
 Restores are validated (scene name and seed must match the checkpoint's
 metadata) and bit-exact: a trainer evicted and re-acquired continues the
@@ -84,7 +84,7 @@ class SceneSlot:
 
 
 class ResidencyManager:
-    """LRU checkpoint eviction of per-scene trainers under a residency cap.
+    """Checkpoint eviction of per-scene trainers under a residency cap.
 
     Parameters
     ----------
@@ -289,12 +289,14 @@ class ResidencyManager:
             self.evict(victim)
 
     def checkout(self, name: str, arena: WorkspaceArena,
-                 pinned: Iterable[str] = ()) -> SceneSlot:
-        """Make a registered scene resident, evicting LRU scenes as needed
-        (``arena`` as in :meth:`acquire`)."""
+                 pinned: Iterable[str] = (),
+                 victim_key: Optional[Callable[[SceneSlot], object]] = None
+                 ) -> SceneSlot:
+        """Make a registered scene resident, evicting as :meth:`make_room`
+        does (``arena`` as in :meth:`acquire`)."""
         fault_point("residency.checkout")
         slot = self.slot(name)
-        self.make_room(slot, pinned=pinned)
+        self.make_room(slot, pinned=pinned, victim_key=victim_key)
         self.acquire(slot, arena)
         return slot
 

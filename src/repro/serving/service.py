@@ -101,9 +101,11 @@ class SceneService:
     checkpoint_dir / max_resident_scenes:
         Residency cap plumbing, exactly as on
         :class:`~repro.training.fleet.SceneFleet`: over-cap scenes are
-        checkpointed and restored on demand (LRU victims).  Note workers
-        pin the scenes they are executing, so with more workers than the
-        cap the bound stretches to the number of busy scenes.
+        checkpointed and restored on demand.  The victim is the resident
+        scene whose next queued job runs last (none queued: first), least
+        recently used among equals.  Note workers pin the scenes they are
+        executing, so with more workers than the cap the bound stretches
+        to the number of busy scenes.
     coalesce:
         Merge pending same-scene render jobs into one engine stream
         (``False`` = per-request dispatch).
@@ -459,9 +461,11 @@ class SceneService:
             with self._scene_locks[scene]:
                 with self._cv:
                     pinned = set(self._busy)
+                    victim_key = self._victim_key()
                 with self._residency_lock:
                     slot = self._residency.checkout(scene, arena,
-                                                    pinned=pinned)
+                                                    pinned=pinned,
+                                                    victim_key=victim_key)
                 fault_point("worker.execute")
                 if lead.job.kind == "train":
                     self._run_train(lead, slot, dequeued_at)
@@ -469,6 +473,20 @@ class SceneService:
                     self._run_renders(batch, slot, arena, dequeued_at)
         except BaseException as exc:  # noqa: BLE001 - retried or delivered
             self._handle_failure(batch, exc)
+
+    def _victim_key(self):
+        """Eviction order over the queue as it stands; ``_cv`` held.
+
+        Belady's choice over the visible future: a scene with no queued
+        job goes first, then the one whose first queued job comes latest
+        in dispatch order; ties go to the least recently used.
+        """
+        next_use: Dict[str, int] = {}
+        for rank, handle in enumerate(sorted(self._pending,
+                                             key=JobHandle.sort_key)):
+            next_use.setdefault(handle.job.scene, rank)
+        return lambda slot: (-next_use.get(slot.name, math.inf),
+                             slot.last_used)
 
     def _handle_failure(self, batch: List[JobHandle], error: BaseException
                         ) -> None:

@@ -224,8 +224,7 @@ class Trainer:
         # that stream for locality-preserving draws (see
         # repro.nerf.scheduling).
         self.scheduler = make_scheduler(
-            self.config.ray_schedule,
-            dataset.train_cameras, dataset.train_images,
+            self.config.ray_schedule, dataset.ray_table,
             self.config.batch_pixels,
             tile_size=self.config.tile_size,
             occupancy=self.occupancy,

@@ -31,7 +31,8 @@ that:
 * color-branch exceptions (including ``np.errstate`` floating-point errors,
   which live in a context variable) reach the caller after both branches
   joined, and the model keeps working;
-* dropping a model stops its worker;
+* the worker belongs to the calling thread: every model a thread runs
+  shares it, and it stops when that thread ends;
 * the arena's name lookup and counters survive many threads, and two
   optimisers sharing one arena under their own prefixes step concurrently
   exactly as on separate arenas.
@@ -85,6 +86,24 @@ def _on_worker() -> bool:
     return threading.current_thread().name.startswith(WORKER_PREFIX)
 
 
+def _in_fresh_thread(fn) -> None:
+    """Run ``fn()`` on a new thread, which starts with no branch worker,
+    and re-raise what it raised."""
+    errors = []
+
+    def target():
+        try:
+            fn()
+        except BaseException as exc:  # noqa: BLE001 - re-raised below
+            errors.append(exc)
+
+    thread = threading.Thread(target=target)
+    thread.start()
+    thread.join()
+    if errors:
+        raise errors[0]
+
+
 def _inputs(n_points: int, seed: int = 0):
     """``n_points`` random points, one direction, and output gradients."""
     rng = new_rng(seed)
@@ -130,8 +149,17 @@ class TestBitIdentity:
         sequential, seq_losses = _run(config, tiny_dataset, self.N_STEPS)
         assert not sequential.model.branches_concurrent
         monkeypatch.setattr(model_module, "BRANCH_THREAD_MIN_ROWS", 0)
+        handoffs = []
+        branch_worker = model_module._branch_worker
+
+        def counting_branch_worker():
+            handoffs.append(1)
+            return branch_worker()
+
+        monkeypatch.setattr(model_module, "_branch_worker",
+                            counting_branch_worker)
         concurrent, conc_losses = _run(config, tiny_dataset, self.N_STEPS)
-        assert concurrent.model._worker is not None   # the threaded path ran
+        assert handoffs                               # the threaded path ran
 
         _assert_same_run(sequential, seq_losses, concurrent, conc_losses)
 
@@ -290,29 +318,31 @@ class TestGate:
         # Small tables, and batches below the point gate.
         assert (tiny_config.batch_pixels * tiny_config.n_samples_per_ray
                 < model_module.BRANCH_THREAD_MIN_POINTS)
-        # Let workers of models dropped by earlier tests exit first.
-        gc.collect()
-        for thread in _workers():
-            thread.join(timeout=JOIN_TIMEOUT_S)
-        before = threading.active_count()
-        trainer, _ = _run(tiny_config, tiny_dataset, 3)
-        assert not trainer.model.branches_concurrent
-        assert trainer.model._worker is None
-        assert threading.active_count() == before
+
+        def run():
+            trainer, _ = _run(tiny_config, tiny_dataset, 3)
+            assert not trainer.model.branches_concurrent
+            assert not _workers() - before
+
+        before = _workers()
+        _in_fresh_thread(run)
 
     def test_query_at_point_gate_starts_one_worker(self, tiny_config):
         gate = model_module.BRANCH_THREAD_MIN_POINTS
-        model = DecoupledRadianceField(tiny_config, seed=0)
-        assert not model.branches_concurrent
+
+        def run():
+            model = DecoupledRadianceField(tiny_config, seed=0)
+            assert not model.branches_concurrent
+            points, dirs, _, _ = _inputs(gate - 1)
+            model.query(points, dirs)
+            assert not _workers() - before     # none below the gate
+            points, dirs, _, _ = _inputs(gate)
+            model.query(points, dirs)
+            model.query(points, dirs)
+            assert len(_workers() - before) == 1   # one, reused
+
         before = _workers()
-        points, dirs, _, _ = _inputs(gate - 1)
-        model.query(points, dirs)
-        assert model._worker is None           # none below the gate
-        assert not _workers() - before
-        points, dirs, _, _ = _inputs(gate)
-        model.query(points, dirs)
-        model.query(points, dirs)
-        assert len(_workers() - before) == 1   # one, reused
+        _in_fresh_thread(run)
 
     def test_backward_follows_cached_point_count(self, tiny_config,
                                                  monkeypatch):
@@ -343,18 +373,22 @@ class TestGate:
                               finest_resolution=128)
         config = Instant3DConfig.instant_ngp_baseline(
             grid=grid, mlp_hidden_width=16, mlp_hidden_layers=1)
+
+        def run():
+            model = DecoupledRadianceField(config, seed=0)
+            assert min(model.encoder.density_grid.table.data.shape[0],
+                       model.encoder.color_grid.table.data.shape[0]) \
+                == model_module.BRANCH_THREAD_MIN_ROWS
+            assert model.branches_concurrent
+            assert not _workers() - before     # none at construction
+            points = new_rng(0).random((64, 3))
+            dirs = np.tile([0.0, 0.0, 1.0], (64, 1))
+            model.query(points, dirs)
+            model.query(points, dirs)
+            assert len(_workers() - before) == 1   # one, reused
+
         before = _workers()
-        model = DecoupledRadianceField(config, seed=0)
-        assert min(model.encoder.density_grid.table.data.shape[0],
-                   model.encoder.color_grid.table.data.shape[0]) \
-            == model_module.BRANCH_THREAD_MIN_ROWS
-        assert model.branches_concurrent
-        assert not _workers() - before         # none at construction
-        points = new_rng(0).random((64, 3))
-        dirs = np.tile([0.0, 0.0, 1.0], (64, 1))
-        model.query(points, dirs)
-        model.query(points, dirs)
-        assert len(_workers() - before) == 1   # one, reused
+        _in_fresh_thread(run)
 
 
 class TestErrors:
@@ -413,14 +447,24 @@ class TestErrors:
 
 
 class TestLifetime:
-    def test_dropped_model_leaves_no_worker(self, tiny_config,
-                                            concurrent_branches):
+    def test_finished_thread_leaves_no_worker(self, tiny_config,
+                                              concurrent_branches):
+        """Models built and dropped on one thread, as a service worker
+        restores scene after scene, share that thread's one worker, which
+        stops when the thread ends."""
+        started = set()
+
+        def run():
+            for seed in range(3):
+                model = DecoupledRadianceField(tiny_config, seed=seed)
+                model.run_branches(lambda: None, lambda: None)
+                del model
+                gc.collect()
+            started.update(_workers() - before)
+
         before = _workers()
-        model = DecoupledRadianceField(tiny_config, seed=0)
-        model.run_branches(lambda: None, lambda: None)
-        started = _workers() - before
+        _in_fresh_thread(run)
         assert len(started) == 1
-        del model
         gc.collect()
         for thread in started:
             thread.join(timeout=JOIN_TIMEOUT_S)

@@ -237,24 +237,35 @@ class TestCheckpointIntegrity:
     def test_digests_recorded_and_roundtrip(self, tmp_path):
         path = save_checkpoint(tmp_path / "s.npz", self._payload(), kind="t")
         with np.load(path, allow_pickle=False) as data:
+            assert sorted(data.files) == ["__data__", "__manifest__"]
             manifest = json.loads(str(data["__manifest__"][()]))
+            blob = data["__data__"]
         assert set(manifest["digests"]) == {"a0", "a1"}
+        # One flat uint8 member; each array at a 64-byte-aligned offset.
+        assert blob.dtype == np.uint8 and blob.shape == (128 + 5 * 4,)
+        layout = manifest["layout"]
+        assert [layout[key]["offset"] for key in ("a0", "a1")] == [0, 128]
+        assert layout["a0"]["shape"] == [3, 4]
         loaded = load_checkpoint(path, expected_kind="t")
         assert loaded.fallback_generation == 0
         np.testing.assert_array_equal(loaded.payload["weights"],
                                       self._payload()["weights"])
         np.testing.assert_array_equal(loaded.payload["moments"]["m"],
                                       self._payload()["moments"]["m"])
+        assert loaded.payload["moments"]["m"].dtype == np.float32
 
     def test_digest_mismatch_raises_corrupt_error(self, tmp_path):
         path = save_checkpoint(tmp_path / "s.npz", self._payload(), kind="t")
-        # Rewrite the archive with one array silently altered but the old
-        # digests kept — the zip itself stays valid, only CRC32 can tell.
+        # Rewrite the archive with one array's bytes silently altered inside
+        # the data member but the old digests kept — the zip itself stays
+        # valid, only the per-array CRC32 can tell.
         with np.load(path, allow_pickle=False) as data:
             members = {key: data[key] for key in data.files}
-        members["a0"] = np.asarray(members["a0"]) + 1.0
+        manifest = json.loads(str(members["__manifest__"][()]))
+        members["__data__"][manifest["layout"]["a0"]["offset"]] ^= 0x01
         np.savez(path, **members)
-        with pytest.raises(CheckpointCorruptError, match="CRC32 mismatch"):
+        with pytest.raises(CheckpointCorruptError,
+                           match="CRC32 mismatch on array 'a0'"):
             load_checkpoint(path, expected_kind="t")
         assert path.exists()                   # no generations: no quarantine
 
@@ -365,11 +376,47 @@ class TestCheckpointIntegrity:
         assert io_stats().fallback_loads == before
         assert not list(tmp_path.glob("*.corrupt*"))
 
-    def test_version_3_manifest_without_digests_is_corrupt(self, tmp_path):
+    def test_version_3_checkpoint_is_structural_error(self, tmp_path):
+        """A version-3 file keeps one npz member per array; it is refused
+        as unsupported: no quarantine, no generation fallback."""
+        path = tmp_path / "s.npz"
+        save_checkpoint(path, self._payload(), kind="t", keep_generations=2)
+        save_checkpoint(path, self._payload(), kind="t", keep_generations=2)
+        self._rewrite_manifest(path, lambda m: m.update(version=3))
+        before = io_stats().fallback_loads
+        with pytest.raises(CheckpointError, match="version 3") as info:
+            load_checkpoint(path, expected_kind="t")
+        assert not isinstance(info.value, CheckpointCorruptError)
+        assert io_stats().fallback_loads == before
+        assert not list(tmp_path.glob("*.corrupt*"))
+
+    def test_manifest_without_digests_is_corrupt(self, tmp_path):
         path = save_checkpoint(tmp_path / "s.npz", self._payload(), kind="t")
         self._rewrite_manifest(path, lambda m: m.pop("digests"))
         with pytest.raises(CheckpointCorruptError, match="no digests"):
             load_checkpoint(path, expected_kind="t")
+
+    @pytest.mark.parametrize("field, value", [
+        ("offset", 10 ** 6), ("offset", -64), ("shape", [3, 400]),
+        ("shape", [-1, 4]), ("dtype", "<f16x")])
+    def test_layout_tamper_falls_back_to_generation(self, tmp_path, field,
+                                                    value):
+        """A manifest layout that places an array outside the data member,
+        or names no dtype, is corruption like a digest mismatch: the file
+        is quarantined and the previous generation is restored."""
+        path = tmp_path / "s.npz"
+        save_checkpoint(path, {"x": np.arange(4.0), "v": 1}, kind="t",
+                        keep_generations=2)
+        save_checkpoint(path, self._payload(), kind="t", keep_generations=2)
+        self._rewrite_manifest(
+            path, lambda m: m["layout"]["a0"].update({field: value}))
+        with pytest.raises(CheckpointCorruptError, match="'a0'"):
+            load_checkpoint(path, expected_kind="t",
+                            fallback_generations=False)
+        loaded = load_checkpoint(path, expected_kind="t")
+        assert loaded.fallback_generation == 1 and loaded.payload["v"] == 1
+        np.testing.assert_array_equal(loaded.payload["x"], np.arange(4.0))
+        assert (tmp_path / "s.npz.corrupt").exists()
 
     def test_concurrent_same_path_saves_do_not_collide(self, tmp_path):
         # Satellite regression: the temp name used to be pid-only, so two

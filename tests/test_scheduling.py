@@ -119,8 +119,7 @@ class TestConfigValidation:
 
     def test_factory_rejects_unknown_name(self, tiny_dataset):
         with pytest.raises(ValueError, match="unknown ray schedule"):
-            make_scheduler("hilbert", tiny_dataset.train_cameras,
-                           tiny_dataset.train_images, 8)
+            make_scheduler("hilbert", tiny_dataset.ray_table, 8)
 
 
 class TestUniformBitIdentity:
@@ -182,7 +181,7 @@ class TestRayTableDraws:
     @pytest.mark.parametrize("batch", [64, 256, 1000])
     def test_uniform_matches_per_view_oracle(self, tiny_dataset, batch):
         cams, images = tiny_dataset.train_cameras, tiny_dataset.train_images
-        sched = UniformScheduler(cams, images, batch)
+        sched = UniformScheduler(RayTable(cams, images), batch)
         rng, ref_rng = new_rng(3), new_rng(3)
         for _ in range(50):
             got = sched.sample_batch(rng)
@@ -198,7 +197,7 @@ class TestRayTableDraws:
                                             (30, 3)])
     def test_morton_matches_per_view_oracle(self, tiny_dataset, batch, tile):
         cams, images = tiny_dataset.train_cameras, tiny_dataset.train_images
-        sched = MortonTileScheduler(cams, images, batch, tile)
+        sched = MortonTileScheduler(RayTable(cams, images), batch, tile)
         rng, ref_rng = new_rng(5), new_rng(5)
         for _ in range(50):
             got = sched.sample_batch(rng)
@@ -213,7 +212,8 @@ class TestRayTableDraws:
         cams, images = tiny_dataset.train_cameras, tiny_dataset.train_images
         grid = OccupancyGrid(resolution=8, decay=0.95)
         grid.mark_occupied(new_rng(2).uniform(0.2, 0.8, size=(64, 3)))
-        sched = OccupancyTileScheduler(cams, images, 48, 4, occupancy=grid,
+        sched = OccupancyTileScheduler(RayTable(cams, images), 48, 4,
+                                       occupancy=grid,
                                        scene_bound=tiny_dataset.scene_bound)
         rng, ref_rng = new_rng(6), new_rng(6)
         for _ in range(50):
@@ -235,7 +235,8 @@ class TestRayTableDraws:
         batch holds.  The per-view draw generated that ray with a one-row
         matrix product, which may differ from the row in the last bit."""
         cams, images = tiny_dataset.train_cameras, tiny_dataset.train_images
-        sched = MortonTileScheduler(cams, images, batch_pixels=1, tile_size=1)
+        sched = MortonTileScheduler(RayTable(cams, images), batch_pixels=1,
+                                    tile_size=1)
         for seed in range(20):
             bundle, targets = sched.sample_batch(new_rng(seed))
             (view,), (col,), (row,) = sched.last_pixels
@@ -269,9 +270,10 @@ def _two_views(near1=0.5, far1=3.0, shape1=None):
 _DRAWS = {
     "sample_pixel_batch": lambda c, i: sample_pixel_batch(c, i, 64,
                                                           new_rng(0)),
-    "uniform": lambda c, i: make_scheduler("uniform", c, i, 64),
-    "morton": lambda c, i: make_scheduler("morton", c, i, 64, tile_size=4),
-    "occupancy": lambda c, i: make_scheduler("occupancy", c, i, 64,
+    "uniform": lambda c, i: make_scheduler("uniform", RayTable(c, i), 64),
+    "morton": lambda c, i: make_scheduler("morton", RayTable(c, i), 64,
+                                          tile_size=4),
+    "occupancy": lambda c, i: make_scheduler("occupancy", RayTable(c, i), 64,
                                              tile_size=4),
 }
 
@@ -301,9 +303,8 @@ class TestRayTableValidation:
 
 class TestMortonTileScheduler:
     def test_targets_and_rays_match_drawn_pixels(self, tiny_dataset):
-        sched = MortonTileScheduler(tiny_dataset.train_cameras,
-                                    tiny_dataset.train_images,
-                                    batch_pixels=48, tile_size=4)
+        sched = MortonTileScheduler(tiny_dataset.ray_table, batch_pixels=48,
+                                    tile_size=4)
         bundle, targets = sched.sample_batch(new_rng(7))
         views, cols, rows = sched.last_pixels
         assert bundle.n_rays == 48 == targets.shape[0] == cols.shape[0]
@@ -318,8 +319,7 @@ class TestMortonTileScheduler:
 
     def test_tiles_are_contiguous_blocks(self, tiny_dataset):
         t = 4
-        sched = MortonTileScheduler(tiny_dataset.train_cameras,
-                                    tiny_dataset.train_images,
+        sched = MortonTileScheduler(tiny_dataset.ray_table,
                                     batch_pixels=t * t * 3, tile_size=t)
         sched.sample_batch(new_rng(3))
         views, cols, rows = sched.last_pixels
@@ -334,24 +334,21 @@ class TestMortonTileScheduler:
             assert np.all(np.diff(local) > 0)
 
     def test_partial_tile_truncates_to_batch_pixels(self, tiny_dataset):
-        sched = MortonTileScheduler(tiny_dataset.train_cameras,
-                                    tiny_dataset.train_images,
-                                    batch_pixels=10, tile_size=4)
+        sched = MortonTileScheduler(tiny_dataset.ray_table, batch_pixels=10,
+                                    tile_size=4)
         bundle, targets = sched.sample_batch(new_rng(0))
         assert bundle.n_rays == 10 == targets.shape[0]
 
     def test_tile_clamped_to_image(self, tiny_dataset):
         # tiny_dataset images are 20x20; a 64-wide tile must shrink to fit.
-        sched = MortonTileScheduler(tiny_dataset.train_cameras,
-                                    tiny_dataset.train_images,
-                                    batch_pixels=16, tile_size=64)
+        sched = MortonTileScheduler(tiny_dataset.ray_table, batch_pixels=16,
+                                    tile_size=64)
         assert sched.tile_size == 20
         bundle, _ = sched.sample_batch(new_rng(0))
         assert bundle.n_rays == 16
 
     def test_same_seed_same_draw(self, tiny_dataset):
-        make = lambda: MortonTileScheduler(tiny_dataset.train_cameras,
-                                           tiny_dataset.train_images,
+        make = lambda: MortonTileScheduler(tiny_dataset.ray_table,
                                            batch_pixels=32, tile_size=4)
         a, _ = make().sample_batch(new_rng(11))
         b, _ = make().sample_batch(new_rng(11))
@@ -361,10 +358,8 @@ class TestMortonTileScheduler:
 
 class TestOccupancyTileScheduler:
     def _schedulers(self, dataset, occupancy, seed=5, batch=32, tile=4):
-        morton = MortonTileScheduler(dataset.train_cameras,
-                                     dataset.train_images, batch, tile)
-        occ = OccupancyTileScheduler(dataset.train_cameras,
-                                     dataset.train_images, batch, tile,
+        morton = MortonTileScheduler(dataset.ray_table, batch, tile)
+        occ = OccupancyTileScheduler(dataset.ray_table, batch, tile,
                                      occupancy=occupancy,
                                      scene_bound=dataset.scene_bound)
         return (morton.sample_batch(new_rng(seed)), morton,
@@ -404,10 +399,8 @@ class TestOccupancyTileScheduler:
         grid = OccupancyGrid(resolution=8, decay=0.95)
         grid.mark_occupied(np.full((4, 3), 0.5))
         rng_a, rng_b = new_rng(9), new_rng(9)
-        morton = MortonTileScheduler(tiny_dataset.train_cameras,
-                                     tiny_dataset.train_images, 32, 4)
-        occ = OccupancyTileScheduler(tiny_dataset.train_cameras,
-                                     tiny_dataset.train_images, 32, 4,
+        morton = MortonTileScheduler(tiny_dataset.ray_table, 32, 4)
+        occ = OccupancyTileScheduler(tiny_dataset.ray_table, 32, 4,
                                      occupancy=grid,
                                      scene_bound=tiny_dataset.scene_bound)
         morton.sample_batch(rng_a)

@@ -9,16 +9,18 @@ The load-bearing guarantees:
 * cross-request coalescing computes the same renders as per-request
   dispatch (to BLAS-reduction tolerance);
 * the :class:`~repro.serving.residency.ResidencyManager` evicts in LRU
-  order, respects pins, and a scene evicted mid-training resumes
-  bit-identically;
+  order by default, respects pins, and a scene evicted mid-training resumes
+  bit-identically, drawing from the ray table its scene already built;
 * the :class:`~repro.serving.service.SceneService` preserves solo training
   trajectories under interleaved render+train jobs across more scenes than
-  the residency cap, coalesces same-scene renders, honours priorities and
-  propagates worker errors.
+  the residency cap, evicts the scene whose next queued job is farthest
+  away, coalesces same-scene renders, honours priorities and propagates
+  worker errors.
 """
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 
 import numpy as np
@@ -29,7 +31,8 @@ from test_pipeline import _reference_dense_run
 from repro.core.model import DecoupledRadianceField
 from repro.datasets import make_synthetic_scene
 from repro.datasets.dataset import build_dataset
-from repro.nerf.cameras import PinholeCamera, RayBundle
+from repro.io import load_trainer_checkpoint
+from repro.nerf.cameras import PinholeCamera, RayBundle, RayTable
 from repro.nerf.pipeline import RenderPipeline, render_coalesced
 from repro.nerf.sampling import (
     normalize_points_to_unit_cube,
@@ -304,6 +307,59 @@ class TestResidencyManager:
         assert manager.evictions == 0
         assert manager.peak_resident == 2
 
+    def test_victim_key_never_picks_a_pinned_scene(
+            self, serving_datasets, serving_config, tmp_path):
+        manager = ResidencyManager(serving_config, seed=0,
+                                   checkpoint_dir=tmp_path,
+                                   max_resident_scenes=2)
+        for dataset in serving_datasets:
+            manager.add_scene(dataset)
+        lego, chair, drums = [d.name for d in serving_datasets]
+        arena = WorkspaceArena()
+        manager.checkout(lego, arena)
+        manager.checkout(chair, arena)
+        # The key ranks lego first, but lego is pinned: chair goes.
+        manager.checkout(drums, arena, pinned={lego},
+                         victim_key=lambda slot: slot.name != lego)
+        assert _resident(manager) == sorted([lego, drums])
+        assert manager.evictions == 1
+
+    def test_restored_trainer_reuses_the_scene_ray_table(
+            self, serving_datasets, serving_config, tmp_path, monkeypatch):
+        """A trainer restored after eviction draws from the table its
+        scene built for the evicted trainer, and its first batch is a
+        fresh trainer's at the same iteration, bit for bit."""
+        builds = []
+        build = RayTable._build
+        monkeypatch.setattr(RayTable, "_build",
+                            lambda table: (builds.append(table), build(table)))
+        lego = dataclasses.replace(serving_datasets[0])   # table not built yet
+        manager = ResidencyManager(serving_config, seed=0,
+                                   checkpoint_dir=tmp_path,
+                                   max_resident_scenes=1)
+        slot = manager.add_scene(lego)
+        manager.add_scene(serving_datasets[1])
+        arena = WorkspaceArena()
+        manager.checkout(lego.name, arena)
+        slot.trainer.run_steps(3, slot.history)
+        manager.checkout(serving_datasets[1].name, arena)     # evicts lego
+        manager.checkout(lego.name, arena)                    # restores it
+        restored = slot.trainer
+        assert manager.checkpoint_loads == 1
+        assert restored.scheduler.table is lego.ray_table
+        solo = Trainer(DecoupledRadianceField(serving_config, seed=0),
+                       dataclasses.replace(serving_datasets[0]),
+                       config=serving_config, seed=0)
+        solo.run_steps(3, TrainingHistory())
+        got = restored.scheduler.sample_batch(
+            copy.deepcopy(restored._pixel_rng))
+        want = solo.scheduler.sample_batch(copy.deepcopy(solo._pixel_rng))
+        assert [table is lego.ray_table for table in builds].count(True) == 1
+        for a, b in ((got[0].origins, want[0].origins),
+                     (got[0].directions, want[0].directions),
+                     (got[1], want[1])):
+            assert np.array_equal(a, b)
+
     def test_registry_validation(self, serving_datasets, serving_config):
         manager = ResidencyManager(serving_config, seed=0)
         manager.add_scene(serving_datasets[0])
@@ -384,6 +440,44 @@ class TestSceneService:
             reference = train_scene(dataset, serving_config, 8, seed=0,
                                     eval_views=1, eval_samples=8)
             assert losses[dataset.name] == reference.history.losses
+
+    @pytest.mark.parametrize("n_workers", [1, 2])
+    def test_queued_rounds_evict_the_scene_needed_last(
+            self, serving_datasets, serving_config, tmp_path, n_workers):
+        """Three scenes, cap 2, rounds of one train job per scene queued
+        together: with the queue in view a round costs at most two
+        evictions (LRU costs three), and every scene's parameters equal a
+        solo trainer's bit for bit."""
+        rounds, steps = 4, 2
+        names = [d.name for d in serving_datasets]
+        with SceneService(serving_datasets, serving_config, seed=0,
+                          n_workers=n_workers, checkpoint_dir=tmp_path,
+                          max_resident_scenes=2) as service:
+            for _ in range(rounds):
+                with service._cv:      # the workers see the whole round
+                    handles = [service.train(name, n_steps=steps)
+                               for name in names]
+                for handle in handles:
+                    handle.result(60)
+            evictions = service.stats()["evictions"]
+        if n_workers == 1:
+            assert evictions <= 2 * rounds
+        probe = ResidencyManager(serving_config, seed=0,
+                                 checkpoint_dir=tmp_path)
+        for dataset in serving_datasets:
+            solo = Trainer(DecoupledRadianceField(serving_config, seed=0),
+                           dataset, config=serving_config, seed=0)
+            solo.run_steps(rounds * steps, TrainingHistory())
+            served = Trainer(DecoupledRadianceField(serving_config, seed=0),
+                             dataset, config=serving_config, seed=0)
+            load_trainer_checkpoint(probe.checkpoint_path(dataset.name),
+                                    served)
+            assert served.iteration == rounds * steps
+            for a, b in zip(served.model.density_parameters()
+                            + served.model.color_parameters(),
+                            solo.model.density_parameters()
+                            + solo.model.color_parameters()):
+                assert np.array_equal(a.data, b.data)
 
     def test_single_client_train_matches_frozen_reference(
             self, serving_datasets, tiny_config):
