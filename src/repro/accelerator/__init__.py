@@ -14,7 +14,7 @@ This package rebuilds that evaluation apparatus:
 * :mod:`repro.accelerator.fusion` — the multi-core-fusion reconfigurable
   scheme (Sec. 4.6).
 * :mod:`repro.accelerator.trace` — memory-trace extraction from real grid
-  queries, feeding the micro-simulations.
+  queries, feeding the micro-simulations, and their Morton ordering.
 * :mod:`repro.accelerator.grid_core` — the grid-core pipeline combining the
   above.
 * :mod:`repro.accelerator.energy` — area / energy models (Fig. 15).
@@ -35,7 +35,7 @@ from repro.accelerator.frm import FeedForwardReadMapper, FRMResult
 from repro.accelerator.bum import BackPropUpdateMerger, BUMResult, replay_trace
 from repro.accelerator.mlp_unit import SystolicArrayUnit, AdderTreeUnit, MLPEngine
 from repro.accelerator.fusion import select_fusion_mode, FusionPlan
-from repro.accelerator.trace import MemoryTrace, extract_training_trace
+from repro.accelerator.trace import MemoryTrace, extract_training_trace, morton_order_record
 from repro.accelerator.grid_core import GridCoreSimulator, GridPhaseResult
 from repro.accelerator.energy import EnergyModel, AreaModel, EnergyBreakdown, AreaBreakdown
 from repro.accelerator.devices import (
@@ -70,6 +70,7 @@ __all__ = [
     "FusionPlan",
     "MemoryTrace",
     "extract_training_trace",
+    "morton_order_record",
     "GridCoreSimulator",
     "GridPhaseResult",
     "EnergyModel",

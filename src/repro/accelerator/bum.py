@@ -98,8 +98,8 @@ def replay_trace(addresses: np.ndarray, n_entries: int = 16,
 
     The hook the scheduling tests (and any notebook) use to score a
     live training batch: feed it a grid's recorded address stream — e.g.
-    ``grid.last_access.flat_addresses()`` straight after a train step — and
-    read off the merge rate the modeled hardware would achieve on it, next
+    ``grid.last_access.flat_addresses()`` straight after a train step, or
+    its :func:`~repro.accelerator.trace.morton_order_record` — and read off the merge rate the modeled hardware would achieve on it, next
     to the software ceiling (a perfect merger that coalesces *all* repeats,
     regardless of distance: ``1 - unique/total``).
 

@@ -13,6 +13,10 @@ streams:
   embedding updates in and the reason updates to the same (coarse-level)
   table entry recur within a short window, the behaviour the BUM exploits
   (Fig. 10).
+
+:func:`morton_order_record` reorders a recorded batch into grid-address
+order before it is scored, so the batch shaping the hardware model assumes
+stays out of the training run.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ from repro.datasets.dataset import SceneDataset
 from repro.grid.hash_encoding import GridAccessRecord
 from repro.nerf.cameras import sample_pixel_batch
 from repro.nerf.sampling import normalize_points_to_unit_cube, ray_points, stratified_samples
+from repro.utils.morton import morton_encode_3d
 from repro.utils.seeding import derive_rng
 
 
@@ -69,6 +74,32 @@ def trace_from_record(branch: str, record: GridAccessRecord,
         level_table_sizes=list(record.table_sizes),
         n_points=record.n_points,
     )
+
+
+def morton_order_record(record: GridAccessRecord,
+                        resolution: int) -> GridAccessRecord:
+    """Reorder a recorded query batch into grid-address (Morton) order.
+
+    The points are stably sorted by the Morton code of their voxel at
+    ``resolution`` (the grid's finest level,
+    ``grid.levels[-1].resolution``).  Consecutive points are then spatial
+    neighbours at every level: same-voxel points repeat all eight corner
+    addresses back to back and coarse-level addresses form long constant
+    runs, which is what the BUM's small matching window needs to merge.
+    Whole points move — each point's ``8 x L`` addresses keep their weights
+    — and same-voxel points keep their batch order.  Returns a new record
+    holding permuted copies of the planes and the points.
+    """
+    points = np.clip(np.asarray(record.points, dtype=np.float64), 0.0, 1.0)
+    voxels = (points * resolution).astype(np.int64)
+    np.minimum(voxels, resolution - 1, out=voxels)
+    order = np.argsort(
+        morton_encode_3d(voxels[:, 0], voxels[:, 1], voxels[:, 2]),
+        kind="stable")
+    return GridAccessRecord(record.address_planes[:, :, order],
+                            record.weight_planes[:, :, order],
+                            record.level_offsets, record.table_sizes,
+                            record.points[order])
 
 
 def extract_training_trace(model: DecoupledRadianceField, dataset: SceneDataset,

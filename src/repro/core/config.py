@@ -79,24 +79,15 @@ class Instant3DConfig:
     #: each tile's pixels along the 2-D Z curve; ``"occupancy"``
     #: additionally reorders the batch (stably, no extra RNG draws) by the
     #: 3-D Morton code of the first occupied cell each ray enters, grouping
-    #: rays whose kept samples scatter into the same grid rows.  Together
-    #: with ``address_sort`` the tiled schedules raise the merge rate of the
-    #: accelerator's backward-update merger (``tests/test_scheduling.py``
-    #: pins the gain on a fixed training trace); the tiles alone do not.
+    #: rays whose kept samples scatter into the same grid rows.  Scored
+    #: after :func:`~repro.accelerator.trace.morton_order_record`, the
+    #: tiled schedules raise the merge rate of the accelerator's
+    #: backward-update merger (``tests/test_scheduling.py`` pins the gain on
+    #: a fixed training trace); the tiles alone do not.
     ray_schedule: str = "uniform"
     #: Edge length of the square pixel tiles drawn by the ``"morton"`` and
     #: ``"occupancy"`` schedules (clamped to the smallest view dimension).
     tile_size: int = 8
-    #: Sort each compacted batch's surviving samples by the Morton code of
-    #: their finest-level grid voxel before the field query, so the backward
-    #: scatter trace arrives near-sorted (maximal address locality for the
-    #: update merger, cheaper COO dedupe).  Reordering the batch rows changes
-    #: the reduction order of the MLP weight-gradient matmuls, so this knob
-    #: is *not* bit-identical to the unsorted path (same-ulp-class
-    #: results); it is therefore opt-in and excluded from the
-    #: frozen-oracle differential tests.  Only affects the culled/compacted
-    #: path — the dense default ignores it.
-    address_sort: bool = False
     #: Compute dtype of every batch-proportional hot-path array (grid weight
     #: planes, renderer compositing, sampling, loss, optimiser scratch).
     #: ``"float64"`` is the bit-exact reference path every differential test

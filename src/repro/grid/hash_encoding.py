@@ -23,7 +23,6 @@ import numpy as np
 
 from repro.grid.hash_function import _MASK32, PI1, PI2, PI3
 from repro.nn.parameter import Parameter, SparseGrad, flat_pair_view
-from repro.utils.morton import morton_encode_3d
 from repro.utils.precision import PrecisionPolicy, resolve_policy
 from repro.utils.workspace import WorkspaceArena, arena_buffer
 
@@ -121,15 +120,19 @@ class GridAccessRecord:
     (level-offset) table addresses and ``weight_planes`` the trilinear
     weights.  ``level_offsets`` gives each level's base offset inside the
     concatenated 1-D storage so traces can use globally unique addresses.
-    The per-level local ``(N, 8)`` view :attr:`addresses` is materialised
+    ``points`` is the ``(N, 3)`` query block itself (a reference, valid as
+    long as the planes), which a trace-side reordering keys on.  The
+    per-level local ``(N, 8)`` view :attr:`addresses` is materialised
     lazily on first access, keeping trace bookkeeping off the query hot
     path.
     """
 
     def __init__(self, address_planes: np.ndarray, weight_planes: np.ndarray,
-                 level_offsets: List[int], table_sizes: List[int]):
+                 level_offsets: List[int], table_sizes: List[int],
+                 points: np.ndarray):
         self.address_planes = address_planes
         self.weight_planes = weight_planes
+        self.points = points
         self.level_offsets = list(level_offsets)
         self.table_sizes = list(table_sizes)
         self._addresses: Optional[List[np.ndarray]] = None
@@ -519,26 +522,6 @@ class MultiResHashGrid:
                 acc += tmp
             out.reshape(n, n_levels, f)[...] = acc.transpose(1, 0, 2)
 
-    def point_sort_keys(self, points_unit: np.ndarray) -> np.ndarray:
-        """Morton code of each point's finest-level voxel (locality sort key).
-
-        Sorting a batch by these keys makes consecutive points spatial
-        neighbours at *every* level of the grid — same-voxel points repeat
-        all eight corner addresses back-to-back, and coarse-level addresses
-        form long constant runs — which is what the accelerator's
-        backward-update merger needs to see addresses recur within its small
-        matching window.  The keys are pure metadata: computing them records
-        nothing and touches no table.
-        """
-        points_unit = np.asarray(points_unit, dtype=np.float64)
-        if points_unit.ndim != 2 or points_unit.shape[1] != 3:
-            raise ValueError(
-                f"points must have shape (N, 3), got {points_unit.shape}")
-        res = self.levels[-1].resolution
-        base = (np.clip(points_unit, 0.0, 1.0) * res).astype(np.int64)
-        np.minimum(base, res - 1, out=base)
-        return morton_encode_3d(base[:, 0], base[:, 1], base[:, 2])
-
     # -- forward / backward -------------------------------------------------
     def forward(self, points: np.ndarray) -> np.ndarray:
         """Encode ``(N, 3)`` points in ``[0, 1]^3`` into ``(N, L*F)`` features."""
@@ -554,7 +537,7 @@ class MultiResHashGrid:
         self._query_into(points, self.table.data, addr_planes, weight_planes,
                          out)
         self._last_access = GridAccessRecord(addr_planes, weight_planes,
-                                             *self._record_layout)
+                                             *self._record_layout, points)
         return out
 
     def backward(self, grad_embeddings: np.ndarray,

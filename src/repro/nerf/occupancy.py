@@ -76,7 +76,6 @@ class OccupancyGrid:
         # updates happened before a restart.
         self._rng = derive_rng(seed, "occupancy.update-points")
         self._updates = 0
-        self._marks = 0
         # Cached binary view of ``density`` (and its .any() reduction): the
         # thresholding scans resolution^3 cells, which filter_samples would
         # otherwise redo twice per batch.  Invalidated whenever the density
@@ -126,19 +125,6 @@ class OccupancyGrid:
         self._updates += 1
         self._invalidate_cache()
 
-    def mark_occupied(self, points_unit: np.ndarray, density: float = 1.0) -> None:
-        """Force the cells containing ``points_unit`` to be occupied (e.g. from GT).
-
-        Marks count as density evidence: a grid seeded *only* through
-        ``mark_occupied`` still culls in :meth:`filter_samples` (tracked by
-        :attr:`has_data`), instead of being silently ignored until the first
-        :meth:`update`.
-        """
-        ix, iy, iz = self.cell_indices(points_unit)
-        np.maximum.at(self.density, (ix, iy, iz), np.float32(density))
-        self._marks += 1
-        self._invalidate_cache()
-
     # -- queries ----------------------------------------------------------------------
     @property
     def n_updates(self) -> int:
@@ -147,11 +133,11 @@ class OccupancyGrid:
 
     @property
     def has_data(self) -> bool:
-        """True once the grid holds any density evidence (update *or* mark).
+        """True once the grid holds density evidence (any :meth:`update`).
 
         A grid without data keeps every sample in :meth:`filter_samples`.
         """
-        return (self._updates + self._marks) > 0
+        return self._updates > 0
 
     @property
     def occupancy(self) -> np.ndarray:
@@ -237,12 +223,14 @@ class OccupancyGrid:
             "occupancy_threshold": float(self.occupancy_threshold),
             "density": self.density.copy(),
             "updates": int(self._updates),
-            "marks": int(self._marks),
             "rng": get_rng_state(self._rng),
         }
 
     def load_state_dict(self, state: Dict[str, Any]) -> None:
-        """Restore :meth:`state_dict` into an identically configured grid."""
+        """Restore :meth:`state_dict` into an identically configured grid.
+
+        A ``"marks"`` entry, which older snapshots carry, is ignored.
+        """
         if int(state["resolution"]) != self.resolution:
             raise ValueError(
                 f"checkpoint resolution {state['resolution']} does not match "
@@ -259,6 +247,5 @@ class OccupancyGrid:
                 f"{self.density.shape}")
         self.density[...] = density
         self._updates = int(state["updates"])
-        self._marks = int(state["marks"])
         set_rng_state(self._rng, state["rng"])
         self._invalidate_cache()

@@ -77,9 +77,8 @@ class CullStage:
 
     ``idx is None`` marks the dense plan (culling off, or nothing cullable):
     the query runs over the full ``points_unit`` block and the composite is
-    a plain reshape.  Otherwise ``idx`` holds the kept flat sample indices
-    (already permuted when address sorting is on), which both the forward
-    scatter and the backward gather use.
+    a plain reshape.  Otherwise ``idx`` holds the kept flat sample indices,
+    which both the forward scatter and the backward gather use.
     """
 
     sample: SampleStage
@@ -125,25 +124,13 @@ class RenderPipeline:
         Optional workspace arena supplying the dense sigma/rgb planes,
         compacted query blocks and renderer buffers — with it attached,
         steady-state passes perform no large allocations.
-    address_sort:
-        Reorder each compacted batch's kept samples by the Morton code of
-        their finest-level grid voxel before the field query (requires the
-        model to expose ``encoder.density_grid.point_sort_keys``).  The
-        scatter/gather index permutation is carried through forward and
-        backward, so dense planes and composited colors are positioned
-        exactly as without sorting; only the *row order* of the compacted
-        query changes, which makes the backward scatter's address trace
-        near-sorted.  Because batch-row order feeds the MLP weight-gradient
-        matmul reductions, results match the unsorted path to ulp level, not
-        bitwise — the knob is opt-in and only touches the culled path.
     """
 
     def __init__(self, model: "DecoupledRadianceField", scene_bound: float,
                  n_samples: int, white_background: bool = True,
                  occupancy: Optional[OccupancyGrid] = None,
                  policy: Optional[PrecisionPolicy] = None,
-                 arena: Optional[WorkspaceArena] = None,
-                 address_sort: bool = False):
+                 arena: Optional[WorkspaceArena] = None):
         if n_samples < 1:
             raise ValueError("n_samples must be >= 1")
         self.model = model
@@ -154,7 +141,6 @@ class RenderPipeline:
         self.renderer = VolumeRenderer(white_background=white_background,
                                        policy=self.policy, arena=arena)
         self.occupancy = occupancy
-        self.address_sort = bool(address_sort)
         self._keep_idx: Optional[np.ndarray] = None    # kept flat indices
         self._backward_ok = False
 
@@ -215,10 +201,7 @@ class RenderPipeline:
             # dense plan so no compaction copies are paid.
             return CullStage(sample=sample, idx=None, n_queried=int(keep.size))
         idx = np.flatnonzero(keep)
-        n_queried = int(idx.size)
-        if self.address_sort and n_queried:
-            idx = self._address_sorted(sample.points_unit, idx, n_queried)
-        return CullStage(sample=sample, idx=idx, n_queried=n_queried)
+        return CullStage(sample=sample, idx=idx, n_queried=int(idx.size))
 
     def stage_gather(self, plan: CullStage
                      ) -> Tuple[Optional[np.ndarray], Optional[np.ndarray]]:
@@ -305,27 +288,6 @@ class RenderPipeline:
             n_total=sample.n_total,
             occupancy_fraction=self.occupancy_fraction,
         )
-
-    def _address_sorted(self, points_unit, idx, n_queried: int) -> np.ndarray:
-        """Permute the kept-sample indices into grid-address (Morton) order.
-
-        Because ``idx`` indexes both the gather (forward) and the gradient
-        gather (backward), permuting it *before* the query reorders the
-        whole compacted pass consistently — scattered planes, rendering and
-        gradients are unchanged up to floating-point reduction order, while
-        the grid sees a near-sorted address stream.
-        """
-        sort_points = arena_buffer(self.arena, "pipe/sort_points",
-                                   (n_queried, 3), points_unit.dtype)
-        np.take(points_unit, idx, axis=0, out=sort_points, mode="clip")
-        keys = self.model.encoder.density_grid.point_sort_keys(sort_points)
-        # Stable sort: same-voxel samples share a key and must keep their
-        # draw order, so the permutation is deterministic.
-        perm = np.argsort(keys, kind="stable")
-        sorted_idx = arena_buffer(self.arena, "pipe/sorted_idx",
-                                  n_queried, idx.dtype)
-        np.take(idx, perm, out=sorted_idx, mode="clip")
-        return sorted_idx
 
     # -- backward ---------------------------------------------------------------
     def backward_to_points(self, grad_colors: np.ndarray

@@ -21,6 +21,11 @@ software:
   cell each ray enters, grouping rays whose *kept* samples land in the same
   grid region.
 
+The tiles supply the locality; lining a batch's updates up for the merger
+is the hardware model's job
+(:func:`~repro.accelerator.trace.morton_order_record` orders a recorded
+trace), so the trainer's sample order never changes for it.
+
 Every scheduler draws through the :class:`~repro.nerf.cameras.RayTable` it
 is given (a trainer passes its dataset's
 :attr:`~repro.datasets.dataset.SceneDataset.ray_table`, which outlives the

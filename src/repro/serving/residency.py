@@ -218,11 +218,14 @@ class ResidencyManager:
             path = self.checkpoint_path(slot.name)
             start = time.perf_counter()
             fallbacks_before = io_stats().fallback_loads
-            if slot.history is None:
+            history = slot.history
+            if history is None:
                 # Cross-process resume: the history lives in the checkpoint.
-                slot.history = TrainingHistory()
+                # The slot adopts it only once the load and the checks below
+                # succeed, so a failed attempt leaves its retry a full restore.
+                history = TrainingHistory()
                 metadata = load_trainer_checkpoint(path, trainer,
-                                                   history=slot.history)
+                                                   history=history)
             else:
                 # Re-acquire after in-run eviction: the in-memory history is
                 # already current, only the trainer state is restored.
@@ -239,6 +242,7 @@ class ResidencyManager:
                     f"checkpoint {path} was written with seed "
                     f"{metadata['seed']}, this fleet/service uses seed "
                     f"{self.seed}")
+            slot.history = history
             slot.last_checkpoint_iteration = trainer.iteration
         else:
             if slot.history is None:

@@ -167,7 +167,8 @@ class SceneFleet:
         self.evictions = 0
         # Fail at construction, not mid-run: the manager validates the
         # residency knobs and the scene names (unique, usable as file names).
-        self._new_residency()
+        # It also owns the checkpoint file names.
+        self._manager = self._new_residency()
 
     @property
     def scene_names(self) -> List[str]:
@@ -175,9 +176,7 @@ class SceneFleet:
 
     def checkpoint_path(self, scene_name: str) -> Path:
         """Checkpoint file for one scene (requires ``checkpoint_dir``)."""
-        if self.checkpoint_dir is None:
-            raise ValueError("this fleet has no checkpoint_dir")
-        return self.checkpoint_dir / f"{scene_name}.ckpt.npz"
+        return self._manager.checkpoint_path(scene_name)
 
     def _new_residency(self) -> ResidencyManager:
         residency = ResidencyManager(

@@ -216,7 +216,6 @@ class Trainer:
             white_background=self.config.white_background,
             occupancy=self.occupancy,
             policy=self.policy,
-            address_sort=self.config.address_sort,
         )
         # Pixel-batch scheduler (Step ❶).  The default "uniform" schedule
         # consumes the pixel RNG stream exactly as the pre-scheduler trainer
@@ -294,8 +293,8 @@ class Trainer:
         """Serialisable snapshot of everything a resumed run needs.
 
         Captures the model parameters, both optimiser states (Adam moments
-        and step counts), the occupancy grid (density planes, update/mark
-        counters and probe-RNG state), the pixel/sample RNG streams and the
+        and step counts), the occupancy grid (density planes, update
+        counter and probe-RNG state), the pixel/sample RNG streams and the
         iteration counters.  With ``history`` given, the recorded loss curve
         is included too.  Restoring this snapshot into a freshly built
         trainer (same config, dataset and seed) and continuing produces

@@ -4,8 +4,10 @@ Morton codes interleave the bits of integer coordinates so that sorting by
 code visits points along a space-filling Z curve: coordinates that are close
 in space end up close in the sorted order.  The schedulers in
 ``repro.nerf.scheduling`` use 2-D codes to enumerate pixels inside a tile and
-3-D codes to order rays/samples by the grid voxel they touch, which is what
-raises the address locality seen by the BackPropUpdateMerger model.
+3-D codes to order rays by the first occupied cell they enter;
+``repro.accelerator.trace`` orders a recorded batch's points by their grid
+voxel, which is what raises the address locality seen by the
+BackPropUpdateMerger model.
 
 All helpers accept integer arrays (any shape) and return ``int64`` codes of
 the same shape.  2-D codes support coordinates up to 32 bits, 3-D codes up to

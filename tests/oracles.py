@@ -21,6 +21,10 @@ the engine against them.
   draws that :class:`~repro.nerf.cameras.RayTable` replaced: rays generated
   view by view with ``rays_for_pixels`` on every draw, consuming the RNG in
   the order the table must keep.
+* :func:`pipeline_address_sort` — the training pipeline's Morton sort of
+  the kept samples that
+  :func:`~repro.accelerator.trace.morton_order_record` replaced: the
+  trace-side order must equal what the sorted query recorded.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ import numpy as np
 
 from repro.grid.hash_function import dense_index, spatial_hash
 from repro.nerf.cameras import RayBundle
+from repro.utils.morton import morton_encode_3d
 from repro.grid.interpolation import (
     CORNER_OFFSETS,
     interpolate,
@@ -229,3 +234,21 @@ def per_view_tile_draw(cameras, images, batch_pixels: int, tile_dx, tile_dy,
     bundle = RayBundle(origins=origins[:b], directions=directions[:b],
                        near=cameras[0].near, far=cameras[0].far)
     return bundle, targets[:b], (pixel_view[:b], cols_all[:b], rows_all[:b])
+
+
+def pipeline_address_sort(grid, points_unit: np.ndarray,
+                          idx: np.ndarray) -> np.ndarray:
+    """``RenderPipeline._address_sorted`` with ``point_sort_keys``, verbatim.
+
+    Permutes the kept flat sample indices ``idx`` into the stable order of
+    the Morton codes of their points' finest-level voxels; the pipeline
+    then gathered and queried the points in that order.
+    """
+    sort_points = np.take(points_unit, idx, axis=0)
+    sort_points = np.asarray(sort_points, dtype=np.float64)
+    res = grid.levels[-1].resolution
+    base = (np.clip(sort_points, 0.0, 1.0) * res).astype(np.int64)
+    np.minimum(base, res - 1, out=base)
+    keys = morton_encode_3d(base[:, 0], base[:, 1], base[:, 2])
+    perm = np.argsort(keys, kind="stable")
+    return np.take(idx, perm)

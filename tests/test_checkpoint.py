@@ -42,6 +42,8 @@ from repro.training import SceneFleet
 from repro.training.trainer import Trainer, TrainingHistory
 from repro.utils.seeding import new_rng
 
+from helpers import occupy
+
 
 @pytest.fixture(scope="module", autouse=True)
 def _ckpt_occupancy(occupancy_schedule):
@@ -269,13 +271,12 @@ class TestComponentStateDicts:
         source = OccupancyGrid(resolution=8, decay=0.95,
                                occupancy_threshold=0.5, seed=3)
         source.update(ball, n_samples=512)
-        source.mark_occupied(np.array([[0.05, 0.05, 0.05]]), density=2.0)
+        occupy(source, np.array([[0.05, 0.05, 0.05]]), density=2.0)
         target = OccupancyGrid(resolution=8, decay=0.95,
                                occupancy_threshold=0.5, seed=3)
         target.load_state_dict(source.state_dict())
         np.testing.assert_array_equal(source.density, target.density)
         assert target.n_updates == source.n_updates
-        assert target.state_dict()["marks"] == source.state_dict()["marks"] == 1
         points = new_rng(1).uniform(size=(64, 3))
         np.testing.assert_array_equal(source.filter_samples(points),
                                       target.filter_samples(points))
@@ -401,6 +402,33 @@ class TestTrainerCheckpoint:
         for src_param, res_param in zip(source.model.parameters(),
                                         restored.model.parameters()):
             np.testing.assert_array_equal(src_param.data, res_param.data)
+
+    def test_stored_occupancy_marks_entry_is_ignored(self, tmp_path,
+                                                     ckpt_config,
+                                                     ckpt_datasets):
+        """Version-4 files from before forced occupancy marks were removed
+        carry an occupancy ``"marks"`` counter; they restore and resume
+        like any other checkpoint."""
+        dataset = ckpt_datasets[0]
+        source = Trainer(DecoupledRadianceField(ckpt_config, seed=0), dataset,
+                         config=ckpt_config, seed=0)
+        source.run_steps(5, TrainingHistory())
+        assert source.occupancy.has_data
+        state = source.state_dict()
+        state["occupancy"]["marks"] = 0
+        path = save_checkpoint(tmp_path / "marks.ckpt.npz", {"trainer": state},
+                               kind="trainer")
+        restored = Trainer(DecoupledRadianceField(ckpt_config, seed=0),
+                           dataset, config=ckpt_config, seed=0)
+        load_trainer_checkpoint(path, restored)
+        assert restored.iteration == source.iteration
+        assert restored.occupancy.n_updates == source.occupancy.n_updates
+        np.testing.assert_array_equal(restored.occupancy.density,
+                                      source.occupancy.density)
+        assert "marks" not in restored.occupancy.state_dict()
+        for _ in range(4):
+            assert (restored.train_step()["loss"]
+                    == source.train_step()["loss"])
 
     @pytest.mark.parametrize("key", ["compute_dtype", "sparse_updates"])
     def test_state_without_mode_key_is_rejected(self, tmp_path, ckpt_config,

@@ -11,11 +11,10 @@ produces, with respect to:
 * sampled touched rows of the density and the color hash table, and
 * entries of the first and last weight matrix of both MLP heads.
 
-Five backward paths are covered: the dense scatter, the occupancy-culled
-pipeline, the culled pipeline with its kept samples sorted by grid address
-(``address_sort=True``), the COO scatter (``sparse_updates=True``) and the
-COO scatter split over two level ranges on two threads (the branch-thread
-gate lowered to 0).  The compute policy is float64; the stored parameters
+Four backward paths are covered: the dense scatter, the occupancy-culled
+pipeline, the COO scatter (``sparse_updates=True``) and the COO scatter
+split over two level ranges on two threads (the branch-thread gate lowered
+to 0).  The compute policy is float64; the stored parameters
 and the MLP matmuls are float32, so each difference uses the
 float32-rounded step that was actually applied, and the tolerance is
 relative to the largest gradient in the sample (see :data:`RTOL`).
@@ -53,8 +52,6 @@ RTOL = 1e-2
 PATHS = {
     "dense": dict(sparse_updates=False, culling_enabled=False),
     "culled": dict(sparse_updates=False, culling_enabled=True),
-    "culled-sorted": dict(sparse_updates=False, culling_enabled=True,
-                          address_sort=True),
     "coo": dict(sparse_updates=True, culling_enabled=True),
     "coo-split": dict(sparse_updates=True, culling_enabled=True),
 }

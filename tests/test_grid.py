@@ -26,6 +26,7 @@ from repro.training.trainer import Trainer
 from repro.utils.seeding import new_rng
 
 from gradcheck import numerical_gradient
+from helpers import occupy
 from oracles import per_level_loop
 
 
@@ -403,8 +404,7 @@ class TestRenderChunks:
         occupancy = None
         if culled:
             occupancy = OccupancyGrid(seed=0)
-            occupancy.mark_occupied(
-                new_rng(0).uniform(0.3, 0.7, size=(2048, 3)))
+            occupy(occupancy, new_rng(0).uniform(0.3, 0.7, size=(2048, 3)))
         camera = tiny_dataset.test_views[0].camera
         whole = RenderPipeline(
             model, tiny_dataset.scene_bound, n_samples=48,

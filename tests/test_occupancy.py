@@ -6,6 +6,8 @@ import pytest
 from repro.nerf import OccupancyGrid
 from repro.utils.seeding import new_rng
 
+from helpers import occupy
+
 
 def _ball_density(points_unit: np.ndarray) -> np.ndarray:
     """A synthetic density field: occupied inside a ball around the cube centre."""
@@ -76,40 +78,18 @@ class TestOccupancyGridUpdates:
                         rng=new_rng(10 + step))
         assert grid.occupancy_fraction == 0.0
 
-    def test_mark_occupied(self):
-        grid = OccupancyGrid(resolution=8, decay=0.95, occupancy_threshold=0.5)
-        grid.mark_occupied(np.array([[0.9, 0.9, 0.9]]), density=2.0)
-        assert grid.is_occupied(np.array([[0.9, 0.9, 0.9]]))[0]
-
-    def test_mark_occupied_alone_enables_culling(self):
-        """Regression: a grid seeded *only* via mark_occupied must cull.
-
-        Previously only ``update()`` bumped the grid's data counter, so
-        ``filter_samples`` treated a marked-but-never-updated grid as empty
-        and kept everything — the forced occupancy silently never culled.
-        """
-        grid = OccupancyGrid(resolution=8, decay=0.95, occupancy_threshold=0.5)
-        assert not grid.has_data
-        grid.mark_occupied(np.array([[0.9, 0.9, 0.9]]), density=2.0)
-        assert grid.has_data and grid.n_updates == 0
-        points = np.array([[0.9, 0.9, 0.9], [0.1, 0.1, 0.1], [0.5, 0.5, 0.5]])
-        keep = grid.filter_samples(points)
-        np.testing.assert_array_equal(keep, [True, False, False])
-        pruned = grid.expected_queries_per_iteration(n_rays=100, n_samples=10)
-        assert pruned < 100 * 10
-
     def test_occupancy_view_is_cached_and_invalidated(self):
         """Perf fix: the binary view is computed once per density change."""
         grid = OccupancyGrid(resolution=8, decay=0.95, occupancy_threshold=0.5)
         first = grid.occupancy
         assert grid.occupancy is first                 # cached between reads
-        grid.mark_occupied(np.array([[0.9, 0.9, 0.9]]), density=2.0)
+        occupy(grid, np.array([[0.9, 0.9, 0.9]]), density=2.0)
         marked = grid.occupancy
-        assert marked is not first                     # invalidated by mark
+        assert marked is not first                     # invalidated by update
         assert marked.sum() == 1
         grid.update(lambda p: np.zeros(p.shape[0]), n_samples=64,
                     rng=new_rng(0))
-        assert grid.occupancy is not marked            # invalidated by update
+        assert grid.occupancy is not marked            # and again
 
     def test_update_shape_mismatch_raises(self):
         grid = OccupancyGrid(resolution=8, decay=0.95)

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro.accelerator.bum import BackPropUpdateMerger
+from repro.accelerator.trace import morton_order_record
 from repro.accelerator.sram import SRAMBankArray
 from repro.core.model import DecoupledRadianceField
 from repro.core.schedule import UpdateSchedule
@@ -27,10 +28,12 @@ from repro.nerf.pipeline import RenderPipeline
 from repro.nerf.volume_rendering import VolumeRenderer
 from repro.nn.optim import Adam, _state_slot, _touched_rows
 from repro.nn.parameter import Parameter
+from repro.utils.morton import morton_encode_3d
 from repro.utils.precision import FLOAT32, FLOAT64
 from repro.utils.seeding import new_rng
 from repro.utils.workspace import WorkspaceArena
 
+from helpers import occupy
 from oracles import per_level_loop
 
 
@@ -357,6 +360,57 @@ def test_grid_engine_equals_per_level_loop(config, points, arena, policy,
     np.testing.assert_array_equal(plain.table.grad, grid.table.grad)
 
 
+@given(
+    config=_grid_configs(),
+    points=arrays(np.float64, st.tuples(st.integers(0, 40), st.just(3)),
+                  elements=_UNIT_OR_EDGE),
+    copies=st.lists(st.tuples(st.integers(0, 39),
+                              st.sampled_from([0.0, 1e-7, -1e-7])),
+                    max_size=20),
+    policy=st.sampled_from([FLOAT64, FLOAT32]),
+)
+@settings(max_examples=60, deadline=None)
+def test_morton_order_record_moves_whole_points_stably(config, points,
+                                                        copies, policy):
+    """The trace-side order permutes points, nothing else: each point's
+    8 x L addresses move together with their weights, every level keeps its
+    address multiset, and same-voxel points keep their batch order."""
+    if len(points):                 # (near-)duplicates share a voxel key
+        extra = [points[i % len(points)] + jitter for i, jitter in copies]
+        points = np.vstack([points] + [np.reshape(extra, (-1, 3))])
+    grid = MultiResHashGrid(config, rng=new_rng(0), policy=policy)
+    grid.forward(points)
+    record = grid.last_access
+    res = grid.levels[-1].resolution
+    ordered = morton_order_record(record, res)
+
+    # Recover the permutation from the point rows (equal rows in batch
+    # order: their addresses and weights are equal too).
+    unused = list(range(record.n_points))
+    order = []
+    for row in ordered.points:
+        match = next(j for j in unused
+                     if np.array_equal(record.points[j], row))
+        unused.remove(match)
+        order.append(match)
+    order = np.asarray(order, dtype=np.int64)
+    assert not unused
+    np.testing.assert_array_equal(ordered.address_planes,
+                                  record.address_planes[:, :, order])
+    np.testing.assert_array_equal(ordered.weight_planes,
+                                  record.weight_planes[:, :, order])
+    for level in range(config.n_levels):
+        np.testing.assert_array_equal(np.sort(ordered.flat_addresses(level)),
+                                      np.sort(record.flat_addresses(level)))
+    voxels = np.minimum((np.clip(record.points.astype(np.float64), 0.0, 1.0)
+                         * res).astype(np.int64), res - 1)
+    keys = morton_encode_3d(voxels[:, 0], voxels[:, 1], voxels[:, 2])
+    assert np.all(np.diff(keys[order]) >= 0)
+    for key in np.unique(keys):
+        same = order[keys[order] == key]
+        assert np.all(np.diff(same) > 0)
+
+
 # ---------------------------------------------------------------------------
 # Checkpoint integrity under arbitrary byte corruption
 # ---------------------------------------------------------------------------
@@ -430,7 +484,7 @@ def coalescing_pipeline(tiny_config, tiny_dataset):
     """A culled pipeline whose grid marks only the scene's central cells
     occupied, so rays can be made fully culled by moving their origin."""
     grid = OccupancyGrid(seed=0)
-    grid.mark_occupied(new_rng(0).uniform(0.3, 0.7, size=(2048, 3)))
+    occupy(grid, new_rng(0).uniform(0.3, 0.7, size=(2048, 3)))
     pipeline = RenderPipeline(DecoupledRadianceField(tiny_config, seed=0),
                               tiny_dataset.scene_bound, n_samples=8,
                               occupancy=grid, arena=WorkspaceArena())

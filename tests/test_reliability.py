@@ -704,6 +704,52 @@ class TestGenerationFallbackInService:
                                    "iteration"] == 6
 
 
+class TestCrossProcessRestore:
+    """A new manager restores an on-disk scene's history with its trainer,
+    even when the first attempt fails."""
+
+    def _checkpointed(self, rel_datasets, rel_config, directory):
+        manager = ResidencyManager(rel_config, seed=0,
+                                   checkpoint_dir=directory)
+        for dataset in rel_datasets:
+            manager.add_scene(dataset)
+        slot = manager.checkout(rel_datasets[0].name, WorkspaceArena())
+        slot.trainer.run_steps(5, slot.history)
+        manager.save(slot)
+        return list(slot.history.losses)
+
+    def test_failed_load_keeps_the_history_for_the_retry(
+            self, rel_datasets, rel_config, tmp_path):
+        losses = self._checkpointed(rel_datasets, rel_config, tmp_path)
+        manager = ResidencyManager(rel_config, seed=0,
+                                   checkpoint_dir=tmp_path)
+        for dataset in rel_datasets:
+            manager.add_scene(dataset)
+        name = rel_datasets[0].name
+        injector = FaultInjector(seed=0)
+        injector.add("checkpoint.load", "raise-transient", times=1)
+        with fault_injection(injector):
+            with pytest.raises(TransientFault):
+                manager.checkout(name, WorkspaceArena())
+            assert manager.slot(name).history is None
+            slot = manager.checkout(name, WorkspaceArena())    # the retry
+        assert slot.trainer.iteration == 5
+        assert slot.history.losses == losses
+
+    def test_mismatched_checkpoint_leaves_no_history(self, rel_datasets,
+                                                     rel_config, tmp_path):
+        self._checkpointed(rel_datasets, rel_config, tmp_path)
+        manager = ResidencyManager(rel_config, seed=1,
+                                   checkpoint_dir=tmp_path)
+        for dataset in rel_datasets:
+            manager.add_scene(dataset)
+        name = rel_datasets[0].name
+        with pytest.raises(CheckpointError, match="seed"):
+            manager.checkout(name, WorkspaceArena())
+        assert manager.slot(name).history is None
+        assert not manager.slot(name).resident
+
+
 class TestChaosMixedLoad:
     """The acceptance scenario at test scale: p=0.05 faults, bit-equal results."""
 

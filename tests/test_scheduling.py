@@ -9,9 +9,10 @@ Three contracts anchor the scheduler seam:
 (b) the tiled schedules draw real pixels (targets match the images, rays
     match the cameras) and only reorder *within* the drawn batch, so
     training remains correct — just with a locality-friendly batch layout;
-(c) on a fixed culled + sparse training trace, the occupancy schedule with
-    ``address_sort`` lifts the modeled BUM merge rate above the uniform
-    draw's and to >= 0.95 (the tiles alone do not).
+(c) on a fixed culled + sparse training trace, Morton-ordered where the
+    hardware model reads it (``morton_order_record``), the occupancy
+    schedule lifts the modeled BUM merge rate above the uniform draw's and
+    to >= 0.95 (the tiles alone do not).
 """
 
 import dataclasses
@@ -20,6 +21,7 @@ import numpy as np
 import pytest
 
 from repro.accelerator.bum import replay_trace
+from repro.accelerator.trace import morton_order_record
 from repro.core.model import DecoupledRadianceField
 from repro.datasets import nerf_synthetic_like
 from repro.nerf.cameras import PinholeCamera, RayTable, sample_pixel_batch
@@ -43,7 +45,12 @@ from repro.utils.morton import (
 from repro.utils.math3d import look_at_pose
 from repro.utils.seeding import new_rng
 
-from oracles import per_view_pixel_draw, per_view_tile_draw
+from helpers import occupy
+from oracles import (
+    per_view_pixel_draw,
+    per_view_tile_draw,
+    pipeline_address_sort,
+)
 
 
 def _params_equal(model_a, model_b) -> bool:
@@ -150,7 +157,6 @@ class TestUniformBitIdentity:
 
     def test_uniform_is_the_default(self, tiny_config):
         assert tiny_config.ray_schedule == "uniform"
-        assert tiny_config.address_sort is False
 
 
 def _assert_draws_equal(got, expected):
@@ -211,7 +217,7 @@ class TestRayTableDraws:
     def test_occupancy_matches_per_view_oracle(self, tiny_dataset):
         cams, images = tiny_dataset.train_cameras, tiny_dataset.train_images
         grid = OccupancyGrid(resolution=8, decay=0.95)
-        grid.mark_occupied(new_rng(2).uniform(0.2, 0.8, size=(64, 3)))
+        occupy(grid, new_rng(2).uniform(0.2, 0.8, size=(64, 3)))
         sched = OccupancyTileScheduler(RayTable(cams, images), 48, 4,
                                        occupancy=grid,
                                        scene_bound=tiny_dataset.scene_bound)
@@ -383,7 +389,7 @@ class TestOccupancyTileScheduler:
     def test_reorder_is_a_permutation_with_sorted_keys(self, tiny_dataset):
         grid = OccupancyGrid(resolution=8, decay=0.95)
         rng = new_rng(2)
-        grid.mark_occupied(rng.uniform(0.2, 0.8, size=(64, 3)))
+        occupy(grid, rng.uniform(0.2, 0.8, size=(64, 3)))
         (m_bundle, m_targets), _, (o_bundle, o_targets), occ = \
             self._schedulers(tiny_dataset, occupancy=grid)
         keys = occ.last_keys
@@ -397,7 +403,7 @@ class TestOccupancyTileScheduler:
 
     def test_reorder_consumes_no_extra_rng(self, tiny_dataset):
         grid = OccupancyGrid(resolution=8, decay=0.95)
-        grid.mark_occupied(np.full((4, 3), 0.5))
+        occupy(grid, np.full((4, 3), 0.5))
         rng_a, rng_b = new_rng(9), new_rng(9)
         morton = MortonTileScheduler(tiny_dataset.ray_table, 32, 4)
         occ = OccupancyTileScheduler(tiny_dataset.ray_table, 32, 4,
@@ -431,7 +437,7 @@ class TestRayProbing:
 
     def test_first_occupied_cells_finds_first_hit(self):
         grid = OccupancyGrid(resolution=4, decay=0.95)
-        grid.mark_occupied(np.array([[0.6, 0.6, 0.6]]))
+        occupy(grid, np.array([[0.6, 0.6, 0.6]]))
         # Ray A: probes through the occupied cell on its third probe.
         # Ray B: never enters it.
         probes = np.array([
@@ -445,7 +451,7 @@ class TestRayProbing:
 
     def test_first_occupied_cells_validates_shape(self):
         grid = OccupancyGrid(resolution=4, decay=0.95)
-        grid.mark_occupied(np.full((1, 3), 0.5))
+        occupy(grid, np.full((1, 3), 0.5))
         with pytest.raises(ValueError):
             grid.first_occupied_cells(np.zeros((5, 3)), n_rays=2, n_probes=3)
 
@@ -463,49 +469,92 @@ class TestScheduledTraining:
         losses = [trainer.train_step()["loss"] for _ in range(30)]
         assert np.mean(losses[-5:]) < np.mean(losses[:5])
 
-    def test_address_sort_preserves_touched_rows(self, tiny_config,
-                                                 tiny_dataset):
-        base = dataclasses.replace(tiny_config, culling_enabled=True,
-                                   ray_schedule="morton", tile_size=4)
-        plain = Trainer(DecoupledRadianceField(base, seed=0), tiny_dataset,
-                        seed=0)
-        srt = dataclasses.replace(base, address_sort=True)
-        sorted_ = Trainer(DecoupledRadianceField(srt, seed=0), tiny_dataset,
-                          seed=0)
-        # The sort permutes the compacted batch; scatter targets the same
-        # rows, and the losses agree to reduction-order (ulp-level) noise.
+    def test_trace_order_preserves_touched_rows(self, tiny_config,
+                                                tiny_dataset):
+        config = dataclasses.replace(tiny_config, culling_enabled=True,
+                                     ray_schedule="morton", tile_size=4)
+        model = DecoupledRadianceField(config, seed=0)
+        trainer = Trainer(model, tiny_dataset, seed=0)
+        grid = model.encoder.density_grid
+        # Ordering the recorded trace moves whole points: every level
+        # addresses the same rows, each as often as the training step did.
         for _ in range(5):
-            a = plain.train_step()
-            b = sorted_.train_step()
-            assert a["grid_rows_touched"] == b["grid_rows_touched"]
-            assert np.isclose(a["loss"], b["loss"], rtol=1e-9, atol=0.0)
+            trainer.train_step()
+            record = grid.last_access
+            ordered = morton_order_record(record, grid.levels[-1].resolution)
+            for level in range(record.n_levels):
+                assert np.array_equal(
+                    np.sort(ordered.flat_addresses(level)),
+                    np.sort(record.flat_addresses(level)))
+
+
+class TestTraceOrder:
+    """The hardware model's Morton order equals the sort the training
+    pipeline once applied to a culled batch before its field query."""
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_matches_pipeline_sort_oracle(self, tiny_config, tiny_dataset,
+                                          occupancy_schedule, dtype):
+        config = dataclasses.replace(tiny_config, culling_enabled=True,
+                                     compute_dtype=dtype)
+        model = DecoupledRadianceField(config, seed=0)
+        trainer = Trainer(model, tiny_dataset, config=config, seed=0)
+        with occupancy_schedule(warmup=4, every=2):
+            for _ in range(12):
+                trainer.train_step()
+        pipeline, grid = trainer.pipeline, model.encoder.density_grid
+        bundle, _ = trainer.scheduler.sample_batch(new_rng(1))
+        plan = pipeline.stage_cull(pipeline.stage_samples(bundle, new_rng(2)))
+        assert 0 < plan.n_queried < plan.sample.n_total    # a culled batch
+        points = plan.sample.points_unit
+
+        # What the pipeline's sort made the grid record ...
+        sorted_idx = pipeline_address_sort(grid, points, plan.idx)
+        grid.forward(points[sorted_idx])
+        expected = grid.last_access
+        expected_addr = expected.address_planes.copy()
+        expected_weights = expected.weight_planes.copy()
+        # ... equals the unsorted batch's record, ordered trace-side.
+        grid.forward(points[plan.idx])
+        ordered = morton_order_record(grid.last_access,
+                                      grid.levels[-1].resolution)
+        assert not np.array_equal(sorted_idx, plan.idx)
+        assert np.array_equal(ordered.address_planes, expected_addr)
+        assert np.array_equal(ordered.weight_planes, expected_weights)
+        assert np.array_equal(ordered.points, points[sorted_idx])
 
 
 class TestBumMergeRate:
-    """(c) The scheduled draw plus ``address_sort`` raises the
-    back-propagation update merger's (BUM's) merge rate on a deterministic
-    training trace; neither does it alone (tiles without the sort stay
-    near the uniform draw's ~0.90).
+    """(c) The scheduled draw raises the back-propagation update merger's
+    (BUM's) merge rate on a deterministic training trace once the hardware
+    model Morton-orders it (:func:`morton_order_record`); neither does it
+    alone (the unordered tiled trace stays near the uniform draw's ~0.90).
 
     The workload is fixed: benchmark-scale lego (32 px, 8 views), culled +
     sparse, 96 samples/ray so neighbouring rays overlap in the fine levels,
     16x16 tiles, seed 0, 48 steps.  The density grid's write trace of each
     of the last 4 steps is replayed through the modeled 16-entry merger
-    (first 40,000 updates) and the merge rates averaged.  No wall clock is
-    involved, so the floor is absolute.
+    (first 40,000 updates) and the merge rates averaged: the uniform
+    draw's as recorded, the occupancy schedule's Morton-ordered.  No wall
+    clock is involved, so the floor is absolute.
     """
 
     N_STEPS, TRACE_STEPS, TRACE_CAP = 48, 4, 40000
 
-    def _mean_merge_rate(self, config, dataset):
+    def _mean_merge_rate(self, config, dataset, ordered):
         model = DecoupledRadianceField(config, seed=0)
         trainer = Trainer(model, dataset, config=config, seed=0)
+        grid = model.encoder.density_grid
         rates = []
         for step in range(self.N_STEPS):
             trainer.train_step()
             if step >= self.N_STEPS - self.TRACE_STEPS:
-                trace = model.encoder.density_grid.last_access.flat_addresses()
-                rates.append(replay_trace(trace, cap=self.TRACE_CAP)["merge_rate"])
+                record = grid.last_access
+                if ordered:
+                    record = morton_order_record(record,
+                                                 grid.levels[-1].resolution)
+                rates.append(replay_trace(record.flat_addresses(),
+                                          cap=self.TRACE_CAP)["merge_rate"])
         return float(np.mean(rates))
 
     def test_occupancy_schedule_beats_uniform_and_clears_floor(
@@ -515,9 +564,9 @@ class TestBumMergeRate:
         base = dataclasses.replace(
             bench_scale_config, culling_enabled=True, sparse_updates=True,
             n_samples_per_ray=96, batch_pixels=192, tile_size=16)
-        uniform = self._mean_merge_rate(base, dataset)
+        uniform = self._mean_merge_rate(base, dataset, ordered=False)
         scheduled = self._mean_merge_rate(
-            dataclasses.replace(base, ray_schedule="occupancy",
-                                address_sort=True), dataset)
+            dataclasses.replace(base, ray_schedule="occupancy"), dataset,
+            ordered=True)
         assert scheduled > uniform
         assert scheduled >= 0.95

@@ -84,10 +84,6 @@ def _monolithic_forward(pipeline, bundle, rng=None):
         rgb_plane = np.zeros((n_rays * n_samples, 3), dtype=dtype)
         idx = np.flatnonzero(keep)
         n_queried = int(idx.size)
-        if pipeline.address_sort and n_queried:
-            idx = np.array(
-                pipeline._address_sorted(points_unit, idx, n_queried),
-                copy=True)
         keep_idx = idx
         if n_queried:
             kept_points = points_unit[idx]
@@ -167,18 +163,17 @@ class TestStagedPipelineDifferential:
         assert 0.0 < trainer.occupancy.occupancy_fraction < 1.0
         return trainer
 
-    @pytest.mark.parametrize("culled,address_sort",
-                             [(False, False), (True, False), (True, True)],
-                             ids=["dense", "culled", "culled-sorted"])
+    @pytest.mark.parametrize("culled", [False, True],
+                             ids=["dense", "culled"])
     def test_forward_and_backward_match_monolith(self, trained, tiny_dataset,
-                                                 culled, address_sort):
+                                                 culled):
         trainer = trained
         pipeline = RenderPipeline(
             trainer.model, tiny_dataset.scene_bound,
             n_samples=trainer.config.n_samples_per_ray,
             occupancy=trainer.occupancy if culled else None,
             policy=trainer.policy,
-            arena=trainer.arena, address_sort=address_sort)
+            arena=trainer.arena)
         bundle = tiny_dataset.test_views[0].camera.all_rays()
         grad_colors = np.random.default_rng(7).standard_normal(
             (bundle.n_rays, 3))
