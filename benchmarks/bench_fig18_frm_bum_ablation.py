@@ -3,6 +3,23 @@
 Paper result: on the eight NeRF-Synthetic scenes, the FRM unit alone trims
 the accelerator runtime by 31.1 % on average, and FRM + BUM together trim it
 by 68.6 %, relative to the accelerator without either unit.
+
+Three model terms set the reductions, all measured by replaying the bench
+trace through ``repro.accelerator.grid_core.GridCoreSimulator``:
+
+* FRM: the read pass of both grid phases costs the FRM's
+  ``FRMResult.mapped_cycles`` (reads packed across points into free banks)
+  with the unit, and ``unmapped_cycles`` (one point's eight reads at a time)
+  without it.
+* BUM: the backward write-back issues ``BUMResult.n_sram_writes`` writes,
+  smaller than the update count by the BUM's ``write_reduction``; the same
+  fraction scales the SRAM write energy.
+* Without the BUM, every update is an un-merged read-modify-write costing
+  ``_UNMERGED_WRITE_RMW_CYCLES`` (3) bank cycles instead of 1.
+
+The estimate uses these terms as per-access rates (accesses per core cycle,
+fraction of writes merged) scaled to the workload's access counts, so the
+trace's length cancels out; only its bank-conflict and reuse pattern enters.
 """
 
 from benchmarks.common import accelerator_estimate, print_report

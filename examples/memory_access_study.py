@@ -74,8 +74,7 @@ def hardware_payoff_section(trace) -> None:
     config = AcceleratorConfig()
     rows = []
     for name, branch in trace.branches.items():
-        sram = SRAMBankArray(n_banks=config.n_grid_cores * config.grid_core.n_banks,
-                             table_entries=branch.table_entries)
+        sram = SRAMBankArray(n_banks=config.n_grid_cores * config.grid_core.n_banks)
         frm = FeedForwardReadMapper(sram, window=64)
         frm_result = frm.schedule(branch.read_addresses)
         bum = BackPropUpdateMerger(n_entries=config.grid_core.bum_entries,

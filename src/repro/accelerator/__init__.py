@@ -30,7 +30,7 @@ from repro.accelerator.config import (
     GridCoreConfig,
     MLPUnitConfig,
 )
-from repro.accelerator.sram import SRAMBankArray, BankConflictStats
+from repro.accelerator.sram import SRAMBankArray
 from repro.accelerator.frm import FeedForwardReadMapper, FRMResult
 from repro.accelerator.bum import BackPropUpdateMerger, BUMResult, replay_trace
 from repro.accelerator.mlp_unit import SystolicArrayUnit, AdderTreeUnit, MLPEngine
@@ -57,7 +57,6 @@ __all__ = [
     "MLPUnitConfig",
     "FusionMode",
     "SRAMBankArray",
-    "BankConflictStats",
     "FeedForwardReadMapper",
     "FRMResult",
     "BackPropUpdateMerger",

@@ -48,7 +48,6 @@ class GridCoreConfig:
     frm_window: int = 16                   # reordering pipeline depth (Sec. 5.1)
     bum_entries: int = 16                  # BUM buffer entries
     bum_timeout_cycles: int = 16           # write-back after N cycles without a match
-    interpolation_lanes: int = 8           # trilinear lanes per core
 
     def __post_init__(self) -> None:
         if self.n_banks < 1 or self.bank_bytes < 1:

@@ -48,19 +48,14 @@ class GridPhaseResult:
     n_accesses: int
     sram_cycles: int
     pipeline_cycles: int
-    dram_swap_cycles: int
-    frm: Optional[FRMResult] = None
+    frm: FRMResult
+    plan: FusionPlan
     bum: Optional[BUMResult] = None
-    plan: Optional[FusionPlan] = None
 
     @property
     def core_cycles(self) -> int:
         """Cycles spent inside the grid cores (excludes DRAM segment swaps)."""
         return int(self.sram_cycles + self.pipeline_cycles)
-
-    @property
-    def total_cycles(self) -> int:
-        return int(self.sram_cycles + self.pipeline_cycles + self.dram_swap_cycles)
 
     @property
     def accesses_per_cycle(self) -> float:
@@ -74,7 +69,7 @@ class GridCoreSimulator:
         self.config = config
 
     # -- shared helpers ------------------------------------------------------------
-    def _parallel_banks(self, plan: FusionPlan) -> int:
+    def _parallel_banks(self) -> int:
         """SRAM banks usable in parallel for a branch.
 
         With the reconfigurable scheme the accelerator always engages all
@@ -88,87 +83,67 @@ class GridCoreSimulator:
             return self.config.n_grid_cores * self.config.grid_core.n_banks
         return self.config.grid_core.n_banks
 
-    def _dram_swap_cycles(self, plan: FusionPlan) -> int:
-        """Cycles spent swapping table segments from DRAM (no-fusion penalty)."""
-        if plan.dram_swap_bytes <= 0:
-            return 0
-        seconds = plan.dram_swap_bytes / self.config.dram_bandwidth_bytes_per_s
-        return int(np.ceil(seconds * self.config.frequency_hz))
-
-    def _sram_for(self, trace: BranchTrace, plan: FusionPlan) -> SRAMBankArray:
-        return SRAMBankArray(
-            n_banks=self._parallel_banks(plan),
-            table_entries=max(trace.table_entries, 1),
-            accesses_per_bank_per_cycle=self.config.grid_core.accesses_per_bank_per_cycle,
-        )
-
-    def _frm_window(self, plan: FusionPlan) -> int:
+    def _frm_window(self) -> int:
         """Reordering window of the FRM unit serving a branch.
 
         The shared B16/B32 FRM units that fuse multiple cores carry
         proportionally deeper reorder buffers (Fig. 14), so the window scales
         with the number of banks they feed.
         """
-        scale = max(1, self._parallel_banks(plan) // self.config.grid_core.n_banks)
+        scale = max(1, self._parallel_banks() // self.config.grid_core.n_banks)
         return self.config.grid_core.frm_window * scale
 
     # -- phases ----------------------------------------------------------------------
     def simulate_forward(self, trace: BranchTrace, table_bytes: int) -> GridPhaseResult:
         """Feed-forward embedding interpolation for one branch."""
-        plan = plan_fusion(table_bytes, self.config)
-        sram = self._sram_for(trace, plan)
-        frm = FeedForwardReadMapper(sram, window=self._frm_window(plan))
-        frm_result = frm.schedule(trace.read_addresses, enabled=self.config.frm_enabled)
-        # Extra table segments require re-scanning the address stream; the
-        # accesses themselves are only serviced once.
-        segment_overhead = 1.0 + _SEGMENT_RESCAN_WEIGHT * (plan.n_segments - 1)
-        sram_cycles = int(np.ceil(frm_result.mapped_cycles * segment_overhead))
-        pipeline = int(trace.n_points * _ADDRESS_PIPELINE_CYCLES_PER_POINT
-                       * _COMPUTE_OVERLAP_WEIGHT)
-        return GridPhaseResult(
-            branch=trace.branch,
-            phase="forward",
-            n_accesses=int(trace.read_addresses.size),
-            sram_cycles=int(sram_cycles),
-            pipeline_cycles=pipeline,
-            dram_swap_cycles=self._dram_swap_cycles(plan),
-            frm=frm_result,
-            plan=plan,
-        )
+        return self._simulate(trace, table_bytes, backward=False)
 
     def simulate_backward(self, trace: BranchTrace, table_bytes: int) -> GridPhaseResult:
         """Back-propagation: gradient reads plus BUM-merged embedding updates."""
+        return self._simulate(trace, table_bytes, backward=True)
+
+    def _simulate(self, trace: BranchTrace, table_bytes: int,
+                  backward: bool) -> GridPhaseResult:
+        """One phase: the FRM read pass, plus the BUM write-back if ``backward``.
+
+        Gradient computation re-reads the touched embeddings in the forward
+        pattern, so both phases share the read pass.
+        """
+        grid_core = self.config.grid_core
         plan = plan_fusion(table_bytes, self.config)
-        sram = self._sram_for(trace, plan)
-        # Gradient computation re-reads the touched embeddings (same pattern
-        # as the forward pass), then writes back the merged updates.
-        frm = FeedForwardReadMapper(sram, window=self._frm_window(plan))
-        frm_result = frm.schedule(trace.read_addresses, enabled=self.config.frm_enabled)
-        bum = BackPropUpdateMerger(
-            n_entries=self.config.grid_core.bum_entries,
-            timeout_cycles=self.config.grid_core.bum_timeout_cycles,
+        sram = SRAMBankArray(
+            n_banks=self._parallel_banks(),
+            accesses_per_bank_per_cycle=grid_core.accesses_per_bank_per_cycle,
         )
-        bum_result = bum.process(trace.write_addresses, enabled=self.config.bum_enabled)
-        banks = sram.n_banks * sram.accesses_per_bank_per_cycle
-        # Merged updates stream out at bank bandwidth; un-merged updates are
-        # read-modify-write operations on (often) the same entry and pay the
-        # RMW hazard latency the BUM exists to hide.
-        write_cost = 1 if self.config.bum_enabled else _UNMERGED_WRITE_RMW_CYCLES
-        write_cycles = int(np.ceil(bum_result.n_sram_writes * write_cost / banks))
+        frm = FeedForwardReadMapper(sram, window=self._frm_window())
+        frm_result = frm.schedule(trace.read_addresses, enabled=self.config.frm_enabled)
+        cycles = frm_result.mapped_cycles
+        n_accesses = int(trace.read_addresses.size)
+        bum_result = None
+        if backward:
+            bum = BackPropUpdateMerger(n_entries=grid_core.bum_entries,
+                                       timeout_cycles=grid_core.bum_timeout_cycles)
+            bum_result = bum.process(trace.write_addresses,
+                                     enabled=self.config.bum_enabled)
+            # Merged updates stream out at bank bandwidth; un-merged updates
+            # are read-modify-write operations on (often) the same entry and
+            # pay the RMW hazard latency the BUM exists to hide.
+            write_cost = 1 if self.config.bum_enabled else _UNMERGED_WRITE_RMW_CYCLES
+            banks = sram.n_banks * sram.accesses_per_bank_per_cycle
+            cycles += int(np.ceil(bum_result.n_sram_writes * write_cost / banks))
+            n_accesses += int(trace.write_addresses.size)
+        # Extra table segments require re-scanning the address stream; the
+        # accesses themselves are only serviced once.
         segment_overhead = 1.0 + _SEGMENT_RESCAN_WEIGHT * (plan.n_segments - 1)
-        sram_cycles = int(np.ceil(
-            (frm_result.mapped_cycles + write_cycles) * segment_overhead
-        ))
         pipeline = int(trace.n_points * _ADDRESS_PIPELINE_CYCLES_PER_POINT
                        * _COMPUTE_OVERLAP_WEIGHT)
         return GridPhaseResult(
             branch=trace.branch,
-            phase="backward",
-            n_accesses=int(trace.read_addresses.size + trace.write_addresses.size),
-            sram_cycles=int(sram_cycles),
+            phase="backward" if backward else "forward",
+            n_accesses=n_accesses,
+            sram_cycles=int(np.ceil(cycles * segment_overhead)),
             pipeline_cycles=pipeline,
-            dram_swap_cycles=self._dram_swap_cycles(plan),
             frm=frm_result,
-            bum=bum_result,
             plan=plan,
+            bum=bum_result,
         )

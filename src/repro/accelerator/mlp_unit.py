@@ -1,9 +1,10 @@
 """MLP compute units: a systolic array and a multiplier-adder tree.
 
 Step ❸-② evaluates two small MLP heads per queried point.  The accelerator
-uses two unit types (Sec. 4.3): a 16x16 FP16 systolic array for layers with
-more than three output channels, and a multiplier-adder tree for layers with
-three or fewer output channels (e.g. the final RGB layer), where a systolic
+uses two unit types (Sec. 4.3): an FP16 systolic array (64x64 by default,
+:class:`~repro.accelerator.config.MLPUnitConfig`) for layers with more than
+three output channels, and a multiplier-adder tree for layers with three or
+fewer output channels (e.g. the final RGB layer), where a systolic
 array would be mostly idle.  :class:`MLPEngine` routes each layer to the
 better unit and reports total cycles for a batch of points.
 """
@@ -104,10 +105,3 @@ class MLPEngine:
             routing.append((unit, cycles))
             total += cycles
         return total, routing
-
-    @staticmethod
-    def head_layers(in_features: int, hidden_width: int, hidden_layers: int,
-                    out_features: int) -> List[MLPLayerShape]:
-        """Layer shapes of one MLP head (mirrors :class:`repro.nn.mlp.MLP`)."""
-        widths = [in_features] + [hidden_width] * hidden_layers + [out_features]
-        return [MLPLayerShape(a, b) for a, b in zip(widths[:-1], widths[1:])]

@@ -33,26 +33,6 @@ class UpdateSchedule:
             return True
         return floor((iteration + 1) * self.frequency) > floor(iteration * self.frequency)
 
-    def updates_in(self, n_iterations: int) -> int:
-        """Number of update iterations among the first ``n_iterations``.
-
-        Closed form: the per-iteration rule updates exactly when
-        ``floor((i + 1) * F)`` increases, so the count over ``[0, n)``
-        telescopes to ``floor(n * F)`` — O(1) instead of the O(n) loop
-        (kept in the tests as the property-test oracle).
-        """
-        if n_iterations < 0:
-            raise ValueError("n_iterations must be non-negative")
-        if self.frequency >= 1.0:
-            return n_iterations
-        return floor(n_iterations * self.frequency)
-
-    def update_fraction(self, n_iterations: int) -> float:
-        """Empirical update fraction over ``n_iterations`` (→ ``frequency``)."""
-        if n_iterations <= 0:
-            return self.frequency
-        return self.updates_in(n_iterations) / n_iterations
-
 
 @dataclass(frozen=True)
 class BranchSchedules:

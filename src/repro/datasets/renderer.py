@@ -17,6 +17,9 @@ from repro.nerf.cameras import PinholeCamera
 from repro.nerf.sampling import ray_points, stratified_samples
 from repro.nerf.volume_rendering import VolumeRenderer
 
+#: Rays integrated per batch; bounds the ``rays x n_samples`` working set.
+RAYS_PER_CHUNK = 4096
+
 
 class GroundTruthRenderer:
     """Renders reference RGB and depth images of an :class:`AnalyticScene`.
@@ -26,15 +29,11 @@ class GroundTruthRenderer:
     under 1/255 for the scenes in this repository.
     """
 
-    def __init__(self, n_samples: int = 128, white_background: bool = True,
-                 chunk_size: int = 4096):
+    def __init__(self, n_samples: int = 128, white_background: bool = True):
         if n_samples < 2:
             raise ValueError("n_samples must be >= 2")
-        if chunk_size < 1:
-            raise ValueError("chunk_size must be >= 1")
         self.n_samples = int(n_samples)
         self.white_background = bool(white_background)
-        self.chunk_size = int(chunk_size)
 
     def render(self, scene: AnalyticScene, camera: PinholeCamera
                ) -> Tuple[np.ndarray, np.ndarray]:
@@ -47,8 +46,8 @@ class GroundTruthRenderer:
         colors = np.empty((bundle.n_rays, 3))
         depths = np.empty(bundle.n_rays)
         renderer = VolumeRenderer(white_background=self.white_background)
-        for start in range(0, bundle.n_rays, self.chunk_size):
-            stop = min(start + self.chunk_size, bundle.n_rays)
+        for start in range(0, bundle.n_rays, RAYS_PER_CHUNK):
+            stop = min(start + RAYS_PER_CHUNK, bundle.n_rays)
             chunk = type(bundle)(
                 origins=bundle.origins[start:stop],
                 directions=bundle.directions[start:stop],

@@ -27,7 +27,7 @@ Pipeline steps follow the paper's numbering:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.core.config import Instant3DConfig
 from repro.grid.hash_encoding import FEATURE_BYTES, HashGridConfig
@@ -151,12 +151,12 @@ class IterationWorkload:
     def grid_table_bytes(self) -> Dict[str, int]:
         """Hash-table storage footprint per branch.
 
-        Uses the decomposed per-branch feature width (half the baseline
-        feature budget per branch, see :func:`build_iteration_workload`), so
-        the two branches of the 1:1 configuration together occupy the same
-        storage as the coupled baseline grid.
+        Uses the decomposed per-branch feature width
+        (:func:`branch_features`), so the two branches of the 1:1
+        configuration together occupy the same storage as the coupled
+        baseline grid.
         """
-        features = max(1, self.config.grid.n_features_per_level // 2)
+        features = branch_features(self.config)
         return {
             "density": grid_table_entries(self.config.density_grid_config)
             * features * FEATURE_BYTES,
@@ -189,10 +189,34 @@ def grid_table_entries(grid: HashGridConfig) -> int:
     return total
 
 
-def _mlp_flops(in_features: int, hidden_width: int, hidden_layers: int,
-               out_features: int) -> int:
+def branch_features(config: Instant3DConfig) -> int:
+    """Features per level of each decoupled branch.
+
+    The branches split the baseline grid's feature budget: each carries
+    ``F / 2`` features per level when the baseline carries ``F``, so the
+    1:1 / 1:1 configuration performs the same total embedding work as the
+    coupled Instant-NGP grid it stands in for.
+    """
+    return max(1, config.grid.n_features_per_level // 2)
+
+
+def mlp_head_widths(config: Instant3DConfig) -> Tuple[Tuple[int, ...], ...]:
+    """Layer widths, input to output, of the density and the color head.
+
+    The density head reads its branch's :func:`branch_features` per level
+    and emits one value; the color head also reads the view direction's
+    spherical-harmonics code and emits RGB.
+    """
+    features = branch_features(config)
+    hidden = (config.mlp_hidden_width,) * config.mlp_hidden_layers
+    density_in = config.density_grid_config.n_levels * features
+    color_in = (config.color_grid_config.n_levels * features
+                + spherical_harmonics_dim())
+    return (density_in, *hidden, 1), (color_in, *hidden, 3)
+
+
+def _mlp_flops(widths: Tuple[int, ...]) -> int:
     """Forward FLOPs of one MLP head per input point (2 FLOPs per MAC)."""
-    widths = [in_features] + [hidden_width] * hidden_layers + [out_features]
     return sum(2 * a * b + b for a, b in zip(widths[:-1], widths[1:]))
 
 
@@ -203,11 +227,8 @@ def build_iteration_workload(config: Instant3DConfig,
                              keep_fraction: Optional[float] = None) -> IterationWorkload:
     """Derive the per-iteration operation counts of a training configuration.
 
-    The decomposition convention follows DESIGN.md: the decoupled branches
-    split the baseline grid's feature budget (each branch carries
-    ``F / 2`` features per level when the baseline carries ``F``), so the
-    1:1 / 1:1 configuration performs the same total embedding work as the
-    coupled Instant-NGP grid it stands in for.
+    Each decoupled branch carries :func:`branch_features` features per
+    level, and the MLP heads have the widths of :func:`mlp_head_widths`.
 
     Occupancy culling enters through ``occupancy`` (an
     :class:`~repro.nerf.occupancy.OccupancyGrid`, whose
@@ -240,8 +261,7 @@ def build_iteration_workload(config: Instant3DConfig,
 
     density_grid = config.density_grid_config
     color_grid = config.color_grid_config
-    # Feature split between the decomposed branches (see DESIGN.md §1).
-    branch_features = max(1, density_grid.n_features_per_level // 2)
+    features = branch_features(config)
 
     workload = IterationWorkload(config=config, scale=scale, steps=[],
                                  keep_fraction=float(keep_fraction))
@@ -264,8 +284,8 @@ def build_iteration_workload(config: Instant3DConfig,
         ("color", color_grid, config.color_update_freq),
     ):
         accesses = points * 8.0 * grid.n_levels
-        bytes_per_access = branch_features * FEATURE_BYTES
-        interp_flops = points * grid.n_levels * (8.0 * branch_features * 2.0 + 30.0)
+        bytes_per_access = features * FEATURE_BYTES
+        interp_flops = points * grid.n_levels * (8.0 * features * 2.0 + 30.0)
         workload.steps.append(StepWorkload(
             step=PipelineStep.GRID_FORWARD,
             branch=branch,
@@ -290,21 +310,18 @@ def build_iteration_workload(config: Instant3DConfig,
         ))
 
     # Step ❸-② — the two small MLP heads (forward) and their backward.
-    density_in = density_grid.n_levels * branch_features
-    color_in = color_grid.n_levels * branch_features + spherical_harmonics_dim()
-    mlp_forward_flops = points * (
-        _mlp_flops(density_in, config.mlp_hidden_width, config.mlp_hidden_layers, 1)
-        + _mlp_flops(color_in, config.mlp_hidden_width, config.mlp_hidden_layers, 3)
-    )
+    density_head, color_head = mlp_head_widths(config)
+    head_inputs = density_head[0] + color_head[0]
+    mlp_forward_flops = points * (_mlp_flops(density_head) + _mlp_flops(color_head))
     workload.steps.append(StepWorkload(
         step=PipelineStep.MLP_FORWARD,
         flops=mlp_forward_flops,
-        other_bytes=points * 4.0 * (density_in + color_in),
+        other_bytes=points * 4.0 * head_inputs,
     ))
     workload.steps.append(StepWorkload(
         step=PipelineStep.MLP_BACKWARD,
         flops=2.0 * mlp_forward_flops,
-        other_bytes=points * 4.0 * (density_in + color_in),
+        other_bytes=points * 4.0 * head_inputs,
     ))
 
     # Step ❹ / ❺ — volume rendering and loss on the host.
@@ -321,10 +338,7 @@ def build_iteration_workload(config: Instant3DConfig,
 
     # Optimiser update of the MLP weights (grid updates are accounted in
     # GRID_BACKWARD since they happen in the same scatter pass).
-    mlp_params = (
-        _mlp_flops(density_in, config.mlp_hidden_width, config.mlp_hidden_layers, 1) // 2
-        + _mlp_flops(color_in, config.mlp_hidden_width, config.mlp_hidden_layers, 3) // 2
-    )
+    mlp_params = _mlp_flops(density_head) // 2 + _mlp_flops(color_head) // 2
     workload.steps.append(StepWorkload(
         step=PipelineStep.PARAM_UPDATE,
         flops=10.0 * mlp_params,

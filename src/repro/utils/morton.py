@@ -20,7 +20,6 @@ import numpy as np
 
 __all__ = [
     "morton_encode_2d",
-    "morton_decode_2d",
     "morton_encode_3d",
 ]
 
@@ -33,17 +32,6 @@ def _part_1by1(x: np.ndarray) -> np.ndarray:
     x = (x | (x << np.uint64(4))) & np.uint64(0x0F0F0F0F0F0F0F0F)
     x = (x | (x << np.uint64(2))) & np.uint64(0x3333333333333333)
     x = (x | (x << np.uint64(1))) & np.uint64(0x5555555555555555)
-    return x
-
-
-def _compact_1by1(x: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`_part_1by1`: gather even bit positions."""
-    x = x.astype(np.uint64) & np.uint64(0x5555555555555555)
-    x = (x | (x >> np.uint64(1))) & np.uint64(0x3333333333333333)
-    x = (x | (x >> np.uint64(2))) & np.uint64(0x0F0F0F0F0F0F0F0F)
-    x = (x | (x >> np.uint64(4))) & np.uint64(0x00FF00FF00FF00FF)
-    x = (x | (x >> np.uint64(8))) & np.uint64(0x0000FFFF0000FFFF)
-    x = (x | (x >> np.uint64(16))) & np.uint64(0x00000000FFFFFFFF)
     return x
 
 
@@ -62,14 +50,6 @@ def morton_encode_2d(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Interleave ``(x, y)`` into a 2-D Z-order code (x in the even bits)."""
     code = _part_1by1(np.asarray(x)) | (_part_1by1(np.asarray(y)) << np.uint64(1))
     return code.astype(np.int64)
-
-
-def morton_decode_2d(code: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Invert :func:`morton_encode_2d`; returns ``(x, y)`` as ``int64``."""
-    code = np.asarray(code).astype(np.uint64)
-    x = _compact_1by1(code)
-    y = _compact_1by1(code >> np.uint64(1))
-    return x.astype(np.int64), y.astype(np.int64)
 
 
 def morton_encode_3d(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:

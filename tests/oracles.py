@@ -14,9 +14,9 @@ the engine against them.
 * :func:`coo_from_dense` and :func:`use_dense_scatter` — the
   dense-representation oracle of the sparse (COO) backward: scatter into a
   full-table ``np.bincount`` accumulator, then keep the non-zero rows.
-* :func:`updates_in_loop` — the O(n) per-iteration count that
-  :meth:`~repro.core.schedule.UpdateSchedule.updates_in` replaced with a
-  closed form.
+* :func:`updates_in_loop` — the O(n) per-iteration count of
+  :meth:`~repro.core.schedule.UpdateSchedule.should_update`, which the
+  schedule tests hold to the closed form ``floor(n * F)``.
 * :func:`per_view_pixel_draw` and :func:`per_view_tile_draw` — the pixel
   draws that :class:`~repro.nerf.cameras.RayTable` replaced: rays generated
   view by view with ``rays_for_pixels`` on every draw, consuming the RNG in
@@ -156,8 +156,8 @@ def use_dense_scatter(grid) -> None:
 
 
 def updates_in_loop(schedule, n_iterations: int) -> int:
-    """O(n) reference for ``UpdateSchedule.updates_in``: count the updating
-    iterations one by one."""
+    """Count the iterations among the first ``n_iterations`` at which
+    ``schedule.should_update`` fires, one by one."""
     if n_iterations < 0:
         raise ValueError("n_iterations must be non-negative")
     return sum(schedule.should_update(i) for i in range(n_iterations))

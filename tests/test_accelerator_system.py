@@ -101,7 +101,7 @@ class TestGridCoreSimulator:
         sim = GridCoreSimulator(AcceleratorConfig())
         branch = tiny_trace.branch("density")
         result = sim.simulate_forward(branch, table_bytes=512 * 1024)
-        assert result.total_cycles > 0
+        assert result.core_cycles > 0
         # Cannot be faster than the total bank bandwidth allows.
         min_cycles = branch.read_addresses.size / (4 * 8)
         assert result.sram_cycles >= min_cycles
@@ -113,7 +113,7 @@ class TestGridCoreSimulator:
         without_frm = GridCoreSimulator(
             AcceleratorConfig(frm_enabled=False)).simulate_forward(
             branch, table_bytes=512 * 1024)
-        assert without_frm.total_cycles > with_frm.total_cycles
+        assert without_frm.core_cycles > with_frm.core_cycles
 
     def test_bum_disable_increases_backward_cycles(self, tiny_trace):
         branch = tiny_trace.branch("density")
@@ -122,7 +122,7 @@ class TestGridCoreSimulator:
         without_bum = GridCoreSimulator(
             AcceleratorConfig(bum_enabled=False)).simulate_backward(
             branch, table_bytes=512 * 1024)
-        assert without_bum.total_cycles > with_bum.total_cycles
+        assert without_bum.core_cycles > with_bum.core_cycles
         assert with_bum.bum.write_reduction >= 0.0
 
     def test_fusion_disable_increases_cycles_for_large_table(self, tiny_trace):
@@ -132,7 +132,7 @@ class TestGridCoreSimulator:
         unfused = GridCoreSimulator(
             AcceleratorConfig(fusion_enabled=False)).simulate_forward(
             branch, table_bytes=1024 * 1024)
-        assert unfused.total_cycles > fused.total_cycles
+        assert unfused.core_cycles > fused.core_cycles
 
 
 class TestDeviceModels:
@@ -206,17 +206,14 @@ class TestBranchRates:
     def test_backward_rate_uses_backward_phase_access_count(self, tiny_trace):
         """Regression: the trace-driven backward rate divided the *forward*
         read count by backward-phase cycles, halving the measured rate."""
-        acc = Instant3DAccelerator(AcceleratorConfig())
-        table_bytes = {name: 512 * 1024 for name in tiny_trace.branches}
-        rates = acc._branch_rates(tiny_trace, table_bytes)
-        for name, branch_rates in rates.items():
-            bwd = branch_rates["backward_result"]
-            assert bwd is not None
+        sim = GridCoreSimulator(AcceleratorConfig())
+        for name in tiny_trace.branches:
+            trace_branch = tiny_trace.branch(name)
+            bwd = sim.simulate_backward(trace_branch, table_bytes=512 * 1024)
             # The rate must be the backward phase's own accesses/cycle:
             # gradient reads plus update writes over the phase's core cycles.
-            assert branch_rates["backward_accesses_per_cycle"] == pytest.approx(
+            assert bwd.accesses_per_cycle == pytest.approx(
                 bwd.n_accesses / max(bwd.core_cycles, 1))
-            trace_branch = tiny_trace.branch(name)
             assert bwd.n_accesses == (trace_branch.read_addresses.size
                                       + trace_branch.write_addresses.size)
 
@@ -232,24 +229,15 @@ class TestBranchRates:
             assert bwd.grid_accesses == 2.0 * fwd.grid_accesses
             assert bwd.grid_bytes == fwd.grid_bytes    # bytes stay per-direction
 
-    def test_trace_driven_and_default_rates_are_consistent(self, paper_workloads,
-                                                           tiny_trace):
-        """Trace-driven and default-rate estimates describe the same machine:
-        with matched units they should agree within a small factor."""
-        acc = Instant3DAccelerator(AcceleratorConfig())
-        with_trace = acc.estimate_training(paper_workloads["instant3d_acc"],
-                                           trace=tiny_trace)
-        without_trace = acc.estimate_training(paper_workloads["instant3d_acc"],
-                                              trace=None)
-        ratio = with_trace.per_iteration_s / without_trace.per_iteration_s
-        assert 0.2 < ratio < 5.0
-        # Backward is no slower than forward per access once the BUM merges
-        # the update writes (the pre-fix estimate had it ~2x slower).
-        table_bytes = {name: 512 * 1024 for name in tiny_trace.branches}
-        rates = acc._branch_rates(tiny_trace, table_bytes)
-        for branch_rates in rates.values():
-            assert (branch_rates["backward_accesses_per_cycle"]
-                    > 0.5 * branch_rates["forward_accesses_per_cycle"])
+    def test_backward_rate_is_near_forward_rate(self, tiny_trace):
+        """Backward is no slower than forward per access once the BUM merges
+        the update writes (the pre-fix estimate had it ~2x slower)."""
+        sim = GridCoreSimulator(AcceleratorConfig())
+        for name in tiny_trace.branches:
+            branch = tiny_trace.branch(name)
+            fwd = sim.simulate_forward(branch, table_bytes=512 * 1024)
+            bwd = sim.simulate_backward(branch, table_bytes=512 * 1024)
+            assert bwd.accesses_per_cycle > 0.5 * fwd.accesses_per_cycle
 
 
 class TestInstant3DAccelerator:
@@ -306,8 +294,8 @@ class TestInstant3DAccelerator:
         i3d = acc.estimate_training(paper_workloads["instant3d_acc"], tiny_trace)
         assert 1.5 < ngp.total_s / i3d.total_s < 8.0
 
-    def test_estimate_without_trace_uses_defaults(self, paper_workloads):
+    def test_estimate_requires_a_trace(self, paper_workloads):
+        """Grid phases are only priced from a replayed trace."""
         acc = Instant3DAccelerator(AcceleratorConfig())
-        est = acc.estimate_training(paper_workloads["instant3d_acc"], trace=None)
-        assert est.total_s > 0
-        assert est.per_iteration_s > 0
+        with pytest.raises(TypeError):
+            acc.estimate_training(paper_workloads["instant3d_acc"])

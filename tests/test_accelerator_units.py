@@ -23,38 +23,30 @@ from repro.accelerator.mlp_unit import MLPLayerShape
 
 class TestSRAMBankArray:
     def test_bank_mapping_range(self):
-        sram = SRAMBankArray(n_banks=8, table_entries=1000)
+        sram = SRAMBankArray(n_banks=8)
         banks = sram.bank_of(np.arange(1000))
         assert banks.min() == 0 and banks.max() == 7
 
     def test_conflict_free_batch_takes_one_cycle(self):
-        sram = SRAMBankArray(n_banks=8, table_entries=64)
+        sram = SRAMBankArray(n_banks=8)
         addresses = np.arange(8)          # one address per bank
         assert sram.cycles_for_batch(addresses) == 1
 
     def test_full_conflict_batch_serialises(self):
-        sram = SRAMBankArray(n_banks=8, table_entries=64)
+        sram = SRAMBankArray(n_banks=8)
         addresses = np.full(5, 16)        # same bank five times
         assert sram.cycles_for_batch(addresses) == 5
 
-    def test_service_accumulates_stats(self):
-        sram = SRAMBankArray(n_banks=4, table_entries=64)
-        stats = sram.service([np.arange(4), np.zeros(4, dtype=int)])
-        assert stats.n_accesses == 8
-        assert stats.n_cycles == 1 + 4
-        assert stats.n_conflict_cycles == 3
-        assert stats.accesses_per_cycle == 8 / 5
-
     def test_invalid_configuration(self):
         with pytest.raises(ValueError):
-            SRAMBankArray(n_banks=0, table_entries=16)
+            SRAMBankArray(n_banks=0)
         with pytest.raises(ValueError):
-            SRAMBankArray(n_banks=4, table_entries=16).bank_of(np.array([-1]))
+            SRAMBankArray(n_banks=4).bank_of(np.array([-1]))
 
 
 class TestFeedForwardReadMapper:
     def test_mapping_never_slower_than_unmapped(self):
-        sram = SRAMBankArray(n_banks=8, table_entries=4096)
+        sram = SRAMBankArray(n_banks=8)
         frm = FeedForwardReadMapper(sram, window=16)
         rng = np.random.default_rng(0)
         addresses = rng.integers(0, 4096, size=512)
@@ -63,7 +55,7 @@ class TestFeedForwardReadMapper:
         assert result.speedup >= 1.0
 
     def test_disabled_mapper_equals_unmapped(self):
-        sram = SRAMBankArray(n_banks=8, table_entries=4096)
+        sram = SRAMBankArray(n_banks=8)
         frm = FeedForwardReadMapper(sram, window=16)
         addresses = np.random.default_rng(1).integers(0, 4096, size=256)
         result = frm.schedule(addresses, enabled=False)
@@ -72,7 +64,7 @@ class TestFeedForwardReadMapper:
     def test_grouped_requests_benefit_from_mapping(self):
         """Eight requests spread over few banks per point leave banks idle;
         the FRM packs requests from several points into one cycle."""
-        sram = SRAMBankArray(n_banks=8, table_entries=8000)
+        sram = SRAMBankArray(n_banks=8)
         frm = FeedForwardReadMapper(sram, window=32, requests_per_group=8)
         # Construct point groups that each touch only two banks (four requests
         # per bank), so an unmapped group needs four cycles on its own while
@@ -87,7 +79,7 @@ class TestFeedForwardReadMapper:
         assert 0.0 < result.mapped_utilization <= 1.0
 
     def test_all_requests_serviced_exactly_once(self):
-        sram = SRAMBankArray(n_banks=4, table_entries=64)
+        sram = SRAMBankArray(n_banks=4)
         frm = FeedForwardReadMapper(sram, window=8)
         addresses = np.random.default_rng(3).integers(0, 64, size=100)
         result = frm.schedule(addresses)
@@ -96,13 +88,13 @@ class TestFeedForwardReadMapper:
         assert result.mapped_cycles * sram.n_banks >= 100
 
     def test_empty_trace(self):
-        sram = SRAMBankArray(n_banks=4, table_entries=64)
+        sram = SRAMBankArray(n_banks=4)
         frm = FeedForwardReadMapper(sram, window=8)
         result = frm.schedule(np.array([], dtype=np.int64))
         assert result.mapped_cycles == 0 and result.unmapped_cycles == 0
 
     def test_invalid_window(self):
-        sram = SRAMBankArray(n_banks=4, table_entries=64)
+        sram = SRAMBankArray(n_banks=4)
         with pytest.raises(ValueError):
             FeedForwardReadMapper(sram, window=0)
 
@@ -215,16 +207,10 @@ class TestMLPUnits:
 
     def test_engine_total_cycles(self):
         engine = MLPEngine(MLPUnitConfig())
-        layers = MLPEngine.head_layers(16, 64, 2, 3)
+        layers = [MLPLayerShape(16, 64), MLPLayerShape(64, 64), MLPLayerShape(64, 3)]
         total, routing = engine.cycles_for_layers(layers, 1024)
         assert total == sum(cycles for _unit, cycles in routing)
         assert routing[-1][0] == "adder_tree"
-
-    def test_head_layers_shapes(self):
-        layers = MLPEngine.head_layers(in_features=10, hidden_width=32,
-                                       hidden_layers=2, out_features=3)
-        assert [(l.in_features, l.out_features) for l in layers] == [
-            (10, 32), (32, 32), (32, 3)]
 
     def test_invalid_units(self):
         with pytest.raises(ValueError):

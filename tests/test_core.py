@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from oracles import updates_in_loop
+
 from repro.core import (
     BranchSchedules,
     DecoupledGridEncoder,
@@ -86,7 +88,7 @@ class TestUpdateSchedule:
     @pytest.mark.parametrize("freq", [0.25, 0.4, 0.5, 0.75, 1.0])
     def test_update_fraction_converges_to_frequency(self, freq):
         schedule = UpdateSchedule(freq)
-        assert schedule.update_fraction(400) == pytest.approx(freq, abs=0.01)
+        assert updates_in_loop(schedule, 400) / 400 == pytest.approx(freq, abs=0.01)
 
     def test_invalid_frequency(self):
         with pytest.raises(ValueError):

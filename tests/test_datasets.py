@@ -149,8 +149,6 @@ class TestGroundTruthRenderer:
     def test_invalid_settings_raise(self):
         with pytest.raises(ValueError):
             GroundTruthRenderer(n_samples=1)
-        with pytest.raises(ValueError):
-            GroundTruthRenderer(chunk_size=0)
 
 
 class TestDatasetBuilders:

@@ -9,8 +9,8 @@
   ``src/``, ``benchmarks/``, ``examples/`` or ``perfbench/``, so code that
   only tests call is caught.  A reference is a name, an attribute or an
   identifier string (``getattr`` and tracer patch targets); package
-  ``__init__`` re-exports do not count.  :data:`TEST_ONLY_ALLOWED` names
-  the deliberate exceptions.
+  ``__init__`` re-exports and a module's own ``__all__`` entries do not
+  count.  :data:`TEST_ONLY_ALLOWED` names the deliberate exceptions.
 """
 
 import ast
@@ -37,6 +37,7 @@ TEST_ONLY_ALLOWED = {
     "train_fleet": "public one-call fleet entry, like train_scene",
     "new_rng": "public seeding helper, used in the README",
     "morton_order_record": "hardware-model trace order the BUM is scored on",
+    "fault_injection": "public chaos-testing context manager, in the README",
 }
 
 
@@ -74,11 +75,15 @@ def _referenced(tree):
             names.update(_annotation_names(node.returns))
         elif isinstance(node, ast.AnnAssign):
             names.update(_annotation_names(node.annotation))
-        elif isinstance(node, ast.Assign) and any(
-                isinstance(target, ast.Name) and target.id == "__all__"
-                for target in node.targets):
-            names.update(ast.literal_eval(node.value))
     return names
+
+
+def _all_lists(tree):
+    """The value nodes of the module's ``__all__`` assignments."""
+    return [node.value for node in ast.walk(tree)
+            if isinstance(node, ast.Assign) and any(
+                isinstance(target, ast.Name) and target.id == "__all__"
+                for target in node.targets)]
 
 
 def test_no_unused_imports():
@@ -87,6 +92,8 @@ def test_no_unused_imports():
     for path in MODULES:
         tree = ast.parse(path.read_text(), filename=str(path))
         referenced = _referenced(tree)
+        for value in _all_lists(tree):
+            referenced.update(ast.literal_eval(value))
         names = sorted(name for name in _imported(tree)
                        if name not in referenced)
         if names:
@@ -108,13 +115,15 @@ def _definitions(tree, prefix=""):
 
 
 def _callers(tree):
-    """Names, attributes and identifier strings a module uses."""
+    """Names, attributes and identifier strings a module uses.  Its own
+    ``__all__`` entries only declare names, so they are not uses."""
     names = _referenced(tree)
+    declared = {id(node) for value in _all_lists(tree) for node in ast.walk(value)}
     for node in ast.walk(tree):
         if isinstance(node, ast.Attribute):
             names.add(node.attr)
         elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
-                and node.value.isidentifier():
+                and node.value.isidentifier() and id(node) not in declared:
             names.add(node.value)
     return names
 

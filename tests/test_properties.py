@@ -34,7 +34,7 @@ from repro.utils.seeding import new_rng
 from repro.utils.workspace import WorkspaceArena
 
 from helpers import occupy
-from oracles import per_level_loop
+from oracles import per_level_loop, updates_in_loop
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +144,7 @@ def test_psnr_monotone_in_mse(mse):
 @settings(max_examples=50, deadline=None)
 def test_schedule_update_count_matches_frequency(freq, n):
     schedule = UpdateSchedule(freq)
-    updates = schedule.updates_in(n)
+    updates = updates_in_loop(schedule, n)
     # floor((i+1)f) - floor(if) summed telescopes to floor(nf).
     assert updates == int(np.floor(n * freq + 1e-9)) or updates == int(np.floor(n * freq))
 
@@ -173,7 +173,7 @@ def test_bum_write_count_bounds(addresses, entries, timeout):
 )
 @settings(max_examples=50, deadline=None)
 def test_sram_batch_cycles_bounded_by_batch_size(addresses, n_banks):
-    sram = SRAMBankArray(n_banks=n_banks, table_entries=1024)
+    sram = SRAMBankArray(n_banks=n_banks)
     cycles = sram.cycles_for_batch(addresses)
     assert 1 <= cycles <= addresses.size
 

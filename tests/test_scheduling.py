@@ -37,11 +37,7 @@ from repro.nerf.scheduling import (
     make_scheduler,
 )
 from repro.training.trainer import Trainer
-from repro.utils.morton import (
-    morton_decode_2d,
-    morton_encode_2d,
-    morton_encode_3d,
-)
+from repro.utils.morton import morton_encode_2d, morton_encode_3d
 from repro.utils.math3d import look_at_pose
 from repro.utils.seeding import new_rng
 
@@ -74,6 +70,25 @@ class _InlineUniformOracle:
     def sample_batch(self, rng):
         return per_view_pixel_draw(self.cameras, self.images,
                                    self.batch_pixels, rng)
+
+
+def _compact_1by1(x: np.ndarray) -> np.ndarray:
+    """Gather the even bit positions of ``x`` into its low 32 bits."""
+    x = x.astype(np.uint64) & np.uint64(0x5555555555555555)
+    x = (x | (x >> np.uint64(1))) & np.uint64(0x3333333333333333)
+    x = (x | (x >> np.uint64(2))) & np.uint64(0x0F0F0F0F0F0F0F0F)
+    x = (x | (x >> np.uint64(4))) & np.uint64(0x00FF00FF00FF00FF)
+    x = (x | (x >> np.uint64(8))) & np.uint64(0x0000FFFF0000FFFF)
+    x = (x | (x >> np.uint64(16))) & np.uint64(0x00000000FFFFFFFF)
+    return x
+
+
+def morton_decode_2d(code: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Invert ``morton_encode_2d``; returns ``(x, y)`` as ``int64``."""
+    code = np.asarray(code).astype(np.uint64)
+    x = _compact_1by1(code)
+    y = _compact_1by1(code >> np.uint64(1))
+    return x.astype(np.int64), y.astype(np.int64)
 
 
 class TestMortonCodes:

@@ -16,7 +16,7 @@ from repro.training import (
     train_scene,
 )
 from repro.training.metrics import render_view
-from repro.training.profiler import grid_table_entries
+from repro.training.profiler import grid_table_entries, mlp_head_widths
 
 
 class TestWorkloadScale:
@@ -84,6 +84,12 @@ class TestIterationWorkload:
                     if s.step == PipelineStep.GRID_BACKWARD}
         assert backward["color"].update_fraction == 0.5
         assert backward["density"].update_fraction == 1.0
+
+    def test_mlp_head_widths(self):
+        """Each branch carries half the baseline's 2 features per level, and
+        the color head also reads the 9 spherical-harmonics coefficients."""
+        config = Instant3DConfig.paper_scale_instant3d()
+        assert mlp_head_widths(config) == ((16, 64, 64, 1), (16 + 9, 64, 64, 3))
 
     def test_instant3d_reduces_effective_grid_work(self):
         base = build_iteration_workload(Instant3DConfig.paper_scale_baseline())
