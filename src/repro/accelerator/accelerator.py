@@ -32,7 +32,6 @@ from repro.training.profiler import IterationWorkload, PipelineStep, mlp_head_wi
 class AcceleratorRunEstimate:
     """Runtime/energy estimate of one full training run on the accelerator."""
 
-    config_name: str
     per_iteration_s: float
     total_s: float
     n_iterations: int
@@ -148,7 +147,6 @@ class Instant3DAccelerator:
             runtime_s=total_s,
         )
         return AcceleratorRunEstimate(
-            config_name=config.name,
             per_iteration_s=per_iteration_s,
             total_s=total_s,
             n_iterations=n_iterations,

@@ -88,7 +88,6 @@ class AcceleratorConfig:
     name: str = "Instant-3D"
     technology_nm: int = 28
     frequency_hz: float = 800e6
-    voltage_v: float = 1.0
     n_grid_cores: int = 4
     grid_core: GridCoreConfig = field(default_factory=GridCoreConfig)
     mlp_unit: MLPUnitConfig = field(default_factory=MLPUnitConfig)

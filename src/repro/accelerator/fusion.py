@@ -23,11 +23,8 @@ from repro.accelerator.config import AcceleratorConfig, FusionMode
 class FusionPlan:
     """How a branch's hash table is mapped onto grid cores."""
 
-    mode: FusionMode
-    table_bytes: int
     n_segments: int            # table segments that must be processed serially
     dram_swap_bytes: int       # bytes swapped to/from DRAM between segments
-    n_banks: int               # SRAM banks usable in parallel per segment
 
 
 def select_fusion_mode(table_bytes: int, config: AcceleratorConfig) -> FusionMode:
@@ -56,10 +53,7 @@ def plan_fusion(table_bytes: int, config: AcceleratorConfig) -> FusionPlan:
         capacity = mode.n_cores * core_bytes
         n_segments = max(1, int(np.ceil(table_bytes / capacity)))
         swap_bytes = (n_segments - 1) * capacity if n_segments > 1 else 0
-        return FusionPlan(mode=mode, table_bytes=table_bytes, n_segments=n_segments,
-                          dram_swap_bytes=swap_bytes, n_banks=mode.n_banks)
-    mode = FusionMode.LEVEL0_STANDALONE
+        return FusionPlan(n_segments=n_segments, dram_swap_bytes=swap_bytes)
     n_segments = max(1, int(np.ceil(table_bytes / core_bytes)))
     swap_bytes = (n_segments - 1) * core_bytes if n_segments > 1 else 0
-    return FusionPlan(mode=mode, table_bytes=table_bytes, n_segments=n_segments,
-                      dram_swap_bytes=swap_bytes, n_banks=mode.n_banks)
+    return FusionPlan(n_segments=n_segments, dram_swap_bytes=swap_bytes)

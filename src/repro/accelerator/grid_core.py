@@ -19,7 +19,7 @@ import numpy as np
 
 from repro.accelerator.bum import BackPropUpdateMerger, BUMResult
 from repro.accelerator.config import AcceleratorConfig
-from repro.accelerator.frm import FeedForwardReadMapper, FRMResult
+from repro.accelerator.frm import FeedForwardReadMapper
 from repro.accelerator.fusion import FusionPlan, plan_fusion
 from repro.accelerator.sram import SRAMBankArray
 from repro.accelerator.trace import BranchTrace
@@ -43,12 +43,9 @@ _UNMERGED_WRITE_RMW_CYCLES = 3
 class GridPhaseResult:
     """Cycle accounting for one branch's feed-forward or back-propagation phase."""
 
-    branch: str
-    phase: str                      # "forward" or "backward"
     n_accesses: int
     sram_cycles: int
     pipeline_cycles: int
-    frm: FRMResult
     plan: FusionPlan
     bum: Optional[BUMResult] = None
 
@@ -138,12 +135,9 @@ class GridCoreSimulator:
         pipeline = int(trace.n_points * _ADDRESS_PIPELINE_CYCLES_PER_POINT
                        * _COMPUTE_OVERLAP_WEIGHT)
         return GridPhaseResult(
-            branch=trace.branch,
-            phase="backward" if backward else "forward",
             n_accesses=n_accesses,
             sram_cycles=int(np.ceil(cycles * segment_overhead)),
             pipeline_cycles=pipeline,
-            frm=frm_result,
             plan=plan,
             bum=bum_result,
         )

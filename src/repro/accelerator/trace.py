@@ -21,8 +21,8 @@ stays out of the training run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -39,12 +39,9 @@ from repro.utils.seeding import derive_rng
 class BranchTrace:
     """Address streams of one grid branch for one query batch."""
 
-    branch: str
     read_addresses: np.ndarray          # point-major feed-forward reads
     write_addresses: np.ndarray         # level-major back-propagation updates
-    table_entries: int                  # total entries across levels
-    level_table_sizes: List[int] = field(default_factory=list)
-    n_points: int = 0
+    n_points: int
 
 
 @dataclass
@@ -58,8 +55,7 @@ class MemoryTrace:
         return self.branches[name]
 
 
-def trace_from_record(branch: str, record: GridAccessRecord,
-                      table_entries: int) -> BranchTrace:
+def trace_from_record(record: GridAccessRecord) -> BranchTrace:
     """Build a :class:`BranchTrace` from one grid access record.
 
     The record's ``(8, L, N)`` global-address planes, transposed, give the
@@ -67,11 +63,8 @@ def trace_from_record(branch: str, record: GridAccessRecord,
     are the level-major writes (per level, per point, 8 corners).
     """
     return BranchTrace(
-        branch=branch,
         read_addresses=record.address_planes.transpose(2, 1, 0).flatten(),
         write_addresses=record.flat_addresses(),
-        table_entries=table_entries,
-        level_table_sizes=list(record.table_sizes),
         n_points=record.n_points,
     )
 
@@ -82,12 +75,12 @@ def morton_order_record(record: GridAccessRecord,
 
     The points are stably sorted by the Morton code of their voxel at
     ``resolution`` (the grid's finest level,
-    ``grid.levels[-1].resolution``).  Consecutive points are then spatial
-    neighbours at every level: same-voxel points repeat all eight corner
-    addresses back to back and coarse-level addresses form long constant
-    runs, which is what the BUM's small matching window needs to merge.
-    Whole points move — each point's ``8 x L`` addresses keep their weights
-    — and same-voxel points keep their batch order.  Returns a new record
+    ``grid.config.layout[-1].resolution``).  Consecutive points are then
+    spatial neighbours at every level: same-voxel points repeat all eight
+    corner addresses back to back and coarse-level addresses form long
+    constant runs, which is what the BUM's small matching window needs to
+    merge.  Whole points move — each point's ``8 x L`` addresses keep their
+    weights — and same-voxel points keep their batch order.  Returns a new record
     holding permuted copies of the planes and the points.
     """
     points = np.clip(np.asarray(record.points, dtype=np.float64), 0.0, 1.0)
@@ -122,12 +115,9 @@ def extract_training_trace(model: DecoupledRadianceField, dataset: SceneDataset,
     points_unit = normalize_points_to_unit_cube(points, dataset.scene_bound)
     model.query(points_unit, dirs)
 
-    records = model.encoder.last_access_records()
     branches = {}
-    for name, grid in (("density", model.encoder.density_grid),
-                       ("color", model.encoder.color_grid)):
-        record = records[name]
+    for name, record in model.encoder.last_access_records().items():
         if record is None:
             raise RuntimeError(f"no access record for branch {name!r}")
-        branches[name] = trace_from_record(name, record, grid.total_table_entries)
+        branches[name] = trace_from_record(record)
     return MemoryTrace(branches=branches, n_points=points_unit.shape[0])

@@ -37,7 +37,6 @@ class AddressGroupStats:
     mean_intra_group_distance: float
     mean_inter_group_distance: float
     fraction_intra_within_threshold: float
-    threshold: int
     n_points: int
 
 
@@ -98,7 +97,6 @@ def address_group_stats(record: GridAccessRecord, level: int,
         mean_intra_group_distance=float(np.mean(np.abs(intra))) if intra.size else float("nan"),
         mean_inter_group_distance=float(np.mean(inter)) if inter.size else float("nan"),
         fraction_intra_within_threshold=intra_group_within_threshold(record, level, threshold),
-        threshold=threshold,
         n_points=record.n_points,
     )
 

@@ -103,7 +103,6 @@ class SceneDataset:
     scene: AnalyticScene
     train_views: List[RenderedView] = field(default_factory=list)
     test_views: List[RenderedView] = field(default_factory=list)
-    suite: str = "custom"
     _ray_table: Optional[RayTable] = field(default=None, init=False,
                                            repr=False, compare=False)
 
@@ -157,7 +156,7 @@ def _camera_ring(n_views: int, radius: float, image_size: int, focal: float,
 
 
 def build_dataset(scene: AnalyticScene, n_train_views: int = 12, n_test_views: int = 4,
-                  image_size: int = 40, seed: int = 0, suite: str = "custom",
+                  image_size: int = 40, seed: int = 0,
                   camera_radius: Optional[float] = None,
                   gt_samples: int = 96) -> SceneDataset:
     """Render a train/test dataset of posed views for ``scene``.
@@ -205,5 +204,4 @@ def build_dataset(scene: AnalyticScene, n_train_views: int = 12, n_test_views: i
         scene=scene,
         train_views=render_split(n_train_views, "train"),
         test_views=render_split(n_test_views, "test"),
-        suite=suite,
     )

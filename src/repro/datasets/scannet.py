@@ -159,7 +159,6 @@ def scannet_like(scenes: Optional[Iterable[str]] = None, n_train_views: int = 12
                 scene=scene,
                 train_views=render_split(n_train_views, "train"),
                 test_views=render_split(n_test_views, "test"),
-                suite="scannet",
             ))
         )
     return datasets

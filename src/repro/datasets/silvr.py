@@ -110,7 +110,7 @@ def silvr_like(scenes: Optional[Iterable[str]] = None, n_train_views: int = 12,
             validate_dataset(
                 build_dataset(scene, n_train_views=n_train_views,
                               n_test_views=n_test_views,
-                              image_size=image_size, seed=seed, suite="silvr",
+                              image_size=image_size, seed=seed,
                               camera_radius=1.9 * scene.scene_bound))
         )
     return datasets

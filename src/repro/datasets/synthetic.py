@@ -189,6 +189,6 @@ def nerf_synthetic_like(scenes: Optional[Iterable[str]] = None,
         scene = make_synthetic_scene(name)
         datasets.append(
             build_dataset(scene, n_train_views=n_train_views, n_test_views=n_test_views,
-                          image_size=image_size, seed=seed, suite="nerf_synthetic")
+                          image_size=image_size, seed=seed)
         )
     return datasets

@@ -10,8 +10,11 @@ stored in compact 1-D hash tables and queried by trilinear interpolation
 * :mod:`repro.grid.interpolation` — corner enumeration and trilinear weights
   with their backward pass.
 * :mod:`repro.grid.hash_encoding` —
+  :class:`~repro.grid.hash_encoding.HashGridConfig`, whose ``layout`` is
+  the one statement of each level's resolution, dense-or-hashed storage
+  and rows in the backing table;
   :class:`~repro.grid.hash_encoding.MultiResHashGrid`, the one grid-query
-  engine (all levels in a single stacked pass over one backing table), and
+  engine (all levels in a single stacked pass over that one table); and
   the access-trace export consumed by the accelerator simulator and by the
   memory-access analyses of Figs. 8-10.
 """
@@ -20,7 +23,7 @@ from repro.grid.hash_function import PI1, PI2, PI3, spatial_hash, dense_index
 from repro.grid.interpolation import CORNER_OFFSETS, trilinear_weights
 from repro.grid.hash_encoding import (
     HashGridConfig,
-    HashGridLevel,
+    LevelLayout,
     MultiResHashGrid,
     GridAccessRecord,
 )
@@ -34,7 +37,7 @@ __all__ = [
     "CORNER_OFFSETS",
     "trilinear_weights",
     "HashGridConfig",
-    "HashGridLevel",
+    "LevelLayout",
     "MultiResHashGrid",
     "GridAccessRecord",
 ]

@@ -1,13 +1,14 @@
 """Multiresolution hash-grid embedding (Instant-NGP's "3D embedding grid").
 
-A :class:`MultiResHashGrid` stacks ``L`` levels (:class:`HashGridLevel`) of
-geometrically increasing resolution.  Each level stores ``F`` features per
-vertex in a 1-D table (dense for coarse levels, hashed for fine levels).
-Querying a batch of 3-D points returns the concatenation of every level's
-trilinearly interpolated features — exactly Step ❸-① of the paper's training
-pipeline — and records the table addresses that were touched so that the
-accelerator simulator and the access-pattern analyses (Figs. 8-10) can replay
-them.
+A :class:`MultiResHashGrid` stacks ``L`` levels of geometrically
+increasing resolution.  Each level stores ``F`` features per vertex in its
+block of the grid's one backing table (dense for coarse levels, hashed for
+fine levels); :attr:`HashGridConfig.layout` decides each level's
+resolution, storage and block.  Querying a batch of 3-D points returns the
+concatenation of every level's trilinearly interpolated features — exactly
+Step ❸-① of the paper's training pipeline — and records the table addresses
+that were touched so that the accelerator simulator and the access-pattern
+analyses (Figs. 8-10) can replay them.
 
 The Instant-3D algorithm instantiates two of these grids (a density grid and
 a color grid) with different ``size_scale`` factors; see
@@ -17,7 +18,7 @@ a color grid) with different ``size_scale`` factors; see
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -28,6 +29,15 @@ from repro.utils.workspace import WorkspaceArena, arena_buffer
 
 #: Bytes per stored feature (FP16 in the accelerator and in Instant-NGP).
 FEATURE_BYTES = 2
+
+
+class LevelLayout(NamedTuple):
+    """Storage of one grid level inside the grid's backing table."""
+
+    resolution: int
+    dense: bool          # every vertex has its own row (no hashing)
+    size: int            # table rows of the level
+    offset: int          # first row of the level in the backing table
 
 
 @dataclass(frozen=True)
@@ -98,6 +108,26 @@ class HashGridConfig:
     def level_resolution(self, level: int) -> int:
         """Grid resolution of ``level`` (0 = coarsest)."""
         return int(np.floor(self.base_resolution * self.per_level_scale ** level))
+
+    @property
+    def layout(self) -> Tuple[LevelLayout, ...]:
+        """Every level's resolution, storage and rows, coarsest first.
+
+        As in Instant-NGP, a level whose ``(N_l + 1)^3`` vertices fit the
+        table budget :attr:`max_table_entries` is stored densely
+        (collision-free); finer levels hash into a budget-sized table.  The
+        levels' tables are laid end to end in one backing table.
+        """
+        levels = []
+        offset = 0
+        for level in range(self.n_levels):
+            resolution = self.level_resolution(level)
+            n_vertices = (resolution + 1) ** 3
+            dense = n_vertices <= self.max_table_entries
+            size = n_vertices if dense else self.max_table_entries
+            levels.append(LevelLayout(resolution, dense, size, offset))
+            offset += size
+        return tuple(levels)
 
     def scaled(self, size_scale: float) -> "HashGridConfig":
         """Return a copy of this config with a different ``size_scale``."""
@@ -170,28 +200,6 @@ class GridAccessRecord:
         return np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
 
 
-class HashGridLevel:
-    """Metadata and table view of one resolution level of the grid.
-
-    The level's ``table`` is a view into the owning grid's single backing
-    table; it is what checkpoints serialise (``<grid>.level<i>.table``).
-    """
-
-    def __init__(self, resolution: int, max_entries: int, n_features: int,
-                 rng: np.random.Generator, name: str = "level"):
-        if resolution < 1:
-            raise ValueError("resolution must be >= 1")
-        self.resolution = int(resolution)
-        self.n_features = int(n_features)
-        n_vertices = (self.resolution + 1) ** 3
-        # Coarse levels that fit in the table are stored densely
-        # (collision-free); finer levels fall back to the spatial hash.
-        self.is_dense = n_vertices <= max_entries
-        self.table_size = n_vertices if self.is_dense else int(max_entries)
-        init = rng.uniform(-1e-4, 1e-4, size=(self.table_size, self.n_features))
-        self.table = Parameter(init, name=f"{name}.table")
-
-
 class MultiResHashGrid:
     """Multiresolution hash-grid encoder with access tracing.
 
@@ -260,29 +268,21 @@ class MultiResHashGrid:
         self.name = name
         self.policy = resolve_policy(policy)
         self.arena = arena
-        self.levels: List[HashGridLevel] = []
-        for level_idx in range(config.n_levels):
-            self.levels.append(
-                HashGridLevel(
-                    resolution=config.level_resolution(level_idx),
-                    max_entries=config.max_table_entries,
-                    n_features=config.n_features_per_level,
-                    rng=rng,
-                    name=f"{name}.level{level_idx}",
-                )
-            )
+        layout = config.layout
+        f = config.n_features_per_level
         # Per-level constants of the engine, precomputed as arrays so a
         # query touches no Python-level per-level loop.  Resolutions live in
         # the compute dtype so the scale multiply stays in-policy; the planes
         # are level-major, so per-level constants are kept as (L, 1) columns.
-        self._resolutions = np.array([l.resolution for l in self.levels],
+        self._resolutions = np.array([l.resolution for l in layout],
                                      dtype=self.policy.dtype)
-        self._max_base = np.array([l.resolution - 1 for l in self.levels],
+        self._max_base = np.array([l.resolution - 1 for l in layout],
                                   dtype=np.int64)
-        sizes = np.array([l.table_size for l in self.levels], dtype=np.int64)
-        self._offsets_arr = np.concatenate(([0], np.cumsum(sizes)[:-1])).astype(np.int64)
-        self._level_bounds = np.concatenate(([0], np.cumsum(sizes))).astype(np.int64)
-        dense_mask = np.array([l.is_dense for l in self.levels], dtype=bool)
+        sizes = np.array([l.size for l in layout], dtype=np.int64)
+        self._offsets_arr = np.array([l.offset for l in layout], dtype=np.int64)
+        total = layout[-1].offset + layout[-1].size
+        self._level_bounds = np.append(self._offsets_arr, total)
+        dense_mask = np.array([l.dense for l in layout], dtype=bool)
         self._dense_idx = np.flatnonzero(dense_mask)
         self._hash_idx = np.flatnonzero(~dense_mask)
         # Dense levels always form a prefix (level resolutions are
@@ -291,25 +291,20 @@ class MultiResHashGrid:
         if self._dense_idx.size and int(self._dense_idx[-1]) != self._dense_idx.size - 1:
             raise RuntimeError("dense levels must form a prefix of the level stack")
         self._dense_strides = np.array(
-            [self.levels[i].resolution + 1 for i in self._dense_idx], dtype=np.int64)
+            [l.resolution + 1 for l in layout if l.dense], dtype=np.int64)
         hash_sizes = sizes[self._hash_idx]
         self._hash_all_pow2 = bool(
             ((hash_sizes & (hash_sizes - 1)) == 0).all()) if hash_sizes.size else True
-        # One backing Parameter holds every level's rows contiguously — "the
-        # hash table" of this grid.  The per-level Parameters are rebound to
-        # views into it, so the engine gathers from the backing directly (no
-        # per-forward concatenation copy) and the optimiser sees the whole
-        # grid as a single table: one gather/scatter set per (sparse) update
-        # instead of one per level.  Level-local reads and in-place writes
-        # (checkpoints, tests) keep working through the views.
-        backing = np.concatenate([level.table.data for level in self.levels],
-                                 axis=0)
-        self.table = Parameter(backing, name=f"{name}.tables")
-        offset = 0
-        for level in self.levels:
-            level.table.data = self.table.data[offset:offset + level.table_size]
-            level.table.grad = self.table.grad[offset:offset + level.table_size]
-            offset += level.table_size
+        # One Parameter holds every level's rows contiguously — "the hash
+        # table" of this grid — so the engine gathers from it directly and
+        # the optimiser updates the whole grid with one gather/scatter set
+        # per (sparse) update.  Each level's init is drawn straight into its
+        # rows, coarsest level first.
+        table = np.empty((total, f), dtype=np.float32)
+        for level in layout:
+            table[level.offset:level.offset + level.size] = rng.uniform(
+                -1e-4, 1e-4, size=(level.size, f))
+        self.table = Parameter(table, name=f"{name}.tables")
         # Voxel-lattice integer dtype: base coordinates and dense-level index
         # arithmetic run in int32 whenever every value fits (they are bounded
         # by the per-level table size) — the float->int32 cast vectorises
@@ -317,7 +312,7 @@ class MultiResHashGrid:
         # arithmetic is exact, so this is value-identical to the int64
         # original under both precision policies.
         self._base_dtype = (
-            np.int32 if (int(self._level_bounds[-1]) < 2 ** 31
+            np.int32 if (total < 2 ** 31
                          and config.finest_resolution < 2 ** 24)
             else np.int64)
         bdt = self._base_dtype
@@ -347,8 +342,8 @@ class MultiResHashGrid:
         self._hash_sizes_col = hash_sizes[:, None]
         self._hash_pow2_mask_col = (hash_sizes - 1).astype(
             self._hash_dtype)[:, None]
-        self._record_layout = ([int(offset) for offset in self._offsets_arr],
-                               [int(size) for size in sizes])
+        self._record_layout = ([l.offset for l in layout],
+                               [l.size for l in layout])
         self._last_access: Optional[GridAccessRecord] = None
         # The trainable surface is the single backing table.
         self._params: List[Parameter] = [self.table]
@@ -360,11 +355,9 @@ class MultiResHashGrid:
         #: allocated for sparse grids only.
         self._first_touch: Optional[Tuple[np.ndarray, np.ndarray]] = None
         if self.sparse:
-            total = int(self._level_bounds[-1])
             self._first_touch = (np.zeros(total, dtype=bool),
                                  np.zeros(total, dtype=np.int64))
-            for param in [self.table] + [level.table for level in self.levels]:
-                param.sparse = True
+            self.table.sparse = True
             # A split COO scatter runs levels [0, s) and [s, L): s is the
             # longest level prefix holding at most half the table rows, so
             # each range owns about half the table, as two fused grid cores
@@ -411,7 +404,7 @@ class MultiResHashGrid:
         allocate nothing.
         """
         n = points.shape[0]
-        n_levels = len(self.levels)
+        n_levels = self.config.n_levels
         n_dense = self._dense_idx.size
         n_hash = n_levels - n_dense
         dt = self.policy.dtype
@@ -529,7 +522,7 @@ class MultiResHashGrid:
         if points.ndim != 2 or points.shape[1] != 3:
             raise ValueError(f"points must have shape (N, 3), got {points.shape}")
         n = points.shape[0]
-        n_levels = len(self.levels)
+        n_levels = self.config.n_levels
         out = self._buf("out", (n, self.config.n_output_features), np.float32)
         addr_planes = self._buf("addr_planes", (8, n_levels, n), np.int64)
         weight_planes = self._buf("weight_planes", (8, n_levels, n),
@@ -568,7 +561,7 @@ class MultiResHashGrid:
                 f"grad_embeddings shape {grad_embeddings.shape} does not match {expected}"
             )
         n = grad_embeddings.shape[0]
-        n_levels = len(self.levels)
+        n_levels = self.config.n_levels
         f = self.config.n_features_per_level
         grad3 = grad_embeddings.reshape(n, n_levels, f)
         if self.sparse:
@@ -620,7 +613,7 @@ class MultiResHashGrid:
             # pair, whose arrays may be the arena views this one rewrites.
             self.table.sparse_grad = SparseGrad(rows=stored.rows.copy(),
                                                 values=stored.values.copy())
-        n_levels = len(self.levels)
+        n_levels = self.config.n_levels
         if runner is None:
             rows, vals = self._scatter_sparse(record, grad3, 0, n_levels, 0)
         else:
@@ -717,16 +710,11 @@ class MultiResHashGrid:
     def n_output_features(self) -> int:
         return self.config.n_output_features
 
-    @property
-    def total_table_entries(self) -> int:
-        return sum(level.table_size for level in self.levels)
-
     def parameters(self) -> List[Parameter]:
         """The single backing table Parameter (cached list — do not mutate).
 
-        The per-level tables are views into it; exposing one Parameter per
-        grid is what lets the optimiser update (or lazily skip) the whole
-        grid with a single gather/scatter set.
+        Exposing one Parameter per grid is what lets the optimiser update
+        (or lazily skip) the whole grid with a single gather/scatter set.
         """
         return self._params
 
@@ -736,15 +724,9 @@ class MultiResHashGrid:
 
     # -- serialisation ------------------------------------------------------
     def state_dict(self) -> Dict[str, Any]:
-        """Serialisable snapshot of every level's feature table."""
-        return {"tables": [level.table.state_dict() for level in self.levels]}
+        """Serialisable snapshot of the backing table."""
+        return {"table": self.table.state_dict()}
 
     def load_state_dict(self, state: Dict[str, Any]) -> None:
         """Restore :meth:`state_dict` into an identically configured grid."""
-        tables = state["tables"]
-        if len(tables) != len(self.levels):
-            raise ValueError(
-                f"checkpoint has {len(tables)} levels, grid has "
-                f"{len(self.levels)}")
-        for level, entry in zip(self.levels, tables):
-            level.table.load_state_dict(entry)
+        self.table.load_state_dict(state["table"])

@@ -79,13 +79,16 @@ CHECKPOINT_FORMAT = "repro-checkpoint"
 #:       2, so a version-2 file may lack either;
 #:   4 — every array lives in one ``uint8`` data member at the offset,
 #:       dtype and shape the manifest's ``"layout"`` records, instead of
-#:       one npz member per array.
-CHECKPOINT_VERSION = 4
+#:       one npz member per array;
+#:   5 — a hash grid's state is its one backing table
+#:       (``{"table": <parameter state>}``) instead of one table per level.
+CHECKPOINT_VERSION = 5
 #: Oldest version this library can still restore.  Older files are
 #: rejected up front with a clear error: version-1 optimiser state cannot
 #: be mapped onto the master-table parameters, a version-2 file cannot be
-#: verified, and a version-3 file keeps one npz member per array.
-CHECKPOINT_MIN_VERSION = 4
+#: verified, a version-3 file keeps one npz member per array, and a
+#: version-4 file stores each grid level's table separately.
+CHECKPOINT_MIN_VERSION = 5
 #: npz member that stores the JSON manifest.
 _MANIFEST_KEY = "__manifest__"
 #: npz member that stores every array's bytes.

@@ -28,7 +28,6 @@ class EvaluationResult:
     rgb_psnr: float
     depth_psnr: float
     per_view_rgb: List[float] = field(default_factory=list)
-    per_view_depth: List[float] = field(default_factory=list)
 
     @property
     def n_views(self) -> int:
@@ -120,5 +119,4 @@ def evaluate_model(model: DecoupledRadianceField, dataset: SceneDataset,
         rgb_psnr=float(np.mean(rgb_scores)),
         depth_psnr=float(np.mean(depth_scores)),
         per_view_rgb=rgb_scores,
-        per_view_depth=depth_scores,
     )

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.core.config import Instant3DConfig
-from repro.grid.hash_encoding import FEATURE_BYTES, HashGridConfig
+from repro.grid.hash_encoding import FEATURE_BYTES
 from repro.nerf.encoding import spherical_harmonics_dim
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -156,12 +156,11 @@ class IterationWorkload:
         configuration together occupy the same storage as the coupled
         baseline grid.
         """
-        features = branch_features(self.config)
+        row_bytes = branch_features(self.config) * FEATURE_BYTES
         return {
-            "density": grid_table_entries(self.config.density_grid_config)
-            * features * FEATURE_BYTES,
-            "color": grid_table_entries(self.config.color_grid_config)
-            * features * FEATURE_BYTES,
+            branch: sum(level.size for level in grid.layout) * row_bytes
+            for branch, grid in (("density", self.config.density_grid_config),
+                                 ("color", self.config.color_grid_config))
         }
 
     @property
@@ -178,16 +177,6 @@ class IterationWorkload:
 # ---------------------------------------------------------------------------
 # Per-config count helpers (no table allocation needed).
 # ---------------------------------------------------------------------------
-
-def grid_table_entries(grid: HashGridConfig) -> int:
-    """Total hash-table entries across levels (dense levels stored exactly)."""
-    total = 0
-    for level in range(grid.n_levels):
-        resolution = grid.level_resolution(level)
-        n_vertices = (resolution + 1) ** 3
-        total += min(n_vertices, grid.max_table_entries)
-    return total
-
 
 def branch_features(config: Instant3DConfig) -> int:
     """Features per level of each decoupled branch.

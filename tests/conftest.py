@@ -150,7 +150,7 @@ def tiny_dataset():
     """A tiny rendered dataset of the lego-like scene (built once per session)."""
     scene = make_synthetic_scene("lego")
     return build_dataset(scene, n_train_views=4, n_test_views=2, image_size=20,
-                         seed=0, suite="nerf_synthetic", gt_samples=48)
+                         seed=0, gt_samples=48)
 
 
 @pytest.fixture(scope="session")

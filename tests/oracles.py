@@ -7,10 +7,12 @@ the engine against them.
 * :func:`per_level_loop` — the per-level query loop, verbatim: one level at
   a time, built from the scalar Eq. 3 helpers (``spatial_hash`` /
   ``dense_index``, ``trilinear_weights``, ``interpolate``,
-  ``interpolate_backward``).  It reads a
-  :class:`~repro.grid.hash_encoding.MultiResHashGrid`'s level tables and
-  returns the embeddings, a per-level address/weight record and the dense
-  gradient table — what the engine must equal (traces bit-identically).
+  ``interpolate_backward``) and its own statement of the Instant-NGP
+  dense-or-hashed level rule.  It reads a
+  :class:`~repro.grid.hash_encoding.MultiResHashGrid`'s level rows as
+  slices of its backing table and returns the embeddings, a per-level
+  address/weight record and the dense gradient table — what the engine
+  must equal (traces bit-identically).
 * :func:`coo_from_dense` and :func:`use_dense_scatter` — the
   dense-representation oracle of the sparse (COO) backward: scatter into a
   full-table ``np.bincount`` accumulator, then keep the non-zero rows.
@@ -75,40 +77,48 @@ def per_level_loop(grid, points: np.ndarray,
     Computes in the grid's policy dtype and never touches grid state.
     """
     dtype = grid.policy.dtype
+    config = grid.config
     points = np.clip(np.asarray(points, dtype=dtype), 0.0, 1.0)
     record = LoopRecord()
     outputs = []
     offset = 0
-    for level in grid.levels:
-        scaled = points * np.asarray(level.resolution, dtype=dtype)
+    for level in range(config.n_levels):
+        resolution = config.level_resolution(level)
+        # Instant-NGP: a level whose vertices fit the table budget is
+        # stored densely, a finer one hashes into a budget-sized table.
+        n_vertices = (resolution + 1) ** 3
+        is_dense = n_vertices <= config.max_table_entries
+        table_size = n_vertices if is_dense else config.max_table_entries
+        scaled = points * np.asarray(resolution, dtype=dtype)
         base = np.floor(scaled).astype(np.int64)
-        base = np.minimum(base, level.resolution - 1)
+        base = np.minimum(base, resolution - 1)
         frac = (scaled - base).astype(dtype)
         corners = base[:, None, :] + CORNER_OFFSETS[None, :, :]   # (N, 8, 3)
-        if level.is_dense:
-            addresses = dense_index(corners, level.resolution)
+        if is_dense:
+            addresses = dense_index(corners, resolution)
         else:
-            addresses = spatial_hash(corners, level.table_size, validate=False)
+            addresses = spatial_hash(corners, table_size, validate=False)
         weights = trilinear_weights(frac, dtype=dtype)            # (N, 8)
-        corner_values = np.take(level.table.data, addresses, axis=0)
+        table = grid.table.data[offset:offset + table_size]
+        corner_values = np.take(table, addresses, axis=0)
         outputs.append(
             interpolate(corner_values, weights, dtype=dtype).astype(np.float32))
         record.addresses.append(addresses)
         record.weights.append(weights)
         record.level_offsets.append(offset)
-        record.table_sizes.append(level.table_size)
-        offset += level.table_size
+        record.table_sizes.append(table_size)
+        offset += table_size
     embeddings = np.concatenate(outputs, axis=1)
     if grad_embeddings is None:
         return embeddings, record, None
     grad_embeddings = np.asarray(grad_embeddings, dtype=dtype)
     f = grid.config.n_features_per_level
     tables = []
-    for idx, level in enumerate(grid.levels):
+    for idx, table_size in enumerate(record.table_sizes):
         corner_grads = interpolate_backward(
             grad_embeddings[:, idx * f:(idx + 1) * f], record.weights[idx],
             dtype=dtype)                                          # (N, 8, F)
-        grad_table = np.zeros((level.table_size, f), dtype=np.float64)
+        grad_table = np.zeros((table_size, f), dtype=np.float64)
         np.add.at(grad_table, record.addresses[idx].reshape(-1),
                   corner_grads.reshape(-1, f))
         tables.append(grad_table.astype(np.float32))
@@ -140,7 +150,7 @@ def use_dense_scatter(grid) -> None:
     first-touch COO scatter it stands in for, at dense cost.
     """
     def scatter(record, grad3, lo, hi, part):
-        total = grid.total_table_entries
+        total = grid.table.data.shape[0]
         f = grad3.shape[2]
         addr = record.address_planes[:, lo:hi].ravel()
         acc = np.zeros((total, f), dtype=np.float64)
@@ -246,7 +256,7 @@ def pipeline_address_sort(grid, points_unit: np.ndarray,
     """
     sort_points = np.take(points_unit, idx, axis=0)
     sort_points = np.asarray(sort_points, dtype=np.float64)
-    res = grid.levels[-1].resolution
+    res = grid.config.layout[-1].resolution
     base = (np.clip(sort_points, 0.0, 1.0) * res).astype(np.int64)
     np.minimum(base, res - 1, out=base)
     keys = morton_encode_3d(base[:, 0], base[:, 1], base[:, 2])

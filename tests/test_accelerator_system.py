@@ -39,13 +39,14 @@ def paper_workloads():
 
 
 class TestMemoryTrace:
-    def test_trace_structure(self, tiny_trace, tiny_config):
+    def test_trace_structure(self, tiny_trace, tiny_config, tiny_model):
         assert set(tiny_trace.branches) == {"density", "color"}
         density = tiny_trace.branch("density")
         expected_reads = tiny_trace.n_points * 8 * tiny_config.grid.n_levels
         assert density.read_addresses.size == expected_reads
         assert density.write_addresses.size == expected_reads
-        assert density.read_addresses.max() < density.table_entries
+        record = tiny_model.encoder.last_access_records()["density"]
+        assert density.read_addresses.max() < sum(record.table_sizes)
 
     def test_read_and_write_traces_are_permutations(self, tiny_trace):
         """Forward reads and backward updates touch the same multiset of addresses."""

@@ -235,18 +235,15 @@ class TestFusion:
     def test_plan_without_fusion_segments_large_tables(self):
         config = AcceleratorConfig(fusion_enabled=False)
         plan = plan_fusion(1024 * 1024, config)
-        assert plan.mode is FusionMode.LEVEL0_STANDALONE
         assert plan.n_segments == 4
-        assert plan.dram_swap_bytes > 0
+        assert plan.dram_swap_bytes == 3 * config.grid_core.sram_bytes
 
     def test_plan_with_fusion_fits_published_tables(self):
         config = AcceleratorConfig()
         density_plan = plan_fusion(1024 * 1024, config)
         color_plan = plan_fusion(256 * 1024, config)
-        assert density_plan.n_segments == 1
-        assert color_plan.n_segments == 1
-        assert density_plan.mode is FusionMode.LEVEL2_FUSION
-        assert color_plan.mode is FusionMode.LEVEL0_STANDALONE
+        assert density_plan.n_segments == color_plan.n_segments == 1
+        assert density_plan.dram_swap_bytes == color_plan.dram_swap_bytes == 0
 
     def test_invalid_table_size(self):
         with pytest.raises(ValueError):

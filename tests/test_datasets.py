@@ -158,7 +158,6 @@ class TestDatasetBuilders:
         view = tiny_dataset.train_views[0]
         assert view.rgb.shape == (20, 20, 3)
         assert np.all((view.rgb >= 0.0) & (view.rgb <= 1.0))
-        assert tiny_dataset.suite == "nerf_synthetic"
 
     def test_build_dataset_deterministic(self):
         scene = make_synthetic_scene("mic")
@@ -241,7 +240,6 @@ def _assert_ray_contracts(dataset):
 
 class TestScannetLoader:
     def test_suite_and_split_sizes(self, scannet_dataset):
-        assert scannet_dataset.suite == "scannet"
         assert scannet_dataset.name == "scene0001_bedroom"
         assert scannet_dataset.n_train_views == 3
         assert scannet_dataset.n_test_views == 2
@@ -282,7 +280,6 @@ class TestScannetLoader:
 
 class TestSilvrLoader:
     def test_suite_and_split_sizes(self, silvr_dataset):
-        assert silvr_dataset.suite == "silvr"
         assert silvr_dataset.name == "garden"
         assert silvr_dataset.n_train_views == 3
         assert silvr_dataset.n_test_views == 2

@@ -21,7 +21,6 @@ from repro.nerf import pipeline as pipeline_module
 from repro.nerf.occupancy import OccupancyGrid
 from repro.nerf.pipeline import RenderPipeline
 from repro.training.metrics import render_view
-from repro.training.profiler import grid_table_entries
 from repro.training.trainer import Trainer
 from repro.utils.seeding import new_rng
 
@@ -156,9 +155,9 @@ class TestMultiResHashGrid:
         assert out.shape == (17, tiny_grid_config.n_output_features)
 
     def test_coarse_levels_are_dense(self, tiny_grid_config):
-        grid = MultiResHashGrid(tiny_grid_config, rng=new_rng(0))
-        assert grid.levels[0].is_dense
-        assert grid.levels[0].table_size == (tiny_grid_config.base_resolution + 1) ** 3
+        coarsest = tiny_grid_config.layout[0]
+        assert coarsest.dense
+        assert coarsest.size == (tiny_grid_config.base_resolution + 1) ** 3
 
     def test_access_record_populated(self, tiny_grid_config):
         grid = MultiResHashGrid(tiny_grid_config, rng=new_rng(0))
@@ -171,7 +170,7 @@ class TestMultiResHashGrid:
         assert record.address_planes.size == 9 * 8 * tiny_grid_config.n_levels
         flat = record.flat_addresses()
         assert flat.size == record.address_planes.size
-        assert flat.max() < grid.total_table_entries
+        assert flat.max() < grid.table.shape[0]
 
     def test_backward_before_forward_raises(self, tiny_grid_config):
         grid = MultiResHashGrid(tiny_grid_config, rng=new_rng(0))
@@ -183,7 +182,7 @@ class TestMultiResHashGrid:
         points = new_rng(3).uniform(size=(5, 3))
         out = grid.forward(points)
         grid.backward(np.ones_like(out))
-        assert any(np.any(level.table.grad != 0.0) for level in grid.levels)
+        assert np.any(grid.table.grad != 0.0)
 
     def test_backward_matches_numerical_for_single_level(self):
         config = HashGridConfig(n_levels=1, n_features_per_level=2,
@@ -191,7 +190,7 @@ class TestMultiResHashGrid:
                                 finest_resolution=4)
         grid = MultiResHashGrid(config, rng=new_rng(4))
         points = new_rng(5).uniform(0.1, 0.9, size=(3, 3))
-        table = grid.levels[0].table
+        table = grid.table
 
         def loss_for_table(t):
             saved = table.data.copy()
@@ -212,12 +211,9 @@ class TestMultiResHashGrid:
         assert np.all(np.isfinite(out))
 
     def test_storage_and_access_accounting(self, tiny_grid_config):
-        """The profiler's config-only counts match the allocated grid: table
-        rows summed over levels, and 8 recorded reads per level per point."""
+        """8 recorded reads per level per point; the table rows are
+        checked by ``test_grid_storage_follows_config_layout``."""
         grid = MultiResHashGrid(tiny_grid_config, rng=new_rng(0))
-        assert (grid_table_entries(tiny_grid_config)
-                == sum(level.table.data.shape[0] for level in grid.levels)
-                == grid.table.data.shape[0])
         grid.forward(new_rng(1).uniform(size=(5, 3)))
         assert (grid.last_access.address_planes.size
                 == 5 * 8 * tiny_grid_config.n_levels)
@@ -349,7 +345,7 @@ class TestFusedEngine:
             [0.0, 1.0, 0.5],
             [1.0, 0.3, 0.0],
         ])
-        table = grid.levels[0].table
+        table = grid.table
 
         def loss_for_table(t):
             saved = table.data.copy()
@@ -362,8 +358,7 @@ class TestFusedEngine:
         grid.zero_grad()
         grid.backward(2.0 * out)
         numeric = numerical_gradient(loss_for_table, table.data.astype(np.float64))
-        np.testing.assert_allclose(grid.levels[0].table.grad, numeric,
-                                   rtol=2e-2, atol=2e-2)
+        np.testing.assert_allclose(table.grad, numeric, rtol=2e-2, atol=2e-2)
 
 
 class TestRenderChunks:
@@ -471,9 +466,11 @@ class TestInstantNGPEquations:
         expected = []
         for level in range(n_levels):
             res = int(np.floor(n_min * b ** level))
-            assert grid.levels[level].resolution == res
+            stored = config.layout[level]
+            assert stored.resolution == res
             dense = (res + 1) ** 3 <= t_max
-            table = grid.levels[level].table.data.astype(np.float64)
+            table = grid.table.data[stored.offset:stored.offset + stored.size]
+            table = table.astype(np.float64)
             assert table.shape[0] == ((res + 1) ** 3 if dense else t_max)
             scaled = points * res
             # The upper cube face belongs to the last cell (weight 1).

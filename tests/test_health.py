@@ -54,7 +54,7 @@ FAST_POLICY = HealthPolicy(snapshot_every=5, snapshot_ring=2)
 def _make_dataset(name="lego", image_size=8):
     return build_dataset(make_synthetic_scene(name), n_train_views=2,
                          n_test_views=1, image_size=image_size, seed=0,
-                         suite="nerf_synthetic", gt_samples=16)
+                         gt_samples=16)
 
 
 @pytest.fixture(scope="module")

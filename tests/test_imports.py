@@ -11,6 +11,12 @@
   identifier string (``getattr`` and tracer patch targets); package
   ``__init__`` re-exports and a module's own ``__all__`` entries do not
   count.  :data:`TEST_ONLY_ALLOWED` names the deliberate exceptions.
+* Every field of a ``@dataclass`` class under ``src/`` is read in
+  ``src/``, ``benchmarks/``, ``examples/`` or ``perfbench/``: as an
+  attribute load or as an identifier string.  Writes, constructor keywords
+  and annotations are not reads.  The scan matches names, so a field that
+  shares its name with one read elsewhere still passes.
+  :data:`UNREAD_FIELDS_ALLOWED` names the deliberate exceptions.
 """
 
 import ast
@@ -38,6 +44,15 @@ TEST_ONLY_ALLOWED = {
     "new_rng": "public seeding helper, used in the README",
     "morton_order_record": "hardware-model trace order the BUM is scored on",
     "fault_injection": "public chaos-testing context manager, in the README",
+}
+
+#: Dataclass fields under ``src/`` that no production code reads, each with
+#: the reason it stays.
+UNREAD_FIELDS_ALLOWED = {
+    "CheckpointIOStats.quarantined_files":
+        "recovery diagnostic: files a load renamed to *.corrupt",
+    "Checkpoint.fallback_generation":
+        "recovery diagnostic: which generation a fallback load restored",
 }
 
 
@@ -141,3 +156,50 @@ def test_no_test_only_code():
         "only tests reference these; delete them or allowlist them"
     assert set(TEST_ONLY_ALLOWED) - unused == set(), \
         "these allowlisted names have production callers now"
+
+
+def _is_dataclass(decorator):
+    target = decorator.func if isinstance(decorator, ast.Call) else decorator
+    return (isinstance(target, ast.Name) and target.id == "dataclass") or (
+        isinstance(target, ast.Attribute) and target.attr == "dataclass")
+
+
+def _dataclass_fields(tree):
+    """``(qualified name, name)`` of every field of a ``@dataclass``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and any(
+                _is_dataclass(d) for d in node.decorator_list):
+            for stmt in node.body:
+                if (isinstance(stmt, ast.AnnAssign)
+                        and isinstance(stmt.target, ast.Name)
+                        and "ClassVar" not in ast.unparse(stmt.annotation)):
+                    yield f"{node.name}.{stmt.target.id}", stmt.target.id
+
+
+def _reads(tree):
+    """Attribute loads and identifier strings (``getattr`` targets)."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            names.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                and node.value.isidentifier():
+            names.add(node.value)
+    return names
+
+
+def test_no_unread_dataclass_fields():
+    read = set()
+    for path in CALLER_FILES:
+        read |= _reads(ast.parse(path.read_text(), filename=str(path)))
+    fields = {}
+    for path in MODULES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        fields.update(_dataclass_fields(tree))
+    assert len(fields) > 100          # the scan sees the dataclasses
+    unread = {qualified for qualified, name in fields.items()
+              if name not in read}
+    assert unread - set(UNREAD_FIELDS_ALLOWED) == set(), \
+        "no production code reads these fields; delete or allowlist them"
+    assert set(UNREAD_FIELDS_ALLOWED) - unread == set(), \
+        "these allowlisted fields are read now"

