@@ -17,6 +17,7 @@ a color grid) with different ``size_scale`` factors; see
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
@@ -84,18 +85,6 @@ class HashGridConfig:
             raise ValueError("finest_resolution must be >= base_resolution")
 
     @property
-    def per_level_scale(self) -> float:
-        """Geometric growth factor ``b`` between consecutive levels."""
-        if self.n_levels == 1:
-            return 1.0
-        return float(
-            np.exp(
-                (np.log(self.finest_resolution) - np.log(self.base_resolution))
-                / (self.n_levels - 1)
-            )
-        )
-
-    @property
     def max_table_entries(self) -> int:
         """Per-level table entry budget after applying ``size_scale``."""
         return max(16, int(round((2 ** self.log2_hashmap_size) * self.size_scale)))
@@ -106,8 +95,25 @@ class HashGridConfig:
         return self.n_levels * self.n_features_per_level
 
     def level_resolution(self, level: int) -> int:
-        """Grid resolution of ``level`` (0 = coarsest)."""
-        return int(np.floor(self.base_resolution * self.per_level_scale ** level))
+        """Grid resolution of ``level`` (0 = coarsest), exactly Instant-NGP
+        Eq. 2-3's ``floor(N_min * b^l)`` with ``b = (N_max / N_min)^(1/(L-1))``.
+
+        That is the largest integer ``r`` with ``r^(L-1) <=
+        N_min^(L-1-l) * N_max^l``, found in integer arithmetic so that a
+        level whose exact resolution is an integer (the finest level, for
+        one) is never floored one below it.
+        """
+        steps = self.n_levels - 1
+        if steps == 0:
+            return self.base_resolution
+        bound = (self.base_resolution ** (steps - level)
+                 * self.finest_resolution ** level)
+        r = int(math.exp(math.log(bound) / steps))   # within a step or two
+        while r ** steps > bound:
+            r -= 1
+        while (r + 1) ** steps <= bound:
+            r += 1
+        return r
 
     @property
     def layout(self) -> Tuple[LevelLayout, ...]:

@@ -1,8 +1,9 @@
 """Checkpoint/restore subsystem.
 
 Serialises training state — model parameters, optimiser moments, occupancy
-grids, RNG streams, loss histories — to versioned single-file ``.npz``
-checkpoints with an embedded JSON manifest, and restores it bit-identically
+grids, RNG streams, loss histories — to versioned single-file checkpoints
+(a fixed header, a CRC-signed JSON manifest and a 64-byte-aligned data
+region with a CRC32 per array), and restores it bit-identically
 so interrupted runs continue exactly where they left off.  Used directly
 for single-scene trainers and by
 :class:`~repro.training.fleet.SceneFleet`'s preemptible scheduling

@@ -1,15 +1,15 @@
 """Versioned single-file checkpointing for training state.
 
-A checkpoint is **one** ``.npz`` file with two members.  ``__data__`` is a
-``uint8`` array holding every :class:`numpy.ndarray` leaf of the state tree,
-raw and bit-exact, each at a 64-byte-aligned offset.  ``__manifest__`` is a
-JSON *manifest* that records the tree structure, each array's offset, dtype,
-shape and CRC32, the scalar leaves (including the arbitrary-precision
-integers of numpy bit-generator states), a format version and caller
-metadata.  The format needs no pickle (``allow_pickle=False`` throughout),
-so checkpoints are safe to load from untrusted sources and stable across
-Python versions.  A load reads the data member once and hands out views
-into it.
+A checkpoint is **one** flat file: a fixed header (magic, manifest and
+data lengths, the manifest's CRC32), a JSON *manifest*, zero padding to a
+64-byte boundary and the *data region*: every :class:`numpy.ndarray` leaf
+of the state tree, raw and bit-exact, at a 64-byte-aligned offset with
+zero padding between arrays.  The manifest records the tree structure,
+each array's offset, dtype, shape and CRC32, the scalar leaves (including
+the arbitrary-precision integers of numpy bit-generator states), a format
+version and caller metadata.  No pickle is involved, so checkpoints are
+safe to load from untrusted sources and stable across Python versions.  A
+load reads the file with one ``readinto`` and hands out writable views.
 
 Round-trip guarantees, which the interrupt/resume differential tests build
 on:
@@ -22,10 +22,11 @@ on:
 
 Integrity and fault tolerance (see ``docs/reliability.md``):
 
-* every array's CRC32 is recorded in the manifest under ``"digests"`` at
-  save and verified on load; a mismatch (or an unreadable archive, a
-  manifest without digests, or an array whose recorded layout runs past
-  the data member) raises :class:`CheckpointCorruptError`;
+* every byte of the file is checked on load (the magic, the declared
+  size, the manifest's CRC32, the zero padding and each array's CRC32,
+  recorded under the manifest's ``"digests"``); a failure, a manifest
+  without digests or an array whose layout runs past the data region
+  raises :class:`CheckpointCorruptError`;
 * ``save_checkpoint(..., keep_generations=N)`` rotates the previous file
   to ``path.g1`` (and ``.g1`` to ``.g2``, ...) before the atomic replace,
   keeping the newest ``N`` snapshots;
@@ -52,8 +53,8 @@ import itertools
 import json
 import math
 import os
+import struct
 import threading
-import zipfile
 import zlib
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -68,41 +69,29 @@ if TYPE_CHECKING:  # pragma: no cover - typing only (avoids an import cycle)
 
 #: Identifies the file format inside the manifest.
 CHECKPOINT_FORMAT = "repro-checkpoint"
-#: Bumped whenever the manifest layout changes incompatibly.
-#: Version history:
-#:   1 — original layout (hash grids exposed one Parameter per level, so
-#:       optimiser moments were keyed/shaped per level);
-#:   2 — each grid's levels are backed by a single master-table Parameter:
-#:       optimiser state holds one table-sized moment array per grid;
-#:   3 — every manifest records per-array CRC32 ``"digests"`` and trainer
-#:       histories carry ``health_counters``.  Both arrived during version
-#:       2, so a version-2 file may lack either;
-#:   4 — every array lives in one ``uint8`` data member at the offset,
-#:       dtype and shape the manifest's ``"layout"`` records, instead of
-#:       one npz member per array;
-#:   5 — a hash grid's state is its one backing table
-#:       (``{"table": <parameter state>}``) instead of one table per level.
-CHECKPOINT_VERSION = 5
-#: Oldest version this library can still restore.  Older files are
-#: rejected up front with a clear error: version-1 optimiser state cannot
-#: be mapped onto the master-table parameters, a version-2 file cannot be
-#: verified, a version-3 file keeps one npz member per array, and a
-#: version-4 file stores each grid level's table separately.
-CHECKPOINT_MIN_VERSION = 5
-#: npz member that stores the JSON manifest.
-_MANIFEST_KEY = "__manifest__"
-#: npz member that stores every array's bytes.
-_DATA_KEY = "__data__"
-#: Alignment of each array's offset inside the data member.
+#: Bumped whenever the file layout changes incompatibly.  Version history
+#: (details in ``docs/reliability.md``): 1 — one Parameter per grid level;
+#: 2 — one master-table Parameter per grid; 3 — per-array CRC32
+#: ``"digests"`` and history ``health_counters`` (both arrived during
+#: version 2, so a version-2 file may lack either); 4 — one ``uint8`` npz
+#: data member placed by the manifest's ``"layout"``; 5 — a grid's state is
+#: its one backing table (``{"table": ...}``); 6 — one flat file (header,
+#: manifest, aligned data region) instead of an npz zip.
+CHECKPOINT_VERSION = 6
+#: Oldest version this library can still restore.  Older files (layouts
+#: above; a version-2 file cannot even be verified) are refused up front
+#: with a plain :class:`CheckpointError`.
+CHECKPOINT_MIN_VERSION = 6
+#: First bytes of every checkpoint file.
+_MAGIC = b"\x89RCKPT\r\n"
+#: The fixed header: magic, manifest length, data length, manifest CRC32.
+_HEADER = struct.Struct("<8sQQI")
+#: First bytes of an npz (zip) file, i.e. of every version <= 5 checkpoint.
+_ZIP_SIGNATURE = b"PK\x03\x04"
+#: Alignment of the data region and of each array's offset inside it.
 _ALIGN = 64
-#: Manifest placeholder key referencing an array of the data member.
+#: Manifest placeholder key referencing an array of the data region.
 _ARRAY_KEY = "__npz__"
-#: What reading a damaged archive raises.  Beyond plain I/O and decode
-#: errors, a corrupted zip layer surfaces as ``BadZipFile`` (CRC or header
-#: mismatch), ``EOFError`` (empty file), ``NotImplementedError`` (flipped
-#: compression-method bits) or ``RuntimeError`` (flipped encryption flag).
-_ARCHIVE_ERRORS = (OSError, ValueError, EOFError, zlib.error,
-                   zipfile.BadZipFile, NotImplementedError, RuntimeError)
 
 PathLike = Union[str, Path]
 
@@ -131,11 +120,11 @@ class NonFiniteCheckpointError(CheckpointError):
 class CheckpointCorruptError(CheckpointError):
     """A checkpoint file exists but fails integrity verification.
 
-    Raised for unreadable archives, undecodable manifests and CRC32 digest
-    mismatches — the failures a torn write or silent media corruption
-    produces.  Structural problems (wrong kind, unsupported version) stay
-    plain :class:`CheckpointError`: they are caller bugs, not data loss,
-    and must not trigger generation fallback.
+    Raised for unreadable or truncated files, a bad magic, nonzero padding
+    and CRC32 mismatches — the failures a torn write or silent media
+    corruption produces.  Structural problems (wrong kind, unsupported
+    version) stay plain :class:`CheckpointError`: they are caller bugs, not
+    data loss, and must not trigger generation fallback.
     """
 
 
@@ -171,6 +160,16 @@ class Checkpoint:
     #: 0 when the primary file verified; ``k`` when the load fell back to
     #: the ``path.g{k}`` generation after quarantining newer candidates.
     fallback_generation: int = 0
+
+
+def _corrupt(path: Path, problem: str) -> CheckpointCorruptError:
+    """The error for ``path`` failing an integrity check."""
+    return CheckpointCorruptError(f"corrupt checkpoint {path}: {problem}")
+
+
+def _aligned(n: int) -> int:
+    """``n`` rounded up to a multiple of :data:`_ALIGN`."""
+    return -(-n // _ALIGN) * _ALIGN
 
 
 def _raw_bytes(array: np.ndarray) -> np.ndarray:
@@ -233,7 +232,7 @@ def _flatten(node: Any, arrays: Dict[str, np.ndarray], path: str,
     """
     if isinstance(node, np.ndarray):
         if node.dtype == object:
-            # Their bytes are object pointers, not data: the data member
+            # Their bytes are object pointers, not data: the data region
             # could store them but no load could restore them.
             raise CheckpointError(
                 f"object-dtype arrays cannot be checkpointed "
@@ -279,7 +278,7 @@ def _flatten(node: Any, arrays: Dict[str, np.ndarray], path: str,
 
 
 def _unflatten(node: Any, data) -> Any:
-    """Rebuild the state tree, materialising array placeholders from npz."""
+    """Rebuild the state tree, materialising array placeholders."""
     if isinstance(node, dict):
         if set(node.keys()) == {_ARRAY_KEY}:
             return data[node[_ARRAY_KEY]]
@@ -300,9 +299,9 @@ def save_checkpoint(path: PathLike, payload: Dict[str, Any], *,
     on load; ``metadata`` is an arbitrary JSON-able dict stored alongside —
     use it for provenance (scene name, seed, iteration) rather than state.
     Parent directories are created as needed; the file lands whole, at
-    exactly ``path`` (no implicit ``.npz`` suffix appended).
+    exactly ``path`` (no suffix appended).
 
-    The write is **atomic**: the archive is built in a same-directory temp
+    The write is **atomic**: the file is written in a same-directory temp
     file and renamed over ``path``, so a crash or preemption mid-save never
     truncates an existing checkpoint — readers see either the old snapshot
     or the new one, which is what lets the fleet checkpoint on a cadence
@@ -311,13 +310,12 @@ def save_checkpoint(path: PathLike, payload: Dict[str, Any], *,
     concurrent saves of the same path from different threads never collide
     on the temp file.
 
-    Every array is streamed into the one data member, so a save holds no
-    copy of the whole file.  The manifest records each array's offset,
-    dtype, shape and CRC32 digest, verified by :func:`load_checkpoint`.
-    With ``keep_generations=N`` (N > 1) the previous file is rotated to
-    ``path.g1`` (``.g1`` to ``.g2``, ...) before the replace, so a later
-    corruption of the primary file can fall back to an older verified
-    snapshot.
+    The header, the manifest (each array's offset, dtype, shape and CRC32)
+    and the arrays are written one by one, so a save holds no copy of the
+    whole file.  With ``keep_generations=N`` (N > 1) the previous file is
+    rotated to ``path.g1`` (``.g1`` to ``.g2``, ...) before the replace, so
+    a later corruption of the primary file can fall back to an older
+    verified snapshot.
 
     Non-finite floating values in the payload are **refused** by default
     (:class:`NonFiniteCheckpointError`) — a NaN-poisoned state must not
@@ -336,7 +334,7 @@ def save_checkpoint(path: PathLike, payload: Dict[str, Any], *,
     size = 0
     for key, array in arrays.items():
         raw[key] = _raw_bytes(array)
-        offset = -(-size // _ALIGN) * _ALIGN
+        offset = _aligned(size)
         layout[key] = {"offset": offset,
                        "dtype": np.lib.format.dtype_to_descr(array.dtype),
                        "shape": list(array.shape)}
@@ -350,27 +348,22 @@ def save_checkpoint(path: PathLike, payload: Dict[str, Any], *,
         "layout": layout,
         "digests": {key: zlib.crc32(data) for key, data in raw.items()},
     }
+    manifest_bytes = json.dumps(manifest).encode()
+    header = _HEADER.pack(_MAGIC, len(manifest_bytes), size,
+                          zlib.crc32(manifest_bytes))
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp_path = path.parent / (f".{path.name}.tmp{os.getpid()}-"
                               f"{threading.get_ident()}-{next(_TMP_COUNTER)}")
     try:
-        with zipfile.ZipFile(tmp_path, "w") as archive:
-            with archive.open(f"{_MANIFEST_KEY}.npy", "w",
-                              force_zip64=True) as member:
-                np.lib.format.write_array(
-                    member, np.array(json.dumps(manifest)),
-                    allow_pickle=False)
-            with archive.open(f"{_DATA_KEY}.npy", "w",
-                              force_zip64=True) as member:
-                np.lib.format.write_array_header_1_0(
-                    member, {"descr": "|u1", "fortran_order": False,
-                             "shape": (size,)})
-                written = 0
-                for key, data in raw.items():
-                    offset = layout[key]["offset"]
-                    member.write(bytes(offset - written))
-                    member.write(data)
-                    written = offset + data.size
+        with open(tmp_path, "wb") as handle:
+            head = header + manifest_bytes
+            handle.write(head + bytes(_aligned(len(head)) - len(head)))
+            written = 0
+            for key, data in raw.items():
+                offset = layout[key]["offset"]
+                handle.write(bytes(offset - written))
+                handle.write(data)
+                written = offset + data.size
         if keep_generations > 1 and path.exists():
             _rotate_generations(path, keep_generations)
         os.replace(tmp_path, path)
@@ -386,20 +379,17 @@ def save_checkpoint(path: PathLike, payload: Dict[str, Any], *,
 
 def _verified_views(path: Path, blob: np.ndarray, layout: Any,
                     digests: Dict[str, Any]) -> Dict[str, np.ndarray]:
-    """Each array of the data member ``blob``, CRC32-checked, as a view.
+    """Each array of the data region ``blob``, CRC32-checked, as a view.
 
     A layout that does not parse, names other arrays than the digests, or
-    places an array outside ``blob`` is corruption like a digest mismatch.
+    places an array outside ``blob`` is corruption like a digest mismatch;
+    so is a nonzero byte between (or after) the arrays.
     """
-    if blob.dtype != np.uint8 or blob.ndim != 1:
-        raise CheckpointCorruptError(
-            f"corrupt checkpoint {path}: data member is {blob.dtype} "
-            f"{blob.shape}, not a flat uint8 array")
     if not isinstance(layout, dict) or set(layout) != set(digests):
-        raise CheckpointCorruptError(
-            f"corrupt checkpoint {path}: manifest layout does not list "
-            f"exactly the digested arrays")
+        raise _corrupt(path, "manifest layout does not list exactly the "
+                             "digested arrays")
     members: Dict[str, np.ndarray] = {}
+    spans = []
     for key, entry in layout.items():
         try:
             dtype = np.lib.format.descr_to_dtype(entry["dtype"])
@@ -407,76 +397,85 @@ def _verified_views(path: Path, blob: np.ndarray, layout: Any,
             offset = int(entry["offset"])
             expected = int(digests[key])
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise CheckpointCorruptError(
-                f"corrupt checkpoint {path}: bad layout of array {key!r}: "
-                f"{exc!r}") from exc
+            raise _corrupt(path, f"bad layout of {key!r}: {exc!r}") from exc
         end = offset + dtype.itemsize * math.prod(shape)
         if offset < 0 or min(shape, default=0) < 0 or end > blob.size:
-            raise CheckpointCorruptError(
-                f"corrupt checkpoint {path}: array {key!r} at bytes "
-                f"{offset}..{end} lies outside the {blob.size}-byte data "
-                f"member")
+            raise _corrupt(path, f"array {key!r} at {offset}..{end} lies "
+                                 f"outside the {blob.size}-byte data region")
         raw = blob[offset:end]
         if zlib.crc32(raw) != expected:
-            raise CheckpointCorruptError(
-                f"corrupt checkpoint {path}: CRC32 mismatch on array {key!r}")
+            raise _corrupt(path, f"CRC32 mismatch on array {key!r}")
         members[key] = raw.view(dtype).reshape(shape)
+        spans.append((offset, end))
+    cursor = 0
+    for offset, end in sorted(spans) + [(blob.size, blob.size)]:
+        if offset > cursor and blob[cursor:offset].any():
+            raise _corrupt(path, f"nonzero padding at data bytes "
+                                 f"{cursor}..{offset}")
+        cursor = max(cursor, end)
     return members
 
 
 def _read_verified(path: Path, expected_kind: Optional[str]) -> Checkpoint:
-    """Read one file, reading its data member once, and verify every array.
+    """Read one file with one ``readinto`` and verify every byte of it.
 
-    Corruption-class failures (unreadable archive, undecodable manifest,
-    digest mismatch, bad array layout, dangling array reference) raise
-    :class:`CheckpointCorruptError`; structural mismatches (format, version,
-    kind) stay :class:`CheckpointError`.
+    Checks run in file order: magic, declared size, manifest CRC32 and
+    padding; format, version and kind; each array's CRC32 and padding.  A
+    failed integrity check raises :class:`CheckpointCorruptError`; a
+    structural mismatch (an npz file of version <= 5, format, version,
+    kind) stays :class:`CheckpointError`.
     """
     try:
-        archive = np.load(path, allow_pickle=False)
-    except _ARCHIVE_ERRORS as exc:
-        raise CheckpointCorruptError(
-            f"could not read checkpoint {path}: {exc}") from exc
-    with archive as data:
-        if _MANIFEST_KEY not in data.files:
-            raise CheckpointCorruptError(
-                f"{path} is not a repro checkpoint (missing {_MANIFEST_KEY})")
-        try:
-            manifest = json.loads(str(data[_MANIFEST_KEY][()]))
-        except _ARCHIVE_ERRORS as exc:
-            raise CheckpointCorruptError(
-                f"corrupt manifest in {path}: {exc}") from exc
-        if manifest.get("format") != CHECKPOINT_FORMAT:
-            raise CheckpointError(
-                f"{path} has unknown format {manifest.get('format')!r}")
-        version = int(manifest.get("version", -1))
-        if not CHECKPOINT_MIN_VERSION <= version <= CHECKPOINT_VERSION:
-            raise CheckpointError(
-                f"{path} has unsupported checkpoint version {version} "
-                f"(this library supports {CHECKPOINT_MIN_VERSION}.."
-                f"{CHECKPOINT_VERSION}; older files use a layout this "
-                f"library no longer reads)")
-        kind = manifest.get("kind", "state")
-        if expected_kind is not None and kind != expected_kind:
-            raise CheckpointError(
-                f"{path} holds a {kind!r} checkpoint, expected "
-                f"{expected_kind!r}")
-        digests = manifest.get("digests")
-        if digests is None:
-            raise CheckpointCorruptError(
-                f"corrupt checkpoint {path}: manifest has no digests")
-        try:
-            blob = data[_DATA_KEY]
-        except (KeyError, *_ARCHIVE_ERRORS) as exc:
-            raise CheckpointCorruptError(
-                f"corrupt data member in {path}: {exc!r}") from exc
-        members = _verified_views(path, blob, manifest.get("layout"), digests)
-        try:
-            payload = _unflatten(manifest["payload"], members)
-            metadata = _unflatten(manifest.get("metadata", {}), members)
-        except (KeyError, ValueError) as exc:
-            raise CheckpointCorruptError(
-                f"corrupt checkpoint {path}: {exc}") from exc
+        with open(path, "rb") as handle:
+            buf = bytearray(os.fstat(handle.fileno()).st_size)
+            # A short read leaves zeros: the CRCs catch any that matter.
+            handle.readinto(buf)
+    except OSError as exc:
+        raise _corrupt(path, f"unreadable: {exc}") from exc
+    if buf.startswith(_ZIP_SIGNATURE):
+        raise CheckpointError(
+            f"{path} is an npz file: checkpoints of format versions <= 5 "
+            f"are no longer read; re-create it with the current code")
+    if not buf.startswith(_MAGIC) or len(buf) < _HEADER.size:
+        raise _corrupt(path, "not a repro checkpoint (bad magic or "
+                             "truncated header)")
+    _, manifest_size, data_size, manifest_crc = _HEADER.unpack_from(buf)
+    manifest_end = _HEADER.size + manifest_size
+    data_start = _aligned(manifest_end)
+    if len(buf) != data_start + data_size:
+        raise _corrupt(path, f"{len(buf)} bytes, the header declares "
+                             f"{data_start + data_size}")
+    manifest_bytes = memoryview(buf)[_HEADER.size:manifest_end]
+    if zlib.crc32(manifest_bytes) != manifest_crc:
+        raise _corrupt(path, "CRC32 mismatch on the manifest")
+    if any(buf[manifest_end:data_start]):
+        raise _corrupt(path, "nonzero padding after the manifest")
+    try:
+        manifest = json.loads(manifest_bytes.tobytes())
+    except ValueError as exc:
+        raise _corrupt(path, f"undecodable manifest: {exc}") from exc
+    if manifest.get("format") != CHECKPOINT_FORMAT:
+        raise CheckpointError(
+            f"{path} has unknown format {manifest.get('format')!r}")
+    version = int(manifest.get("version", -1))
+    if not CHECKPOINT_MIN_VERSION <= version <= CHECKPOINT_VERSION:
+        raise CheckpointError(
+            f"{path} has unsupported checkpoint version {version} (this "
+            f"library reads {CHECKPOINT_MIN_VERSION}..{CHECKPOINT_VERSION})")
+    kind = manifest.get("kind", "state")
+    if expected_kind is not None and kind != expected_kind:
+        raise CheckpointError(
+            f"{path} holds a {kind!r} checkpoint, expected {expected_kind!r}")
+    digests = manifest.get("digests")
+    if digests is None:
+        raise _corrupt(path, "manifest has no digests")
+    blob = np.frombuffer(buf, dtype=np.uint8, offset=data_start)
+    members = _verified_views(path, blob, manifest.get("layout"), digests)
+    try:
+        payload = _unflatten(manifest["payload"], members)
+        metadata = _unflatten(manifest.get("metadata", {}), members)
+    except (KeyError, ValueError) as exc:
+        raise _corrupt(path, str(exc)) from exc
     return Checkpoint(payload=payload, kind=kind, version=version,
                       metadata=metadata)
 

@@ -2,7 +2,8 @@
 
 ``max_resident_scenes`` bounds how many trainers (model + optimiser moments +
 occupancy grid) are in memory at once; over-cap scenes are checkpointed to
-one ``.npz`` file each and transparently restored on their next use — the
+one flat checkpoint file each (see :mod:`repro.io.checkpoint`) and
+transparently restored on their next use — the
 same preemption machinery :class:`~repro.training.fleet.SceneFleet` has
 always used, extracted here so the multi-tenant
 :class:`~repro.serving.service.SceneService` can share it.
@@ -93,8 +94,10 @@ class ResidencyManager:
         manager builds or restores uses them, so an evict/re-acquire cycle
         reproduces the resident trajectory bit-exactly.
     checkpoint_dir:
-        Directory for per-scene checkpoint files (``<scene>.ckpt.npz``),
-        created on demand.  Required when ``max_resident_scenes`` is set.
+        Directory for per-scene checkpoint files (``<scene>.ckpt.npz``,
+        a name kept from the npz format: an old npz file there is refused,
+        not read), created on demand.  Required when
+        ``max_resident_scenes`` is set.
     max_resident_scenes:
         Upper bound on simultaneously resident trainers.  ``None`` means
         unbounded (no eviction; the manager still tracks residency stats).

@@ -16,7 +16,7 @@ set of scenes under one shared configuration:
   common to all scenes of a fleet — exactly as it would be across solo
   ``train_scene(seed=s)`` calls.
 * **preemption and resume**: with ``checkpoint_dir`` set, every scene's
-  trainer is checkpointed to one ``.npz`` file (every ``checkpoint_every``
+  trainer is checkpointed to one flat file (every ``checkpoint_every``
   iterations, on eviction, and at the end of the run).  A *new* fleet built
   over the same datasets/config/seed can then :meth:`resume` — restoring
   models, optimiser moments, occupancy grids, RNG streams and histories —
@@ -126,8 +126,9 @@ class SceneFleet:
         the run and when evicted, so an interrupted ``train()`` can always
         be :meth:`resume`-d from its last completed run.
     checkpoint_dir:
-        Directory for per-scene checkpoint files (``<scene>.ckpt.npz``),
-        created on demand.  Enables :meth:`resume` and eviction.
+        Directory for per-scene checkpoint files (``<scene>.ckpt.npz``,
+        a name kept from the npz format), created on demand.  Enables
+        :meth:`resume` and eviction.
     max_resident_scenes:
         Upper bound on simultaneously resident trainers (requires
         ``checkpoint_dir``).  Over-cap scenes are checkpointed to disk and

@@ -27,11 +27,16 @@ the engine against them.
   the kept samples that
   :func:`~repro.accelerator.trace.morton_order_record` replaced: the
   trace-side order must equal what the sorted query recorded.
+* :func:`exact_level_resolutions` — Instant-NGP Eq. 2-3's level
+  resolutions in exact rational arithmetic (:mod:`fractions`), which
+  :meth:`~repro.grid.hash_encoding.HashGridConfig.level_resolution` must
+  equal at every level.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -262,3 +267,22 @@ def pipeline_address_sort(grid, points_unit: np.ndarray,
     keys = morton_encode_3d(base[:, 0], base[:, 1], base[:, 2])
     perm = np.argsort(keys, kind="stable")
     return np.take(idx, perm)
+
+
+def exact_level_resolutions(config) -> List[int]:
+    """Every level's ``floor(N_min * b^l)``, ``b = (N_max / N_min)^(1/(L-1))``.
+
+    Level ``l``'s resolution is the largest integer ``r`` with ``r / N_min
+    <= b^l``, i.e. ``(r / N_min)^(L-1) <= (N_max / N_min)^l``: both sides
+    are rationals raised to integer powers, compared exactly.  The scan
+    starts each level at the previous level's resolution (``b >= 1``).
+    """
+    base, steps = config.base_resolution, config.n_levels - 1
+    growth = Fraction(config.finest_resolution, base)
+    resolutions = []
+    r = base
+    for level in range(config.n_levels):
+        while steps and Fraction(r + 1, base) ** steps <= growth ** level:
+            r += 1
+        resolutions.append(r)
+    return resolutions

@@ -4,8 +4,8 @@ Two layers of guarantees:
 
 * **round-trip exactness** — every `state_dict()` component (parameters,
   MLPs, hash grids, optimisers, occupancy grid, RNG streams, histories)
-  restores bit-identically through the single-file `.npz` + JSON-manifest
-  format;
+  restores bit-identically through the single-file checkpoint format (a
+  signed JSON manifest plus an aligned data region);
 * **differential resume** — interrupting a trainer or a fleet at an
   arbitrary iteration, restoring from the checkpoint (optionally in a
   "fresh process" with nothing but the file) and finishing produces
@@ -42,7 +42,7 @@ from repro.training import SceneFleet
 from repro.training.trainer import Trainer, TrainingHistory
 from repro.utils.seeding import new_rng
 
-from helpers import occupy
+from helpers import occupy, write_checkpoint_file
 
 
 @pytest.fixture(scope="module", autouse=True)
@@ -72,7 +72,7 @@ def ckpt_datasets():
 
 
 class TestCheckpointFile:
-    """The generic single-file `.npz` + JSON-manifest container."""
+    """The generic single-file container: header, manifest, data region."""
 
     def test_round_trip_preserves_types_and_values(self, tmp_path):
         payload = {
@@ -104,8 +104,14 @@ class TestCheckpointFile:
             load_checkpoint(tmp_path / "missing.npz")
 
     def test_non_checkpoint_npz_rejected(self, tmp_path):
+        # A plain npz is a zip (refused like an old checkpoint); a plain
+        # npy file lacks the checkpoint magic.
         path = tmp_path / "plain.npz"
         np.savez(path, x=np.zeros(3))
+        with pytest.raises(CheckpointError):
+            load_checkpoint(path)
+        path = tmp_path / "plain.npy"
+        np.save(path, np.zeros(3))
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
 
@@ -114,11 +120,10 @@ class TestCheckpointFile:
         # Parameter per level), so their optimiser state cannot be mapped
         # onto today's parameters; the version gate must say so up front
         # instead of failing deep inside the moment-shape validation.
-        import json
         manifest = {"format": "repro-checkpoint", "version": 1,
                     "kind": "state", "metadata": {}, "payload": {"x": 1}}
         path = tmp_path / "old.npz"
-        np.savez(path, __manifest__=np.array(json.dumps(manifest)))
+        write_checkpoint_file(path, manifest)
         with pytest.raises(CheckpointError, match="version 1"):
             load_checkpoint(path)
 
@@ -148,8 +153,8 @@ class TestCheckpointFile:
         assert list(tmp_path.iterdir()) == [path]   # no temp files left
 
     def test_bit_flip_is_caught_by_digest_verification(self, tmp_path):
-        # Flip one byte inside the archive: either the zip-member CRC or the
-        # manifest digest check must refuse to return silently wrong arrays.
+        # Flip one byte in the middle of the file (inside the array): the
+        # array's CRC32 must refuse to return silently wrong values.
         path = save_checkpoint(tmp_path / "s.npz",
                                {"w": np.arange(256, dtype=np.float64)},
                                kind="test")

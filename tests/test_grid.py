@@ -127,11 +127,12 @@ class TestTrilinearWeights:
 
 
 class TestHashGridConfig:
-    def test_per_level_scale(self, tiny_grid_config):
+    def test_level_resolutions_span_base_to_finest(self, tiny_grid_config):
         cfg = tiny_grid_config
-        assert cfg.level_resolution(0) == cfg.base_resolution
-        assert cfg.level_resolution(cfg.n_levels - 1) <= cfg.finest_resolution
-        assert cfg.per_level_scale > 1.0
+        resolutions = [level.resolution for level in cfg.layout]
+        assert resolutions[0] == cfg.base_resolution
+        assert resolutions[-1] == cfg.finest_resolution
+        assert all(a < b for a, b in zip(resolutions, resolutions[1:]))
 
     def test_scaled_reduces_entries(self, tiny_grid_config):
         scaled = tiny_grid_config.scaled(0.25)

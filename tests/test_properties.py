@@ -37,7 +37,7 @@ from repro.utils.seeding import new_rng
 from repro.utils.workspace import WorkspaceArena
 
 from helpers import occupy
-from oracles import per_level_loop, updates_in_loop
+from oracles import exact_level_resolutions, per_level_loop, updates_in_loop
 
 
 # ---------------------------------------------------------------------------
@@ -459,6 +459,26 @@ def test_morton_order_record_moves_whole_points_stably(config, points,
     for key in np.unique(keys):
         same = order[keys[order] == key]
         assert np.all(np.diff(same) > 0)
+
+
+# ---------------------------------------------------------------------------
+# Level resolutions (Instant-NGP Eq. 2-3)
+# ---------------------------------------------------------------------------
+@given(n_levels=st.integers(2, 16), base=st.integers(2, 32),
+       extra=st.integers(0, 1000))
+@example(n_levels=3, base=2, extra=6)        # a float floor gives 2, 3, 7
+@example(n_levels=16, base=16, extra=1008)   # paper_scale_instant3d
+@settings(max_examples=200, deadline=None)
+def test_level_resolutions_match_exact_arithmetic(n_levels, base, extra):
+    """Every level equals the exact ``floor(N_min * b^l)``, and the finest
+    level reaches ``finest_resolution``."""
+    config = HashGridConfig(n_levels=n_levels, base_resolution=base,
+                            finest_resolution=base + extra)
+    resolutions = [config.level_resolution(level) for level in range(n_levels)]
+    assert resolutions == exact_level_resolutions(config)
+    assert resolutions[0] == base
+    assert resolutions[-1] == config.finest_resolution
+    assert [level.resolution for level in config.layout] == resolutions
 
 
 # ---------------------------------------------------------------------------

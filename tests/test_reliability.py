@@ -12,13 +12,10 @@ of a fault-free run.
 from __future__ import annotations
 
 import dataclasses
-import json
 import os
-import struct
 import threading
 import time
 import warnings
-import zipfile
 
 import numpy as np
 import pytest
@@ -56,6 +53,9 @@ from repro.serving import (
 )
 from repro.training.trainer import Trainer, TrainingHistory
 from repro.utils.workspace import WorkspaceArena
+
+from helpers import (CHECKPOINT_HEADER, read_checkpoint_file,
+                     write_checkpoint_file)
 
 FAULT_SEED = int(os.environ.get("REPRO_FAULT_SEED", "0"))
 
@@ -236,13 +236,11 @@ class TestCheckpointIntegrity:
 
     def test_digests_recorded_and_roundtrip(self, tmp_path):
         path = save_checkpoint(tmp_path / "s.npz", self._payload(), kind="t")
-        with np.load(path, allow_pickle=False) as data:
-            assert sorted(data.files) == ["__data__", "__manifest__"]
-            manifest = json.loads(str(data["__manifest__"][()]))
-            blob = data["__data__"]
+        # Header, signed manifest, zero padding, then the data region.
+        manifest, blob = read_checkpoint_file(path)
         assert set(manifest["digests"]) == {"a0", "a1"}
-        # One flat uint8 member; each array at a 64-byte-aligned offset.
-        assert blob.dtype == np.uint8 and blob.shape == (128 + 5 * 4,)
+        # One flat data region; each array at a 64-byte-aligned offset.
+        assert len(blob) == 128 + 5 * 4
         layout = manifest["layout"]
         assert [layout[key]["offset"] for key in ("a0", "a1")] == [0, 128]
         assert layout["a0"]["shape"] == [3, 4]
@@ -256,14 +254,12 @@ class TestCheckpointIntegrity:
 
     def test_digest_mismatch_raises_corrupt_error(self, tmp_path):
         path = save_checkpoint(tmp_path / "s.npz", self._payload(), kind="t")
-        # Rewrite the archive with one array's bytes silently altered inside
-        # the data member but the old digests kept — the zip itself stays
-        # valid, only the per-array CRC32 can tell.
-        with np.load(path, allow_pickle=False) as data:
-            members = {key: data[key] for key in data.files}
-        manifest = json.loads(str(members["__manifest__"][()]))
-        members["__data__"][manifest["layout"]["a0"]["offset"]] ^= 0x01
-        np.savez(path, **members)
+        # Rewrite the file with one array's bytes silently altered inside
+        # the data region but the old digests kept — header, manifest CRC
+        # and padding stay valid, only the per-array CRC32 can tell.
+        manifest, blob = read_checkpoint_file(path)
+        blob[manifest["layout"]["a0"]["offset"]] ^= 0x01
+        write_checkpoint_file(path, manifest, blob)
         with pytest.raises(CheckpointCorruptError,
                            match="CRC32 mismatch on array 'a0'"):
             load_checkpoint(path, expected_kind="t")
@@ -297,19 +293,15 @@ class TestCheckpointIntegrity:
         assert after.quarantined_files == before.quarantined_files + 1
 
     def test_manifest_bit_flip_falls_back_to_generation(self, tmp_path):
-        # One flipped byte inside the manifest member fails the zip layer's
-        # own CRC check; that must count as corruption (quarantine + fall
-        # back), not escape as a raw zipfile error.
+        # One flipped byte inside the manifest fails the manifest's CRC32;
+        # that must count as corruption (quarantine + fall back), not
+        # escape as a JSON decode error.
         path = tmp_path / "s.npz"
         save_checkpoint(path, {"v": 1}, kind="t", keep_generations=2)
         save_checkpoint(path, {"v": 2}, kind="t", keep_generations=2)
-        with zipfile.ZipFile(path) as archive:
-            info = archive.getinfo("__manifest__.npy")
         raw = bytearray(path.read_bytes())
-        name_len, extra_len = struct.unpack(
-            "<HH", raw[info.header_offset + 26:info.header_offset + 30])
-        data_start = info.header_offset + 30 + name_len + extra_len
-        raw[data_start + info.file_size // 2] ^= 0x01
+        manifest_size = CHECKPOINT_HEADER.unpack_from(raw)[1]
+        raw[CHECKPOINT_HEADER.size + manifest_size // 2] ^= 0x01
         path.write_bytes(bytes(raw))
         loaded = load_checkpoint(path, expected_kind="t")
         assert loaded.payload["v"] == 1 and loaded.fallback_generation == 1
@@ -355,12 +347,10 @@ class TestCheckpointIntegrity:
 
     @staticmethod
     def _rewrite_manifest(path, edit):
-        with np.load(path, allow_pickle=False) as data:
-            members = {key: data[key] for key in data.files}
-        manifest = json.loads(str(members["__manifest__"][()]))
+        """Apply ``edit`` to the manifest and re-sign its CRC32."""
+        manifest, blob = read_checkpoint_file(path)
         edit(manifest)
-        members["__manifest__"] = np.array(json.dumps(manifest))
-        np.savez(path, **members)
+        write_checkpoint_file(path, manifest, blob)
 
     def test_version_2_checkpoint_is_structural_error(self, tmp_path):
         """A version-2 file may predate digests or health counters, so it
@@ -376,12 +366,13 @@ class TestCheckpointIntegrity:
         assert io_stats().fallback_loads == before
         assert not list(tmp_path.glob("*.corrupt*"))
 
-    @pytest.mark.parametrize("version", [3, 4])
+    @pytest.mark.parametrize("version", [3, 4, 5])
     def test_old_version_checkpoint_is_structural_error(self, tmp_path,
                                                          version):
-        """A version-3 file keeps one npz member per array and a version-4
-        file one table per grid level; both are refused as unsupported: no
-        quarantine, no generation fallback."""
+        """A version-3 file keeps one npz member per array, a version-4
+        file one table per grid level and a version-5 file is an npz zip;
+        each is refused as unsupported: no quarantine, no generation
+        fallback."""
         path = tmp_path / "s.npz"
         save_checkpoint(path, self._payload(), kind="t", keep_generations=2)
         save_checkpoint(path, self._payload(), kind="t", keep_generations=2)
@@ -393,6 +384,55 @@ class TestCheckpointIntegrity:
         assert not isinstance(info.value, CheckpointCorruptError)
         assert io_stats().fallback_loads == before
         assert not list(tmp_path.glob("*.corrupt*"))
+
+    def test_npz_checkpoint_is_structural_error(self, tmp_path):
+        """An npz file (the layout of every version <= 5) is refused as
+        unsupported, not as corruption: an upgrade must not quarantine a
+        scene's old files or fall back through them."""
+        path = tmp_path / "s.npz"
+        save_checkpoint(path, self._payload(), kind="t", keep_generations=2)
+        save_checkpoint(path, self._payload(), kind="t", keep_generations=2)
+        np.savez(path, __manifest__=np.array("{}"),
+                 __data__=np.zeros(8, dtype=np.uint8))
+        assert path.read_bytes()[:4] == b"PK\x03\x04"
+        before = io_stats().fallback_loads
+        with pytest.raises(CheckpointError, match="versions <= 5") as info:
+            load_checkpoint(path, expected_kind="t")
+        assert not isinstance(info.value, CheckpointCorruptError)
+        assert io_stats().fallback_loads == before
+        assert not list(tmp_path.glob("*.corrupt*"))
+
+    def test_every_single_byte_flip_is_caught(self, tmp_path):
+        """Every byte of the file is covered by a check: flipping any one
+        of them (header, manifest, its padding, an array or the padding
+        between arrays) raises ``CheckpointCorruptError``, and with a
+        ``.g1`` present the load falls back to it."""
+        path = tmp_path / "s.npz"
+        save_checkpoint(path, {"v": 1, "x": np.arange(2.0)}, kind="t",
+                        keep_generations=2)
+        payload = {"v": 2, "w": np.arange(5, dtype=np.float32),
+                   "m": np.arange(3.0)}
+        save_checkpoint(path, payload, kind="t", keep_generations=2)
+        raw = path.read_bytes()
+        manifest, blob = read_checkpoint_file(path)
+        # The file has padding after the manifest and between the arrays.
+        assert manifest["layout"]["a1"]["offset"] == 64 and len(blob) == 88
+        assert (CHECKPOINT_HEADER.size + CHECKPOINT_HEADER.unpack_from(
+            raw)[1]) % 64 != 0
+        for pos in range(len(raw)):
+            flipped = bytearray(raw)
+            flipped[pos] ^= 0xFF
+            path.write_bytes(bytes(flipped))
+            with pytest.raises(CheckpointCorruptError):
+                load_checkpoint(path, expected_kind="t",
+                                fallback_generations=False)
+            loaded = load_checkpoint(path, expected_kind="t")
+            assert loaded.fallback_generation == 1
+            assert loaded.payload["v"] == 1
+            (tmp_path / "s.npz.corrupt").unlink()
+        path.write_bytes(raw)
+        np.testing.assert_array_equal(load_checkpoint(path).payload["w"],
+                                      payload["w"])
 
     def test_manifest_without_digests_is_corrupt(self, tmp_path):
         path = save_checkpoint(tmp_path / "s.npz", self._payload(), kind="t")
